@@ -173,10 +173,16 @@ class DualGraph:
         return {v: c for v, c in zip(self.ids, Z)}
 
     def cycle_from_json_dict(self, data):
-        try:
-            return tuple(int(data.get(v, 0)) for v in self.ids)
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"malformed cycle object: {exc}") from exc
+        """Positive cycle from {vertex id: non-negative integer}; absent
+        ids count 0."""
+        if not isinstance(data, dict) or not all(
+            type(c) is int and c >= 0 for c in data.values()
+        ):
+            raise ParseError("cycle must be an object of non-negative integers")
+        Z = tuple(data.get(v, 0) for v in self.ids)
+        if not any(Z):
+            raise ParseError("cycle must be positive")
+        return Z
 
 
 def intersection_pairing(g: DualGraph, Y, Z) -> int:

@@ -6,7 +6,15 @@ reduced Groebner basis sorted by ascending leading monomial, so equal
 ideals produce identical bases.  Local colengths at the origin are
 computed by m-adic truncation: quotient_dim(defining + I + m^N) is
 evaluated along an increasing schedule of N until two values agree, which
-by Nakayama pins the value for all larger N.
+by Nakayama pins the value for all larger N; once m^N lies in the ideal
+already, the ideal is m-primary and its own quotient dimension is the
+answer.
+
+Work is cached on the objects that own it, never in module globals: an
+``IdealHandle`` keeps its reduced basis for its lifetime, and a
+``PresentedQuotient`` keeps one image handle per generator tuple and one
+colength per image basis for its lifetime.  The CLI builds one
+presentation per command, so nothing accumulates across commands.
 """
 
 from __future__ import annotations
@@ -18,7 +26,8 @@ from . import kernel
 from .errors import ColengthBudgetError, ZeroPolynomialError
 from .polyring import Polynomial, Ring, elimination
 
-_COLENGTH_SCHEDULE = (2, 3, 4, 6, 8, 11, 15, 20, 26, 33, 41, 50, 60, 64)
+_COLENGTH_BUDGET = 64  # last truncation order tried without a finite guess
+_COLENGTH_SCHEDULE = (2, 3, 4, 6, 8, 11, 15, 20, 26, 33, 41, 50, 60, _COLENGTH_BUDGET)
 
 
 def _exp_divides(a, b):
@@ -123,8 +132,8 @@ def _groebner_terms(gens, ring, assume_prefix=0):
 class IdealHandle:
     """Generator list with a cached reduced Groebner basis.
 
-    Immutable once the basis is cached; the cache fill is idempotent so
-    concurrent fills are harmless.
+    The basis is computed on first use and kept for the handle's lifetime;
+    the handle is otherwise immutable, and the cache fill is idempotent.
     """
 
     __slots__ = ("ring", "gens", "_gb")
@@ -164,9 +173,6 @@ class IdealHandle:
             return False
         return not p.reduce(gb)
 
-    def contains_ideal(self, other: IdealHandle) -> bool:
-        return all(self.contains(g) for g in other.gens)
-
     def equals(self, other: IdealHandle) -> bool:
         if self.ring != other.ring:
             raise ValueError("ideals from different rings")
@@ -178,10 +184,15 @@ class IdealHandle:
         return IdealHandle(self.ring, self.gens + other.gens)
 
     def product(self, other: IdealHandle) -> IdealHandle:
+        """Pairwise products, repeats dropped in order; a square uses only
+        the pairs i <= j."""
         if self.ring != other.ring:
             raise ValueError("ideals from different rings")
-        gens = [a * b for a, b in itertools.product(self.gens, other.gens)]
-        return IdealHandle(self.ring, gens)
+        if self.gens == other.gens:
+            pairs = itertools.combinations_with_replacement(self.gens, 2)
+        else:
+            pairs = itertools.product(self.gens, other.gens)
+        return IdealHandle(self.ring, dict.fromkeys(a * b for a, b in pairs))
 
     def power(self, n: int) -> IdealHandle:
         if n < 1:
@@ -201,7 +212,8 @@ class IdealHandle:
             return None
         if gb[0].degree() == 0:
             return 0
-        return _count_standard(self.leading_exponents(), self.ring.n)
+        shape = _standard_shape(self.leading_exponents(), self.ring.n)
+        return None if shape is None else shape[0]
 
     def colon(self, other: IdealHandle) -> IdealHandle:
         """Ideal quotient {p : p * other <= self}."""
@@ -212,26 +224,26 @@ class IdealHandle:
             if self.contains(g):
                 continue  # colon by an element of the ideal is everything
             cg = _colon_single(self, g)
-            result = cg if result is None else _intersect(result, cg)
+            if result is None or result.gens == cg.gens:
+                result = cg
+            else:
+                result = _intersect(result, cg)
         if result is None:
             return IdealHandle(self.ring, [self.ring.one()])
         return IdealHandle(self.ring, [p for p in result.groebner()])
 
-    def intersect(self, other: IdealHandle) -> IdealHandle:
-        return _intersect(self, other)
 
-
-def _count_standard(lead_exps, n):
-    """Count monomials outside the monomial ideal of ``lead_exps``.
+def _standard_shape(lead_exps, n):
+    """(count, top degree) of the monomials outside the monomial ideal of
+    ``lead_exps``.
 
     Returns None when some variable has no pure power among the leads.
-    BFS over standard monomials, so the cost is linear in the answer.
+    One walk over the standard monomials, so the cost is linear in the
+    count.
     """
-    lead = [e for e in lead_exps]
     # prune leads divisible by other leads
-    lead.sort(key=sum)
     minimal = []
-    for e in lead:
+    for e in sorted(lead_exps, key=sum):
         if not any(_exp_divides(f, e) for f in minimal):
             minimal.append(e)
     for i in range(n):
@@ -239,13 +251,14 @@ def _count_standard(lead_exps, n):
             return None
     origin = (0,) * n
     if any(sum(e) == 0 for e in minimal):
-        return 0
+        return 0, 0
     seen = {origin}
     stack = [origin]
-    count = 0
+    count = top = 0
     while stack:
         e = stack.pop()
         count += 1
+        top = max(top, sum(e))
         for i in range(n):
             f = e[:i] + (e[i] + 1,) + e[i + 1 :]
             if f in seen:
@@ -253,7 +266,7 @@ def _count_standard(lead_exps, n):
             seen.add(f)
             if not any(_exp_divides(le, f) for le in minimal):
                 stack.append(f)
-    return count
+    return count, top
 
 
 # -- elimination, intersection, colon -----------------------------------
@@ -367,9 +380,13 @@ class PresentedQuotient:
     All equalities tested here (ideal equality among origin-primary
     ideals, colengths, products) are invariant under completion, so the
     computations run in the polynomial ring.
+
+    The quotient keeps, for its lifetime, one image handle per generator
+    tuple (so each image's reduced basis is computed once) and one
+    colength per image basis.
     """
 
-    __slots__ = ("ring", "defining", "_maximal")
+    __slots__ = ("ring", "defining", "_maximal", "_images", "_colengths")
 
     def __init__(self, ring: Ring, defining: IdealHandle):
         self.ring = ring
@@ -380,6 +397,8 @@ class PresentedQuotient:
                 )
         self.defining = defining
         self._maximal = None
+        self._images = {}
+        self._colengths = {}
 
     def maximal_ideal(self) -> IdealHandle:
         if self._maximal is None:
@@ -387,96 +406,77 @@ class PresentedQuotient:
         return self._maximal
 
     def image(self, ideal: IdealHandle) -> IdealHandle:
-        return ideal + self.defining
+        img = self._images.get(ideal.gens)
+        if img is None:
+            img = self._images[ideal.gens] = ideal + self.defining
+            self._images[img.gens] = img  # an image is its own image
+        return img
 
     def image_equal(self, I: IdealHandle, J: IdealHandle) -> bool:
         return self.image(I).equals(self.image(J))
 
-    def image_contains(self, I: IdealHandle, p: Polynomial) -> bool:
-        return self.image(I).contains(p)
-
-    def colength(self, ideal: IdealHandle, budget: int = 64) -> int:
+    def colength(self, ideal: IdealHandle) -> int:
         """Length of (local ring)/(ideal) at the origin via truncation."""
-        J = self.image(ideal)
-        gb = J.groebner()
+        gb = self.image(ideal).groebner()
+        length = self._colengths.get(gb)
+        if length is None:
+            length = self._colengths[gb] = self._truncated_length(gb)
+        return length
+
+    def _truncated_length(self, gb) -> int:
         if gb and gb[0].degree() == 0:
             return 0
-        gb_terms = [list(g.terms) for g in gb]
-        lead = [g.terms[0][1] for g in gb]
         n = self.ring.n
-        schedule = self._schedule(lead, n, budget)
+        gb_terms = [list(g.terms) for g in gb]
+        shape = _standard_shape([g.terms[0][1] for g in gb], n)
         prev = None
-        for N in schedule:
-            dim = self._truncated_dim(gb_terms, lead, N)
-            if dim == prev:
-                return dim
-            prev = dim
+        for N in _schedule(shape):
+            extra = self._outside(gb_terms, N)
+            if not extra:
+                # m^N lies in the ideal already, so the ideal is m-primary
+                # and its quotient is local: no further Buchberger run
+                return shape[0]
+            final = _groebner_terms(gb_terms + extra, self.ring, assume_prefix=len(gb_terms))
+            truncated = _standard_shape([t[0][1] for t in final], n)
+            if truncated is None:
+                raise ColengthBudgetError("truncated quotient unexpectedly infinite")
+            if truncated[0] == prev:
+                return prev
+            prev = truncated[0]
         raise ColengthBudgetError(
-            f"colength did not stabilize within truncation budget {budget}"
+            f"colength did not stabilize within truncation budget {_COLENGTH_BUDGET}"
         )
 
-    def _schedule(self, lead, n, budget):
-        sched = [N for N in _COLENGTH_SCHEDULE if N <= budget]
-        if budget not in sched:
-            sched.append(budget)
-        # whenever the leading-term quotient is already finite, start just
-        # past its top degree: stabilization is immediate in that case
-        cap = _count_standard(lead, n)
-        if cap is not None:
-            top = _standard_top_degree(lead, n)
-            guess = top + 1
-            sched = [guess, guess + 1] + [N for N in sched if N > guess + 1]
-        return sched
-
-    def _truncated_dim(self, gb_terms, lead, N):
+    def _outside(self, gb_terms, N):
+        """The degree-N monomials that do not reduce to 0 modulo the basis."""
         ring = self.ring
-        mono_lead = [
-            t[0][1] for t in gb_terms if len(t) == 1
-        ]  # honest members: single-term basis elements
+        # honest members: single-term basis elements
+        mono_lead = [t[0][1] for t in gb_terms if len(t) == 1]
         extra = []
         for e in _compositions(N, ring.n, mono_lead):
             mono = [(ring.key(e), e, 1, 0, 1)]
             _, r = kernel.reduce_terms(mono, gb_terms, ring.kc)
             if r:
                 extra.append(mono)
-        if not extra:
-            combined = gb_terms
-        else:
-            combined = gb_terms + extra
-        final = _groebner_terms(combined, ring, assume_prefix=len(gb_terms))
-        dim = _count_standard([t[0][1] for t in final], ring.n)
-        if dim is None:
-            raise ColengthBudgetError("truncated quotient unexpectedly infinite")
-        return dim
+        return extra
 
-    def min_gens(self, ideal: IdealHandle, budget: int = 64) -> int:
+    def min_gens(self, ideal: IdealHandle) -> int:
         """Minimal number of generators of the image of ``ideal``."""
         m_ideal = self.maximal_ideal().product(ideal)
-        return self.colength(m_ideal, budget) - self.colength(ideal, budget)
+        return self.colength(m_ideal) - self.colength(ideal)
 
 
-def _standard_top_degree(lead, n):
-    minimal = []
-    for e in sorted(lead, key=sum):
-        if not any(_exp_divides(f, e) for f in minimal):
-            minimal.append(e)
-    origin = (0,) * n
-    seen = {origin}
-    stack = [origin]
-    top = 0
-    while stack:
-        e = stack.pop()
-        d = sum(e)
-        if d > top:
-            top = d
-        for i in range(n):
-            f = e[:i] + (e[i] + 1,) + e[i + 1 :]
-            if f in seen:
-                continue
-            seen.add(f)
-            if not any(_exp_divides(le, f) for le in minimal):
-                stack.append(f)
-    return top
+def _schedule(shape):
+    """Truncation orders to try for an ideal whose leading-term quotient
+    has ``shape`` (see ``_standard_shape``).
+
+    Whenever that quotient is already finite, start just past its top
+    degree: stabilization is immediate in that case.
+    """
+    if shape is None:
+        return _COLENGTH_SCHEDULE
+    guess = shape[1] + 1
+    return (guess, guess + 1) + tuple(N for N in _COLENGTH_SCHEDULE if N > guess + 1)
 
 
 def _compositions(N, n, mono_lead):

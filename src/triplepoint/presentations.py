@@ -168,14 +168,17 @@ def instantiate(tag) -> RingPresentation:
 
 
 def trace_ideal(pres: RingPresentation) -> IdealHandle:
-    """Canonical trace ideal: entry ideal of the 2x3 matrix plus defining."""
+    """Canonical trace ideal: entry ideal of the 2x3 matrix plus defining.
+
+    This is the quotient's image of the entry ideal, cached there, so its
+    basis is computed once per presentation.
+    """
     if pres.cm_type != 2:
         raise UnsupportedTypeError(
             f"trace ideal via the 2x3 matrix needs CM type 2, not {pres.cm_type}"
         )
     entries = [e for row in pres.matrix for e in row]
-    ideal = IdealHandle(pres.ring, entries) + pres.quotient.defining
-    return IdealHandle(pres.ring, list(ideal.groebner()))
+    return pres.quotient.image(IdealHandle(pres.ring, entries))
 
 
 def residue(pres: RingPresentation) -> int:
@@ -184,8 +187,7 @@ def residue(pres: RingPresentation) -> int:
 
 def nearly_gorenstein(pres: RingPresentation) -> bool:
     tr = trace_ideal(pres)
-    extended = tr + pres.quotient.defining
-    return all(extended.contains(v) for v in pres.ring.gens())
+    return all(tr.contains(v) for v in pres.ring.gens())
 
 
 def ring_multiplicity(pres: RingPresentation) -> int:
@@ -237,13 +239,3 @@ def maximal_reduction_seed(tag: FamilyTag):
         )
     return None
 
-
-def candidate_chain(pres: RingPresentation, count: int):
-    """The ideals (x, y, z, t^i) for i = 1..count in figure variable order."""
-    R = pres.ring
-    out = []
-    for i in range(1, count + 1):
-        out.append(
-            IdealHandle(R, [R.var("x"), R.var("y"), R.var("z"), R.polynomial(f"t^{i}")])
-        )
-    return out

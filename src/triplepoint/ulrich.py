@@ -89,28 +89,6 @@ def is_reduction_stable(A: PresentedQuotient, I: IdealHandle, Q: IdealHandle) ->
     return A.image_equal(I.power(2), Q.product(I))
 
 
-def is_reduction_stable_local(
-    A: PresentedQuotient, I: IdealHandle, Q: IdealHandle
-) -> bool:
-    """Stability witnessed by local lengths alone.
-
-    For a 2-generated parameter ideal Q <= I in a two-dimensional CM local
-    ring, Q/QI is free of rank 2 over A/I, so len(A/QI) = len(A/Q) +
-    2*len(A/I); since QI <= I^2 always, equality of len(A/I^2) with that
-    sum is equivalent to I^2 = QI in the local ring.  This sees stability
-    even when Q picks up extra zeros away from the origin, where the
-    ambient-ring ideal equality cannot.
-    """
-    if len(Q.gens) != 2:
-        raise ValueError("reduction must have exactly 2 generators")
-    img = A.image(I)
-    for q in Q.gens:
-        if not img.contains(q):
-            raise ValueError("reduction candidate is not inside the ideal")
-    e0 = A.colength(Q)
-    return A.colength(I.power(2)) == e0 + 2 * A.colength(I)
-
-
 def good_check(A: PresentedQuotient, I: IdealHandle, Q: IdealHandle) -> bool:
     """Q : I == I in A (colon computed in the ambient ring)."""
     colon = A.image(Q).colon(I)
@@ -158,13 +136,14 @@ def _candidate_pairs(gens, policy):
         yield (combos[a], combos[b])
 
 
-def find_reduction(A, I, policy: ReductionSearchPolicy | None = None, _square=None):
+def find_reduction(A, I, policy: ReductionSearchPolicy | None = None):
     """First 2-generated Q <= I with I^2 = QI, deterministic search order.
 
     Two passes over the same candidate stream: ambient-ring ideal equality
     first, then the local length witness for candidates the global test
-    cannot certify (extra zeros away from the origin).  The square of I
-    and its colength are computed once and shared across candidates.
+    cannot certify (extra zeros away from the origin).  The quotient ``A``
+    caches images and colengths, so the square of I, its basis and its
+    colength are computed once.
     """
     if policy is None:
         policy = ReductionSearchPolicy()
@@ -172,7 +151,7 @@ def find_reduction(A, I, policy: ReductionSearchPolicy | None = None, _square=No
     if not gens:
         return None
     img = A.image(I)
-    I_sq = I.power(2) if _square is None else _square
+    I_sq = I.power(2)
     I_sq_image = A.image(I_sq)
 
     def usable(q1, q2):
@@ -186,14 +165,8 @@ def find_reduction(A, I, policy: ReductionSearchPolicy | None = None, _square=No
     def check_global(Q):
         return I_sq_image.equals(A.image(Q.product(I)))
 
-    lengths = {}
-
     def check_local(Q):
-        if "I" not in lengths:
-            lengths["I"] = A.colength(I)
-            lengths["I2"] = A.colength(I_sq)
-        e0 = A.colength(Q)
-        return lengths["I2"] == e0 + 2 * lengths["I"]
+        return A.colength(I_sq) == A.colength(Q) + 2 * A.colength(I)
 
     for check in (check_global, check_local):
         tried = 0
@@ -220,15 +193,14 @@ def ulrich_check(
 ) -> UlrichCertificate:
     length = A.colength(I)
     mu = A.min_gens(I)
-    I_sq = I.power(2)
-    Q = find_reduction(A, I, policy, _square=I_sq)
+    Q = find_reduction(A, I, policy)
     if Q is None:
         return UlrichCertificate(
             tag, I, None, False, None, None, mu, length, None, VERDICT_NO_REDUCTION
         )
     e0 = A.colength(Q)
     numeric = e0 == (mu - 1) * length
-    len_sq = A.colength(I_sq)
+    len_sq = A.colength(I.power(2))
     free_test = (len_sq - length) == mu * length
     if numeric != free_test:
         raise EngineInvariantError(

@@ -144,6 +144,20 @@ def test_graph_pa_defaults_to_fundamental_cycle():
     assert json.loads(res.output) == {"pa": 0}
 
 
+def test_graph_cycle_not_an_object_exit_2():
+    res = invoke("graph", "pa", "--tag", "G10:2", "--cycle", "[1,2]")
+    assert res.exit_code == 2
+    assert "input error" in res.output
+    assert "Traceback" not in res.output
+
+
+def test_graph_cycle_negative_or_zero_exit_2():
+    for cycle in ('{"E0":-1}', '{"E0":0}', "{}", '{"E0":1.5}', '{"E0":true}'):
+        for sub in ("stats", "pa"):
+            res = invoke("graph", sub, "--tag", "G10:2", "--cycle", cycle)
+            assert res.exit_code == 2, (sub, cycle, res.output)
+
+
 def test_graph_parse_error_exit_2(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{nope")

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from triplepoint import ideals
 from triplepoint.errors import ColengthBudgetError
 from triplepoint.ideals import IdealHandle, PresentedQuotient, minors, spair_audit
 from triplepoint.polyring import Ring
@@ -78,6 +79,16 @@ def test_sum_product_power():
     assert xy.product(xy).equals(IdealHandle(R, ["x^2", "x*y", "y^2"]))
     m = IdealHandle(R, ["x", "y", "z", "t"])
     assert m.power(2).quotient_dim() == 5
+
+
+def test_square_drops_repeated_generators():
+    m2 = IdealHandle(R, ["x", "y", "z", "t"]).power(2)
+    assert len(m2.gens) == 10
+    square = m2.power(2)
+    assert len(square.gens) == len(set(square.gens)) == 35
+    naive = IdealHandle(R, [a * b for a in m2.gens for b in m2.gens])
+    assert len(naive.gens) == 100
+    assert square.groebner() == naive.groebner()
 
 
 def test_colon():
@@ -164,6 +175,48 @@ def test_local_length_sees_only_the_origin():
     A = A123()
     I = IdealHandle(R, ["x", "y", "z", "t^2 - t"])
     assert A.colength(I) == 1
+
+
+def test_local_length_of_m_primary_ideal_runs_no_truncation_basis(monkeypatch):
+    # m^N already lies in (x, y, z, t^3) + defining, so the colength is the
+    # quotient dimension of the basis in hand
+    A = A123()
+    truncations = []
+    original = ideals._groebner_terms
+
+    def counted(gens, ring, assume_prefix=0):
+        if assume_prefix:
+            truncations.append(assume_prefix)
+        return original(gens, ring, assume_prefix)
+
+    monkeypatch.setattr(ideals, "_groebner_terms", counted)
+    assert A.colength(IdealHandle(R, ["x", "y", "z", "t^3"])) == 3
+    assert truncations == []
+    # (x^2 - x, y, z, t) also cuts out the point (1, 0, 0, 0) of the
+    # surface: m^N never lies in it, so truncation must run
+    I = IdealHandle(R, ["x^2 - x", "y", "z", "t"])
+    assert A.image(I).quotient_dim() == 2
+    assert A.colength(I) == 1
+    assert truncations
+
+
+def test_images_and_colengths_are_cached_per_quotient(monkeypatch):
+    A = A123()
+    I = IdealHandle(R, ["x", "y", "z", "t^2"])
+    assert A.image(I) is A.image(IdealHandle(R, ["x", "y", "z", "t^2"]))
+    assert A.image(A.image(I)) is A.image(I)
+    truncations = []
+    original = PresentedQuotient._outside
+
+    def counted(self, gb_terms, N):
+        truncations.append(N)
+        return original(self, gb_terms, N)
+
+    monkeypatch.setattr(PresentedQuotient, "_outside", counted)
+    assert A.colength(I) == 2
+    # the same ideal from other generators: another image, the same basis
+    assert A.colength(IdealHandle(R, ["t^2", "z", "y", "x"])) == 2
+    assert len(truncations) == 1
 
 
 def test_local_length_budget_error():

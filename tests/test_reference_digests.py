@@ -1,0 +1,45 @@
+"""Byte-identity guard: CLI stdout equals the recorded benchmark digests.
+
+``perfbench/reference.json`` holds the sha256 of every benchmark command's
+stdout at the reference commit.  This samples one cross-check per ring
+family plus two unseeded classifications and compares digests; the file
+is only read.
+"""
+
+import hashlib
+import json
+import os
+
+import pytest
+from click.testing import CliRunner
+
+from triplepoint.cli import main
+
+REFERENCE = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "perfbench",
+    "reference.json",
+)
+
+CROSS_CHECK_TAGS = ("A:1,2,3", "B:1,4", "C:1,5", "D:2", "F:2", "H:7", "Gamma1", "EX-5.3")
+CLASSIFY_TAGS = ("A:1,2,3", "RDP-E7")
+
+COMMANDS = [("crosscheck", ("cross-check", "--tag", t, "--json")) for t in CROSS_CHECK_TAGS]
+COMMANDS += [
+    ("search", ("classify", "--tag", t, "--seed-reductions", "off", "--json"))
+    for t in CLASSIFY_TAGS
+]
+
+
+@pytest.fixture(scope="module")
+def digests():
+    with open(REFERENCE, encoding="utf-8") as fh:
+        return json.load(fh)["digests"]
+
+
+@pytest.mark.parametrize("workload,argv", COMMANDS, ids=[" ".join(a) for _, a in COMMANDS])
+def test_stdout_matches_reference_digest(digests, workload, argv):
+    res = CliRunner().invoke(main, list(argv))
+    assert res.exit_code == 0, res.output
+    got = hashlib.sha256(res.stdout.encode("utf-8")).hexdigest()
+    assert got == digests[workload][" ".join(argv)]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from triplepoint import ideals
 from triplepoint.errors import ShapeError
 from triplepoint.ideals import IdealHandle
 from triplepoint.presentations import RTP_RING, instantiate, trace_ideal
@@ -54,6 +55,23 @@ def test_m_squared_good_but_not_ulrich(a123):
     cert = ulrich_check(A, m2, ReductionSearchPolicy(preferred_seeds=(seed,)))
     assert cert.stable and cert.good is True
     assert cert.verdict == "good-not-ulrich"
+
+
+def test_ulrich_check_computes_each_basis_once(monkeypatch):
+    inputs = []
+    original = ideals._groebner_terms
+
+    def counted(gens, ring, assume_prefix=0):
+        inputs.append((ring, tuple(map(tuple, gens)), assume_prefix))
+        return original(gens, ring, assume_prefix)
+
+    monkeypatch.setattr(ideals, "_groebner_terms", counted)
+    A = instantiate("A:1,2,3").quotient
+    I = IdealHandle(R, ["x", "y", "z", "t^2"])
+    cert = ulrich_check(A, I)
+    assert cert.verdict == "ulrich"
+    assert inputs
+    assert len(set(inputs)) == len(inputs)
 
 
 def test_parameter_ideal_is_not_good(a123):
