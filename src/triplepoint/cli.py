@@ -406,7 +406,10 @@ def cmd_graph(subcommand, tag, file, cycle, max_steps):
         elif subcommand == "stats":
             if not cycle:
                 raise ParseError("stats needs --cycle")
-            out = dg.cycle_stats(g, _cycle_of(g, cycle))
+            Z = _cycle_of(g, cycle)
+            if not dg.is_antinef(g, Z):
+                raise ParseError("cycle is not anti-nef")
+            out = dg.cycle_stats(g, Z)
         else:  # chains
             enum = dg.enumerate_ulrich_chains(g, max_steps=max_steps)
             out = {

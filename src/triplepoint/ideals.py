@@ -1,14 +1,13 @@
 """Groebner-basis core and ideal calculus.
 
-Buchberger with the normal selection strategy (minimal lcm first, ties by
-generator index) and both classical pair criteria; output is the unique
-reduced Groebner basis sorted by ascending leading monomial, so equal
-ideals produce identical bases.  Local colengths at the origin are
-computed by m-adic truncation: quotient_dim(defining + I + m^N) is
-evaluated along an increasing schedule of N until two values agree, which
-by Nakayama pins the value for all larger N; once m^N lies in the ideal
-already, the ideal is m-primary and its own quotient dimension is the
-answer.
+Buchberger with the Gebauer-Moeller pair update and sugar selection;
+output is the unique reduced Groebner basis sorted by ascending leading
+monomial, so equal ideals produce identical bases.  Local colengths at
+the origin are computed by m-adic truncation: quotient_dim(defining + I +
+m^N) is evaluated along an increasing schedule of N until two values
+agree, which by Nakayama pins the value for all larger N; once m^N lies
+in the ideal already, the ideal is m-primary and its own quotient
+dimension is the answer.
 
 Work is cached on the objects that own it, never in module globals: an
 ``IdealHandle`` keeps its reduced basis for its lifetime, and a
@@ -41,73 +40,72 @@ def _exp_lcm(a, b):
     return tuple(x if x > y else y for x, y in zip(a, b))
 
 
-def _spoly(f, g, ring):
-    """S-polynomial of monic term lists f, g."""
-    ef, eg = f[0][1], g[0][1]
-    L = _exp_lcm(ef, eg)
-    mf = tuple(x - y for x, y in zip(L, ef))
-    mg = tuple(x - y for x, y in zip(L, eg))
-    a = kernel.mono_mul_terms(f, ring.key(mf), mf, kernel.SONE, ring.kc)
-    b = kernel.mono_mul_terms(g, ring.key(mg), mg, kernel.SONE, ring.kc)
-    return kernel.add_terms(a, kernel.neg_terms(b))
+def _spoly(f, g, L, lkey, kc):
+    """S-polynomial of monic term lists f, g with lead lcm ``L`` of key
+    ``lkey``; keys are additive, so X^(L - lm f) has key lkey - key(lm f) + kc."""
+    mf = tuple(x - y for x, y in zip(L, f[0][1]))
+    mg = tuple(x - y for x, y in zip(L, g[0][1]))
+    a = kernel.mono_mul_terms(f, lkey - f[0][0] + kc, mf, kernel.SONE, kc)
+    b = kernel.mono_mul_terms(g, lkey - g[0][0] + kc, mg, (-1, 0, 1), kc)
+    return kernel.add_terms(a, b)
 
 
 def _groebner_terms(gens, ring, assume_prefix=0):
-    """Reduced Groebner basis of ``gens`` (term lists); deterministic."""
-    G = []
-    for g in gens:
-        if g:
-            G.append(kernel.monic_terms(g))
+    """Reduced Groebner basis of ``gens`` (term lists); deterministic.  The
+    first ``assume_prefix`` generators must be a Groebner basis already."""
+    G = [kernel.monic_terms(g) for g in gens if g]
     if not G:
         return []
+    kc = ring.kc
     lm = [g[0][1] for g in G]
-    pending = set()
-    heap = []
+    deg = [sum(e) for e in lm]
+    sugar = [max(sum(t[1]) for t in g) for g in G]
+    prefix = min(assume_prefix, len(G))
+    live = list(range(prefix))  # elements whose leads no later lead divides
+    basis = [G[k] for k in live]  # their term lists, the reducers
+    heap = []  # pending pairs as (sugar, lcm key, i, j, lcm)
 
-    def push_pairs(j):
-        ej = lm[j]
-        for i in range(j):
-            if assume_prefix and i < assume_prefix and j < assume_prefix:
-                continue
-            L = _exp_lcm(lm[i], ej)
-            heappush(heap, (ring.key(L), i, j))
-            pending.add((i, j))
+    def update(h):
+        """Gebauer-Moeller update for the new element h."""
+        eh, dh = lm[h], deg[h]
+        monomial = len(G[h]) == 1
+        new = []
+        for k in live:
+            L = _exp_lcm(lm[k], eh)
+            dL = sum(L)
+            # coprime leads, or two single terms: the S-polynomial reduces
+            # to 0, so the pair is never queued, but it still prunes others
+            trivial = dL == deg[k] + dh or (monomial and len(G[k]) == 1)
+            new.append((dL, not trivial, k, L))
+        new.sort()
+        kept = []  # criteria M and F: keep a pair only if no kept lcm divides its lcm
+        for _, queue, k, L in new:
+            if not any(_exp_divides(M, L) for M, _, _ in kept):
+                kept.append((L, queue, k))
+        # criterion B: drop (i, j) if lm(h) divides its lcm L and neither
+        # (i, h) nor (j, h) has lcm L
+        heap[:] = [p for p in heap if not _exp_divides(eh, p[4])
+                   or p[4] in (_exp_lcm(lm[p[2]], eh), _exp_lcm(lm[p[3]], eh))]
+        heapify(heap)
+        for L, queue, k in kept:
+            if queue:
+                s = max(sugar[k] - deg[k], sugar[h] - dh) + sum(L)
+                heappush(heap, (s, ring.key(L), k, h, L))
+        live[:] = [k for k in live if not _exp_divides(eh, lm[k])] + [h]
+        basis[:] = [G[k] for k in live]
 
-    if assume_prefix > len(G):
-        assume_prefix = len(G)
-    for j in range(len(G)):
-        push_pairs(j)
-
+    for h in range(prefix, len(G)):
+        update(h)
     while heap:
-        lk, i, j = heappop(heap)
-        if (i, j) not in pending:
-            continue
-        pending.discard((i, j))
-        L = _exp_lcm(lm[i], lm[j])
-        # product criterion: coprime leading monomials
-        if all(x + y == z for x, y, z in zip(lm[i], lm[j], L)):
-            continue
-        # chain criterion: some k divides the lcm and both pairs are done
-        skip = False
-        for k in range(len(G)):
-            if k == i or k == j:
-                continue
-            if _exp_divides(lm[k], L):
-                a = (i, k) if i < k else (k, i)
-                b = (j, k) if j < k else (k, j)
-                if a not in pending and b not in pending:
-                    skip = True
-                    break
-        if skip:
-            continue
-        s = _spoly(G[i], G[j], ring)
-        if not s:
-            continue
-        _, r = kernel.reduce_terms(s, G, ring.kc)
+        s, lkey, i, j, L = heappop(heap)
+        spol = _spoly(G[i], G[j], L, lkey, kc)
+        r = spol and kernel.reduce_terms(spol, basis, kc)[1]
         if r:
             G.append(kernel.monic_terms(r))
             lm.append(G[-1][0][1])
-            push_pairs(len(G) - 1)
+            deg.append(sum(lm[-1]))
+            sugar.append(s)
+            update(len(G) - 1)
 
     # minimal basis: drop leading monomials divisible by another's
     order = sorted(range(len(G)), key=lambda t: G[t][0][0])
@@ -362,12 +360,11 @@ def spair_audit(basis) -> bool:
     if not basis:
         return True
     ring = basis[0].ring
-    terms = [list(b.terms) for b in basis]
+    terms = [kernel.monic_terms(list(b.terms)) for b in basis]
     for i in range(len(terms)):
         for j in range(i + 1, len(terms)):
-            s = _spoly(kernel.monic_terms(terms[i]), kernel.monic_terms(terms[j]), ring)
-            if not s:
-                continue
+            L = _exp_lcm(terms[i][0][1], terms[j][0][1])
+            s = _spoly(terms[i], terms[j], L, ring.key(L), ring.kc)
             _, r = kernel.reduce_terms(s, terms, ring.kc)
             if r:
                 return False

@@ -174,9 +174,6 @@ class Gaussian:
         return _render_scalar(self.triple(), bare=True)
 
 
-GAUSSIAN_I = Gaussian(Fraction(0), Fraction(1))
-
-
 def _to_triple(c):
     if isinstance(c, tuple) and len(c) == 3:
         return kernel.snorm(*c)
@@ -222,9 +219,6 @@ class Polynomial:
             alt = Ring(self.ring.names, order)
             t = max(self.terms, key=lambda u: alt.key(u[1]))
         return Monomial(t[1]), Gaussian.from_triple((t[2], t[3], t[4]))
-
-    def leading_monomial(self, order=None) -> Monomial:
-        return self.leading_term(order)[0]
 
     def coefficient(self, exp) -> Gaussian:
         exp = tuple(exp)

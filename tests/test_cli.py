@@ -158,6 +158,14 @@ def test_graph_cycle_negative_or_zero_exit_2():
             assert res.exit_code == 2, (sub, cycle, res.output)
 
 
+def test_graph_stats_cycle_not_antinef_exit_2():
+    # E0 alone pairs positively with its neighbours: bad input, not an
+    # engine invariant violation
+    res = invoke("graph", "stats", "--tag", "G10:2", "--cycle", '{"E0":1}')
+    assert res.exit_code == 2, res.output
+    assert "input error" in res.output and "anti-nef" in res.output
+
+
 def test_graph_parse_error_exit_2(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{nope")

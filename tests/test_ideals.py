@@ -5,10 +5,10 @@ import random
 
 import pytest
 
-from triplepoint import ideals
+from triplepoint import ideals, kernel
 from triplepoint.errors import ColengthBudgetError
 from triplepoint.ideals import IdealHandle, PresentedQuotient, minors, spair_audit
-from triplepoint.polyring import Ring
+from triplepoint.polyring import Ring, elimination
 
 R = Ring(("x", "y", "z", "t"))
 x, y, z, t = R.gens()
@@ -34,6 +34,91 @@ def test_buchberger_a123_membership_and_audit():
     I = IdealHandle(R, A123_GENS)
     assert I.contains(R.polynomial("x*y - t^5"))
     assert spair_audit(I.groebner())
+
+
+def _divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _reference_groebner(gens, ring):
+    """Plain Buchberger with no pair criteria: every pair is reduced
+    against everything, then the basis is made minimal and interreduced."""
+    kc = ring.kc
+    G = [kernel.monic_terms(g) for g in gens if g]
+    pairs = [(i, j) for j in range(len(G)) for i in range(j)]
+    while pairs:
+        i, j = pairs.pop()
+        f, g = G[i], G[j]
+        L = tuple(max(a, b) for a, b in zip(f[0][1], g[0][1]))
+        mf = tuple(a - b for a, b in zip(L, f[0][1]))
+        mg = tuple(a - b for a, b in zip(L, g[0][1]))
+        s = kernel.add_terms(
+            kernel.mul_terms([(ring.key(mf), mf, 1, 0, 1)], f, kc),
+            kernel.mul_terms([(ring.key(mg), mg, -1, 0, 1)], g, kc),
+        )
+        _, r = kernel.reduce_terms(s, G, kc)
+        if r:
+            G.append(kernel.monic_terms(r))
+            pairs += [(k, len(G) - 1) for k in range(len(G) - 1)]
+    minimal = []
+    for g in sorted(G, key=lambda g: g[0][0]):
+        if not any(_divides(m[0][1], g[0][1]) for m in minimal):
+            minimal.append(g)
+    reduced = []
+    for k, g in enumerate(minimal):
+        _, r = kernel.reduce_terms(g, minimal[:k] + minimal[k + 1 :], kc)
+        reduced.append(kernel.monic_terms(r))
+    return sorted(reduced, key=lambda g: g[0][0])
+
+
+_COEFFS = ((1, 0, 1), (-1, 0, 1), (2, 0, 1), (0, 1, 1), (1, 1, 2), (-3, 0, 2))
+
+
+def _random_terms(rng, ring):
+    """A random monomial or binomial of degree 1 to 3, the shape of most
+    generators the program makes."""
+    pairs = []
+    for _ in range(rng.randint(1, 2)):
+        exp = [0] * ring.n
+        for _ in range(rng.randint(1, 3)):
+            exp[rng.randrange(ring.n)] += 1
+        pairs.append((tuple(exp), rng.choice(_COEFFS)))
+    return list(ring.from_terms(pairs).terms)
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [Ring(("x", "y", "z", "t")), Ring(("w", "x", "y", "z"), elimination(1))],
+    ids=["grevlex", "elimination"],
+)
+def test_buchberger_matches_reference_without_criteria(ring):
+    rng = random.Random(31)
+    for _ in range(50):
+        gens = [_random_terms(rng, ring) for _ in range(rng.randint(3, 5))]
+        expected = _reference_groebner(gens, ring)
+        assert ideals._groebner_terms(gens, ring) == expected, gens
+        # a known basis of the first generators as the assumed prefix
+        k = rng.randint(1, len(gens))
+        prefix = _reference_groebner(gens[:k], ring)
+        got = ideals._groebner_terms(prefix + gens[k:], ring, assume_prefix=len(prefix))
+        assert got == expected, (gens, k)
+
+
+def test_monomial_input_forms_no_s_polynomial(monkeypatch):
+    formed = []
+    original = ideals._spoly
+
+    def counted(*args):
+        formed.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(ideals, "_spoly", counted)
+    m3 = IdealHandle(R, ["x", "y", "z", "t"]).power(3)
+    assert len(m3.groebner()) == 20
+    assert formed == []
+    # the counter sees the pairs of a non-monomial input
+    assert IdealHandle(R, A123_GENS).groebner()
+    assert formed
 
 
 def test_spair_audit_rejects_non_basis():
@@ -170,10 +255,12 @@ def test_local_length_examples():
 
 
 def test_local_length_sees_only_the_origin():
-    # (x, y, z, t^2 - t) cuts out the origin and a point at t = 1;
-    # the local length ignores the distant point
+    # (x, y, z^2 - z, t) cuts out the origin and the surface point
+    # (0, 0, 1, 0): the global quotient has length 2, the local length at
+    # the origin ignores the distant point
     A = A123()
-    I = IdealHandle(R, ["x", "y", "z", "t^2 - t"])
+    I = IdealHandle(R, ["x", "y", "z^2 - z", "t"])
+    assert A.image(I).quotient_dim() == 2
     assert A.colength(I) == 1
 
 

@@ -2,8 +2,8 @@
 
 ``perfbench/reference.json`` holds the sha256 of every benchmark command's
 stdout at the reference commit.  This samples one cross-check per ring
-family plus two unseeded classifications and compares digests; the file
-is only read.
+family, two unseeded classifications and both sweep grids (many tiny
+Groebner bases) and compares digests; the file is only read.
 """
 
 import hashlib
@@ -28,6 +28,10 @@ COMMANDS = [("crosscheck", ("cross-check", "--tag", t, "--json")) for t in CROSS
 COMMANDS += [
     ("search", ("classify", "--tag", t, "--seed-reductions", "off", "--json"))
     for t in CLASSIFY_TAGS
+]
+COMMANDS += [
+    ("sweep", ("residue-table", "--max-param", "6", "--json")),
+    ("sweep", ("quotient-sweep", "--max-param", "5", "--json")),
 ]
 
 
