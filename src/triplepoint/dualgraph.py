@@ -5,6 +5,10 @@ vertex list.  Anti-nef means Z.E_i <= 0 for every vertex (the weak sign
 convention, which the fundamental-cycle and orthogonality computations
 require).
 
+A graph is checked when it is built: negative definiteness is Sylvester's
+test on the leading principal minors, in integer arithmetic.  It then holds
+its fundamental cycle Z_0 (Laufer's sequence) and whether p_a(Z_0) = 0.
+
 Chain enumeration follows the structure theorem: starting from the
 fundamental cycle, each step adds a positive cycle Y with
 
@@ -20,7 +24,6 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import GraphInvariantError, ParseError
 
@@ -28,7 +31,7 @@ from .errors import GraphInvariantError, ParseError
 class DualGraph:
     """Weighted dual graph of a resolution: negative-definite, no (-1)s."""
 
-    __slots__ = ("ids", "weights", "edges", "_adj", "_hash")
+    __slots__ = ("ids", "weights", "edges", "_adj", "_edge_idx", "_hash", "_z0", "_rational")
 
     def __init__(self, ids, weights, edges):
         ids = tuple(ids)
@@ -41,56 +44,42 @@ class DualGraph:
             raise GraphInvariantError("vertex with self-intersection > -2")
         index = {v: k for k, v in enumerate(ids)}
         norm_edges = []
-        seen = set()
+        edge_idx = []
         for a, b in edges:
             ia, ib = index[a], index[b]
             if ia == ib:
                 raise GraphInvariantError("loop edge")
             key = (min(ia, ib), max(ia, ib))
-            if key in seen:
+            if key in edge_idx:
                 raise GraphInvariantError("multi-edge")
-            seen.add(key)
+            edge_idx.append(key)
             norm_edges.append((a, b))
         self.ids = ids
         self.weights = weights
         self.edges = tuple(norm_edges)
+        self._edge_idx = tuple(edge_idx)
         adj = [[] for _ in ids]
-        for a, b in norm_edges:
-            adj[index[a]].append(index[b])
-            adj[index[b]].append(index[a])
+        for i, j in edge_idx:
+            adj[i].append(j)
+            adj[j].append(i)
         self._adj = tuple(tuple(sorted(x)) for x in adj)
-        self._hash = hash((ids, weights, self.edge_indices()))
-        self._validate()
-
-    def edge_indices(self):
-        index = {v: k for k, v in enumerate(self.ids)}
-        return tuple(
-            tuple(sorted((index[a], index[b]))) for a, b in self.edges
-        )
-
-    def _validate(self):
-        n = len(self.ids)
-        # connected
-        if n:
-            seen = {0}
-            stack = [0]
-            while stack:
-                v = stack.pop()
-                for w in self._adj[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            if len(seen) != n:
-                raise GraphInvariantError("graph is not connected")
+        self._hash = hash((ids, weights, self._edge_idx))
+        if ids and len(_components_of(self, range(len(ids)))) != 1:
+            raise GraphInvariantError("graph is not connected")
         if not self.is_negative_definite():
             raise GraphInvariantError("intersection matrix is not negative definite")
+        self._z0 = _laufer(self, range(len(ids)))
+        self._rational = bool(ids) and arithmetic_genus(self, self._z0) == 0
+
+    def edge_indices(self):
+        return self._edge_idx
 
     def __eq__(self, other):
         return (
             isinstance(other, DualGraph)
             and self.ids == other.ids
             and self.weights == other.weights
-            and self.edge_indices() == other.edge_indices()
+            and self._edge_idx == other._edge_idx
         )
 
     def __hash__(self):
@@ -111,23 +100,28 @@ class DualGraph:
         M = [[0] * n for _ in range(n)]
         for i in range(n):
             M[i][i] = self.weights[i]
-        for i, j in self.edge_indices():
+        for i, j in self._edge_idx:
             M[i][j] = M[j][i] = 1
         return M
 
     def is_negative_definite(self):
-        # Exact LU over Fractions: negative definite iff every pivot < 0.
-        M = [[Fraction(x) for x in row] for row in self.matrix()]
+        # Sylvester: the k-th leading principal minor has sign (-1)^k.
+        # Fraction-free Bareiss elimination: after step k the pivot M[k][k]
+        # is the (k+1)-th leading minor, and dividing by the previous pivot
+        # is exact.
+        M = self.matrix()
         n = self.n
+        prev, sign = 1, -1
         for k in range(n):
             piv = M[k][k]
-            if piv >= 0:
+            if piv * sign <= 0:
                 return False
-            for r in range(k + 1, n):
-                f = M[r][k] / piv
-                if f:
-                    for c in range(k, n):
-                        M[r][c] -= f * M[k][c]
+            Mk = M[k]
+            for Mr in M[k + 1:]:
+                Mrk = Mr[k]
+                for c in range(k + 1, n):
+                    Mr[c] = (piv * Mr[c] - Mrk * Mk[c]) // prev
+            prev, sign = piv, -sign
         return True
 
     def pairing_with_vertex(self, Z, i):
@@ -206,12 +200,24 @@ def is_antinef(g: DualGraph, Z) -> bool:
 
 
 def fundamental_cycle(g: DualGraph):
-    """Laufer's computation sequence from the reduced cycle."""
-    Z = [1] * g.n
+    """The smallest anti-nef cycle, computed when the graph is built."""
+    return g._z0
+
+
+def _laufer(g: DualGraph, verts):
+    """Laufer's computation sequence on the subgraph induced by ``verts``:
+    from the reduced cycle, raise a coefficient while its vertex pairs
+    positively with the cycle.  The result, indexed like ``verts``, is the
+    subgraph's fundamental cycle; the sequence ends only when the subgraph is
+    negative definite."""
+    pos = {v: k for k, v in enumerate(verts)}
+    nbrs = [[pos[w] for w in g._adj[v] if w in pos] for v in verts]
+    weights = [g.weights[v] for v in verts]
+    Z = [1] * len(weights)
     while True:
-        for i in range(g.n):
-            if g.pairing_with_vertex(Z, i) > 0:
-                Z[i] += 1
+        for k, w in enumerate(weights):
+            if Z[k] * w + sum(Z[j] for j in nbrs[k]) > 0:
+                Z[k] += 1
                 break
         else:
             return tuple(Z)
@@ -237,18 +243,17 @@ def arithmetic_genus(g: DualGraph, Y) -> int:
 
 
 def rationality_check(g: DualGraph) -> bool:
-    return arithmetic_genus(g, fundamental_cycle(g)) == 0
+    return g._rational
 
 
 def _require_rational(g):
-    if not rationality_check(g):
+    if not g._rational:
         raise GraphInvariantError("graph is not rational (p_a(Z_0) != 0)")
 
 
 def graph_multiplicity(g: DualGraph) -> int:
     _require_rational(g)
-    Z0 = fundamental_cycle(g)
-    return -intersection_pairing(g, Z0, Z0)
+    return -intersection_pairing(g, g._z0, g._z0)
 
 
 def cycle_length(g: DualGraph, Z) -> int:
@@ -264,7 +269,7 @@ def cycle_mu(g: DualGraph, Z) -> int:
     _require_rational(g)
     if not is_antinef(g, Z):
         raise ValueError("cycle is not anti-nef")
-    return -intersection_pairing(g, Z, fundamental_cycle(g)) + 1
+    return -intersection_pairing(g, Z, g._z0) + 1
 
 
 def cycle_stats(g: DualGraph, Z):
@@ -278,34 +283,16 @@ def cycle_stats(g: DualGraph, Z):
 def unique_ulrich_filter(g: DualGraph) -> bool:
     """Some vertex has b >= 3 and negative pairing with Z_0 (forces X = {m})."""
     _require_rational(g)
-    Z0 = fundamental_cycle(g)
     return any(
-        g.weights[i] <= -3 and g.pairing_with_vertex(Z0, i) < 0 for i in range(g.n)
+        g.weights[i] <= -3 and g.pairing_with_vertex(g._z0, i) < 0 for i in range(g.n)
     )
-
-
-def _connected(g: DualGraph, vertices) -> bool:
-    vs = set(vertices)
-    if not vs:
-        return False
-    start = next(iter(vs))
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for w in g.adjacency(v):
-            if w in vs and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen == vs
 
 
 def ulrich_support_candidates(g: DualGraph):
     """Connected vertex sets between {b_i >= 3} and {E_i . Z_0 = 0}."""
     _require_rational(g)
-    Z0 = fundamental_cycle(g)
     lower = frozenset(i for i in range(g.n) if g.weights[i] <= -3)
-    upper = [i for i in range(g.n) if g.pairing_with_vertex(Z0, i) == 0]
+    upper = [i for i in range(g.n) if g.pairing_with_vertex(g._z0, i) == 0]
     if not lower.issubset(upper):
         return []
     free = sorted(set(upper) - lower)
@@ -313,7 +300,7 @@ def ulrich_support_candidates(g: DualGraph):
     for r in range(len(free) + 1):
         for extra in itertools.combinations(free, r):
             cand = frozenset(lower | set(extra))
-            if cand and _connected(g, cand):
+            if len(_components_of(g, cand)) == 1:
                 out.append(tuple(sorted(cand)))
     out.sort()
     return out
@@ -346,6 +333,8 @@ class ChainEnumeration:
 
 
 def _components_of(g: DualGraph, vertices):
+    """Connected components of the induced subgraph, sorted; a vertex set
+    is connected when it forms exactly one."""
     remaining = set(vertices)
     comps = []
     while remaining:
@@ -354,7 +343,7 @@ def _components_of(g: DualGraph, vertices):
         stack = [start]
         while stack:
             v = stack.pop()
-            for w in g.adjacency(v):
+            for w in g._adj[v]:
                 if w in remaining and w not in seen:
                     seen.add(w)
                     stack.append(w)
@@ -364,26 +353,9 @@ def _components_of(g: DualGraph, vertices):
     return comps
 
 
-def _induced_fundamental(g: DualGraph, comp):
-    """Fundamental cycle of the induced subgraph, as bounds per vertex."""
-    pos = {v: k for k, v in enumerate(comp)}
-    Z = [1] * len(comp)
-    while True:
-        for k, v in enumerate(comp):
-            total = Z[k] * g.weights[v]
-            for w in g.adjacency(v):
-                if w in pos:
-                    total += Z[pos[w]]
-            if total > 0:
-                Z[k] += 1
-                break
-        else:
-            return Z
-
-
 def enumerate_ulrich_chains(g: DualGraph, max_steps: int = 16) -> ChainEnumeration:
     _require_rational(g)
-    Z0 = fundamental_cycle(g)
+    Z0 = g._z0
     KZ0 = canonical_pairing(g, Z0)
     heavy = frozenset(i for i in range(g.n) if g.weights[i] <= -3)
     chains = [UlrichChain(())]
@@ -398,7 +370,8 @@ def enumerate_ulrich_chains(g: DualGraph, max_steps: int = 16) -> ChainEnumerati
                 continue
             if any(upper[v] < 1 for v in comp):
                 continue
-            lower = _induced_fundamental(g, comp)
+            # the fundamental cycle of the induced subgraph bounds Y below
+            lower = _laufer(g, comp)
             if any(lo > upper[v] for lo, v in zip(lower, comp)):
                 continue
             ranges = [range(lo, upper[v] + 1) for lo, v in zip(lower, comp)]

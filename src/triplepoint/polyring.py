@@ -336,21 +336,15 @@ class Polynomial:
 
 
 def _render_scalar(c, bare=False):
+    """(a + b i)/d with each part in lowest terms."""
     a, b, d = c
-    if b == 0:
-        return str(a) if d == 1 else f"{a}/{d}"
-    if a == 0:
-        if d == 1:
-            if b == 1:
-                return "i"
-            if b == -1:
-                return "-i"
-            return f"{b}i"
-        return f"{b}/{d}i"
-    re = str(a) if d == 1 else f"{a}/{d}"
-    im_abs = abs(b)
-    im = "i" if im_abs == 1 and d == 1 else (f"{im_abs}i" if d == 1 else f"{im_abs}/{d}i")
-    s = f"{re}+{im}" if b > 0 else f"{re}-{im}"
+    re, im = Fraction(a, d), Fraction(b, d)
+    if not im:
+        return str(re)
+    im_text = "i" if abs(im) == 1 else f"{abs(im)}i"
+    if not re:
+        return im_text if im > 0 else f"-{im_text}"
+    s = f"{re}+{im_text}" if im > 0 else f"{re}-{im_text}"
     return s if bare else f"({s})"
 
 

@@ -3,9 +3,13 @@
 import itertools
 import json
 import random
+from fractions import Fraction
 
 import pytest
+from click.testing import CliRunner
 
+from triplepoint import dualgraph
+from triplepoint.cli import main
 from triplepoint.dualgraph import (
     DualGraph,
     arithmetic_genus,
@@ -262,3 +266,172 @@ def test_graph_invariants_rejected():
 
 def test_ex53_alias():
     assert graph_catalog("EX-5.3") == graph_catalog("G10:2")
+
+
+def _fraction_lu_negative_definite(M):
+    """Reference: exact LU over Fractions, negative definite iff every
+    pivot is negative."""
+    M = [[Fraction(x) for x in row] for row in M]
+    n = len(M)
+    for k in range(n):
+        piv = M[k][k]
+        if piv >= 0:
+            return False
+        for r in range(k + 1, n):
+            f = M[r][k] / piv
+            for c in range(k, n):
+                M[r][c] -= f * M[k][c]
+    return True
+
+
+def _intersection_matrix(weights, index_edges):
+    n = len(weights)
+    M = [[0] * n for _ in range(n)]
+    for i, w in enumerate(weights):
+        M[i][i] = w
+    for i, j in index_edges:
+        M[i][j] = M[j][i] = 1
+    return M
+
+
+def _graph_or_none(ids, weights, edges):
+    try:
+        return DualGraph(ids, weights, edges)
+    except GraphInvariantError:
+        return None
+
+
+def test_integer_sylvester_matches_fraction_lu_on_random_graphs():
+    rng = random.Random(11)
+    verdicts = {True: 0, False: 0}
+    with_cycles = 0
+    for trial in range(200):
+        n = rng.randint(1, 9)
+        ids = [f"E{k}" for k in range(n)]
+        index_edges = {(rng.randrange(k), k) for k in range(1, n)}  # spanning tree
+        if trial % 2 and n >= 3:
+            extra = rng.randint(1, n - 1)
+            for _ in range(extra):
+                i, j = sorted(rng.sample(range(n), 2))
+                index_edges.add((i, j))
+        with_cycles += len(index_edges) >= n
+        index_edges = sorted(index_edges)
+        weights = [rng.choice([-2, -2, -3, -4]) for _ in range(n)]
+        expected = _fraction_lu_negative_definite(
+            _intersection_matrix(weights, index_edges)
+        )
+        verdicts[expected] += 1
+        edges = [(ids[i], ids[j]) for i, j in index_edges]
+        g = _graph_or_none(ids, weights, edges)
+        assert (g is not None) == expected, (weights, index_edges)
+        if g is not None:
+            assert g.is_negative_definite()
+    # both verdicts and both shapes are exercised
+    assert min(verdicts.values()) >= 30 and with_cycles >= 30
+
+
+def _minus_two_star(arms):
+    """All (-2) star: center 'c', arms of the given lengths."""
+    ids, edges = ["c"], []
+    for a, length in enumerate(arms):
+        prev = "c"
+        for k in range(length):
+            v = f"a{a}_{k}"
+            ids.append(v)
+            edges.append((prev, v))
+            prev = v
+    return ids, [-2] * len(ids), edges
+
+
+@pytest.mark.parametrize(
+    "arms",
+    [(1, 1, 1, 1), (2, 2, 2), (1, 3, 3), (1, 2, 5)],
+    ids=["D4~", "E6~", "E7~", "E8~"],
+)
+def test_affine_dynkin_stars_are_semidefinite(arms):
+    ids, weights, edges = _minus_two_star(arms)
+    index = {v: k for k, v in enumerate(ids)}
+    M = _intersection_matrix(weights, [(index[a], index[b]) for a, b in edges])
+    # every proper leading minor is a definite Dynkin minor; the last is 0
+    assert _fraction_lu_negative_definite([row[:-1] for row in M[:-1]])
+    assert not _fraction_lu_negative_definite(M)
+    with pytest.raises(GraphInvariantError, match="not negative definite"):
+        DualGraph(ids, weights, edges)
+    # the same graph with the center last
+    with pytest.raises(GraphInvariantError, match="not negative definite"):
+        DualGraph(ids[1:] + ids[:1], weights, edges)
+
+
+def test_indefinite_star_rejected():
+    # five (-2) leaves on a (-2) center: Z = 2 E_c + sum E_i has Z.Z = 2
+    ids, weights, edges = _minus_two_star((1, 1, 1, 1, 1))
+    with pytest.raises(GraphInvariantError, match="not negative definite"):
+        DualGraph(ids, weights, edges)
+    # one heavier vertex makes it definite
+    assert DualGraph(ids, [-3] + weights[1:], edges).is_negative_definite()
+
+
+def test_laufer_runs_once_per_graph_in_quotient_sweep(monkeypatch):
+    full_runs = []
+    built = []
+    laufer = dualgraph._laufer
+    catalog = graph_catalog
+
+    def counting_laufer(g, verts):
+        if len(verts) == len(g.ids):
+            full_runs.append(g.ids)
+        return laufer(g, verts)
+
+    def counting_catalog(tag):
+        g = catalog(tag)
+        built.append(tag)
+        return g
+
+    monkeypatch.setattr(dualgraph, "_laufer", counting_laufer)
+    monkeypatch.setattr("triplepoint.cli.graph_catalog", counting_catalog)
+    result = CliRunner().invoke(main, ["quotient-sweep", "--max-param", "3", "--json"])
+    assert result.exit_code == 0, result.output
+    rows = json.loads(result.output)["rows"]
+    assert len(built) == len(rows) > 0
+    assert len(full_runs) == len(built)
+    # the graph functions read the stored Z_0 and rationality flag
+    g = graph_catalog("G7:3")
+    full_runs.clear()
+    Z0 = fundamental_cycle(g)
+    assert rationality_check(g) and graph_multiplicity(g) == 3
+    unique_ulrich_filter(g)
+    ulrich_support_candidates(g)
+    enumerate_ulrich_chains(g)
+    cycle_stats(g, Z0)
+    assert full_runs == [] and fundamental_cycle(g) is Z0
+
+
+def test_induced_bound_is_the_subgraph_fundamental_cycle(monkeypatch):
+    induced = []
+    laufer = dualgraph._laufer
+
+    def recording_laufer(g, verts):
+        Z = laufer(g, verts)
+        if len(verts) < len(g.ids):
+            induced.append((g, tuple(verts), Z))
+        return Z
+
+    graphs = [graph_catalog(t) for t in grid_tags(4)]
+    for tag in quotient_sweep_tags(5):
+        try:
+            graphs.append(graph_catalog(tag))
+        except GraphInvariantError:
+            pass
+    monkeypatch.setattr(dualgraph, "_laufer", recording_laufer)
+    for g in graphs:
+        enumerate_ulrich_chains(g)
+    monkeypatch.undo()
+    assert len(induced) >= 50
+    for g, comp, Z in induced:
+        inside = set(comp)
+        sub = DualGraph(
+            [g.ids[v] for v in comp],
+            [g.weights[v] for v in comp],
+            [(g.ids[i], g.ids[j]) for i, j in g.edge_indices() if i in inside and j in inside],
+        )
+        assert Z == fundamental_cycle(sub), (g.ids, comp)

@@ -112,6 +112,24 @@ def test_parse_render_round_trip():
         assert R.polynomial(str(p)) == p
 
 
+def test_gaussian_coefficients_render_in_lowest_terms():
+    cases = [
+        ((4, 1, 2), "(2+1/2i)*x"),
+        ((-2, 1, 2), "(-1+1/2i)*x"),
+        ((1, 2, 2), "(1/2+i)*x"),
+        ((3, -6, 4), "(3/4-3/2i)*x"),
+        ((1, 1, 2), "(1/2+1/2i)*x"),
+        ((0, 1, 2), "1/2i*x"),
+    ]
+    for coeff, text in cases:
+        p = R.monomial((1, 0, 0, 0), coeff)
+        assert str(p) == text
+        assert R.polynomial(text) == p
+    assert str(R.scalar((6, 3, 4))) == "(3/2+3/4i)"
+    assert R.polynomial("(3/2+3/4i)") == R.scalar((6, 3, 4))
+    assert str(Gaussian(Fraction(3, 2), Fraction(-3, 4))) == "3/2-3/4i"
+
+
 def test_parse_unicode_minus_and_juxtaposition():
     assert R.polynomial("x−y") == x - y
     assert R.polynomial("2x + 3i*t") == 2 * x + R.scalar((0, 3, 1)) * t
