@@ -64,12 +64,12 @@ class DualGraph:
             adj[j].append(i)
         self._adj = tuple(tuple(sorted(x)) for x in adj)
         self._hash = hash((ids, weights, self._edge_idx))
-        if ids and len(_components_of(self, range(len(ids)))) != 1:
+        if len(_components_of(self, range(len(ids)))) != 1:
             raise GraphInvariantError("graph is not connected")
         if not self.is_negative_definite():
             raise GraphInvariantError("intersection matrix is not negative definite")
         self._z0 = _laufer(self, range(len(ids)))
-        self._rational = bool(ids) and arithmetic_genus(self, self._z0) == 0
+        self._rational = arithmetic_genus(self, self._z0) == 0
 
     def edge_indices(self):
         return self._edge_idx
@@ -150,6 +150,8 @@ class DualGraph:
             edges = [(a, b) for a, b in data["edges"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed graph object: {exc}") from exc
+        if not ids:
+            raise ParseError("graph has no vertices")
         try:
             return cls(ids, weights, edges)
         except KeyError as exc:
@@ -356,7 +358,8 @@ def _components_of(g: DualGraph, vertices):
 def enumerate_ulrich_chains(g: DualGraph, max_steps: int = 16) -> ChainEnumeration:
     _require_rational(g)
     Z0 = g._z0
-    KZ0 = canonical_pairing(g, Z0)
+    K = canonical_numbers(g)  # read once; every K . Y below uses it
+    KZ0 = sum(c * k for c, k in zip(Z0, K))
     heavy = frozenset(i for i in range(g.n) if g.weights[i] <= -3)
     chains = [UlrichChain(())]
     seen_cycles = {Z0}
@@ -382,13 +385,12 @@ def enumerate_ulrich_chains(g: DualGraph, max_steps: int = 16) -> ChainEnumerati
                 yield tuple(Y)
 
     def conditions_hold(Y, Zprev):
-        if canonical_pairing(g, Y) != KZ0:
+        if sum(c * k for c, k in zip(Y, K)) != KZ0:
             return False
         if intersection_pairing(g, Y, Zprev) != 0:
             return False
-        if arithmetic_genus(g, Y) != 0:
-            return False
-        return True
+        # p_a(Y) = (Y.Y + K.Y)/2 + 1 = 0, with K.Y = K.Z_0 checked above
+        return intersection_pairing(g, Y, Y) + KZ0 == -2
 
     def extend(prefix_steps, Zprev, upper, depth, first):
         if depth >= max_steps:

@@ -1,7 +1,6 @@
 """Kernel selection: compiled extension if importable, pure Python otherwise.
 
-Set TRIPLEPOINT_PURE=1 to force the pure-Python kernel (used by the
-benchmark to compare backends).
+Set TRIPLEPOINT_PURE=1 to force the pure-Python kernel.
 """
 
 import os

@@ -10,6 +10,17 @@ disagreement is an engine invariant violation, not a verdict.
 Absence of a reduction is never read as "not Ulrich": the search is a
 bounded heuristic, so such candidates get the verdict
 ``no-reduction-found``.
+
+The reduction search rejects most candidates by linear algebra alone.  For
+Q inside I + J (J the defining ideal), QI + J lies in I^2 + J, and by
+Nakayama the two agree at the origin exactly when the products q*g
+(q in Q, g in I) span the finite-dimensional space
+W = (I^2 + J)/(m*I^2 + J).  Ambient equality QI + J = I^2 + J implies the
+span, and for a parameter ideal Q the length witness
+length(A/I^2) = length(A/Q) + 2*length(A/I) holds exactly when it does
+(Q/QI is (A/I)^2, so the witness misses by length(I^2/QI)).  A candidate
+that fails the span test therefore fails both checks, so skipping it never
+changes the returned reduction.
 """
 
 from __future__ import annotations
@@ -17,6 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+from . import kernel
 from .errors import ColengthBudgetError, ShapeError, TriplepointError
 from .ideals import IdealHandle, PresentedQuotient
 from .polyring import Polynomial
@@ -136,6 +148,37 @@ def _candidate_pairs(gens, policy):
         yield (combos[a], combos[b])
 
 
+def _rank(vectors, stop=None):
+    """Rank of term lists by echelon on leading keys; stops at rank ``stop``."""
+    pivots = {}
+    for v in vectors:
+        while v and v[0][0] in pivots:
+            _, _, a, b, d = v[0]
+            v = kernel.add_terms(v, kernel.scale_terms(pivots[v[0][0]], (-a, -b, d)))
+        if v:
+            pivots[v[0][0]] = kernel.monic_terms(v)
+            if len(pivots) == stop:
+                break
+    return len(pivots)
+
+
+def _span_basis(A, I_sq):
+    """Reducers of m*I^2 + J (its reduced basis) and the dimension of
+    W = (I^2 + J)/(m*I^2 + J), the rank of the I^2 generators' normal forms."""
+    basis = [list(g.terms) for g in A.image(A.maximal_ideal().product(I_sq)).groebner()]
+    kc = A.ring.kc
+    return basis, _rank(kernel.reduce_terms(list(g.terms), basis, kc)[1] for g in I_sq.gens)
+
+
+def _spans(span, Q, I):
+    """Do the products q*g (q in Q, g in I) span W?  ``span`` comes from
+    ``_span_basis``; Q must lie in I + J."""
+    basis, dim = span
+    kc = I.ring.kc
+    products = (kernel.mul_terms(list(q.terms), list(g.terms), kc) for q in Q.gens for g in I.gens)
+    return _rank((kernel.reduce_terms(p, basis, kc)[1] for p in products), dim) == dim
+
+
 def find_reduction(A, I, policy: ReductionSearchPolicy | None = None):
     """First 2-generated Q <= I with I^2 = QI, deterministic search order.
 
@@ -144,6 +187,11 @@ def find_reduction(A, I, policy: ReductionSearchPolicy | None = None):
     cannot certify (extra zeros away from the origin).  The quotient ``A``
     caches images and colengths, so the square of I, its basis and its
     colength are computed once.
+
+    Once a check has failed or raised, every later candidate must first
+    pass the span test of the module docstring, which needs no basis of
+    QI + J.  A Q that fails it fails both checks, so the returned Q is
+    unchanged; skipped candidates still count against ``max_candidates``.
     """
     if policy is None:
         policy = ReductionSearchPolicy()
@@ -168,6 +216,7 @@ def find_reduction(A, I, policy: ReductionSearchPolicy | None = None):
     def check_local(Q):
         return A.colength(I_sq) == A.colength(Q) + 2 * A.colength(I)
 
+    span = None  # built after the first failed check
     for check in (check_global, check_local):
         tried = 0
         for q1, q2 in _candidate_pairs(gens, policy):
@@ -175,13 +224,15 @@ def find_reduction(A, I, policy: ReductionSearchPolicy | None = None):
                 break
             tried += 1
             Q = usable(q1, q2)
-            if Q is None:
+            if Q is None or (span is not None and not _spans(span, Q, I)):
                 continue
             try:
                 if check(Q):
                     return Q
             except (ColengthBudgetError, ValueError):
-                continue
+                pass
+            if span is None:
+                span = _span_basis(A, I_sq)
     return None
 
 

@@ -172,6 +172,18 @@ def test_graph_parse_error_exit_2(tmp_path):
     assert invoke("graph", "z0", "--file", str(path)).exit_code == 2
 
 
+def test_graph_without_vertices_exit_2(tmp_path):
+    # a graph with no vertices has no component, so it is no resolution
+    # graph: every subcommand rejects it as input
+    path = tmp_path / "empty.json"
+    path.write_text('{"vertices":[],"edges":[]}')
+    for sub in ("z0", "pa", "filter", "chains", "stats"):
+        extra = ("--cycle", '{"E0":1}') if sub == "stats" else ()
+        res = invoke("graph", sub, "--file", str(path), *extra)
+        assert res.exit_code == 2, (sub, res.output)
+        assert "no vertices" in res.output
+
+
 def test_graph_invariant_violation_exit_3(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(

@@ -2,7 +2,7 @@
 
 ``perfbench/reference.json`` holds the sha256 of every benchmark command's
 stdout at the reference commit.  This samples one cross-check per ring
-family, two unseeded classifications and both sweep grids (many tiny
+family, five unseeded classifications and both sweep grids (many tiny
 Groebner bases) and compares digests; the file is only read.
 """
 
@@ -22,7 +22,7 @@ REFERENCE = os.path.join(
 )
 
 CROSS_CHECK_TAGS = ("A:1,2,3", "B:1,4", "C:1,5", "D:2", "F:2", "H:7", "Gamma1", "EX-5.3")
-CLASSIFY_TAGS = ("A:1,2,3", "RDP-E7")
+CLASSIFY_TAGS = ("A:1,2,3", "RDP-E7", "A:7,7,8", "H:5", "RDP-D:6")
 
 COMMANDS = [("crosscheck", ("cross-check", "--tag", t, "--json")) for t in CROSS_CHECK_TAGS]
 COMMANDS += [

@@ -1,8 +1,10 @@
 """Ulrich certification: stability, verdicts, lists, the socle experiment."""
 
 import pytest
+from click.testing import CliRunner
 
-from triplepoint import ideals
+from triplepoint import ideals, ulrich
+from triplepoint.cli import main
 from triplepoint.errors import ShapeError
 from triplepoint.ideals import IdealHandle
 from triplepoint.presentations import RTP_RING, instantiate, trace_ideal
@@ -259,3 +261,117 @@ def test_certificate_serialization(a123):
     assert d["ideal"] == ["x", "y", "z", "t^2"]
     assert d["e0"] == 6 and d["mu"] == 4 and d["len"] == 2
     assert d["stable"] is True and d["good"] is True and d["freeTest"] is True
+
+
+# -- the Nakayama span test of the reduction search -------------------------
+
+
+def _span_audit_ideals(tag):
+    """Listed and next ideals of an RDP tag, else (x, y, z, t^i) up to one
+    past the trace."""
+    pres = instantiate(tag)
+    if pres.cm_type == 1:
+        ideals_ = [gens for gens, _ in ulrich._rdp_listed(pres.tag)]
+        nxt = ulrich._rdp_next(pres.tag)
+        if nxt is not None:
+            ideals_.append(nxt[0])
+    else:
+        v, count = trace_shape(pres)
+        others = [pres.ring.var(n) for k, n in enumerate(pres.ring.names) if k != v]
+        t = pres.ring.var(pres.ring.names[v])
+        ideals_ = [others + [t**i] for i in range(1, count + 2)]
+    return pres, [IdealHandle(pres.ring, gens) for gens in ideals_]
+
+
+def _usable(A, I, limit):
+    """The first ``limit`` candidates the search would send to a check."""
+    img = A.image(I)
+    out = []
+    for q1, q2 in ulrich._candidate_pairs(list(I.gens), ReductionSearchPolicy()):
+        if q1 and q2 and img.contains(q1) and img.contains(q2):
+            Q = IdealHandle(I.ring, [q1, q2])
+            if len(Q.gens) == 2:
+                out.append(Q)
+                if len(out) == limit:
+                    break
+    return out
+
+
+@pytest.mark.parametrize("tag", ["RDP-E7", "RDP-D:6", "H:5", "A:1,2,3"])
+def test_span_test_agrees_with_both_checks(tag):
+    # ambient equality QI + J = I^2 + J implies the span; for a parameter
+    # ideal Q the local length witness holds exactly when the span does
+    pres, ideals_ = _span_audit_ideals(tag)
+    A = pres.quotient
+    spans = stable = 0
+    local_values = set()
+    for I in ideals_:
+        I_sq = I.power(2)
+        span = ulrich._span_basis(A, I_sq)
+        for Q in _usable(A, I, 30):
+            spanned = ulrich._spans(span, Q, I)
+            spans += spanned
+            if A.image(I_sq).equals(A.image(Q.product(I))):
+                stable += 1
+                assert spanned, (tag, I, Q)
+            if A.image(Q).quotient_dim() is not None:
+                local = A.colength(I_sq) == A.colength(Q) + 2 * A.colength(I)
+                assert spanned == local, (tag, I, Q)
+                local_values.add(local)
+    # none of the three tests is vacuous here
+    assert 0 < stable <= spans and local_values == {True, False}
+
+
+def _count_span_bases(monkeypatch):
+    built = []
+    original = ulrich._span_basis
+
+    def counted(A, I_sq):
+        built.append(I_sq)
+        return original(A, I_sq)
+
+    monkeypatch.setattr(ulrich, "_span_basis", counted)
+    return built
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("cross-check", "--tag", "A:1,2,3"),
+        ("classify", "--tag", "RDP-D:6"),
+    ],
+)
+def test_seeded_search_builds_no_span_basis(monkeypatch, argv):
+    built = _count_span_bases(monkeypatch)
+    res = CliRunner().invoke(main, list(argv))
+    assert res.exit_code == 0, res.output
+    assert built == []
+
+
+def test_span_rejected_candidates_get_no_groebner_basis(monkeypatch):
+    built = _count_span_bases(monkeypatch)
+    rejected = []
+    original_spans = ulrich._spans
+
+    def spans(span, Q, I):
+        ok = original_spans(span, Q, I)
+        if not ok:
+            rejected.append((Q, I))
+        return ok
+
+    inputs = set()
+    original_gb = ideals._groebner_terms
+
+    def recorded(gens, ring, assume_prefix=0):
+        inputs.add(tuple(map(tuple, gens)))
+        return original_gb(gens, ring, assume_prefix)
+
+    monkeypatch.setattr(ulrich, "_spans", spans)
+    monkeypatch.setattr(ideals, "_groebner_terms", recorded)
+    res = CliRunner().invoke(main, ["classify", "--tag", "A:1,2,3", "--seed-reductions", "off"])
+    assert res.exit_code == 0, res.output
+    assert len(built) >= 1 and rejected
+    defining = instantiate("A:1,2,3").quotient.defining
+    for Q, I in rejected:
+        qi_image = Q.product(I) + defining
+        assert tuple(tuple(g.terms) for g in qi_image.gens) not in inputs, Q
