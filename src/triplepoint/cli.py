@@ -16,6 +16,7 @@ from . import dualgraph as dg
 from . import expectations as exp
 from .errors import (
     ColengthBudgetError,
+    ExponentRangeError,
     GraphInvariantError,
     ParameterError,
     ParseError,
@@ -40,7 +41,7 @@ from .ulrich import (
     verify_rdp_list,
 )
 
-_INPUT_ERRORS = (ParseError, ParameterError, click.UsageError)
+_INPUT_ERRORS = (ParseError, ParameterError, ExponentRangeError, click.UsageError)
 _ENGINE_ERRORS = (
     GraphInvariantError,
     EngineInvariantError,

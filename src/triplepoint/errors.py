@@ -21,12 +21,16 @@ class ParameterError(TriplepointError):
     """Family parameters outside the catalog's allowed range."""
 
 
+class ExponentRangeError(TriplepointError):
+    """An exponent above the per-variable cap of packed order keys."""
+
+
 class UnsupportedTypeError(TriplepointError):
     """Operation not defined for this presentation (e.g. trace for CM type != 2)."""
 
 
 class ColengthBudgetError(TriplepointError):
-    """Local length did not stabilize within the truncation budget."""
+    """The global quotient is infinite."""
 
 
 class SearchFailureError(TriplepointError):

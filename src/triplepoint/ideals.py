@@ -2,18 +2,23 @@
 
 Buchberger with the Gebauer-Moeller pair update and sugar selection;
 output is the unique reduced Groebner basis sorted by ascending leading
-monomial, so equal ideals produce identical bases.  Local colengths at
-the origin are computed by m-adic truncation: quotient_dim(defining + I +
-m^N) is evaluated along an increasing schedule of N until two values
-agree, which by Nakayama pins the value for all larger N; once m^N lies
-in the ideal already, the ideal is m-primary and its own quotient
-dimension is the answer.
+monomial, so equal ideals produce identical bases.
+
+Local statements are decided in finite quotients.  A local colength at
+the origin is computed in one step: when K has finite quotient dimension
+D, the local algebra of k[x]/K at the origin has length at most D, so
+m^D lies in K there, and K + (x_1^D, ..., x_n^D) has the same local ring
+at the origin and no other zero; its quotient dimension is the local
+length.  A colon K : L with k[x]/K finite is linear algebra on the
+standard monomials of K (the multiplication-matrix idea of FGLM).  An
+infinite global quotient raises ``ColengthBudgetError``.
 
 Work is cached on the objects that own it, never in module globals: an
-``IdealHandle`` keeps its reduced basis for its lifetime, and a
-``PresentedQuotient`` keeps one image handle per generator tuple and one
-colength per image basis for its lifetime.  The CLI builds one
-presentation per command, so nothing accumulates across commands.
+``IdealHandle`` keeps its reduced basis and standard monomials for its
+lifetime, and a ``PresentedQuotient`` keeps one image handle per
+generator tuple and one localized handle per image basis for its
+lifetime.  The CLI builds one presentation per command, so nothing
+accumulates across commands.
 """
 
 from __future__ import annotations
@@ -23,10 +28,7 @@ from heapq import heapify, heappop, heappush
 
 from . import kernel
 from .errors import ColengthBudgetError, ZeroPolynomialError
-from .polyring import Polynomial, Ring, elimination
-
-_COLENGTH_BUDGET = 64  # last truncation order tried without a finite guess
-_COLENGTH_SCHEDULE = (2, 3, 4, 6, 8, 11, 15, 20, 26, 33, 41, 50, 60, _COLENGTH_BUDGET)
+from .polyring import Polynomial, Ring, check_exponent_cap
 
 
 def _exp_divides(a, b):
@@ -130,11 +132,12 @@ def _groebner_terms(gens, ring, assume_prefix=0):
 class IdealHandle:
     """Generator list with a cached reduced Groebner basis.
 
-    The basis is computed on first use and kept for the handle's lifetime;
-    the handle is otherwise immutable, and the cache fill is idempotent.
+    The basis and, for a finite quotient, the standard monomials are
+    computed on first use and kept for the handle's lifetime; the handle is
+    otherwise immutable, and the cache fills are idempotent.
     """
 
-    __slots__ = ("ring", "gens", "_gb")
+    __slots__ = ("ring", "gens", "_gb", "_std")
 
     def __init__(self, ring: Ring, gens):
         self.ring = ring
@@ -148,6 +151,7 @@ class IdealHandle:
                 kept.append(g)
         self.gens = tuple(kept)
         self._gb = None
+        self._std = None
 
     def __repr__(self):
         return f"Ideal({', '.join(str(g) for g in self.gens)})"
@@ -205,122 +209,129 @@ class IdealHandle:
 
     def quotient_dim(self):
         """Vector-space dimension of ring/ideal, or None when infinite."""
-        gb = self.groebner()
-        if not gb:
-            return None
-        if gb[0].degree() == 0:
-            return 0
-        shape = _standard_shape(self.leading_exponents(), self.ring.n)
-        return None if shape is None else shape[0]
+        std = self._standard()
+        return None if std is None else len(std)
+
+    def _standard(self):
+        """Exponents of the standard monomials, or None when infinitely many."""
+        if self._std is None:
+            self._std = _standard_monomials(self.leading_exponents(), self.ring.n)
+        return self._std
 
     def colon(self, other: IdealHandle) -> IdealHandle:
-        """Ideal quotient {p : p * other <= self}."""
+        """Ideal quotient {p : p * other <= self}, for an ideal whose
+        quotient is finite (``ColengthBudgetError`` otherwise).
+
+        (self : other)/self is the kernel of s -> (NF(s*g))_{g in other} on
+        the span of the standard monomials s.  Each row carries s itself
+        below the normal forms, whose g-block is lifted above every key in
+        play; rows are taken by ascending s, so echelon on the lifted keys
+        leaves kernel rows with distinct leading monomials s.
+        """
+        if self.ring != other.ring:
+            raise ValueError("ideals from different rings")
         if other.is_zero():
             raise ZeroPolynomialError("colon by the zero ideal")
-        result = None
-        for g in other.gens:
-            if self.contains(g):
-                continue  # colon by an element of the ideal is everything
-            cg = _colon_single(self, g)
-            if result is None or result.gens == cg.gens:
-                result = cg
+        std = self._standard()
+        if std is None:
+            raise ColengthBudgetError("the global quotient is infinite")
+        if not std:
+            return self  # the unit ideal
+        ring, kc = self.ring, self.ring.kc
+        gb = [list(g.terms) for g in self.groebner()]
+        monomials = sorted((ring.key(e), e) for e in std)
+        offset = monomials[-1][0] + 1  # normal forms have standard keys only
+        pivots = {}
+        kernel_rows = []
+        for k, e in monomials:
+            row = [(k, e, 1, 0, 1)]
+            for j, g in enumerate(other.gens, start=1):
+                prod = kernel.mono_mul_terms(list(g.terms), k, e, kernel.SONE, kc)
+                nf = kernel.reduce_terms(prod, gb, kc)[1]
+                row = [(t[0] + j * offset, t[1], t[2], t[3], t[4]) for t in nf] + row
+            row = _cancel_leads(row, pivots)
+            if row[0][0] >= offset:
+                pivots[row[0][0]] = kernel.monic_terms(row)
             else:
-                result = _intersect(result, cg)
-        if result is None:
-            return IdealHandle(self.ring, [self.ring.one()])
-        return IdealHandle(self.ring, [p for p in result.groebner()])
+                kernel_rows.append(row)
+        if not kernel_rows:
+            return self
+        # Already a Groebner basis: a colon element is a member of self plus
+        # its normal form, which lies in the kernel, so its leading monomial
+        # leads a basis element or a kernel row.  Only interreduction is left.
+        basis = gb + kernel_rows
+        return _from_basis(ring, _groebner_terms(basis, ring, assume_prefix=len(basis)))
 
 
-def _standard_shape(lead_exps, n):
-    """(count, top degree) of the monomials outside the monomial ideal of
-    ``lead_exps``.
+def _cancel_leads(row, pivots):
+    """Echelon step: subtract pivot rows (monic, by leading key) from the
+    term list ``row`` while its leading key has one."""
+    while row and row[0][0] in pivots:
+        _, _, a, b, d = row[0]
+        row = kernel.add_terms(row, kernel.scale_terms(pivots[row[0][0]], (-a, -b, d)))
+    return row
+
+
+def _from_basis(ring: Ring, basis) -> IdealHandle:
+    """Handle generated by a reduced Groebner basis given as term lists."""
+    handle = IdealHandle(ring, [Polynomial(ring, t) for t in basis])
+    handle._gb = handle.gens
+    return handle
+
+
+def _standard_monomials(lead_exps, n):
+    """Exponents outside the monomial ideal of ``lead_exps``, the leading
+    exponents of a reduced basis, by one walk from the origin.
 
     Returns None when some variable has no pure power among the leads.
-    One walk over the standard monomials, so the cost is linear in the
-    count.
     """
-    # prune leads divisible by other leads
-    minimal = []
-    for e in sorted(lead_exps, key=sum):
-        if not any(_exp_divides(f, e) for f in minimal):
-            minimal.append(e)
     for i in range(n):
-        if not any(all(e[j] == 0 for j in range(n) if j != i) for e in minimal):
+        if not any(all(e[j] == 0 for j in range(n) if j != i) for e in lead_exps):
             return None
     origin = (0,) * n
-    if any(sum(e) == 0 for e in minimal):
-        return 0, 0
+    if origin in lead_exps:
+        return []
     seen = {origin}
     stack = [origin]
-    count = top = 0
+    out = []
     while stack:
         e = stack.pop()
-        count += 1
-        top = max(top, sum(e))
+        out.append(e)
         for i in range(n):
             f = e[:i] + (e[i] + 1,) + e[i + 1 :]
             if f in seen:
                 continue
             seen.add(f)
-            if not any(_exp_divides(le, f) for le in minimal):
+            if not any(_exp_divides(le, f) for le in lead_exps):
                 stack.append(f)
-    return count, top
+    return out
 
 
-# -- elimination, intersection, colon -----------------------------------
+def _localize(ideal: IdealHandle) -> IdealHandle:
+    """An ideal with the local ring of ``ideal`` at the origin and no other
+    zero, so that its quotient dimension is the local length.
 
-_EXT_CACHE: dict = {}
-
-
-def _ext_ring(ring: Ring) -> Ring:
-    ext = _EXT_CACHE.get(ring)
-    if ext is None:
-        ext = Ring(("_w",) + ring.names, elimination(1))
-        _EXT_CACHE[ring] = ext
-    return ext
-
-
-def _lift(p: Polynomial, ext: Ring, w_deg: int) -> Polynomial:
-    terms = []
-    for (_, e, a, b, d) in p.terms:
-        ne = (w_deg,) + e
-        terms.append((ext.key(ne), ne, a, b, d))
-    terms.sort(reverse=True)
-    return Polynomial(ext, terms)
-
-
-def _drop(p: Polynomial, ring: Ring) -> Polynomial:
-    terms = []
-    for (_, e, a, b, d) in p.terms:
-        ne = e[1:]
-        terms.append((ring.key(ne), ne, a, b, d))
-    terms.sort(reverse=True)
-    return Polynomial(ring, terms)
-
-
-def _intersect(I: IdealHandle, J: IdealHandle) -> IdealHandle:
-    """I cap J via the single-variable elimination trick."""
-    ring = I.ring
-    ext = _ext_ring(ring)
-    w = ext.var("_w")
-    one_minus_w = ext.one() - w
-    gens = [_lift(g, ext, 1) for g in I.gens]
-    gens += [one_minus_w * _lift(g, ext, 0) for g in J.gens]
-    gb = IdealHandle(ext, gens).groebner()
-    kept = [_drop(g, ring) for g in gb if all(t[1][0] == 0 for t in g.terms)]
-    return IdealHandle(ring, kept)
-
-
-def _colon_single(I: IdealHandle, g: Polynomial) -> IdealHandle:
-    ring = I.ring
-    meet = _intersect(I, IdealHandle(ring, [g]))
-    quots = []
-    for f in meet.gens:
-        qs, r = f.reduce([g], want_quotients=True)
+    With D = dim k[x]/ideal finite, adding the pure powers x_i^D changes
+    nothing at the origin (m^D lies in the ideal there); when each x_i^D
+    reduces to 0 already, the ideal is the answer and no basis is computed.
+    """
+    D = ideal.quotient_dim()
+    if D is None:
+        raise ColengthBudgetError("the global quotient is infinite")
+    ring = ideal.ring
+    gb = [list(g.terms) for g in ideal.groebner()]
+    members = [g[0][1] for g in gb if len(g) == 1]  # monomials of the ideal
+    powers = []
+    for i in range(ring.n):
+        e = tuple(D if j == i else 0 for j in range(ring.n))
+        if any(_exp_divides(m, e) for m in members):
+            continue
+        r = kernel.reduce_terms(list(ring.monomial(e).terms), gb, ring.kc)[1]
         if r:
-            raise ArithmeticError("intersection element not divisible by generator")
-        quots.append(qs[0])
-    return IdealHandle(ring, quots)
+            powers.append(r)
+    if not powers:
+        return ideal
+    return _from_basis(ring, _groebner_terms(gb + powers, ring, assume_prefix=len(gb)))
 
 
 def minors(rows, k: int) -> IdealHandle:
@@ -380,10 +391,10 @@ class PresentedQuotient:
 
     The quotient keeps, for its lifetime, one image handle per generator
     tuple (so each image's reduced basis is computed once) and one
-    colength per image basis.
+    localized handle per image basis.
     """
 
-    __slots__ = ("ring", "defining", "_maximal", "_images", "_colengths")
+    __slots__ = ("ring", "defining", "_maximal", "_images", "_local")
 
     def __init__(self, ring: Ring, defining: IdealHandle):
         self.ring = ring
@@ -392,10 +403,11 @@ class PresentedQuotient:
                 raise ValueError(
                     "defining ideal not inside the square of the maximal ideal"
                 )
+            check_exponent_cap(g)
         self.defining = defining
         self._maximal = None
         self._images = {}
-        self._colengths = {}
+        self._local = {}
 
     def maximal_ideal(self) -> IdealHandle:
         if self._maximal is None:
@@ -413,88 +425,20 @@ class PresentedQuotient:
         return self.image(I).equals(self.image(J))
 
     def colength(self, ideal: IdealHandle) -> int:
-        """Length of (local ring)/(ideal) at the origin via truncation."""
-        gb = self.image(ideal).groebner()
-        length = self._colengths.get(gb)
-        if length is None:
-            length = self._colengths[gb] = self._truncated_length(gb)
-        return length
+        """Length of (local ring)/(ideal) at the origin."""
+        return self._localized(ideal).quotient_dim()
 
-    def _truncated_length(self, gb) -> int:
-        if gb and gb[0].degree() == 0:
-            return 0
-        n = self.ring.n
-        gb_terms = [list(g.terms) for g in gb]
-        shape = _standard_shape([g.terms[0][1] for g in gb], n)
-        prev = None
-        for N in _schedule(shape):
-            extra = self._outside(gb_terms, N)
-            if not extra:
-                # m^N lies in the ideal already, so the ideal is m-primary
-                # and its quotient is local: no further Buchberger run
-                return shape[0]
-            final = _groebner_terms(gb_terms + extra, self.ring, assume_prefix=len(gb_terms))
-            truncated = _standard_shape([t[0][1] for t in final], n)
-            if truncated is None:
-                raise ColengthBudgetError("truncated quotient unexpectedly infinite")
-            if truncated[0] == prev:
-                return prev
-            prev = truncated[0]
-        raise ColengthBudgetError(
-            f"colength did not stabilize within truncation budget {_COLENGTH_BUDGET}"
-        )
-
-    def _outside(self, gb_terms, N):
-        """The degree-N monomials that do not reduce to 0 modulo the basis."""
-        ring = self.ring
-        # honest members: single-term basis elements
-        mono_lead = [t[0][1] for t in gb_terms if len(t) == 1]
-        extra = []
-        for e in _compositions(N, ring.n, mono_lead):
-            mono = [(ring.key(e), e, 1, 0, 1)]
-            _, r = kernel.reduce_terms(mono, gb_terms, ring.kc)
-            if r:
-                extra.append(mono)
-        return extra
+    def _localized(self, ideal: IdealHandle) -> IdealHandle:
+        """The image of ``ideal`` with its local ring at the origin and no
+        other zero (see ``_localize``); one per image basis."""
+        img = self.image(ideal)
+        gb = img.groebner()
+        local = self._local.get(gb)
+        if local is None:
+            local = self._local[gb] = _localize(img)
+        return local
 
     def min_gens(self, ideal: IdealHandle) -> int:
         """Minimal number of generators of the image of ``ideal``."""
         m_ideal = self.maximal_ideal().product(ideal)
         return self.colength(m_ideal) - self.colength(ideal)
-
-
-def _schedule(shape):
-    """Truncation orders to try for an ideal whose leading-term quotient
-    has ``shape`` (see ``_standard_shape``).
-
-    Whenever that quotient is already finite, start just past its top
-    degree: stabilization is immediate in that case.
-    """
-    if shape is None:
-        return _COLENGTH_SCHEDULE
-    guess = shape[1] + 1
-    return (guess, guess + 1) + tuple(N for N in _COLENGTH_SCHEDULE if N > guess + 1)
-
-
-def _compositions(N, n, mono_lead):
-    """Exponent tuples of total degree N, skipping multiples of known
-    monomial ideal members as we go."""
-
-    def rec(prefix, remaining, slot):
-        if slot == n - 1:
-            e = prefix + (remaining,)
-            if not any(_exp_divides(ml, e) for ml in mono_lead):
-                yield e
-            return
-        for v in range(remaining + 1):
-            pre = prefix + (v,)
-            padded = pre + (0,) * (n - slot - 1)
-            if any(
-                _exp_divides(ml, padded)
-                for ml in mono_lead
-                if all(ml[i] == 0 for i in range(slot + 1, n))
-            ):
-                continue
-            yield from rec(pre, remaining - v, slot + 1)
-
-    yield from rec((), N, 0)

@@ -6,7 +6,8 @@ the ring's order, coefficients nonzero and in lowest terms.  Everything is
 safe to share across threads; operations are pure functions.
 
 Exponents are capped at 16383 per variable so that packed order keys fit
-in fixed 16-bit fields.
+in fixed 16-bit fields.  The cap is checked where exponents enter: monomials,
+powers, parsed text, and defining ideals (``check_exponent_cap``).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import kernel
-from .errors import ParseError, RingMismatchError, ZeroPolynomialError
+from .errors import ExponentRangeError, ParseError, RingMismatchError, ZeroPolynomialError
 
 _SHIFT = 16
 _BIAS = 1 << 15
@@ -23,6 +24,15 @@ _MAX_EXP = (1 << 14) - 1
 
 GREVLEX = "grevlex"
 LEX = "lex"
+
+
+def check_exponent_cap(p: Polynomial) -> Polynomial:
+    """``p`` itself; ``ExponentRangeError`` when a term has an exponent above
+    the cap, where the packed order key fields would overlap."""
+    for t in p.terms:
+        if max(t[1]) > _MAX_EXP:
+            raise ExponentRangeError(f"exponent {max(t[1])} exceeds the cap {_MAX_EXP}")
+    return p
 
 
 def elimination(split: int) -> tuple:
@@ -117,12 +127,12 @@ class Ring:
         exp = tuple(exp)
         if len(exp) != self.n:
             raise ValueError("exponent length mismatch")
-        if any(x < 0 or x > _MAX_EXP for x in exp):
-            raise ValueError("exponent out of range")
+        if any(x < 0 for x in exp):
+            raise ValueError("negative exponent")
         c = _to_triple(coeff)
         if c == kernel.SZERO:
             return self.zero()
-        return Polynomial(self, ((self.key(exp), exp, c[0], c[1], c[2]),))
+        return check_exponent_cap(Polynomial(self, ((self.key(exp), exp, c[0], c[1], c[2]),)))
 
     def from_terms(self, pairs) -> Polynomial:
         """Build from (exp tuple, coefficient) pairs; collects duplicates."""
@@ -275,6 +285,9 @@ class Polynomial:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power")
+        top = max((max(t[1]) for t in self.terms), default=0)
+        if n * max(top, 1) > _MAX_EXP:
+            raise ExponentRangeError(f"power {n} takes an exponent above the cap {_MAX_EXP}")
         out = self.ring.one()
         base = self
         while n:
@@ -504,4 +517,4 @@ def _parse(ring, text):
     toks = _tokenize(text)
     if not toks:
         raise ParseError("empty polynomial text")
-    return _Parser(ring, toks).parse()
+    return check_exponent_cap(_Parser(ring, toks).parse())

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 from . import kernel
 from .errors import ColengthBudgetError, ShapeError, TriplepointError
-from .ideals import IdealHandle, PresentedQuotient
+from .ideals import IdealHandle, PresentedQuotient, _cancel_leads
 from .polyring import Polynomial
 from .presentations import (
     RDP_RING,
@@ -102,9 +102,17 @@ def is_reduction_stable(A: PresentedQuotient, I: IdealHandle, Q: IdealHandle) ->
 
 
 def good_check(A: PresentedQuotient, I: IdealHandle, Q: IdealHandle) -> bool:
-    """Q : I == I in A (colon computed in the ambient ring)."""
-    colon = A.image(Q).colon(I)
-    return A.image_equal(colon, I)
+    """Q : I == I at the origin.
+
+    Localized, Q + J (J the defining ideal) is supported at the origin
+    only, so Q : I is a colon in a finite algebra.  It contains I exactly
+    when I^2 lies in Q there, and then the two are equal exactly when their
+    colengths are.
+    """
+    local = A._localized(Q)
+    if not all(local.contains(g) for g in I.power(2).gens):
+        return False
+    return local.colon(I).quotient_dim() == A.colength(I)
 
 
 def _candidate_pairs(gens, policy):
@@ -152,9 +160,7 @@ def _rank(vectors, stop=None):
     """Rank of term lists by echelon on leading keys; stops at rank ``stop``."""
     pivots = {}
     for v in vectors:
-        while v and v[0][0] in pivots:
-            _, _, a, b, d = v[0]
-            v = kernel.add_terms(v, kernel.scale_terms(pivots[v[0][0]], (-a, -b, d)))
+        v = _cancel_leads(v, pivots)
         if v:
             pivots[v[0][0]] = kernel.monic_terms(v)
             if len(pivots) == stop:

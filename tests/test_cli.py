@@ -54,6 +54,14 @@ def test_classify_bad_tag_exit_2():
     assert invoke("classify", "--tag", "A:3,2,1").exit_code == 2
 
 
+def test_exponent_above_the_cap_exit_2():
+    # t^20001 in the matrix, t^16384 in a minor
+    for tag in ("A:0,0,20000", "A:0,0,16382"):
+        res = invoke("classify", "--tag", tag)
+        assert res.exit_code == 2, (tag, res.output)
+        assert "exceeds the cap" in res.output or "above the cap" in res.output
+
+
 def test_residue_table():
     res = invoke("residue-table", "--max-param", "2", "--json")
     assert res.exit_code == 0

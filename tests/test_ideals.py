@@ -177,11 +177,32 @@ def test_square_drops_repeated_generators():
 
 
 def test_colon():
-    assert IdealHandle(R, ["x^2"]).colon(IdealHandle(R, ["x"])).equals(
-        IdealHandle(R, ["x"])
+    assert IdealHandle(R, ["x^2", "y", "z", "t"]).colon(IdealHandle(R, ["x"])).equals(
+        IdealHandle(R, ["x", "y", "z", "t"])
     )
-    xy = IdealHandle(R, ["x", "y"])
-    assert xy.colon(IdealHandle(R, [R.one()])).equals(xy)
+    xyzt2 = IdealHandle(R, ["x", "y", "z", "t^2"])
+    assert xyzt2.colon(IdealHandle(R, [R.one()])).equals(xyzt2)
+    # the colon is linear algebra in the finite quotient
+    with pytest.raises(ColengthBudgetError):
+        IdealHandle(R, ["x^2"]).colon(IdealHandle(R, ["x"]))
+
+
+def test_colon_basis_is_the_reduced_groebner_basis():
+    A = A123()
+    m = IdealHandle(R, ["x", "y", "z", "t"])
+    cases = [
+        (m.power(3), m, m.power(2)),
+        (A.image(IdealHandle(R, ["x", "y", "z", "t^3"])), m,
+         A.image(IdealHandle(R, ["x", "y", "z", "t^2"]))),
+        (IdealHandle(R, ["x^2 - x", "y", "z", "t^2"]), IdealHandle(R, ["t"]),
+         IdealHandle(R, ["x^2 - x", "y", "z", "t"])),
+    ]
+    for K, L, expected in cases:
+        C = K.colon(L)
+        assert C.equals(expected)
+        # the basis built from the kernel rows is what Buchberger returns
+        assert C.groebner() == IdealHandle(R, C.gens).groebner()
+        assert all(K.contains(c * g) for c in C.gens for g in L.gens)
 
 
 def test_colon_good_ideal_identity_a123():
@@ -292,18 +313,18 @@ def test_images_and_colengths_are_cached_per_quotient(monkeypatch):
     I = IdealHandle(R, ["x", "y", "z", "t^2"])
     assert A.image(I) is A.image(IdealHandle(R, ["x", "y", "z", "t^2"]))
     assert A.image(A.image(I)) is A.image(I)
-    truncations = []
-    original = PresentedQuotient._outside
+    localized = []
+    original = ideals._localize
 
-    def counted(self, gb_terms, N):
-        truncations.append(N)
-        return original(self, gb_terms, N)
+    def counted(ideal):
+        localized.append(ideal)
+        return original(ideal)
 
-    monkeypatch.setattr(PresentedQuotient, "_outside", counted)
+    monkeypatch.setattr(ideals, "_localize", counted)
     assert A.colength(I) == 2
     # the same ideal from other generators: another image, the same basis
     assert A.colength(IdealHandle(R, ["t^2", "z", "y", "x"])) == 2
-    assert len(truncations) == 1
+    assert len(localized) == 1
 
 
 def test_local_length_budget_error():

@@ -6,8 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triplepoint.errors import ParseError, RingMismatchError, ZeroPolynomialError
-from triplepoint.polyring import GREVLEX, LEX, Gaussian, Ring
+from triplepoint.errors import (
+    ExponentRangeError,
+    ParseError,
+    RingMismatchError,
+    ZeroPolynomialError,
+)
+from triplepoint.ideals import IdealHandle, PresentedQuotient
+from triplepoint.polyring import _MAX_EXP, GREVLEX, LEX, Gaussian, Ring, elimination
 
 R = Ring(("x", "y", "z", "t"))
 x, y, z, t = R.gens()
@@ -139,6 +145,45 @@ def test_parse_errors():
     for bad in ("", "x +", "w", "x^", "1/0", "x**2"):
         with pytest.raises(ParseError):
             R.polynomial(bad)
+
+
+def test_exponent_cap_is_checked_where_exponents_enter():
+    R3 = Ring(("x", "y", "z"))
+    X = R3.var("x")
+    for text in ("x^40000", "x^10000*x^10000", "y*(x^8192)^2"):
+        with pytest.raises(ExponentRangeError):
+            R3.polynomial(text)
+    for base, n in ((X, _MAX_EXP + 1), (X**8192, 2)):
+        with pytest.raises(ExponentRangeError):
+            base**n
+    with pytest.raises(ExponentRangeError):
+        R3.monomial((_MAX_EXP + 1, 0, 0))
+    with pytest.raises(ExponentRangeError):
+        PresentedQuotient(R3, IdealHandle(R3, [X**_MAX_EXP * X]))
+    top = R3.polynomial(f"x^{_MAX_EXP}")
+    assert top == X**_MAX_EXP == R3.monomial((_MAX_EXP, 0, 0))
+    assert top.terms[0][0] == R3.key((_MAX_EXP, 0, 0))
+
+
+@st.composite
+def _exponents_summing_below_cap(draw, n):
+    total = draw(st.tuples(*(st.integers(0, _MAX_EXP) for _ in range(n))))
+    e1 = tuple(draw(st.integers(0, s)) for s in total)
+    return e1, tuple(s - a for s, a in zip(total, e1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([GREVLEX, LEX, elimination(1)]), _exponents_summing_below_cap(4))
+def test_keys_are_additive_below_the_cap(order, pair):
+    ring = Ring(("x", "y", "z", "t"), order)
+    e1, e2 = pair
+    total = tuple(a + b for a, b in zip(e1, e2))
+    assert ring.key(total) == ring.key(e1) + ring.key(e2) - ring.kc
+    product = ring.monomial(e1, 2) * (ring.monomial(e2) + ring.one())
+    text = ring.polynomial("*".join(f"{v}^{a}" for v, a in zip(ring.names, total)))
+    assert product.terms[0][1] == total and text.terms[0][1] == total
+    for p in (product, text):
+        assert all(key == ring.key(exp) for key, exp, *_ in p.terms)
 
 
 def test_gaussian_str():

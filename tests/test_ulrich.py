@@ -7,7 +7,8 @@ from triplepoint import ideals, ulrich
 from triplepoint.cli import main
 from triplepoint.errors import ShapeError
 from triplepoint.ideals import IdealHandle
-from triplepoint.presentations import RTP_RING, instantiate, trace_ideal
+from triplepoint.expectations import grid_tags
+from triplepoint.presentations import RDP_RING, RTP_RING, instantiate, trace_ideal
 from triplepoint.ulrich import (
     ReductionSearchPolicy,
     classify_ulrich_set,
@@ -82,6 +83,73 @@ def test_parameter_ideal_is_not_good(a123):
     assert is_reduction_stable(A, Q, Q)
     assert good_check(A, Q, Q) is False
     assert ulrich_check(A, Q).verdict == "not-good"
+
+
+def test_ulrich_verdict_is_local(a123):
+    # (x^2 - x, y, z, t) is m at the origin; its other zero, the surface
+    # point (1, 0, 0, 0), must not spoil "good"
+    A = a123.quotient
+    I = IdealHandle(R, ["x^2 - x", "y", "z", "t"])
+    assert A.image(I).quotient_dim() == 2
+    cert = ulrich_check(A, I)
+    assert (cert.e0, cert.mu, cert.length) == (3, 4, 1)
+    assert cert.good is True and cert.verdict == "ulrich"
+
+
+def test_good_check_localizes_before_the_colon(a123):
+    A = a123.quotient
+    I = IdealHandle(R, ["x^2 - x", "y", "z", "t"])
+    Q = IdealHandle(R, ["t", "(x^2 - x)*(1 - x)^2 + y + z"])
+    assert good_check(A, I, Q) is True
+    # without localization the colon also counts the other zeros of Q + J
+    assert A.colength(I) == 1 != A.image(Q).colon(I).quotient_dim()
+
+
+def test_good_check_is_false_when_i_squared_is_not_in_q(a123):
+    # Q : I contains I only when I^2 lies in Q, so neither colength shortcut
+    # decides these: (x + y + z, t^2) : m is not m, yet the colon of the
+    # larger Q + m^2 + J by m is m; and (x + z, y) : (x, y, z, t^3) is not
+    # that ideal, yet has its colength
+    A = a123.quotient
+    m = IdealHandle(R, ["x", "y", "z", "t"])
+    Q = IdealHandle(R, ["x + y + z", "t^2"])
+    assert A.colength(Q) == 6 > A.colength(m.power(2))
+    assert A.image(Q + m.power(2)).colon(m).quotient_dim() == A.colength(m)
+    assert good_check(A, m, Q) is False
+    I = IdealHandle(R, ["x", "y", "z", "t^3"])
+    Q = IdealHandle(R, ["x + z", "y"])
+    assert A.image(Q).colon(I).quotient_dim() == A.colength(I) == 3
+    assert good_check(A, I, Q) is False
+
+
+def test_good_check_after_e0_computes_no_basis_but_the_colon(monkeypatch, a123):
+    A = a123.quotient
+    I = IdealHandle(R, ["x", "y", "z", "t^2"])
+    Q = find_reduction(A, I)
+    A.colength(Q)  # e0, as ulrich_check computes it first
+    inputs = []
+    original = ideals._groebner_terms
+
+    def counted(gens, ring, assume_prefix=0):
+        inputs.append((len(gens), assume_prefix))
+        return original(gens, ring, assume_prefix)
+
+    monkeypatch.setattr(ideals, "_groebner_terms", counted)
+    assert good_check(A, I, Q) is True
+    # only the colon's interreduction runs: its whole input is a basis
+    assert inputs and all(n == prefix for n, prefix in inputs)
+
+
+def test_e7_next_ideal_is_decided_locally():
+    # Q = (x + y^4, z) is a reduction of (x, y^4, z) only at the origin:
+    # the global quotient of Q + J has dimension 12, the local length is 7
+    A = instantiate("RDP-E7").quotient
+    I = IdealHandle(RDP_RING, ["x", "y^4", "z"])
+    Q = IdealHandle(RDP_RING, ["x + y^4", "z"])
+    assert not A.image_equal(I.power(2), Q.product(I))
+    assert A.image(Q).quotient_dim() == 12
+    assert A.colength(Q) == 7
+    assert good_check(A, I, Q) is False
 
 
 def test_find_reduction_seeded_and_unseeded():
@@ -250,8 +318,22 @@ def test_socle_experiment():
     assert gorenstein_quotient_experiment(instantiate("A:1,2,3")) is True
     # nearly Gorenstein: quotient is the residue field
     assert gorenstein_quotient_experiment(instantiate("A:0,1,2")) is True
-    # engine-run value for a deeper trace quotient (no external expectation)
-    assert gorenstein_quotient_experiment(instantiate("H:7")) in (True, False)
+    assert gorenstein_quotient_experiment(instantiate("H:7")) is True
+
+
+def test_socle_experiment_holds_on_the_grid():
+    # whenever the trace is (x_1, ..., x_{n-1}, x_n^{c+1}), A/tr is
+    # k[t]/(t^{c+1}), whose socle is one-dimensional
+    checked = 0
+    for tag in grid_tags(4):
+        pres = instantiate(tag)
+        try:
+            trace_shape(pres)
+        except ShapeError:
+            continue
+        assert gorenstein_quotient_experiment(pres) is True, str(tag)
+        checked += 1
+    assert checked == 72
 
 
 def test_certificate_serialization(a123):
