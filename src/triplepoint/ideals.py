@@ -1,8 +1,10 @@
 """Groebner-basis core and ideal calculus.
 
-Buchberger with the Gebauer-Moeller pair update and sugar selection;
-output is the unique reduced Groebner basis sorted by ascending leading
-monomial, so equal ideals produce identical bases.
+Buchberger with the Gebauer-Moeller pair update and sugar selection; a
+pair whose S-polynomial is identically zero (the two elements are monomial
+multiples of one polynomial) is dropped before it is formed.  The output
+is the unique reduced Groebner basis sorted by ascending leading monomial,
+so equal ideals produce identical bases.
 
 Local statements are decided in finite quotients.  A local colength at
 the origin is computed in one step: when K has finite quotient dimension
@@ -50,6 +52,16 @@ def _spoly(f, g, L, lkey, kc):
     a = kernel.mono_mul_terms(f, lkey - f[0][0] + kc, mf, kernel.SONE, kc)
     b = kernel.mono_mul_terms(g, lkey - g[0][0] + kc, mg, (-1, 0, 1), kc)
     return kernel.add_terms(a, b)
+
+
+def _same_multiple(f, g):
+    """Is the S-polynomial of monic term lists f, g zero?  It is exactly
+    when (L/lm f)*f = (L/lm g)*g: the lists have one length, and term by
+    term the keys, shifted by their leads' keys, and the coefficients agree."""
+    if len(f) != len(g):
+        return False
+    kf, kg = f[0][0], g[0][0]
+    return all(s[0] - kf == t[0] - kg and s[2:] == t[2:] for s, t in zip(f, g))
 
 
 def _groebner_terms(gens, ring, assume_prefix=0):
@@ -100,6 +112,8 @@ def _groebner_terms(gens, ring, assume_prefix=0):
         update(h)
     while heap:
         s, lkey, i, j, L = heappop(heap)
+        if _same_multiple(G[i], G[j]):
+            continue
         spol = _spoly(G[i], G[j], L, lkey, kc)
         r = spol and kernel.reduce_terms(spol, basis, kc)[1]
         if r:

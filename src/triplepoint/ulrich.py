@@ -11,16 +11,24 @@ Absence of a reduction is never read as "not Ulrich": the search is a
 bounded heuristic, so such candidates get the verdict
 ``no-reduction-found``.
 
-The reduction search rejects most candidates by linear algebra alone.  For
-Q inside I + J (J the defining ideal), QI + J lies in I^2 + J, and by
+The reduction search decides candidates in one pass, by linear algebra.
+For Q inside I + J (J the defining ideal), QI + J lies in I^2 + J, and by
 Nakayama the two agree at the origin exactly when the products q*g
 (q in Q, g in I) span the finite-dimensional space
-W = (I^2 + J)/(m*I^2 + J).  Ambient equality QI + J = I^2 + J implies the
-span, and for a parameter ideal Q the length witness
-length(A/I^2) = length(A/Q) + 2*length(A/I) holds exactly when it does
-(Q/QI is (A/I)^2, so the witness misses by length(I^2/QI)).  A candidate
-that fails the span test therefore fails both checks, so skipping it never
-changes the returned reduction.
+W = (I^2 + J)/(m*I^2 + J), the degree-2 part of the fiber cone of I
+(Northcott & Rees 1954).  The test is linear in q: any q in I + J is
+sum c_i*g_i modulo m*I + J with constants c_i (the g_i generate I), so
+q*g_j = sum c_i*g_i*g_j modulo m*I^2 + J.  One frame per I holds the
+reduced basis of m*I + J and an echelon of the g_i's normal forms modulo
+it, each pivot carrying the normal forms of its products with every g_j
+modulo m*I^2 + J.  A candidate then costs, for each q, one reduction
+modulo m*I + J and one decomposition over the pivots (it fails exactly
+when q is outside I + J), and one rank of the combined rows.
+
+Ambient equality QI + J = I^2 + J implies the span, so the first
+candidate is accepted on it without a frame (seeded searches stop there);
+a failed ambient check can be spoiled by components away from the
+origin, so it never rejects: the frame decides that candidate too.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from . import kernel
-from .errors import ColengthBudgetError, ShapeError, TriplepointError
+from .errors import ShapeError, TriplepointError
 from .ideals import IdealHandle, PresentedQuotient, _cancel_leads
 from .polyring import Polynomial
 from .presentations import (
@@ -91,14 +99,14 @@ class UlrichCertificate:
 
 
 def is_reduction_stable(A: PresentedQuotient, I: IdealHandle, Q: IdealHandle) -> bool:
-    """I^2 == Q*I in A, for a 2-generated Q inside I."""
+    """I^2 == QI at the origin, for a 2-generated Q inside I + J (J the
+    defining ideal): the span test of the reduction search."""
     if len(Q.gens) != 2:
         raise ValueError("reduction must have exactly 2 generators")
-    img = A.image(I)
-    for q in Q.gens:
-        if not img.contains(q):
-            raise ValueError("reduction candidate is not inside the ideal")
-    return A.image_equal(I.power(2), Q.product(I))
+    spans = _spans(_span_basis(A, I), Q)
+    if spans is None:
+        raise ValueError("reduction candidate is not inside the ideal")
+    return spans
 
 
 def good_check(A: PresentedQuotient, I: IdealHandle, Q: IdealHandle) -> bool:
@@ -168,36 +176,80 @@ def _rank(vectors, stop=None):
     return len(pivots)
 
 
-def _span_basis(A, I_sq):
-    """Reducers of m*I^2 + J (its reduced basis) and the dimension of
-    W = (I^2 + J)/(m*I^2 + J), the rank of the I^2 generators' normal forms."""
-    basis = [list(g.terms) for g in A.image(A.maximal_ideal().product(I_sq)).groebner()]
+def _eliminate(row, carried, pivots):
+    """Echelon step with carried rows: while the leading key of the term list
+    ``row`` has a pivot (a monic head and its carried rows), subtract the
+    multiple of the pivot that cancels it from ``row`` and from ``carried``."""
+    while row and row[0][0] in pivots:
+        head, rows = pivots[row[0][0]]
+        c = (-row[0][2], -row[0][3], row[0][4])
+        row = kernel.add_terms(row, kernel.scale_terms(head, c))
+        carried = [kernel.add_terms(w, kernel.scale_terms(v, c)) for w, v in zip(carried, rows)]
+    return row, carried
+
+
+def _span_basis(A, I):
+    """Frame of the span test for I (module docstring): the reduced basis of
+    m*I + J, the echelon of the generators' normal forms modulo it, where
+    each pivot carries its W-rows (the normal forms modulo m*I^2 + J of its
+    products with every generator), the number of generators, and dim W."""
     kc = A.ring.kc
-    return basis, _rank(kernel.reduce_terms(list(g.terms), basis, kc)[1] for g in I_sq.gens)
+    m = A.maximal_ideal()
+    reducers = [list(g.terms) for g in A.image(m.product(I)).groebner()]
+    large = [list(g.terms) for g in A.image(m.product(I.power(2))).groebner()]
+    gens = [list(g.terms) for g in I.gens]
+    n = len(gens)
+    products = {}
+    for i, j in itertools.combinations_with_replacement(range(n), 2):
+        nf = kernel.reduce_terms(kernel.mul_terms(gens[i], gens[j], kc), large, kc)[1]
+        products[i, j] = products[j, i] = nf
+    pivots = {}
+    for i, g in enumerate(gens):
+        row = kernel.reduce_terms(g, reducers, kc)[1]
+        row, carried = _eliminate(row, [products[i, j] for j in range(n)], pivots)
+        if row:
+            c = kernel.sdiv(kernel.SONE, row[0][2:])
+            pivots[row[0][0]] = (
+                kernel.scale_terms(row, c),
+                [kernel.scale_terms(w, c) for w in carried],
+            )
+    dim = _rank(w for _, rows in pivots.values() for w in rows)
+    return reducers, pivots, n, dim
 
 
-def _spans(span, Q, I):
-    """Do the products q*g (q in Q, g in I) span W?  ``span`` comes from
-    ``_span_basis``; Q must lie in I + J."""
-    basis, dim = span
-    kc = I.ring.kc
-    products = (kernel.mul_terms(list(q.terms), list(g.terms), kc) for q in Q.gens for g in I.gens)
-    return _rank((kernel.reduce_terms(p, basis, kc)[1] for p in products), dim) == dim
+def _spans(frame, Q):
+    """Do the products q*g (q in Q, g in I) span W?  None when a generator
+    of Q lies outside I + J.  ``frame`` comes from ``_span_basis(A, I)``.
+
+    The normal form of q modulo m*I + J is decomposed over the pivots; its
+    W-rows are then the same combination of the pivots' W-rows (up to sign,
+    which leaves the rank alone), so no product is formed here."""
+    reducers, pivots, n, dim = frame
+    kc = Q.ring.kc
+    rows = []
+    for q in Q.gens:
+        row = kernel.reduce_terms(list(q.terms), reducers, kc)[1]
+        row, carried = _eliminate(row, [[]] * n, pivots)
+        if row:
+            return None
+        rows.extend(carried)
+    return _rank(rows, dim) == dim
 
 
 def find_reduction(A, I, policy: ReductionSearchPolicy | None = None):
-    """First 2-generated Q <= I with I^2 = QI, deterministic search order.
+    """First 2-generated Q <= I with I^2 = QI at the origin, in the order of
+    ``_candidate_pairs``; None when its first ``max_candidates`` pairs hold
+    none.
 
-    Two passes over the same candidate stream: ambient-ring ideal equality
-    first, then the local length witness for candidates the global test
-    cannot certify (extra zeros away from the origin).  The quotient ``A``
-    caches images and colengths, so the square of I, its basis and its
-    colength are computed once.
-
-    Once a check has failed or raised, every later candidate must first
-    pass the span test of the module docstring, which needs no basis of
-    QI + J.  A Q that fails it fails both checks, so the returned Q is
-    unchanged; skipped candidates still count against ``max_candidates``.
+    One pass.  The first candidate inside I + J (J the defining ideal) is
+    accepted when QI + J = I^2 + J in the ambient ring; that equality is
+    sound when it holds, and seeded searches stop there without a frame.
+    Otherwise the frame of ``_span_basis`` is built once, and it decides
+    that candidate and every later one alone: membership in I + J and the
+    span test of the module docstring, both linear algebra with no
+    Groebner basis per candidate.  By linearity of q -> q*g modulo
+    m*I^2 + J, a candidate costs one reduction modulo m*I + J, a
+    decomposition over the frame's pivots and one rank.
     """
     if policy is None:
         policy = ReductionSearchPolicy()
@@ -205,40 +257,19 @@ def find_reduction(A, I, policy: ReductionSearchPolicy | None = None):
     if not gens:
         return None
     img = A.image(I)
-    I_sq = I.power(2)
-    I_sq_image = A.image(I_sq)
-
-    def usable(q1, q2):
+    frame = None
+    for q1, q2 in itertools.islice(_candidate_pairs(gens, policy), policy.max_candidates):
         if not q1 or not q2:
-            return None
-        if not (img.contains(q1) and img.contains(q2)):
-            return None
+            continue
         Q = IdealHandle(I.ring, [q1, q2])
-        return Q if len(Q.gens) == 2 else None
-
-    def check_global(Q):
-        return I_sq_image.equals(A.image(Q.product(I)))
-
-    def check_local(Q):
-        return A.colength(I_sq) == A.colength(Q) + 2 * A.colength(I)
-
-    span = None  # built after the first failed check
-    for check in (check_global, check_local):
-        tried = 0
-        for q1, q2 in _candidate_pairs(gens, policy):
-            if tried >= policy.max_candidates:
-                break
-            tried += 1
-            Q = usable(q1, q2)
-            if Q is None or (span is not None and not _spans(span, Q, I)):
+        if frame is None:
+            if not (img.contains(q1) and img.contains(q2)):
                 continue
-            try:
-                if check(Q):
-                    return Q
-            except (ColengthBudgetError, ValueError):
-                pass
-            if span is None:
-                span = _span_basis(A, I_sq)
+            if A.image_equal(I.power(2), Q.product(I)):
+                return Q
+            frame = _span_basis(A, I)
+        if _spans(frame, Q):
+            return Q
     return None
 
 
@@ -423,10 +454,23 @@ def verify_rdp_list(pres: RingPresentation, max_candidates: int = 400):
 
 
 def gorenstein_quotient_experiment(pres: RingPresentation) -> bool:
-    """Is A / trace Gorenstein?  True iff the socle is one-dimensional."""
-    A = pres.quotient
-    tr = trace_ideal(pres)
-    m = A.maximal_ideal()
-    socle_preimage = A.image(tr).colon(m)
-    socle_dim = A.colength(tr) - A.colength(socle_preimage)
-    return socle_dim == 1
+    """Is A / trace Gorenstein?  True iff the socle is one-dimensional.
+
+    The socle of the local algebra A/tr is the kernel of
+    s -> (x_1*s, ..., x_n*s) on the span of its standard monomials s, so
+    its dimension is the length minus the rank.  Each row puts the normal
+    form of x_j*s in block j, lifted above every standard key."""
+    local = pres.quotient._localized(trace_ideal(pres))
+    ring = local.ring
+    gb = [list(g.terms) for g in local.groebner()]
+    std = local._standard()
+    offset = max(map(ring.key, std)) + 1  # normal forms have standard keys only
+    rows = []
+    for e in std:
+        row = []
+        for j in range(ring.n):
+            f = e[:j] + (e[j] + 1,) + e[j + 1 :]
+            nf = kernel.reduce_terms([(ring.key(f), f, 1, 0, 1)], gb, ring.kc)[1]
+            row = [(k + j * offset, *rest) for k, *rest in nf] + row
+        rows.append(row)
+    return len(std) - _rank(rows) == 1

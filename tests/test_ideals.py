@@ -121,6 +121,22 @@ def test_monomial_input_forms_no_s_polynomial(monkeypatch):
     assert formed
 
 
+def test_shared_factor_pair_forms_no_s_polynomial(monkeypatch):
+    # t*(x*(y - z)) = x*(t*(y - z)): the pair is queued, its leads x*y and
+    # y*t are not coprime, but its S-polynomial is identically zero
+    formed = []
+    original = ideals._spoly
+
+    def counted(*args):
+        formed.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(ideals, "_spoly", counted)
+    gb = IdealHandle(R, ["x*(y - z)", "t*(y - z)"]).groebner()
+    assert [str(g) for g in gb] == ["y*t - z*t", "x*y - x*z"]
+    assert formed == []
+
+
 def test_spair_audit_rejects_non_basis():
     assert not spair_audit([x * y - t**5, x * z - t**6 - z * t**2])
 

@@ -1,5 +1,7 @@
 """Ulrich certification: stability, verdicts, lists, the socle experiment."""
 
+import itertools
+
 import pytest
 from click.testing import CliRunner
 
@@ -150,6 +152,16 @@ def test_e7_next_ideal_is_decided_locally():
     assert A.image(Q).quotient_dim() == 12
     assert A.colength(Q) == 7
     assert good_check(A, I, Q) is False
+
+
+def test_first_candidate_is_decided_at_the_origin():
+    # the seed fails the ambient check but is a reduction at the origin, so
+    # the frame accepts it before any later candidate is tried
+    A = instantiate("RDP-E7").quotient
+    I = IdealHandle(RDP_RING, ["x", "y^4", "z"])
+    seed = (RDP_RING.polynomial("x + y^4"), RDP_RING.var("z"))
+    Q = find_reduction(A, I, ReductionSearchPolicy(preferred_seeds=(seed,), max_candidates=1))
+    assert Q is not None and Q.gens == seed
 
 
 def test_find_reduction_seeded_and_unseeded():
@@ -321,6 +333,26 @@ def test_socle_experiment():
     assert gorenstein_quotient_experiment(instantiate("H:7")) is True
 
 
+@pytest.mark.parametrize(
+    "entries,gorenstein",
+    [
+        # k[x, y, z, t]/m^2: the socle m/m^2 has dimension 4
+        (IdealHandle(R, ["x", "y", "z", "t"]).power(2).gens, False),
+        # k[x, t]/(x^2, t^2): x*s and t*s share the monomial x*t, and only
+        # x*t itself is in the socle
+        (("x^2", "y", "z", "t^2"), True),
+    ],
+)
+def test_socle_experiment_on_other_traces(a123, entries, gorenstein):
+    class Doctored:
+        ring = a123.ring
+        quotient = a123.quotient
+        matrix = (tuple(R.polynomial(e) if isinstance(e, str) else e for e in entries),)
+        cm_type = 2
+
+    assert gorenstein_quotient_experiment(Doctored()) is gorenstein
+
+
 def test_socle_experiment_holds_on_the_grid():
     # whenever the trace is (x_1, ..., x_{n-1}, x_n^{c+1}), A/tr is
     # k[t]/(t^{c+1}), whose socle is one-dimensional
@@ -389,9 +421,9 @@ def test_span_test_agrees_with_both_checks(tag):
     local_values = set()
     for I in ideals_:
         I_sq = I.power(2)
-        span = ulrich._span_basis(A, I_sq)
+        span = ulrich._span_basis(A, I)
         for Q in _usable(A, I, 30):
-            spanned = ulrich._spans(span, Q, I)
+            spanned = ulrich._spans(span, Q)
             spans += spanned
             if A.image(I_sq).equals(A.image(Q.product(I))):
                 stable += 1
@@ -408,9 +440,9 @@ def _count_span_bases(monkeypatch):
     built = []
     original = ulrich._span_basis
 
-    def counted(A, I_sq):
-        built.append(I_sq)
-        return original(A, I_sq)
+    def counted(A, I):
+        built.append(I)
+        return original(A, I)
 
     monkeypatch.setattr(ulrich, "_span_basis", counted)
     return built
@@ -435,10 +467,15 @@ def test_span_rejected_candidates_get_no_groebner_basis(monkeypatch):
     rejected = []
     original_spans = ulrich._spans
 
-    def spans(span, Q, I):
-        ok = original_spans(span, Q, I)
-        if not ok:
-            rejected.append((Q, I))
+    decided = set()  # frames that have decided their first candidate
+
+    def spans(span, Q):
+        # a frame's first candidate had its ambient check before the frame
+        # was built; every later one is decided by the span test alone
+        ok = original_spans(span, Q)
+        if not ok and len(built) in decided:
+            rejected.append((Q, built[-1]))  # the frame in use is the last built
+        decided.add(len(built))
         return ok
 
     inputs = set()
@@ -457,3 +494,118 @@ def test_span_rejected_candidates_get_no_groebner_basis(monkeypatch):
     for Q, I in rejected:
         qi_image = Q.product(I) + defining
         assert tuple(tuple(g.terms) for g in qi_image.gens) not in inputs, Q
+
+
+# -- the one-pass search ------------------------------------------------------
+
+
+@pytest.mark.parametrize("tag", ["RDP-E7", "RDP-D:6", "H:5", "A:1,2,3"])
+def test_frame_membership_is_membership_in_i_plus_j(tag):
+    pres, ideals_ = _span_audit_ideals(tag)
+    A = pres.quotient
+    seen = set()
+    ring = pres.ring
+    for I in ideals_:
+        frame = ulrich._span_basis(A, I)
+        img = A.image(I)
+        pairs = ulrich._candidate_pairs(list(I.gens), ReductionSearchPolicy())
+        probes = [q for pair in itertools.islice(pairs, 100) for q in pair]
+        # candidates are combinations of I's generators; these may lie
+        # outside I + J, or inside it only through m*I + J
+        probes += list(ring.gens()) + [v * v for v in ring.gens()] + list(A.defining.gens)
+        probes += [v * I.gens[0] + I.gens[-1] for v in ring.gens()]
+        for q in filter(None, probes):
+            inside = ulrich._spans(frame, IdealHandle(ring, [q])) is not None
+            assert inside == img.contains(q), (tag, I, q)
+            seen.add(inside)
+    assert seen == {True, False}
+
+
+def _walks(monkeypatch):
+    """Wrap the candidate stream: one list of yielded pairs per walk."""
+    walks = []
+    original = ulrich._candidate_pairs
+
+    def walked(gens, policy):
+        walks.append([])
+        for pair in original(gens, policy):
+            walks[-1].append(tuple(map(str, pair)))
+            yield pair
+
+    monkeypatch.setattr(ulrich, "_candidate_pairs", walked)
+    return walks
+
+
+@pytest.mark.parametrize("limit", [3, 40, 400])
+def test_search_walks_the_candidates_once(monkeypatch, limit):
+    walks = _walks(monkeypatch)
+    found = searched = 0
+    for tag in ("RDP-E7", "A:1,2,3"):
+        pres, ideals_ = _span_audit_ideals(tag)
+        for I in ideals_:
+            searched += 1
+            del walks[:]
+            policy = ReductionSearchPolicy(max_candidates=limit)
+            found += find_reduction(pres.quotient, I, policy) is not None
+            assert len(walks) == 1 and len(walks[0]) <= limit, (tag, I)
+            assert len(set(walks[0])) == len(walks[0]), (tag, I)
+    # both ends occur: exhausted searches, and found reductions
+    assert (limit == 3) == (found < searched)
+
+
+def test_find_reduction_computes_no_colength(monkeypatch):
+    def refused(self, ideal):
+        raise AssertionError("colength called by the reduction search")
+
+    cases = [("RDP-E7", ["x", "y^4", "z"]), ("A:1,2,3", ["x", "y", "z", "t^2"]),
+             ("EX-5.3", None)]
+    expected = []
+    for tag, gens in cases:
+        A = instantiate(tag).quotient
+        I = IdealHandle(A.ring, gens) if gens else A.maximal_ideal()
+        expected.append(find_reduction(A, I).gens)
+    monkeypatch.setattr(ideals.PresentedQuotient, "colength", refused)
+    for (tag, gens), want in zip(cases, expected):
+        A = instantiate(tag).quotient
+        I = IdealHandle(A.ring, gens) if gens else A.maximal_ideal()
+        assert find_reduction(A, I).gens == want, tag
+
+
+def _two_pass_reference(A, I, policy):
+    """The search as two walks over the candidates inside I + J: ambient
+    equality QI + J = I^2 + J first, then the local length witness
+    length(A/I^2) = length(A/Q) + 2*length(A/I)."""
+    img = A.image(I)
+    I_sq = I.power(2)
+
+    def ambient(Q):
+        return A.image_equal(I_sq, Q.product(I))
+
+    def witness(Q):
+        if A.image(Q).quotient_dim() is None:
+            return False  # no local length for an infinite global quotient
+        return A.colength(I_sq) == A.colength(Q) + 2 * A.colength(I)
+
+    for check in (ambient, witness):
+        pairs = ulrich._candidate_pairs(list(I.gens), policy)
+        for q1, q2 in itertools.islice(pairs, policy.max_candidates):
+            if q1 and q2 and img.contains(q1) and img.contains(q2):
+                Q = IdealHandle(I.ring, [q1, q2])
+                if check(Q):
+                    return Q
+    return None
+
+
+@pytest.mark.parametrize(
+    # E7's next ideal has a reduction only at the origin, and D:3's next
+    # ideal exhausts the 400 candidates
+    "tag", ["RDP-A:7", "RDP-D:6", "RDP-E7", "A:1,2,3", "A:0,1,2", "B:1,4", "C:2,4", "D:3"]
+)
+def test_one_pass_matches_the_two_pass_reference(tag):
+    pres, ideals_ = _span_audit_ideals(tag)
+    A = pres.quotient
+    policy = ReductionSearchPolicy()
+    for I in ideals_:
+        want = _two_pass_reference(A, I, policy)
+        got = find_reduction(A, I, policy)
+        assert (got and got.gens) == (want and want.gens), (tag, I)
