@@ -6,8 +6,6 @@ does resolution-graph combinatorics.  The CLI (``cli``) runs both and
 cross-checks them.
 """
 
-from .kernel import BACKEND as KERNEL_BACKEND
-
 __version__ = "0.1.0"
 
-__all__ = ["KERNEL_BACKEND", "__version__"]
+__all__ = ["__version__"]

@@ -30,14 +30,8 @@ from heapq import heapify, heappop, heappush
 
 from . import kernel
 from .errors import ColengthBudgetError, ZeroPolynomialError
+from .kernel import _divides
 from .polyring import Polynomial, Ring, check_exponent_cap
-
-
-def _exp_divides(a, b):
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-    return True
 
 
 def _exp_lcm(a, b):
@@ -94,18 +88,18 @@ def _groebner_terms(gens, ring, assume_prefix=0):
         new.sort()
         kept = []  # criteria M and F: keep a pair only if no kept lcm divides its lcm
         for _, queue, k, L in new:
-            if not any(_exp_divides(M, L) for M, _, _ in kept):
+            if not any(_divides(M, L) for M, _, _ in kept):
                 kept.append((L, queue, k))
         # criterion B: drop (i, j) if lm(h) divides its lcm L and neither
         # (i, h) nor (j, h) has lcm L
-        heap[:] = [p for p in heap if not _exp_divides(eh, p[4])
+        heap[:] = [p for p in heap if not _divides(eh, p[4])
                    or p[4] in (_exp_lcm(lm[p[2]], eh), _exp_lcm(lm[p[3]], eh))]
         heapify(heap)
         for L, queue, k in kept:
             if queue:
                 s = max(sugar[k] - deg[k], sugar[h] - dh) + sum(L)
                 heappush(heap, (s, ring.key(L), k, h, L))
-        live[:] = [k for k in live if not _exp_divides(eh, lm[k])] + [h]
+        live[:] = [k for k in live if not _divides(eh, lm[k])] + [h]
         basis[:] = [G[k] for k in live]
 
     for h in range(prefix, len(G)):
@@ -128,7 +122,7 @@ def _groebner_terms(gens, ring, assume_prefix=0):
     minimal = []
     for t in order:
         e = lm[t]
-        if not any(_exp_divides(m[0][1], e) for m in minimal):
+        if not any(_divides(m[0][1], e) for m in minimal):
             minimal.append(G[t])
     # interreduce tails against the rest
     reduced = list(minimal)
@@ -316,7 +310,7 @@ def _standard_monomials(lead_exps, n):
             if f in seen:
                 continue
             seen.add(f)
-            if not any(_exp_divides(le, f) for le in lead_exps):
+            if not any(_divides(le, f) for le in lead_exps):
                 stack.append(f)
     return out
 
@@ -338,7 +332,7 @@ def _localize(ideal: IdealHandle) -> IdealHandle:
     powers = []
     for i in range(ring.n):
         e = tuple(D if j == i else 0 for j in range(ring.n))
-        if any(_exp_divides(m, e) for m in members):
+        if any(_divides(m, e) for m in members):
             continue
         r = kernel.reduce_terms(list(ring.monomial(e).terms), gb, ring.kc)[1]
         if r:

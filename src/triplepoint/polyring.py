@@ -171,7 +171,7 @@ class Gaussian:
 
         d = self.re.denominator * self.im.denominator
         d //= gcd(self.re.denominator, self.im.denominator)
-        return kernel.snorm(
+        return kernel._snorm(
             self.re.numerator * (d // self.re.denominator),
             self.im.numerator * (d // self.im.denominator),
             d,
@@ -186,11 +186,11 @@ class Gaussian:
 
 def _to_triple(c):
     if isinstance(c, tuple) and len(c) == 3:
-        return kernel.snorm(*c)
+        return kernel._snorm(*c)
     if isinstance(c, int):
         return (c, 0, 1) if c else kernel.SZERO
     if isinstance(c, Fraction):
-        return kernel.snorm(c.numerator, 0, c.denominator)
+        return kernel._snorm(c.numerator, 0, c.denominator)
     if isinstance(c, Gaussian):
         return c.triple()
     raise TypeError(f"cannot use {type(c).__name__} as a scalar")

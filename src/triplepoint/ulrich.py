@@ -208,7 +208,7 @@ def _span_basis(A, I):
         row = kernel.reduce_terms(g, reducers, kc)[1]
         row, carried = _eliminate(row, [products[i, j] for j in range(n)], pivots)
         if row:
-            c = kernel.sdiv(kernel.SONE, row[0][2:])
+            c = kernel._sdiv(kernel.SONE, row[0][2:])
             pivots[row[0][0]] = (
                 kernel.scale_terms(row, c),
                 [kernel.scale_terms(w, c) for w in carried],
