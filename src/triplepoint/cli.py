@@ -191,7 +191,7 @@ def _render_classify_rdp(d):
 
 
 @main.command("residue-table")
-@click.option("--max-param", default=3, show_default=True, type=int)
+@click.option("--max-param", default=3, show_default=True, type=click.IntRange(min=0))
 @click.option("--json", "as_json", is_flag=True)
 def cmd_residue_table(max_param, as_json):
     """Computed residues vs the closed forms over the parameter grid."""
@@ -236,7 +236,13 @@ def _render_table(d):
 
 
 @main.command("quotient-sweep")
-@click.option("--max-param", default=4, show_default=True, type=int, help="bound on all weights b")
+@click.option(
+    "--max-param",
+    default=4,
+    show_default=True,
+    type=click.IntRange(min=2),
+    help="bound on all weights b (each weight is at least 2)",
+)
 @click.option("--json", "as_json", is_flag=True)
 def cmd_quotient_sweep(max_param, as_json):
     """Chain counts over the quotient-singularity graph catalog.
@@ -480,7 +486,7 @@ def _render_rdp(d):
 
 @main.command("socle-experiment")
 @click.option("--tag", default=None, help="single tag; default sweeps the grid")
-@click.option("--max-param", default=3, show_default=True, type=int)
+@click.option("--max-param", default=3, show_default=True, type=click.IntRange(min=0))
 @click.option("--json", "as_json", is_flag=True)
 def cmd_socle(tag, max_param, as_json):
     """Is the quotient by the trace ideal Gorenstein?  (Experiment: no

@@ -1,10 +1,16 @@
 """Groebner-basis core and ideal calculus.
 
-Buchberger with the Gebauer-Moeller pair update and sugar selection; a
-pair whose S-polynomial is identically zero (the two elements are monomial
-multiples of one polynomial) is dropped before it is formed.  The output
-is the unique reduced Groebner basis sorted by ascending leading monomial,
-so equal ideals produce identical bases.
+Buchberger with the Gebauer-Moeller pair update and sugar selection,
+tuned for the inputs the program makes, which are mostly monomials (the
+products in m*I^2, say).  Inputs enter by ascending leading monomial, each
+fully reduced by the basis so far, so an input that a monomial already
+there divides is dropped before any pair bookkeeping.  Two single-term
+elements never form a pair (their S-polynomial is 0), and a pair whose
+S-polynomial is identically zero (the two elements are monomial multiples
+of one polynomial) is dropped before it is formed.  The minimal basis is
+read off the live elements, those whose leads no later lead divides.  The
+output is the unique reduced Groebner basis sorted by ascending leading
+monomial, so equal ideals produce identical bases.
 
 Local statements are decided in finite quotients.  A local colength at
 the origin is computed in one step: when K has finite quotient dimension
@@ -61,29 +67,42 @@ def _same_multiple(f, g):
 def _groebner_terms(gens, ring, assume_prefix=0):
     """Reduced Groebner basis of ``gens`` (term lists); deterministic.  The
     first ``assume_prefix`` generators must be a Groebner basis already."""
-    G = [kernel.monic_terms(g) for g in gens if g]
-    if not G:
+    gens = [g for g in gens if g]
+    if not gens:
         return []
     kc = ring.kc
+    prefix = min(assume_prefix, len(gens))
+    G = [kernel.monic_terms(g) for g in gens[:prefix]]
     lm = [g[0][1] for g in G]
     deg = [sum(e) for e in lm]
     sugar = [max(sum(t[1]) for t in g) for g in G]
-    prefix = min(assume_prefix, len(G))
     live = list(range(prefix))  # elements whose leads no later lead divides
-    basis = [G[k] for k in live]  # their term lists, the reducers
+    basis = list(G)  # their term lists, the reducers
     heap = []  # pending pairs as (sugar, lcm key, i, j, lcm)
 
-    def update(h):
-        """Gebauer-Moeller update for the new element h."""
-        eh, dh = lm[h], deg[h]
-        monomial = len(G[h]) == 1
+    def add(g, sugar_g):
+        """Append the monic element g, reduced by ``basis``, with sugar
+        ``sugar_g``, and apply the Gebauer-Moeller update for it."""
+        h = len(G)
+        G.append(g)
+        eh = g[0][1]
+        dh = sum(eh)
+        lm.append(eh)
+        deg.append(dh)
+        sugar.append(sugar_g)
+        monomial = len(g) == 1
         new = []
         for k in live:
+            if monomial and len(G[k]) == 1:
+                # two single terms: the S-polynomial is 0, so no pair and no
+                # lcm; as the pair prunes nothing either, at worst a few more
+                # pairs are queued than the full criteria M and F would keep
+                continue
             L = _exp_lcm(lm[k], eh)
             dL = sum(L)
-            # coprime leads, or two single terms: the S-polynomial reduces
-            # to 0, so the pair is never queued, but it still prunes others
-            trivial = dL == deg[k] + dh or (monomial and len(G[k]) == 1)
+            # coprime leads: the S-polynomial reduces to 0, so the pair is
+            # never queued, but it still prunes others
+            trivial = dL == deg[k] + dh
             new.append((dL, not trivial, k, L))
         new.sort()
         kept = []  # criteria M and F: keep a pair only if no kept lcm divides its lcm
@@ -102,8 +121,14 @@ def _groebner_terms(gens, ring, assume_prefix=0):
         live[:] = [k for k in live if not _divides(eh, lm[k])] + [h]
         basis[:] = [G[k] for k in live]
 
-    for h in range(prefix, len(G)):
-        update(h)
+    # inputs enter by ascending lead, each fully reduced by the live basis
+    # first: a multiple of an earlier monomial reduces to 0 and never reaches
+    # the pair update, and no live lead divides the lead of one that enters;
+    # the sugar of an input stays its total degree
+    for g in sorted(gens[prefix:], key=lambda g: g[0][0]):
+        r = kernel.reduce_terms(g, basis, kc)[1] if basis else g
+        if r:
+            add(kernel.monic_terms(r), max(sum(t[1]) for t in g))
     while heap:
         s, lkey, i, j, L = heappop(heap)
         if _same_multiple(G[i], G[j]):
@@ -111,29 +136,20 @@ def _groebner_terms(gens, ring, assume_prefix=0):
         spol = _spoly(G[i], G[j], L, lkey, kc)
         r = spol and kernel.reduce_terms(spol, basis, kc)[1]
         if r:
-            G.append(kernel.monic_terms(r))
-            lm.append(G[-1][0][1])
-            deg.append(sum(lm[-1]))
-            sugar.append(s)
-            update(len(G) - 1)
+            add(kernel.monic_terms(r), s)
 
-    # minimal basis: drop leading monomials divisible by another's
-    order = sorted(range(len(G)), key=lambda t: G[t][0][0])
+    # minimal basis from the live set alone: an element that left it has a
+    # lead that some live lead divides
     minimal = []
-    for t in order:
-        e = lm[t]
-        if not any(_divides(m[0][1], e) for m in minimal):
-            minimal.append(G[t])
-    # interreduce tails against the rest
+    for k in sorted(live, key=lambda k: G[k][0][0]):
+        if not any(_divides(m[0][1], lm[k]) for m in minimal):
+            minimal.append(G[k])
+    # interreduce tails against the rest; the leads stay, so the list stays
+    # sorted by ascending lead, and a single term is reduced already
     reduced = list(minimal)
-    for t in range(len(reduced)):
-        others = reduced[:t] + reduced[t + 1 :]
-        if not others:
-            continue
-        _, r = kernel.reduce_terms(reduced[t], others, ring.kc)
-        reduced[t] = kernel.monic_terms(r)
-    reduced = [g for g in reduced if g]
-    reduced.sort(key=lambda g: g[0][0])
+    for t, g in enumerate(minimal):
+        if len(g) > 1 and len(minimal) > 1:
+            reduced[t] = kernel.reduce_terms(g, reduced[:t] + reduced[t + 1 :], kc)[1]
     return reduced
 
 

@@ -75,6 +75,28 @@ def test_residue_table_bound():
     assert invoke("residue-table", "--max-param", "9").exit_code == 2
 
 
+def test_negative_grid_bound_exit_2():
+    for command in ("residue-table", "socle-experiment"):
+        res = invoke(command, "--max-param", "-1", "--json")
+        assert res.exit_code == 2, (command, res.output)
+        assert "rows" not in res.output
+    # 0 is a grid of its own: A:0,0,0, D:0, F:0 and the Gamma rows
+    res = invoke("residue-table", "--max-param", "0", "--json")
+    assert res.exit_code == 0
+    assert "A:0,0,0" in [r["tag"] for r in json.loads(res.output)["rows"]]
+
+
+def test_quotient_sweep_bound_below_two_exit_2():
+    # every weight b is at least 2, so a smaller bound would be a pass over no rows
+    for bound in ("-1", "0", "1"):
+        res = invoke("quotient-sweep", "--max-param", bound, "--json")
+        assert res.exit_code == 2, (bound, res.output)
+        assert "rows" not in res.output
+    res = invoke("quotient-sweep", "--max-param", "2", "--json")
+    assert res.exit_code == 0
+    assert json.loads(res.output)["rows"]
+
+
 def test_quotient_sweep_small():
     res = invoke("quotient-sweep", "--max-param", "3", "--json")
     assert res.exit_code == 0

@@ -74,15 +74,19 @@ def _reference_groebner(gens, ring):
 _COEFFS = ((1, 0, 1), (-1, 0, 1), (2, 0, 1), (0, 1, 1), (1, 1, 2), (-3, 0, 2))
 
 
+def _random_exponent(rng, ring, degree):
+    exp = [0] * ring.n
+    for _ in range(degree):
+        exp[rng.randrange(ring.n)] += 1
+    return tuple(exp)
+
+
 def _random_terms(rng, ring):
     """A random monomial or binomial of degree 1 to 3, the shape of most
     generators the program makes."""
     pairs = []
     for _ in range(rng.randint(1, 2)):
-        exp = [0] * ring.n
-        for _ in range(rng.randint(1, 3)):
-            exp[rng.randrange(ring.n)] += 1
-        pairs.append((tuple(exp), rng.choice(_COEFFS)))
+        pairs.append((_random_exponent(rng, ring, rng.randint(1, 3)), rng.choice(_COEFFS)))
     return list(ring.from_terms(pairs).terms)
 
 
@@ -102,6 +106,90 @@ def test_buchberger_matches_reference_without_criteria(ring):
         prefix = _reference_groebner(gens[:k], ring)
         got = ideals._groebner_terms(prefix + gens[k:], ring, assume_prefix=len(prefix))
         assert got == expected, (gens, k)
+
+
+def _monomial_heavy(rng, ring):
+    """8 to 30 monomials of degree 1 to 6, with repeats and multiples of
+    earlier ones on purpose, and 1 to 3 binomials or trinomials, shuffled:
+    the shape of m*I^2 + J."""
+    exps = []
+    for _ in range(rng.randint(8, 30)):
+        roll = rng.random()
+        if exps and roll < 0.2:
+            exps.append(rng.choice(exps))  # a repeat
+        elif exps and roll < 0.5:
+            e = list(rng.choice(exps))  # a multiple
+            while sum(e) < 6 and rng.random() < 0.7:
+                e[rng.randrange(ring.n)] += 1
+            exps.append(tuple(e))
+        else:
+            exps.append(_random_exponent(rng, ring, rng.randint(1, 6)))
+    gens = [list(ring.from_terms([(e, rng.choice(_COEFFS))]).terms) for e in exps]
+    for _ in range(rng.randint(1, 3)):
+        pairs = [
+            (_random_exponent(rng, ring, rng.randint(1, 6)), rng.choice(_COEFFS))
+            for _ in range(rng.randint(2, 3))
+        ]
+        gens.append(list(ring.from_terms(pairs).terms))
+    rng.shuffle(gens)
+    return gens
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [
+        Ring(("x", "y", "z", "t")),
+        Ring(("x", "y", "z", "t"), "lex"),
+        Ring(("w", "x", "y", "z"), elimination(1)),
+    ],
+    ids=["grevlex", "lex", "elimination"],
+)
+def test_buchberger_matches_reference_on_monomial_heavy_inputs(ring):
+    rng = random.Random(47)
+    for _ in range(12):
+        gens = _monomial_heavy(rng, ring)
+        expected = _reference_groebner(gens, ring)
+        assert ideals._groebner_terms(gens, ring) == expected, gens
+        k = rng.randint(1, len(gens))
+        prefix = _reference_groebner(gens[:k], ring)
+        got = ideals._groebner_terms(prefix + gens[k:], ring, assume_prefix=len(prefix))
+        assert got == expected, (gens, k)
+
+
+def test_buchberger_matches_reference_on_trace_ideal_products():
+    # I + J, m*I + J, I^2 + J and m*I^2 + J for I = (x, y, z, t^2) in A:1,2,3
+    A = A123()
+    I = IdealHandle(R, ["x", "y", "z", "t^2"])
+    m = A.maximal_ideal()
+    J = [list(g.terms) for g in A.defining.gens]
+    prefix = _reference_groebner(J, R)
+    for ideal in (I, m.product(I), I.power(2), m.product(I.power(2))):
+        gens = [list(g.terms) for g in A.image(ideal).gens]
+        expected = _reference_groebner(gens, R)
+        assert ideals._groebner_terms(gens, R) == expected
+        rest = [list(g.terms) for g in ideal.gens]
+        got = ideals._groebner_terms(prefix + rest, R, assume_prefix=len(prefix))
+        assert got == expected
+
+
+def test_monomial_pairs_compute_no_lcm(monkeypatch):
+    # m^3 is 20 monomials: 190 pairs, none of which needs an lcm
+    computed = []
+    original = ideals._exp_lcm
+
+    def counted(a, b):
+        computed.append((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(ideals, "_exp_lcm", counted)
+    m3 = IdealHandle(R, ["x", "y", "z", "t"]).power(3)
+    assert len(m3.gens) == 20
+    assert len(m3.groebner()) == 20
+    assert computed == []
+    # one binomial among them pairs with the monomials
+    gens = m3.gens + (R.polynomial("x*y - z*t"),)
+    assert IdealHandle(R, gens).groebner()
+    assert computed
 
 
 def test_monomial_input_forms_no_s_polynomial(monkeypatch):
