@@ -191,14 +191,12 @@ def _render_classify_rdp(d):
 
 
 @main.command("residue-table")
-@click.option("--max-param", default=3, show_default=True, type=click.IntRange(min=0))
+@click.option("--max-param", default=3, show_default=True, type=click.IntRange(0, 6))
 @click.option("--json", "as_json", is_flag=True)
 def cmd_residue_table(max_param, as_json):
     """Computed residues vs the closed forms over the parameter grid."""
 
     def work():
-        if max_param > 6:
-            raise ParameterError("--max-param must be <= 6 (desk scale)")
         rows = []
         failed = False
         for ftag in exp.grid_tags(max_param):
@@ -240,7 +238,7 @@ def _render_table(d):
     "--max-param",
     default=4,
     show_default=True,
-    type=click.IntRange(min=2),
+    type=click.IntRange(2, 5),
     help="bound on all weights b (each weight is at least 2)",
 )
 @click.option("--json", "as_json", is_flag=True)
@@ -253,8 +251,6 @@ def cmd_quotient_sweep(max_param, as_json):
     """
 
     def work():
-        if max_param > 5:
-            raise ParameterError("--max-param must be <= 5 (desk scale)")
         rows = []
         failed = False
         for tag in quotient_sweep_tags(max_param):
@@ -486,7 +482,7 @@ def _render_rdp(d):
 
 @main.command("socle-experiment")
 @click.option("--tag", default=None, help="single tag; default sweeps the grid")
-@click.option("--max-param", default=3, show_default=True, type=click.IntRange(min=0))
+@click.option("--max-param", default=3, show_default=True, type=click.IntRange(0, 6))
 @click.option("--json", "as_json", is_flag=True)
 def cmd_socle(tag, max_param, as_json):
     """Is the quotient by the trace ideal Gorenstein?  (Experiment: no

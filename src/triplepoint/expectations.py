@@ -1,14 +1,14 @@
 """Compiled-in expected values for the report commands.
 
-Closed forms for the residue, the nearly-Gorenstein boundary, ring
-multiplicities, and Ulrich-set sizes, plus the standard parameter grids
-the verification sweeps run over.
+Closed forms for the residue, the nearly-Gorenstein boundary and
+Ulrich-set sizes, plus the standard parameter grids the verification
+sweeps run over.
 """
 
 from __future__ import annotations
 
 from .errors import ParameterError
-from .presentations import FamilyTag, parse_tag
+from .presentations import FamilyTag
 
 
 def _k_of_B(n: int) -> int:
@@ -51,17 +51,6 @@ def nearly_gorenstein_expected(tag: FamilyTag) -> bool:
     raise ParameterError(f"no nearly-Gorenstein expectation for {tag}")
 
 
-def multiplicity_expected(tag: FamilyTag) -> int:
-    name = tag.name
-    if name in ("A", "B", "C", "D", "F", "H", "Gamma1", "Gamma2", "Gamma3", "EX-5.2"):
-        return 3
-    if name.startswith("RDP-"):
-        return 2
-    if name == "EX-5.3":
-        return 4
-    raise ParameterError(f"no multiplicity expectation for {tag}")
-
-
 def ulrich_count_expected(tag: FamilyTag) -> int:
     name, p = tag.name, tag.params
     if name == "RDP-A":
@@ -83,8 +72,6 @@ def ulrich_count_expected(tag: FamilyTag) -> int:
 def grid_tags(max_param: int = 4):
     """The triple-point verification grid: every family, parameters up to
     max_param (for H the step count k plays the parameter role)."""
-    if max_param > 6:
-        raise ParameterError("grid bound must stay desk-scale (<= 6)")
     tags = []
     for l in range(0, max_param + 1):
         for m in range(l, max_param + 1):
@@ -133,11 +120,9 @@ def published_trace_cycle(tag_text: str):
 __all__ = [
     "residue_closed_form",
     "nearly_gorenstein_expected",
-    "multiplicity_expected",
     "ulrich_count_expected",
     "grid_tags",
     "rdp_grid",
     "published_trace_cycle",
     "EX53_TRACE_STATS",
-    "parse_tag",
 ]

@@ -271,7 +271,6 @@ def graph_catalog(tag) -> DualGraph:
 
 def quotient_sweep_tags(b_max: int = 4, chain_len: int = 4, t22_len: int = 3):
     """Deterministic tag list for the quotient-singularity sweep."""
-    _check(b_max <= 5, "sweep bound must stay desk-scale (b <= 5)")
     tags = []
     rng = range(2, b_max + 1)
     for n in range(1, chain_len + 1):

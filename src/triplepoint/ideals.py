@@ -273,9 +273,9 @@ class IdealHandle:
                 prod = kernel.mono_mul_terms(list(g.terms), k, e, kernel.SONE, kc)
                 nf = kernel.reduce_terms(prod, gb, kc)[1]
                 row = [(t[0] + j * offset, t[1], t[2], t[3], t[4]) for t in nf] + row
-            row = _cancel_leads(row, pivots)
+            row, _ = _eliminate(row, pivots)
             if row[0][0] >= offset:
-                pivots[row[0][0]] = kernel.monic_terms(row)
+                _file_pivot(pivots, row)
             else:
                 kernel_rows.append(row)
         if not kernel_rows:
@@ -287,13 +287,49 @@ class IdealHandle:
         return _from_basis(ring, _groebner_terms(basis, ring, assume_prefix=len(basis)))
 
 
-def _cancel_leads(row, pivots):
-    """Echelon step: subtract pivot rows (monic, by leading key) from the
-    term list ``row`` while its leading key has one."""
+# -- echelon on term lists ---------------------------------------------
+#
+# Finite-algebra linear algebra (the colon, the rank of a set of rows, the
+# span test of the reduction search) runs on term lists as rows, with the
+# leading key as the pivot column.  A pivot is a monic head plus the rows it
+# carries: the rows that follow every step applied to the head (the colon and
+# the rank carry none).
+
+
+def _eliminate(row, pivots, carried=()):
+    """Echelon step: while the leading key of the term list ``row`` has a
+    pivot, subtract the multiple of the pivot that cancels it from ``row``,
+    and the same multiple of the pivot's carried rows from ``carried``.
+    Returns the reduced row and carried rows."""
     while row and row[0][0] in pivots:
+        head, rows = pivots[row[0][0]]
         _, _, a, b, d = row[0]
-        row = kernel.add_terms(row, kernel.scale_terms(pivots[row[0][0]], (-a, -b, d)))
-    return row
+        c = (-a, -b, d)
+        row = kernel.add_terms(row, kernel.scale_terms(head, c))
+        if rows:
+            carried = [kernel.add_terms(w, kernel.scale_terms(v, c)) for w, v in zip(carried, rows)]
+    return row, carried
+
+
+def _file_pivot(pivots, row, carried=()):
+    """File the nonzero ``row`` as the pivot of its leading key: made monic,
+    and its carried rows scaled by the same factor."""
+    if carried:
+        c = kernel._sdiv(kernel.SONE, row[0][2:])
+        carried = [kernel.scale_terms(w, c) for w in carried]
+    pivots[row[0][0]] = (kernel.monic_terms(row), carried)
+
+
+def _rank(vectors, stop=None):
+    """Rank of term lists by echelon on leading keys; stops at rank ``stop``."""
+    pivots = {}
+    for v in vectors:
+        v, _ = _eliminate(v, pivots)
+        if v:
+            _file_pivot(pivots, v)
+            if len(pivots) == stop:
+                break
+    return len(pivots)
 
 
 def _from_basis(ring: Ring, basis) -> IdealHandle:

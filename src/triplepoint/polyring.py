@@ -1,9 +1,10 @@
-"""Exact multivariate polynomials over Q(i) with a fixed monomial order.
+"""Exact multivariate polynomials over Q(i) in grevlex order.
 
-Rings are value objects (variable names + order).  Polynomials are
-immutable and always kept in canonical form: terms strictly descending in
-the ring's order, coefficients nonzero and in lowest terms.  Everything is
-safe to share across threads; operations are pure functions.
+Rings are value objects (variable names); every ring orders its monomials
+by grevlex, the only order the program uses.  Polynomials are immutable
+and always kept in canonical form: terms strictly descending in grevlex,
+coefficients nonzero and in lowest terms.  Everything is safe to share
+across threads; operations are pure functions.
 
 Exponents are capped at 16383 per variable so that packed order keys fit
 in fixed 16-bit fields.  The cap is checked where exponents enter: monomials,
@@ -22,9 +23,6 @@ _SHIFT = 16
 _BIAS = 1 << 15
 _MAX_EXP = (1 << 14) - 1
 
-GREVLEX = "grevlex"
-LEX = "lex"
-
 
 def check_exponent_cap(p: Polynomial) -> Polynomial:
     """``p`` itself; ``ExponentRangeError`` when a term has an exponent above
@@ -35,69 +33,40 @@ def check_exponent_cap(p: Polynomial) -> Polynomial:
     return p
 
 
-def elimination(split: int) -> tuple:
-    """Block order eliminating the first ``split`` variables (grevlex blocks)."""
-    return ("elim", split)
-
-
-@dataclass(frozen=True)
-class Monomial:
-    """Exponent vector of one monomial, tied to a ring by length only."""
-
-    exponents: tuple
-
-
 class Ring:
-    """Polynomial ring context: ordered variable names plus monomial order."""
+    """Polynomial ring context: ordered variable names, monomials in grevlex
+    with x_1 > x_2 > ... > x_n."""
 
-    __slots__ = ("names", "order", "n", "kc", "_index", "_hash")
+    __slots__ = ("names", "n", "kc", "_index", "_hash")
 
-    def __init__(self, names, order=GREVLEX):
+    def __init__(self, names):
         names = tuple(names)
         if len(set(names)) != len(names):
             raise ValueError("duplicate variable names")
         if "i" in names:
             raise ValueError("'i' is reserved for the imaginary unit")
         self.names = names
-        self.order = order
         self.n = len(names)
         self._index = {v: k for k, v in enumerate(names)}
         self.kc = self.key((0,) * self.n)
-        self._hash = hash((names, order))
+        self._hash = hash(names)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Ring)
-            and self.names == other.names
-            and self.order == other.order
-        )
+        return isinstance(other, Ring) and self.names == other.names
 
     def __hash__(self):
         return self._hash
 
     def __repr__(self):
-        return f"Ring({', '.join(self.names)}; {self.order})"
+        return f"Ring({', '.join(self.names)})"
 
     def key(self, exp) -> int:
-        """Packed order key: integer comparison agrees with the order."""
-        order = self.order
-        if order == GREVLEX:
-            fields = [sum(exp)]
-            fields.extend(_BIAS - x for x in reversed(exp))
-        elif order == LEX:
-            fields = list(exp)
-        elif isinstance(order, tuple) and order[0] == "elim":
-            k = order[1]
-            head, tail = exp[:k], exp[k:]
-            fields = [sum(head)]
-            fields.extend(_BIAS - x for x in reversed(head))
-            fields.append(sum(tail))
-            fields.extend(_BIAS - x for x in reversed(tail))
-        else:
-            raise ValueError(f"unknown order {order!r}")
-        key = 0
-        for f in fields:
-            key = (key << _SHIFT) | f
+        """Packed grevlex key: integer comparison agrees with the order.
+        The fields, most significant first, are the total degree and then
+        _BIAS - e for the exponents e from the last variable to the first."""
+        key = sum(exp)
+        for x in reversed(exp):
+            key = (key << _SHIFT) | (_BIAS - x)
         return key
 
     # -- constructors -------------------------------------------------
@@ -219,16 +188,12 @@ class Polynomial:
             return -1
         return max(sum(t[1]) for t in self.terms)
 
-    def leading_term(self, order=None):
-        """(Monomial, Gaussian) maximal under ``order`` (ring order default)."""
+    def leading_term(self):
+        """(exponent tuple, Gaussian coefficient) of the grevlex-largest term."""
         if not self.terms:
             raise ZeroPolynomialError("zero polynomial has no leading term")
-        if order is None or order == self.ring.order:
-            t = self.terms[0]
-        else:
-            alt = Ring(self.ring.names, order)
-            t = max(self.terms, key=lambda u: alt.key(u[1]))
-        return Monomial(t[1]), Gaussian.from_triple((t[2], t[3], t[4]))
+        t = self.terms[0]
+        return t[1], Gaussian.from_triple((t[2], t[3], t[4]))
 
     def coefficient(self, exp) -> Gaussian:
         exp = tuple(exp)
@@ -238,7 +203,8 @@ class Polynomial:
         return Gaussian(Fraction(0), Fraction(0))
 
     def monomials(self):
-        return tuple(Monomial(t[1]) for t in self.terms)
+        """Exponent tuples of the terms, in descending order."""
+        return tuple(t[1] for t in self.terms)
 
     # -- arithmetic ----------------------------------------------------
 

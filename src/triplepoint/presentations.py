@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ParameterError, ParseError, UnsupportedTypeError
+from .errors import ParameterError, ParseError, SearchFailureError, UnsupportedTypeError
 from .ideals import IdealHandle, PresentedQuotient, minors
 from .polyring import Ring
 
@@ -192,15 +192,12 @@ def nearly_gorenstein(pres: RingPresentation) -> bool:
 
 def ring_multiplicity(pres: RingPresentation) -> int:
     """e0 of the ring: colength of a found 2-generated reduction of m."""
-    from .ulrich import ReductionSearchPolicy, find_reduction
+    from .ulrich import find_reduction
 
     A = pres.quotient
     m = A.maximal_ideal()
-    policy = ReductionSearchPolicy(preferred_seeds=maximal_reduction_seed(pres.tag))
-    Q = find_reduction(A, m, policy)
+    Q = find_reduction(A, m, maximal_reduction_seed(pres.tag))
     if Q is None:
-        from .errors import SearchFailureError
-
         raise SearchFailureError(
             f"no 2-generated reduction of the maximal ideal found for {pres.tag}"
         )
@@ -237,5 +234,5 @@ def maximal_reduction_seed(tag: FamilyTag):
             (R.polynomial("z1 + z5"), R.polynomial("z2 + z3 + z4")),
             (R.polynomial("z1 - z5"), R.polynomial("z2 - z3 + z4")),
         )
-    return None
+    return ()
 

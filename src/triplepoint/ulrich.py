@@ -34,12 +34,11 @@ origin, so it never rejects: the frame decides that candidate too.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import kernel
 from .errors import ShapeError, TriplepointError
-from .ideals import IdealHandle, PresentedQuotient, _cancel_leads
-from .polyring import Polynomial
+from .ideals import IdealHandle, PresentedQuotient, _eliminate, _file_pivot, _rank
 from .presentations import (
     RDP_RING,
     FamilyTag,
@@ -58,14 +57,8 @@ class EngineInvariantError(TriplepointError):
     """A cross-check the engine guarantees internally has failed."""
 
 
-_DEFAULT_POOL = ((0, 0, 1), (1, 0, 1), (-1, 0, 1), (2, 0, 1), (-2, 0, 1), (0, 1, 1))
-
-
-@dataclass(frozen=True)
-class ReductionSearchPolicy:
-    coefficient_pool: tuple = _DEFAULT_POOL
-    max_candidates: int = 400
-    preferred_seeds: tuple | None = None  # pairs of polynomials
+# Coefficients of the generators in the search's linear combinations.
+_COEFFICIENT_POOL = ((0, 0, 1), (1, 0, 1), (-1, 0, 1), (2, 0, 1), (-2, 0, 1), (0, 1, 1))
 
 
 @dataclass(frozen=True)
@@ -123,11 +116,11 @@ def good_check(A: PresentedQuotient, I: IdealHandle, Q: IdealHandle) -> bool:
     return local.colon(I).quotient_dim() == A.colength(I)
 
 
-def _candidate_pairs(gens, policy):
+def _candidate_pairs(gens, seeds=()):
+    """Candidate reductions of (gens): the seed pairs first, then pairs of
+    generators, sums and linear combinations over ``_COEFFICIENT_POOL``."""
     n = len(gens)
-    if policy.preferred_seeds:
-        for pair in policy.preferred_seeds:
-            yield pair
+    yield from seeds
     for i, j in itertools.combinations(range(n), 2):
         yield (gens[i], gens[j])
     for i, j in itertools.combinations(range(n), 2):
@@ -143,9 +136,8 @@ def _candidate_pairs(gens, policy):
                     rest = gens[j] if rest is None else rest + gens[j]
             yield (gens[i], rest)
     ring = gens[0].ring
-    pool = [c for c in policy.coefficient_pool]
     vectors = []
-    for vec in itertools.product(pool, repeat=n):
+    for vec in itertools.product(_COEFFICIENT_POOL, repeat=n):
         if all(c == (0, 0, 1) for c in vec):
             continue
         vectors.append(vec)
@@ -162,30 +154,6 @@ def _candidate_pairs(gens, policy):
     combos = [combine(v) for v in vectors]
     for a, b in itertools.combinations(range(len(combos)), 2):
         yield (combos[a], combos[b])
-
-
-def _rank(vectors, stop=None):
-    """Rank of term lists by echelon on leading keys; stops at rank ``stop``."""
-    pivots = {}
-    for v in vectors:
-        v = _cancel_leads(v, pivots)
-        if v:
-            pivots[v[0][0]] = kernel.monic_terms(v)
-            if len(pivots) == stop:
-                break
-    return len(pivots)
-
-
-def _eliminate(row, carried, pivots):
-    """Echelon step with carried rows: while the leading key of the term list
-    ``row`` has a pivot (a monic head and its carried rows), subtract the
-    multiple of the pivot that cancels it from ``row`` and from ``carried``."""
-    while row and row[0][0] in pivots:
-        head, rows = pivots[row[0][0]]
-        c = (-row[0][2], -row[0][3], row[0][4])
-        row = kernel.add_terms(row, kernel.scale_terms(head, c))
-        carried = [kernel.add_terms(w, kernel.scale_terms(v, c)) for w, v in zip(carried, rows)]
-    return row, carried
 
 
 def _span_basis(A, I):
@@ -206,13 +174,9 @@ def _span_basis(A, I):
     pivots = {}
     for i, g in enumerate(gens):
         row = kernel.reduce_terms(g, reducers, kc)[1]
-        row, carried = _eliminate(row, [products[i, j] for j in range(n)], pivots)
+        row, carried = _eliminate(row, pivots, [products[i, j] for j in range(n)])
         if row:
-            c = kernel._sdiv(kernel.SONE, row[0][2:])
-            pivots[row[0][0]] = (
-                kernel.scale_terms(row, c),
-                [kernel.scale_terms(w, c) for w in carried],
-            )
+            _file_pivot(pivots, row, carried)
     dim = _rank(w for _, rows in pivots.values() for w in rows)
     return reducers, pivots, n, dim
 
@@ -229,17 +193,17 @@ def _spans(frame, Q):
     rows = []
     for q in Q.gens:
         row = kernel.reduce_terms(list(q.terms), reducers, kc)[1]
-        row, carried = _eliminate(row, [[]] * n, pivots)
+        row, carried = _eliminate(row, pivots, [[]] * n)
         if row:
             return None
         rows.extend(carried)
     return _rank(rows, dim) == dim
 
 
-def find_reduction(A, I, policy: ReductionSearchPolicy | None = None):
+def find_reduction(A, I, seeds=(), max_candidates=400):
     """First 2-generated Q <= I with I^2 = QI at the origin, in the order of
-    ``_candidate_pairs``; None when its first ``max_candidates`` pairs hold
-    none.
+    ``_candidate_pairs`` (the pairs ``seeds`` first); None when its first
+    ``max_candidates`` pairs hold none.
 
     One pass.  The first candidate inside I + J (J the defining ideal) is
     accepted when QI + J = I^2 + J in the ambient ring; that equality is
@@ -251,14 +215,12 @@ def find_reduction(A, I, policy: ReductionSearchPolicy | None = None):
     m*I^2 + J, a candidate costs one reduction modulo m*I + J, a
     decomposition over the frame's pivots and one rank.
     """
-    if policy is None:
-        policy = ReductionSearchPolicy()
     gens = list(I.gens)
     if not gens:
         return None
     img = A.image(I)
     frame = None
-    for q1, q2 in itertools.islice(_candidate_pairs(gens, policy), policy.max_candidates):
+    for q1, q2 in itertools.islice(_candidate_pairs(gens, seeds), max_candidates):
         if not q1 or not q2:
             continue
         Q = IdealHandle(I.ring, [q1, q2])
@@ -276,12 +238,12 @@ def find_reduction(A, I, policy: ReductionSearchPolicy | None = None):
 def ulrich_check(
     A: PresentedQuotient,
     I: IdealHandle,
-    policy: ReductionSearchPolicy | None = None,
+    seeds=(),
     tag: str = "",
 ) -> UlrichCertificate:
     length = A.colength(I)
     mu = A.min_gens(I)
-    Q = find_reduction(A, I, policy)
+    Q = find_reduction(A, I, seeds)
     if Q is None:
         return UlrichCertificate(
             tag, I, None, False, None, None, mu, length, None, VERDICT_NO_REDUCTION
@@ -341,9 +303,7 @@ def trace_shape(pres: RingPresentation):
     return v, c1
 
 
-def classify_ulrich_set(
-    pres: RingPresentation, use_seeds: bool = True, max_candidates: int = 400
-):
+def classify_ulrich_set(pres: RingPresentation, use_seeds: bool = True):
     """Certificates for every candidate above the trace ideal."""
     v, count = trace_shape(pres)
     ring = pres.ring
@@ -353,12 +313,8 @@ def classify_ulrich_set(
     for i in range(1, count + 1):
         gens = others + [ring.var(ring.names[v]) ** i]
         I = IdealHandle(ring, gens)
-        seeds = published_reduction(pres.tag, i) if use_seeds else None
-        policy = ReductionSearchPolicy(
-            preferred_seeds=(seeds,) if seeds else None,
-            max_candidates=max_candidates,
-        )
-        out.append(ulrich_check(A, I, policy, tag=f"{pres.tag}#{i}"))
+        seed = published_reduction(pres.tag, i) if use_seeds else None
+        out.append(ulrich_check(A, I, (seed,) if seed else (), tag=f"{pres.tag}#{i}"))
     return out
 
 
@@ -432,7 +388,7 @@ def _rdp_next(tag: FamilyTag):
     return ideal, seeds
 
 
-def verify_rdp_list(pres: RingPresentation, max_candidates: int = 400):
+def verify_rdp_list(pres: RingPresentation):
     """Certify every listed RDP Ulrich ideal; for A and E families also
     certify that the next pattern ideal fails the numeric criterion."""
     if pres.cm_type != 1:
@@ -441,36 +397,23 @@ def verify_rdp_list(pres: RingPresentation, max_candidates: int = 400):
     certs = []
     for k, (gens, seed) in enumerate(_rdp_listed(pres.tag), start=1):
         I = IdealHandle(RDP_RING, gens)
-        policy = ReductionSearchPolicy(preferred_seeds=(seed,), max_candidates=max_candidates)
-        certs.append(ulrich_check(A, I, policy, tag=f"{pres.tag}#{k}"))
+        certs.append(ulrich_check(A, I, (seed,), tag=f"{pres.tag}#{k}"))
     nxt = _rdp_next(pres.tag)
     next_cert = None
     if nxt is not None:
         gens, seeds = nxt
         I = IdealHandle(RDP_RING, gens)
-        policy = ReductionSearchPolicy(preferred_seeds=seeds, max_candidates=max_candidates)
-        next_cert = ulrich_check(A, I, policy, tag=f"{pres.tag}#next")
+        next_cert = ulrich_check(A, I, seeds, tag=f"{pres.tag}#next")
     return certs, next_cert
 
 
 def gorenstein_quotient_experiment(pres: RingPresentation) -> bool:
     """Is A / trace Gorenstein?  True iff the socle is one-dimensional.
 
-    The socle of the local algebra A/tr is the kernel of
-    s -> (x_1*s, ..., x_n*s) on the span of its standard monomials s, so
-    its dimension is the length minus the rank.  Each row puts the normal
-    form of x_j*s in block j, lifted above every standard key."""
-    local = pres.quotient._localized(trace_ideal(pres))
-    ring = local.ring
-    gb = [list(g.terms) for g in local.groebner()]
-    std = local._standard()
-    offset = max(map(ring.key, std)) + 1  # normal forms have standard keys only
-    rows = []
-    for e in std:
-        row = []
-        for j in range(ring.n):
-            f = e[:j] + (e[j] + 1,) + e[j + 1 :]
-            nf = kernel.reduce_terms([(ring.key(f), f, 1, 0, 1)], gb, ring.kc)[1]
-            row = [(k + j * offset, *rest) for k, *rest in nf] + row
-        rows.append(row)
-    return len(std) - _rank(rows) == 1
+    The socle of the local algebra A/tr is (tr : m)/tr, so its dimension is
+    length(A/tr) - length(A/(tr : m)).  Both are quotient dimensions of
+    ideals with no zero but the origin: the localized trace and its colon.
+    """
+    A = pres.quotient
+    local = A._localized(trace_ideal(pres))
+    return local.quotient_dim() - local.colon(A.maximal_ideal()).quotient_dim() == 1

@@ -75,6 +75,19 @@ def test_residue_table_bound():
     assert invoke("residue-table", "--max-param", "9").exit_code == 2
 
 
+def test_grid_bound_above_the_range_exit_2():
+    # each upper bound is the option's range, so all three refuse alike
+    for command, bound, text in (
+        ("residue-table", "7", "0<=x<=6"),
+        ("socle-experiment", "7", "0<=x<=6"),
+        ("quotient-sweep", "6", "2<=x<=5"),
+    ):
+        res = invoke(command, "--max-param", bound, "--json")
+        assert res.exit_code == 2, (command, res.output)
+        assert f"Invalid value for '--max-param': {bound} is not in the range {text}." in res.output
+        assert "rows" not in res.output
+
+
 def test_negative_grid_bound_exit_2():
     for command in ("residue-table", "socle-experiment"):
         res = invoke(command, "--max-param", "-1", "--json")

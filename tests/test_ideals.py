@@ -8,7 +8,7 @@ import pytest
 from triplepoint import ideals, kernel
 from triplepoint.errors import ColengthBudgetError
 from triplepoint.ideals import IdealHandle, PresentedQuotient, minors, spair_audit
-from triplepoint.polyring import Ring, elimination
+from triplepoint.polyring import Ring
 
 R = Ring(("x", "y", "z", "t"))
 x, y, z, t = R.gens()
@@ -90,11 +90,7 @@ def _random_terms(rng, ring):
     return list(ring.from_terms(pairs).terms)
 
 
-@pytest.mark.parametrize(
-    "ring",
-    [Ring(("x", "y", "z", "t")), Ring(("w", "x", "y", "z"), elimination(1))],
-    ids=["grevlex", "elimination"],
-)
+@pytest.mark.parametrize("ring", [R], ids=["grevlex"])
 def test_buchberger_matches_reference_without_criteria(ring):
     rng = random.Random(31)
     for _ in range(50):
@@ -135,15 +131,7 @@ def _monomial_heavy(rng, ring):
     return gens
 
 
-@pytest.mark.parametrize(
-    "ring",
-    [
-        Ring(("x", "y", "z", "t")),
-        Ring(("x", "y", "z", "t"), "lex"),
-        Ring(("w", "x", "y", "z"), elimination(1)),
-    ],
-    ids=["grevlex", "lex", "elimination"],
-)
+@pytest.mark.parametrize("ring", [R], ids=["grevlex"])
 def test_buchberger_matches_reference_on_monomial_heavy_inputs(ring):
     rng = random.Random(47)
     for _ in range(12):

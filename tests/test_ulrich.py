@@ -12,7 +12,6 @@ from triplepoint.ideals import IdealHandle
 from triplepoint.expectations import grid_tags
 from triplepoint.presentations import RDP_RING, RTP_RING, instantiate, trace_ideal
 from triplepoint.ulrich import (
-    ReductionSearchPolicy,
     classify_ulrich_set,
     find_reduction,
     good_check,
@@ -57,7 +56,7 @@ def test_m_squared_good_but_not_ulrich(a123):
     A = a123.quotient
     m2 = IdealHandle(R, ["x", "y", "z", "t"]).power(2)
     seed = (R.polynomial("t^2"), R.polynomial("(x + y + z)^2"))
-    cert = ulrich_check(A, m2, ReductionSearchPolicy(preferred_seeds=(seed,)))
+    cert = ulrich_check(A, m2, (seed,))
     assert cert.stable and cert.good is True
     assert cert.verdict == "good-not-ulrich"
 
@@ -160,7 +159,7 @@ def test_first_candidate_is_decided_at_the_origin():
     A = instantiate("RDP-E7").quotient
     I = IdealHandle(RDP_RING, ["x", "y^4", "z"])
     seed = (RDP_RING.polynomial("x + y^4"), RDP_RING.var("z"))
-    Q = find_reduction(A, I, ReductionSearchPolicy(preferred_seeds=(seed,), max_candidates=1))
+    Q = find_reduction(A, I, (seed,), max_candidates=1)
     assert Q is not None and Q.gens == seed
 
 
@@ -168,9 +167,7 @@ def test_find_reduction_seeded_and_unseeded():
     pres = instantiate("EX-5.2")
     A = pres.quotient
     J3 = IdealHandle(R, ["x", "y", "z", "t^3"])
-    seeded = find_reduction(
-        A, J3, ReductionSearchPolicy(preferred_seeds=((R.var("x"), R.polynomial("t^3")),))
-    )
+    seeded = find_reduction(A, J3, ((R.var("x"), R.polynomial("t^3")),))
     assert seeded is not None and {str(g) for g in seeded.gens} == {"x", "t^3"}
     unseeded = find_reduction(A, J3)
     assert unseeded is not None and is_reduction_stable(A, J3, unseeded)
@@ -341,6 +338,9 @@ def test_socle_experiment():
         # k[x, t]/(x^2, t^2): x*s and t*s share the monomial x*t, and only
         # x*t itself is in the socle
         (("x^2", "y", "z", "t^2"), True),
+        # the global quotient k[x, t]/(x^2 - x, t^2) has two points and a
+        # 2-dimensional socle; the local one at the origin is k[t]/(t^2)
+        (("x^2 - x", "y", "z", "t^2"), True),
     ],
 )
 def test_socle_experiment_on_other_traces(a123, entries, gorenstein):
@@ -401,7 +401,7 @@ def _usable(A, I, limit):
     """The first ``limit`` candidates the search would send to a check."""
     img = A.image(I)
     out = []
-    for q1, q2 in ulrich._candidate_pairs(list(I.gens), ReductionSearchPolicy()):
+    for q1, q2 in ulrich._candidate_pairs(list(I.gens)):
         if q1 and q2 and img.contains(q1) and img.contains(q2):
             Q = IdealHandle(I.ring, [q1, q2])
             if len(Q.gens) == 2:
@@ -508,7 +508,7 @@ def test_frame_membership_is_membership_in_i_plus_j(tag):
     for I in ideals_:
         frame = ulrich._span_basis(A, I)
         img = A.image(I)
-        pairs = ulrich._candidate_pairs(list(I.gens), ReductionSearchPolicy())
+        pairs = ulrich._candidate_pairs(list(I.gens))
         probes = [q for pair in itertools.islice(pairs, 100) for q in pair]
         # candidates are combinations of I's generators; these may lie
         # outside I + J, or inside it only through m*I + J
@@ -526,9 +526,9 @@ def _walks(monkeypatch):
     walks = []
     original = ulrich._candidate_pairs
 
-    def walked(gens, policy):
+    def walked(gens, seeds=()):
         walks.append([])
-        for pair in original(gens, policy):
+        for pair in original(gens, seeds):
             walks[-1].append(tuple(map(str, pair)))
             yield pair
 
@@ -545,8 +545,7 @@ def test_search_walks_the_candidates_once(monkeypatch, limit):
         for I in ideals_:
             searched += 1
             del walks[:]
-            policy = ReductionSearchPolicy(max_candidates=limit)
-            found += find_reduction(pres.quotient, I, policy) is not None
+            found += find_reduction(pres.quotient, I, max_candidates=limit) is not None
             assert len(walks) == 1 and len(walks[0]) <= limit, (tag, I)
             assert len(set(walks[0])) == len(walks[0]), (tag, I)
     # both ends occur: exhausted searches, and found reductions
@@ -571,7 +570,7 @@ def test_find_reduction_computes_no_colength(monkeypatch):
         assert find_reduction(A, I).gens == want, tag
 
 
-def _two_pass_reference(A, I, policy):
+def _two_pass_reference(A, I, max_candidates=400):
     """The search as two walks over the candidates inside I + J: ambient
     equality QI + J = I^2 + J first, then the local length witness
     length(A/I^2) = length(A/Q) + 2*length(A/I)."""
@@ -587,8 +586,8 @@ def _two_pass_reference(A, I, policy):
         return A.colength(I_sq) == A.colength(Q) + 2 * A.colength(I)
 
     for check in (ambient, witness):
-        pairs = ulrich._candidate_pairs(list(I.gens), policy)
-        for q1, q2 in itertools.islice(pairs, policy.max_candidates):
+        pairs = ulrich._candidate_pairs(list(I.gens))
+        for q1, q2 in itertools.islice(pairs, max_candidates):
             if q1 and q2 and img.contains(q1) and img.contains(q2):
                 Q = IdealHandle(I.ring, [q1, q2])
                 if check(Q):
@@ -604,8 +603,7 @@ def _two_pass_reference(A, I, policy):
 def test_one_pass_matches_the_two_pass_reference(tag):
     pres, ideals_ = _span_audit_ideals(tag)
     A = pres.quotient
-    policy = ReductionSearchPolicy()
     for I in ideals_:
-        want = _two_pass_reference(A, I, policy)
-        got = find_reduction(A, I, policy)
+        want = _two_pass_reference(A, I)
+        got = find_reduction(A, I)
         assert (got and got.gens) == (want and want.gens), (tag, I)
