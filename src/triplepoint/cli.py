@@ -486,7 +486,9 @@ def _render_rdp(d):
 @click.option("--json", "as_json", is_flag=True)
 def cmd_socle(tag, max_param, as_json):
     """Is the quotient by the trace ideal Gorenstein?  (Experiment: no
-    expected values, output is informational.)"""
+    expected values, output is informational.)  Only CM type 2 rings have
+    the trace ideal: the grid skips the others, and a single --tag of
+    another type is an input error."""
 
     def work():
         tags = [parse_tag(tag)] if tag else exp.grid_tags(max_param)
@@ -494,6 +496,10 @@ def cmd_socle(tag, max_param, as_json):
         for ftag in tags:
             pres = instantiate(ftag)
             if pres.cm_type != 2:
+                if tag:
+                    raise ParameterError(
+                        f"socle-experiment needs CM type 2, and {ftag} has type {pres.cm_type}"
+                    )
                 continue
             rows.append(
                 {

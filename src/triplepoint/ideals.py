@@ -21,11 +21,17 @@ length.  A colon K : L with k[x]/K finite is linear algebra on the
 standard monomials of K (the multiplication-matrix idea of FGLM).  An
 infinite global quotient raises ``ColengthBudgetError``.
 
+Each verdict on a candidate ideal I is linear algebra in one finite
+algebra, A/(m*I^2 + J) at the origin (``FiniteAlgebra``), on the
+standard monomials of its localized basis.
+
 Work is cached on the objects that own it, never in module globals: an
 ``IdealHandle`` keeps its reduced basis and standard monomials for its
 lifetime, and a ``PresentedQuotient`` keeps one image handle per
-generator tuple and one localized handle per image basis for its
-lifetime.  The CLI builds one presentation per command, so nothing
+generator tuple, one localized handle per image basis and one finite
+algebra per generator tuple for its lifetime; an algebra keeps its memo
+of monomial normal forms, so each distinct monomial is reduced once per
+ideal.  The CLI builds one presentation per command, so nothing
 accumulates across commands.
 """
 
@@ -272,7 +278,7 @@ class IdealHandle:
             for j, g in enumerate(other.gens, start=1):
                 prod = kernel.mono_mul_terms(list(g.terms), k, e, kernel.SONE, kc)
                 nf = kernel.reduce_terms(prod, gb, kc)[1]
-                row = [(t[0] + j * offset, t[1], t[2], t[3], t[4]) for t in nf] + row
+                row = _lift(nf, j * offset) + row
             row, _ = _eliminate(row, pivots)
             if row[0][0] >= offset:
                 _file_pivot(pivots, row)
@@ -289,11 +295,11 @@ class IdealHandle:
 
 # -- echelon on term lists ---------------------------------------------
 #
-# Finite-algebra linear algebra (the colon, the rank of a set of rows, the
-# span test of the reduction search) runs on term lists as rows, with the
-# leading key as the pivot column.  A pivot is a monic head plus the rows it
-# carries: the rows that follow every step applied to the head (the colon and
-# the rank carry none).
+# Finite-algebra linear algebra (the colon, and every subspace of a
+# ``FiniteAlgebra``) runs on term lists as rows, with the leading key as the
+# pivot column.  A pivot is a monic head plus the rows it carries: the rows
+# that follow every step applied to the head (only the generators' pivots of
+# the span test carry any).
 
 
 def _eliminate(row, pivots, carried=()):
@@ -320,16 +326,23 @@ def _file_pivot(pivots, row, carried=()):
     pivots[row[0][0]] = (kernel.monic_terms(row), carried)
 
 
-def _rank(vectors, stop=None):
-    """Rank of term lists by echelon on leading keys; stops at rank ``stop``."""
-    pivots = {}
-    for v in vectors:
-        v, _ = _eliminate(v, pivots)
-        if v:
-            _file_pivot(pivots, v)
+def _echelon(rows, pivots=None, stop=None):
+    """Echelon of term lists on leading keys: file each row that the pivots
+    so far (``pivots``, none by default) leave nonzero, until there are
+    ``stop`` pivots.  Returns the pivots; their number is the rank."""
+    pivots = {} if pivots is None else pivots
+    for row in rows:
+        row, _ = _eliminate(row, pivots)
+        if row:
+            _file_pivot(pivots, row)
             if len(pivots) == stop:
                 break
-    return len(pivots)
+    return pivots
+
+
+def _lift(row, shift):
+    """The term list ``row`` with every key raised by ``shift``."""
+    return [(t[0] + shift,) + t[1:] for t in row]
 
 
 def _from_basis(ring: Ring, basis) -> IdealHandle:
@@ -450,11 +463,11 @@ class PresentedQuotient:
     computations run in the polynomial ring.
 
     The quotient keeps, for its lifetime, one image handle per generator
-    tuple (so each image's reduced basis is computed once) and one
-    localized handle per image basis.
+    tuple (so each image's reduced basis is computed once), one localized
+    handle per image basis and one ``FiniteAlgebra`` per generator tuple.
     """
 
-    __slots__ = ("ring", "defining", "_maximal", "_images", "_local")
+    __slots__ = ("ring", "defining", "_maximal", "_images", "_local", "_algebras")
 
     def __init__(self, ring: Ring, defining: IdealHandle):
         self.ring = ring
@@ -468,6 +481,7 @@ class PresentedQuotient:
         self._maximal = None
         self._images = {}
         self._local = {}
+        self._algebras = {}
 
     def maximal_ideal(self) -> IdealHandle:
         if self._maximal is None:
@@ -480,9 +494,6 @@ class PresentedQuotient:
             img = self._images[ideal.gens] = ideal + self.defining
             self._images[img.gens] = img  # an image is its own image
         return img
-
-    def image_equal(self, I: IdealHandle, J: IdealHandle) -> bool:
-        return self.image(I).equals(self.image(J))
 
     def colength(self, ideal: IdealHandle) -> int:
         """Length of (local ring)/(ideal) at the origin."""
@@ -498,7 +509,122 @@ class PresentedQuotient:
             local = self._local[gb] = _localize(img)
         return local
 
+    def algebra(self, ideal: IdealHandle) -> FiniteAlgebra:
+        """The finite algebra of ``ideal`` (see ``FiniteAlgebra``); one per
+        generator tuple."""
+        alg = self._algebras.get(ideal.gens)
+        if alg is None:
+            alg = self._algebras[ideal.gens] = FiniteAlgebra(self, ideal)
+        return alg
+
     def min_gens(self, ideal: IdealHandle) -> int:
         """Minimal number of generators of the image of ``ideal``."""
-        m_ideal = self.maximal_ideal().product(ideal)
-        return self.colength(m_ideal) - self.colength(ideal)
+        return self.algebra(ideal).mu
+
+
+class FiniteAlgebra:
+    """B = A/L at the origin, L = m*I^2 + J, for I = (g_1, ..., g_n) in
+    A = k[x]/J; its k-basis is the standard monomials s of the localized L.
+
+    An ideal K containing L at the origin is the span K/L of the normal
+    forms NF(s*k), k generating K, and ell(A/K) = dim B - dim K/L: the
+    NF(s*g_j) span I/L, those with s != 1 span m*I/L, and the NF(g_i*g_j)
+    span W = I^2/L.  A normal form is linear, so NF(s*p) sums c*NF(s*u)
+    over the terms c*u of p, and each monomial is reduced once (a memo).
+    I/L's echelon, the span test's frame (see ``ulrich``), files the rows
+    with s != 1 first, then each NF(g_i) carrying its W-rows NF(g_i*g_j).
+    """
+
+    __slots__ = ("dim", "length", "mu", "square_length", "_basis", "_kc", "_memo",
+                 "_standard", "_rows", "_pivots", "_squares", "_w_dim", "_spans")
+
+    def __init__(self, A: PresentedQuotient, I: IdealHandle):
+        ring = A.ring
+        local = A._localized(A.maximal_ideal().product(I.power(2)))
+        self._basis = [list(g.terms) for g in local.groebner()]
+        self._kc = ring.kc
+        self._standard = sorted((ring.key(e), e) for e in local._standard())  # 1 first
+        self._memo = {e: [(k, e, 1, 0, 1)] for k, e in self._standard}
+        self.dim = len(self._standard)
+        gens = [list(g.terms) for g in I.gens]
+        n = len(gens)
+        self._rows = [[self._shifted(g, k, e) for g in gens] for k, e in self._standard]
+        products = {}
+        for i, j in itertools.combinations_with_replacement(range(n), 2):
+            products[i, j] = products[j, i] = self._nf(kernel.mul_terms(gens[i], gens[j], ring.kc))
+        pivots = _echelon(itertools.chain.from_iterable(self._rows[1:]))
+        m_dim = len(pivots)
+        for i, row in enumerate(self._rows[0]):
+            row, carried = _eliminate(row, pivots, [products[i, j] for j in range(n)])
+            if row:
+                _file_pivot(pivots, row, carried)
+        self._pivots = pivots
+        self.length = self.dim - len(pivots)
+        self.mu = len(pivots) - m_dim
+        self._squares = [products[i, j] for i in range(n) for j in range(i, n)]
+        self._w_dim = len(_echelon(self._squares))
+        self.square_length = self.dim - self._w_dim
+        self._spans = {}
+
+    def _shifted(self, p, mkey, mexp):
+        """NF(X^mexp * p) for a term list p; X^mexp has key ``mkey``."""
+        kc, memo = self._kc, self._memo
+        out = []
+        for k, e, a, b, d in p:
+            f = tuple(x + y for x, y in zip(e, mexp))
+            nf = memo.get(f)
+            if nf is None:
+                mono = [(k + mkey - kc, f, 1, 0, 1)]
+                nf = memo[f] = kernel.reduce_terms(mono, self._basis, kc)[1]
+            if nf:
+                if a != 1 or b or d != 1:
+                    nf = kernel.scale_terms(nf, (a, b, d))
+                out = kernel.add_terms(out, nf) if out else nf
+        return out
+
+    def _nf(self, p):
+        return self._shifted(p, *self._standard[0])
+
+    def _span(self, Q: IdealHandle):
+        """Echelon of (Q + L)/L, spanned by the NF(s*q); one per Q."""
+        pivots = self._spans.get(Q.gens)
+        if pivots is None:
+            qs = [list(q.terms) for q in Q.gens]
+            rows = (self._shifted(q, k, e) for k, e in self._standard for q in qs)
+            pivots = self._spans[Q.gens] = _echelon(rows)
+        return pivots
+
+    def spans(self, Q: IdealHandle):
+        """The span test: do the q*g_j (q in Q) span W?  None when some q
+        lies outside I at the origin.  NF(q) is decomposed over the frame,
+        and its W-rows are minus the same combination of the carried rows."""
+        rows = []
+        for q in Q.gens:
+            row, carried = _eliminate(self._nf(list(q.terms)), self._pivots, [[]] * len(self._rows[0]))
+            if row:
+                return None
+            rows.extend(carried)
+        return len(_echelon(rows, stop=self._w_dim)) == self._w_dim
+
+    def colength(self, Q: IdealHandle) -> int:
+        """ell(A/(Q + L)): ell(A/Q) when Q contains L, as a reduction does."""
+        return self.dim - len(self._span(Q))
+
+    def is_good(self, Q: IdealHandle) -> bool:
+        """Q : I == I at the origin.  Q : I contains I exactly when W lies in
+        (Q + L)/L (then I^2 lies in Q + m*I^2, so in Q by Nakayama, as does
+        L), and then the two are equal exactly when ell(A/(Q : I)), the rank
+        of s -> (NF(s*g_j) mod Q)_j with each g_j block lifted above the
+        last, equals ell(A/I)."""
+        span = self._span(Q)
+        if any(_eliminate(w, span)[0] for w in self._squares):
+            return False
+        offset = self._standard[-1][0] + 1  # normal forms have standard keys only
+        blocks = range(len(self._rows[0]), 0, -1)  # highest first
+        pivots = {}
+        for j in blocks:
+            for head, _ in span.values():
+                pivots[head[0][0] + j * offset] = (_lift(head, j * offset), ())
+        filed = len(pivots)
+        rows = ([t for j in blocks for t in _lift(nfs[j - 1], j * offset)] for nfs in self._rows)
+        return len(_echelon(rows, pivots)) - filed == self.length

@@ -9,6 +9,7 @@ plus the defining ideal.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import ParameterError, ParseError, SearchFailureError, UnsupportedTypeError
@@ -21,6 +22,7 @@ QUOT5_RING = Ring(("z1", "z2", "z3", "z4", "z5"))
 
 _RTP_FAMILIES = ("A", "B", "C", "D", "F", "H", "Gamma1", "Gamma2", "Gamma3")
 _RDP_FAMILIES = ("RDP-A", "RDP-D", "RDP-E6", "RDP-E7", "RDP-E8")
+_PARAMS = re.compile("[0-9]+(?:,[0-9]+)*")
 
 
 @dataclass(frozen=True)
@@ -47,11 +49,15 @@ class RingPresentation:
 
 
 def parse_tag(text: str) -> FamilyTag:
+    """``NAME`` or ``NAME:p1,...,pk``, each parameter ASCII digits only (no
+    sign, space, underscore or other script, all of which ``int`` takes)."""
     text = text.strip()
     if ":" in text:
         name, _, rest = text.partition(":")
         try:
-            params = tuple(int(p) for p in rest.split(","))
+            if not _PARAMS.fullmatch(rest):
+                raise ValueError(rest)
+            params = tuple(map(int, rest.split(",")))  # too many digits: ValueError
         except ValueError as exc:
             raise ParseError(f"bad parameters in tag {text!r}") from exc
     else:
@@ -191,7 +197,8 @@ def nearly_gorenstein(pres: RingPresentation) -> bool:
 
 
 def ring_multiplicity(pres: RingPresentation) -> int:
-    """e0 of the ring: colength of a found 2-generated reduction of m."""
+    """e0 of the ring: colength of a found 2-generated reduction of m, read
+    off the finite algebra of m."""
     from .ulrich import find_reduction
 
     A = pres.quotient
@@ -201,7 +208,7 @@ def ring_multiplicity(pres: RingPresentation) -> int:
         raise SearchFailureError(
             f"no 2-generated reduction of the maximal ideal found for {pres.tag}"
         )
-    return A.colength(Q)
+    return A.algebra(m).colength(Q)
 
 
 def published_reduction(tag: FamilyTag, i: int):

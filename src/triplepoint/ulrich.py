@@ -11,24 +11,22 @@ Absence of a reduction is never read as "not Ulrich": the search is a
 bounded heuristic, so such candidates get the verdict
 ``no-reduction-found``.
 
-The reduction search decides candidates in one pass, by linear algebra.
-For Q inside I + J (J the defining ideal), QI + J lies in I^2 + J, and by
-Nakayama the two agree at the origin exactly when the products q*g
-(q in Q, g in I) span the finite-dimensional space
-W = (I^2 + J)/(m*I^2 + J), the degree-2 part of the fiber cone of I
-(Northcott & Rees 1954).  The test is linear in q: any q in I + J is
-sum c_i*g_i modulo m*I + J with constants c_i (the g_i generate I), so
-q*g_j = sum c_i*g_i*g_j modulo m*I^2 + J.  One frame per I holds the
-reduced basis of m*I + J and an echelon of the g_i's normal forms modulo
-it, each pivot carrying the normal forms of its products with every g_j
-modulo m*I^2 + J.  A candidate then costs, for each q, one reduction
-modulo m*I + J and one decomposition over the pivots (it fails exactly
-when q is outside I + J), and one rank of the combined rows.
+Every verdict on I is linear algebra in one finite algebra
+B = A/(m*I^2 + J) at the origin (``ideals.FiniteAlgebra``, J the defining
+ideal), built once per I: length(A/I), mu(I), length(A/I^2), e0 and
+"good" are dimensions of subspaces of B.  No equality of ideals in the
+ambient ring, which components away from the origin could spoil, decides
+anything.
 
-Ambient equality QI + J = I^2 + J implies the span, so the first
-candidate is accepted on it without a frame (seeded searches stop there);
-a failed ambient check can be spoiled by components away from the
-origin, so it never rejects: the frame decides that candidate too.
+The reduction search decides candidates in one pass.  For Q inside I, by
+Nakayama QI = I^2 at the origin exactly when the products q*g (q in Q,
+g in I) span W = I^2/(m*I^2 + J), the degree-2 part of the fiber cone
+(Northcott & Rees 1954).  The test is linear in q: q = sum c_i*g_i modulo
+m*I with constants c_i, so q*g_j = sum c_i*g_i*g_j modulo m*I^2.  The
+frame is B's echelon of I, each generator's pivot carrying its products
+with every g_j; a candidate costs, for each q, one normal form and one
+decomposition over the pivots (failing exactly when q is outside I at the
+origin), and one rank.
 """
 
 from __future__ import annotations
@@ -36,9 +34,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from . import kernel
 from .errors import ShapeError, TriplepointError
-from .ideals import IdealHandle, PresentedQuotient, _eliminate, _file_pivot, _rank
+from .ideals import IdealHandle, PresentedQuotient
 from .presentations import (
     RDP_RING,
     FamilyTag,
@@ -92,28 +89,19 @@ class UlrichCertificate:
 
 
 def is_reduction_stable(A: PresentedQuotient, I: IdealHandle, Q: IdealHandle) -> bool:
-    """I^2 == QI at the origin, for a 2-generated Q inside I + J (J the
-    defining ideal): the span test of the reduction search."""
+    """I^2 == QI at the origin, for a 2-generated Q inside I at the origin:
+    the span test of the reduction search."""
     if len(Q.gens) != 2:
         raise ValueError("reduction must have exactly 2 generators")
-    spans = _spans(_span_basis(A, I), Q)
+    spans = A.algebra(I).spans(Q)
     if spans is None:
         raise ValueError("reduction candidate is not inside the ideal")
     return spans
 
 
 def good_check(A: PresentedQuotient, I: IdealHandle, Q: IdealHandle) -> bool:
-    """Q : I == I at the origin.
-
-    Localized, Q + J (J the defining ideal) is supported at the origin
-    only, so Q : I is a colon in a finite algebra.  It contains I exactly
-    when I^2 lies in Q there, and then the two are equal exactly when their
-    colengths are.
-    """
-    local = A._localized(Q)
-    if not all(local.contains(g) for g in I.power(2).gens):
-        return False
-    return local.colon(I).quotient_dim() == A.colength(I)
+    """Q : I == I at the origin, decided on I's finite algebra."""
+    return A.algebra(I).is_good(Q)
 
 
 def _candidate_pairs(gens, seeds=()):
@@ -156,81 +144,25 @@ def _candidate_pairs(gens, seeds=()):
         yield (combos[a], combos[b])
 
 
-def _span_basis(A, I):
-    """Frame of the span test for I (module docstring): the reduced basis of
-    m*I + J, the echelon of the generators' normal forms modulo it, where
-    each pivot carries its W-rows (the normal forms modulo m*I^2 + J of its
-    products with every generator), the number of generators, and dim W."""
-    kc = A.ring.kc
-    m = A.maximal_ideal()
-    reducers = [list(g.terms) for g in A.image(m.product(I)).groebner()]
-    large = [list(g.terms) for g in A.image(m.product(I.power(2))).groebner()]
-    gens = [list(g.terms) for g in I.gens]
-    n = len(gens)
-    products = {}
-    for i, j in itertools.combinations_with_replacement(range(n), 2):
-        nf = kernel.reduce_terms(kernel.mul_terms(gens[i], gens[j], kc), large, kc)[1]
-        products[i, j] = products[j, i] = nf
-    pivots = {}
-    for i, g in enumerate(gens):
-        row = kernel.reduce_terms(g, reducers, kc)[1]
-        row, carried = _eliminate(row, pivots, [products[i, j] for j in range(n)])
-        if row:
-            _file_pivot(pivots, row, carried)
-    dim = _rank(w for _, rows in pivots.values() for w in rows)
-    return reducers, pivots, n, dim
-
-
-def _spans(frame, Q):
-    """Do the products q*g (q in Q, g in I) span W?  None when a generator
-    of Q lies outside I + J.  ``frame`` comes from ``_span_basis(A, I)``.
-
-    The normal form of q modulo m*I + J is decomposed over the pivots; its
-    W-rows are then the same combination of the pivots' W-rows (up to sign,
-    which leaves the rank alone), so no product is formed here."""
-    reducers, pivots, n, dim = frame
-    kc = Q.ring.kc
-    rows = []
-    for q in Q.gens:
-        row = kernel.reduce_terms(list(q.terms), reducers, kc)[1]
-        row, carried = _eliminate(row, pivots, [[]] * n)
-        if row:
-            return None
-        rows.extend(carried)
-    return _rank(rows, dim) == dim
-
-
 def find_reduction(A, I, seeds=(), max_candidates=400):
     """First 2-generated Q <= I with I^2 = QI at the origin, in the order of
     ``_candidate_pairs`` (the pairs ``seeds`` first); None when its first
     ``max_candidates`` pairs hold none.
 
-    One pass.  The first candidate inside I + J (J the defining ideal) is
-    accepted when QI + J = I^2 + J in the ambient ring; that equality is
-    sound when it holds, and seeded searches stop there without a frame.
-    Otherwise the frame of ``_span_basis`` is built once, and it decides
-    that candidate and every later one alone: membership in I + J and the
-    span test of the module docstring, both linear algebra with no
-    Groebner basis per candidate.  By linearity of q -> q*g modulo
-    m*I^2 + J, a candidate costs one reduction modulo m*I + J, a
-    decomposition over the frame's pivots and one rank.
+    One pass over the candidates, each decided in I's finite algebra by
+    the span test of the module docstring (a candidate outside I at the
+    origin is skipped): linear algebra, with no Groebner basis per
+    candidate.
     """
     gens = list(I.gens)
     if not gens:
         return None
-    img = A.image(I)
-    frame = None
+    B = A.algebra(I)
     for q1, q2 in itertools.islice(_candidate_pairs(gens, seeds), max_candidates):
         if not q1 or not q2:
             continue
         Q = IdealHandle(I.ring, [q1, q2])
-        if frame is None:
-            if not (img.contains(q1) and img.contains(q2)):
-                continue
-            if A.image_equal(I.power(2), Q.product(I)):
-                return Q
-            frame = _span_basis(A, I)
-        if _spans(frame, Q):
+        if B.spans(Q):
             return Q
     return None
 
@@ -241,17 +173,16 @@ def ulrich_check(
     seeds=(),
     tag: str = "",
 ) -> UlrichCertificate:
-    length = A.colength(I)
-    mu = A.min_gens(I)
+    B = A.algebra(I)
+    length, mu = B.length, B.mu
     Q = find_reduction(A, I, seeds)
     if Q is None:
         return UlrichCertificate(
             tag, I, None, False, None, None, mu, length, None, VERDICT_NO_REDUCTION
         )
-    e0 = A.colength(Q)
+    e0 = B.colength(Q)
     numeric = e0 == (mu - 1) * length
-    len_sq = A.colength(I.power(2))
-    free_test = (len_sq - length) == mu * length
+    free_test = (B.square_length - length) == mu * length
     if numeric != free_test:
         raise EngineInvariantError(
             f"freeness cross-check disagrees with numeric criterion for {tag or I!r}"

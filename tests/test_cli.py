@@ -254,3 +254,20 @@ def test_socle_experiment_single():
 def test_byte_identical_json_across_runs():
     outs = {invoke("graph", "chains", "--tag", "H:8").output for _ in range(3)}
     assert len(outs) == 1
+
+
+def test_socle_experiment_refuses_a_tag_without_trace_exit_2():
+    # the experiment needs CM type 2; the grid skips other rings, but a
+    # single tag it cannot answer is bad input, not an empty run
+    for argv in (("--tag", "RDP-E7"), ("--tag", "EX-5.3", "--json")):
+        res = invoke("socle-experiment", *argv)
+        assert res.exit_code == 2, (argv, res.output)
+        assert res.stdout == ""
+        assert "input error: socle-experiment needs CM type 2" in res.stderr
+
+
+def test_tag_parameters_other_than_ascii_digits_exit_2():
+    for tag in ("A:1,2,1_0", "A:+1,2,3", "A:-0,1,2", "D: 3", "A:\u0661,2,3"):
+        res = invoke("classify", "--tag", tag)
+        assert res.exit_code == 2, (tag, res.output)
+        assert res.stdout == "" and "bad parameters in tag" in res.stderr

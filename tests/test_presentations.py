@@ -1,8 +1,15 @@
 """Catalog presentations: printed generators, traces, residues."""
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
-from triplepoint.errors import ParameterError, UnsupportedTypeError
+from triplepoint.errors import (
+    ExponentRangeError,
+    ParameterError,
+    ParseError,
+    UnsupportedTypeError,
+)
 from triplepoint.expectations import (
     grid_tags,
     nearly_gorenstein_expected,
@@ -140,3 +147,36 @@ def test_nearly_gorenstein_expected_small():
 )
 def test_ring_multiplicity(tag, expected):
     assert ring_multiplicity(instantiate(tag)) == expected
+
+
+@pytest.mark.parametrize(
+    "text", ["A:1,2,1_0", "A:+1,2,3", "A:-0,1,2", "D: 3", "A:\u0661,2,3", "D:" + "9" * 5000]
+)
+def test_parse_tag_takes_ascii_digits_only(text):
+    with pytest.raises(ParseError):
+        parse_tag(text)
+
+
+# Family names joined to parameter texts drawn from characters that int()
+# would read in part (signs, underscores, spaces, non-ASCII digits).
+_TAG_TEXTS = st.one_of(
+    st.text(max_size=16),
+    st.builds(
+        lambda name, sep, params: name + sep + params,
+        st.sampled_from(["A", "B", "C", "D", "F", "H", "Gamma1", "EX-5.2", "EX-5.3",
+                         "RDP-A", "RDP-D", "RDP-E7", "cyclic", ""]),
+        st.sampled_from([":", "", " :"]),
+        st.text(alphabet="0123456789,+-_ \u0661", max_size=12),
+    ),
+)
+
+
+@seed(20261018)
+@settings(max_examples=250, deadline=None, database=None)
+@given(_TAG_TEXTS)
+def test_tag_input_boundary_raises_only_input_errors(text):
+    # a tag either builds its presentation or is refused as input (exit 2)
+    try:
+        instantiate(parse_tag(text))
+    except (ParseError, ParameterError, ExponentRangeError):
+        pass

@@ -5,7 +5,7 @@ import itertools
 import pytest
 from click.testing import CliRunner
 
-from triplepoint import ideals, ulrich
+from triplepoint import expectations, ideals, ulrich
 from triplepoint.cli import main
 from triplepoint.errors import ShapeError
 from triplepoint.ideals import IdealHandle
@@ -123,11 +123,10 @@ def test_good_check_is_false_when_i_squared_is_not_in_q(a123):
     assert good_check(A, I, Q) is False
 
 
-def test_good_check_after_e0_computes_no_basis_but_the_colon(monkeypatch, a123):
+def test_good_check_after_e0_computes_no_basis(monkeypatch, a123):
     A = a123.quotient
     I = IdealHandle(R, ["x", "y", "z", "t^2"])
-    Q = find_reduction(A, I)
-    A.colength(Q)  # e0, as ulrich_check computes it first
+    Q = ulrich_check(A, I).reduction  # e0 and "good" on I's algebra
     inputs = []
     original = ideals._groebner_terms
 
@@ -137,8 +136,8 @@ def test_good_check_after_e0_computes_no_basis_but_the_colon(monkeypatch, a123):
 
     monkeypatch.setattr(ideals, "_groebner_terms", counted)
     assert good_check(A, I, Q) is True
-    # only the colon's interreduction runs: its whole input is a basis
-    assert inputs and all(n == prefix for n, prefix in inputs)
+    # the colon is linear algebra on the algebra the check built
+    assert inputs == []
 
 
 def test_e7_next_ideal_is_decided_locally():
@@ -147,15 +146,15 @@ def test_e7_next_ideal_is_decided_locally():
     A = instantiate("RDP-E7").quotient
     I = IdealHandle(RDP_RING, ["x", "y^4", "z"])
     Q = IdealHandle(RDP_RING, ["x + y^4", "z"])
-    assert not A.image_equal(I.power(2), Q.product(I))
+    assert not A.image(I.power(2)).equals(A.image(Q.product(I)))
     assert A.image(Q).quotient_dim() == 12
     assert A.colength(Q) == 7
     assert good_check(A, I, Q) is False
 
 
 def test_first_candidate_is_decided_at_the_origin():
-    # the seed fails the ambient check but is a reduction at the origin, so
-    # the frame accepts it before any later candidate is tried
+    # the seed fails an ambient equality check but is a reduction at the
+    # origin, so the span test accepts it before any later candidate is tried
     A = instantiate("RDP-E7").quotient
     I = IdealHandle(RDP_RING, ["x", "y^4", "z"])
     seed = (RDP_RING.polynomial("x + y^4"), RDP_RING.var("z"))
@@ -421,9 +420,9 @@ def test_span_test_agrees_with_both_checks(tag):
     local_values = set()
     for I in ideals_:
         I_sq = I.power(2)
-        span = ulrich._span_basis(A, I)
+        B = A.algebra(I)
         for Q in _usable(A, I, 30):
-            spanned = ulrich._spans(span, Q)
+            spanned = B.spans(Q)
             spans += spanned
             if A.image(I_sq).equals(A.image(Q.product(I))):
                 stable += 1
@@ -436,15 +435,16 @@ def test_span_test_agrees_with_both_checks(tag):
     assert 0 < stable <= spans and local_values == {True, False}
 
 
-def _count_span_bases(monkeypatch):
-    built = []
-    original = ulrich._span_basis
+def _count_algebras(monkeypatch):
+    """Record the ideal of every finite algebra built, keyed by the algebra."""
+    built = {}
+    original = ideals.FiniteAlgebra.__init__
 
-    def counted(A, I):
-        built.append(I)
-        return original(A, I)
+    def counted(self, A, I):
+        original(self, A, I)
+        built[self] = I
 
-    monkeypatch.setattr(ulrich, "_span_basis", counted)
+    monkeypatch.setattr(ideals.FiniteAlgebra, "__init__", counted)
     return built
 
 
@@ -455,27 +455,23 @@ def _count_span_bases(monkeypatch):
         ("classify", "--tag", "RDP-D:6"),
     ],
 )
-def test_seeded_search_builds_no_span_basis(monkeypatch, argv):
-    built = _count_span_bases(monkeypatch)
+def test_seeded_command_builds_one_algebra_per_ideal(monkeypatch, argv):
+    built = _count_algebras(monkeypatch)
     res = CliRunner().invoke(main, list(argv))
     assert res.exit_code == 0, res.output
-    assert built == []
+    ideals_ = [I.gens for I in built.values()]
+    assert ideals_ and len(set(ideals_)) == len(ideals_)
 
 
 def test_span_rejected_candidates_get_no_groebner_basis(monkeypatch):
-    built = _count_span_bases(monkeypatch)
+    built = _count_algebras(monkeypatch)
     rejected = []
-    original_spans = ulrich._spans
+    original_spans = ideals.FiniteAlgebra.spans
 
-    decided = set()  # frames that have decided their first candidate
-
-    def spans(span, Q):
-        # a frame's first candidate had its ambient check before the frame
-        # was built; every later one is decided by the span test alone
-        ok = original_spans(span, Q)
-        if not ok and len(built) in decided:
-            rejected.append((Q, built[-1]))  # the frame in use is the last built
-        decided.add(len(built))
+    def spans(self, Q):
+        ok = original_spans(self, Q)
+        if ok is False:
+            rejected.append((Q, built[self]))
         return ok
 
     inputs = set()
@@ -485,7 +481,7 @@ def test_span_rejected_candidates_get_no_groebner_basis(monkeypatch):
         inputs.add(tuple(map(tuple, gens)))
         return original_gb(gens, ring, assume_prefix)
 
-    monkeypatch.setattr(ulrich, "_spans", spans)
+    monkeypatch.setattr(ideals.FiniteAlgebra, "spans", spans)
     monkeypatch.setattr(ideals, "_groebner_terms", recorded)
     res = CliRunner().invoke(main, ["classify", "--tag", "A:1,2,3", "--seed-reductions", "off"])
     assert res.exit_code == 0, res.output
@@ -501,13 +497,15 @@ def test_span_rejected_candidates_get_no_groebner_basis(monkeypatch):
 
 @pytest.mark.parametrize("tag", ["RDP-E7", "RDP-D:6", "H:5", "A:1,2,3"])
 def test_frame_membership_is_membership_in_i_plus_j(tag):
+    # membership in I + J at the origin: q is inside exactly when adding it
+    # leaves the local length of A/I alone
     pres, ideals_ = _span_audit_ideals(tag)
     A = pres.quotient
     seen = set()
     ring = pres.ring
     for I in ideals_:
-        frame = ulrich._span_basis(A, I)
-        img = A.image(I)
+        B = A.algebra(I)
+        length = A.colength(I)
         pairs = ulrich._candidate_pairs(list(I.gens))
         probes = [q for pair in itertools.islice(pairs, 100) for q in pair]
         # candidates are combinations of I's generators; these may lie
@@ -515,8 +513,8 @@ def test_frame_membership_is_membership_in_i_plus_j(tag):
         probes += list(ring.gens()) + [v * v for v in ring.gens()] + list(A.defining.gens)
         probes += [v * I.gens[0] + I.gens[-1] for v in ring.gens()]
         for q in filter(None, probes):
-            inside = ulrich._spans(frame, IdealHandle(ring, [q])) is not None
-            assert inside == img.contains(q), (tag, I, q)
+            inside = B.spans(IdealHandle(ring, [q])) is not None
+            assert inside == (A.colength(I + IdealHandle(ring, [q])) == length), (tag, I, q)
             seen.add(inside)
     assert seen == {True, False}
 
@@ -578,7 +576,7 @@ def _two_pass_reference(A, I, max_candidates=400):
     I_sq = I.power(2)
 
     def ambient(Q):
-        return A.image_equal(I_sq, Q.product(I))
+        return A.image(I_sq).equals(A.image(Q.product(I)))
 
     def witness(Q):
         if A.image(Q).quotient_dim() is None:
@@ -607,3 +605,49 @@ def test_one_pass_matches_the_two_pass_reference(tag):
         want = _two_pass_reference(A, I)
         got = find_reduction(A, I)
         assert (got and got.gens) == (want and want.gens), (tag, I)
+
+
+# -- certificates against the Groebner-basis formulas -------------------------
+
+
+def _reference_values(A, cert):
+    """(length, mu, e0, free_test, good) of a certificate by Groebner bases
+    of each ideal: colengths of I, m*I, Q and I^2, and "good" by the colon
+    in the localized Q."""
+    I, Q = cert.ideal, cert.reduction
+    length = A.colength(I)
+    mu = A.colength(A.maximal_ideal().product(I)) - length
+    if Q is None:
+        return length, mu, None, None, None
+    free_test = A.colength(I.power(2)) - length == mu * length
+    local = A._localized(Q)
+    good = all(local.contains(g) for g in I.power(2).gens)
+    good = good and local.colon(I).quotient_dim() == length
+    return length, mu, A.colength(Q), free_test, good
+
+
+def _reference_cases():
+    for tag in grid_tags(3):
+        pres = instantiate(tag)
+        try:
+            trace_shape(pres)
+        except ShapeError:
+            continue
+        yield from ((pres.quotient, c) for c in classify_ulrich_set(pres))
+    for tag in expectations.rdp_grid():
+        pres = instantiate(tag)
+        certs, nxt = verify_rdp_list(pres)
+        yield from ((pres.quotient, c) for c in certs + ([nxt] if nxt else []))
+    A = instantiate("A:1,2,3").quotient
+    m2 = A.maximal_ideal().power(2)
+    yield A, ulrich_check(A, m2, ((R.polynomial("t^2"), R.polynomial("(x + y + z)^2")),))
+    yield A, ulrich_check(A, IdealHandle(R, ["x^2 - x", "y", "z", "t"]))
+
+
+def test_certificates_match_the_groebner_reference():
+    verdicts = set()
+    for A, cert in _reference_cases():
+        got = (cert.length, cert.mu, cert.e0, cert.free_test, cert.good)
+        assert got == _reference_values(A, cert), (cert.tag, cert.ideal)
+        verdicts.add(cert.verdict)
+    assert verdicts == {"ulrich", "good-not-ulrich", "not-good"}
