@@ -258,7 +258,7 @@ def graph_catalog(tag) -> DualGraph:
         edges = [(f"E{k+1}", f"E{k+2}") for k in range(n - 1)]
         edges += [("E1", "E0"), ("E0", "U1"), ("E0", "U2")]
         return DualGraph(ids, weights, edges)
-    if name.startswith("G") and name[1:].isdigit():
+    if name.startswith("G") and name[1:].isascii() and name[1:].isdigit():
         i = int(name[1:])
         _check(1 <= i <= 15, "quotient star families are G1..G15")
         _check(len(tag.params) == 1, f"{name} needs the central weight b")

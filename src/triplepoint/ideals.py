@@ -1,8 +1,9 @@
 """Groebner-basis core and ideal calculus.
 
-Buchberger with the Gebauer-Moeller pair update and sugar selection,
-tuned for the inputs the program makes, which are mostly monomials (the
-products in m*I^2, say).  Inputs enter by ascending leading monomial, each
+Buchberger with the Gebauer-Moeller pair criteria (B applied when a pair
+is popped, not by rebuilding the queue) and sugar selection, tuned for
+the inputs the program makes, which are mostly monomials (the products
+in m*I^2, say).  Inputs enter by ascending leading monomial, each
 fully reduced by the basis so far, so an input that a monomial already
 there divides is dropped before any pair bookkeeping.  Two single-term
 elements never form a pair (their S-polynomial is 0), and a pair whose
@@ -28,17 +29,17 @@ standard monomials of its localized basis.
 Work is cached on the objects that own it, never in module globals: an
 ``IdealHandle`` keeps its reduced basis and standard monomials for its
 lifetime, and a ``PresentedQuotient`` keeps one image handle per
-generator tuple, one localized handle per image basis and one finite
-algebra per generator tuple for its lifetime; an algebra keeps its memo
-of monomial normal forms, so each distinct monomial is reduced once per
-ideal.  The CLI builds one presentation per command, so nothing
+generator tuple and one localized handle per image basis for its
+lifetime, and the finite algebra of the ideal it last worked on; an
+algebra keeps its memo of monomial normal forms, so each distinct
+monomial is reduced once per ideal.  The CLI builds one presentation per command, so nothing
 accumulates across commands.
 """
 
 from __future__ import annotations
 
 import itertools
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 
 from . import kernel
 from .errors import ColengthBudgetError, ZeroPolynomialError
@@ -68,6 +69,18 @@ def _same_multiple(f, g):
         return False
     kf, kg = f[0][0], g[0][0]
     return all(s[0] - kf == t[0] - kg and s[2:] == t[2:] for s, t in zip(f, g))
+
+
+def _criterion_b(lm, i, j, L):
+    """Criterion B, applied when the pair (i, j) with lcm L is popped: some
+    element h added after the pair was queued (h > j) has a lead dividing L,
+    and neither (i, h) nor (j, h) has lcm L.  These are the pairs an eager
+    update would have removed from the queue as each h came in."""
+    for h in range(j + 1, len(lm)):
+        eh = lm[h]
+        if _divides(eh, L) and L != _exp_lcm(lm[i], eh) and L != _exp_lcm(lm[j], eh):
+            return True
+    return False
 
 
 def _groebner_terms(gens, ring, assume_prefix=0):
@@ -115,11 +128,6 @@ def _groebner_terms(gens, ring, assume_prefix=0):
         for _, queue, k, L in new:
             if not any(_divides(M, L) for M, _, _ in kept):
                 kept.append((L, queue, k))
-        # criterion B: drop (i, j) if lm(h) divides its lcm L and neither
-        # (i, h) nor (j, h) has lcm L
-        heap[:] = [p for p in heap if not _divides(eh, p[4])
-                   or p[4] in (_exp_lcm(lm[p[2]], eh), _exp_lcm(lm[p[3]], eh))]
-        heapify(heap)
         for L, queue, k in kept:
             if queue:
                 s = max(sugar[k] - deg[k], sugar[h] - dh) + sum(L)
@@ -137,7 +145,7 @@ def _groebner_terms(gens, ring, assume_prefix=0):
             add(kernel.monic_terms(r), max(sum(t[1]) for t in g))
     while heap:
         s, lkey, i, j, L = heappop(heap)
-        if _same_multiple(G[i], G[j]):
+        if _criterion_b(lm, i, j, L) or _same_multiple(G[i], G[j]):
             continue
         spol = _spoly(G[i], G[j], L, lkey, kc)
         r = spol and kernel.reduce_terms(spol, basis, kc)[1]
@@ -356,6 +364,10 @@ def _standard_monomials(lead_exps, n):
     """Exponents outside the monomial ideal of ``lead_exps``, the leading
     exponents of a reduced basis, by one walk from the origin.
 
+    The walk steps from a standard e to f = e + x_i.  A lead that divides f
+    but not e has its i-th exponent equal to f_i, so f is tested only
+    against the leads in the bucket (i, f_i).
+
     Returns None when some variable has no pure power among the leads.
     """
     for i in range(n):
@@ -364,6 +376,11 @@ def _standard_monomials(lead_exps, n):
     origin = (0,) * n
     if origin in lead_exps:
         return []
+    buckets = {}
+    for le in lead_exps:
+        for i, x in enumerate(le):
+            if x:
+                buckets.setdefault((i, x), []).append(le)
     seen = {origin}
     stack = [origin]
     out = []
@@ -371,11 +388,12 @@ def _standard_monomials(lead_exps, n):
         e = stack.pop()
         out.append(e)
         for i in range(n):
-            f = e[:i] + (e[i] + 1,) + e[i + 1 :]
+            x = e[i] + 1
+            f = e[:i] + (x,) + e[i + 1 :]
             if f in seen:
                 continue
             seen.add(f)
-            if not any(_divides(le, f) for le in lead_exps):
+            if not any(_divides(le, f) for le in buckets.get((i, x), ())):
                 stack.append(f)
     return out
 
@@ -463,11 +481,12 @@ class PresentedQuotient:
     computations run in the polynomial ring.
 
     The quotient keeps, for its lifetime, one image handle per generator
-    tuple (so each image's reduced basis is computed once), one localized
-    handle per image basis and one ``FiniteAlgebra`` per generator tuple.
+    tuple (so each image's reduced basis is computed once) and one
+    localized handle per image basis; of the ``FiniteAlgebra`` objects it
+    keeps the most recent one.
     """
 
-    __slots__ = ("ring", "defining", "_maximal", "_images", "_local", "_algebras")
+    __slots__ = ("ring", "defining", "_maximal", "_images", "_local", "_algebra")
 
     def __init__(self, ring: Ring, defining: IdealHandle):
         self.ring = ring
@@ -481,7 +500,7 @@ class PresentedQuotient:
         self._maximal = None
         self._images = {}
         self._local = {}
-        self._algebras = {}
+        self._algebra = (None, None)
 
     def maximal_ideal(self) -> IdealHandle:
         if self._maximal is None:
@@ -510,11 +529,13 @@ class PresentedQuotient:
         return local
 
     def algebra(self, ideal: IdealHandle) -> FiniteAlgebra:
-        """The finite algebra of ``ideal`` (see ``FiniteAlgebra``); one per
-        generator tuple."""
-        alg = self._algebras.get(ideal.gens)
-        if alg is None:
-            alg = self._algebras[ideal.gens] = FiniteAlgebra(self, ideal)
+        """The finite algebra of ``ideal`` (see ``FiniteAlgebra``).  Only the
+        most recent one is kept: a command reads each ideal's algebra in one
+        stretch, so an older one would only hold memory."""
+        gens, alg = self._algebra
+        if gens != ideal.gens:
+            alg = FiniteAlgebra(self, ideal)
+            self._algebra = (ideal.gens, alg)
         return alg
 
     def min_gens(self, ideal: IdealHandle) -> int:
@@ -529,41 +550,74 @@ class FiniteAlgebra:
     An ideal K containing L at the origin is the span K/L of the normal
     forms NF(s*k), k generating K, and ell(A/K) = dim B - dim K/L: the
     NF(s*g_j) span I/L, those with s != 1 span m*I/L, and the NF(g_i*g_j)
-    span W = I^2/L.  A normal form is linear, so NF(s*p) sums c*NF(s*u)
-    over the terms c*u of p, and each monomial is reduced once (a memo).
-    I/L's echelon, the span test's frame (see ``ulrich``), files the rows
-    with s != 1 first, then each NF(g_i) carrying its W-rows NF(g_i*g_j).
+    span W = I^2/L, the degree-2 part of the fiber cone.  A normal form is
+    linear, so NF(s*p) sums c*NF(s*u) over the terms c*u of p, and each
+    monomial is reduced once (a memo).
+
+    Each product P_ij = g_i*g_j is formed once: L is generated by J and the
+    x_k*P_ij, and W by the NF(P_ij).  The coordinates of w in W are its
+    coefficients at the pivot keys of W's echelon (projecting onto them is
+    one-to-one on W), at most n(n+1)/2 of them.
+
+    The span test (see ``ulrich``) is linear algebra in these coordinates.
+    A coefficient vector c = (c_1, ..., c_n) stands for q = sum c_i*g_i, and
+    the rows of q are coord(NF(q*g_j)) = sum_i c_i*coord(P_ij), j = 1..n.
+    The frame, I/L's echelon, files the rows with s != 1 first, then each
+    NF(g_i) carrying its coefficient vector e_i, so that NF(q) decomposes
+    into c with q = sum c_i*g_i modulo m*I.
     """
 
     __slots__ = ("dim", "length", "mu", "square_length", "_basis", "_kc", "_memo",
-                 "_standard", "_rows", "_pivots", "_squares", "_w_dim", "_spans")
+                 "_standard", "_rows", "_pivots", "_squares", "_w_dim", "_coords",
+                 "_relations", "_combinations", "_spans")
 
     def __init__(self, A: PresentedQuotient, I: IdealHandle):
-        ring = A.ring
-        local = A._localized(A.maximal_ideal().product(I.power(2)))
+        ring, kc = A.ring, A.ring.kc
+        gens = [list(g.terms) for g in I.gens]
+        n = len(gens)
+        pairs = list(itertools.combinations_with_replacement(range(n), 2))
+        products = {(i, j): kernel.mul_terms(gens[i], gens[j], kc) for i, j in pairs}
+        # m*I^2 from the same products, each x_k*P_ij once and in the order of
+        # m*(I^2): the generators of I^2, then of m times them, repeats dropped
+        squares = dict.fromkeys(tuple(p) for p in products.values())
+        m_squares = dict.fromkeys(
+            tuple(kernel.mono_mul_terms(list(p), k, e, kernel.SONE, kc))
+            for k, e, *_ in (x.terms[0] for x in A.maximal_ideal().gens)
+            for p in squares
+        )
+        local = A._localized(IdealHandle(ring, [Polynomial(ring, t) for t in m_squares]))
         self._basis = [list(g.terms) for g in local.groebner()]
-        self._kc = ring.kc
+        self._kc = kc
         self._standard = sorted((ring.key(e), e) for e in local._standard())  # 1 first
         self._memo = {e: [(k, e, 1, 0, 1)] for k, e in self._standard}
         self.dim = len(self._standard)
-        gens = [list(g.terms) for g in I.gens]
-        n = len(gens)
         self._rows = [[self._shifted(g, k, e) for g in gens] for k, e in self._standard]
-        products = {}
-        for i, j in itertools.combinations_with_replacement(range(n), 2):
-            products[i, j] = products[j, i] = self._nf(kernel.mul_terms(gens[i], gens[j], ring.kc))
         pivots = _echelon(itertools.chain.from_iterable(self._rows[1:]))
         m_dim = len(pivots)
         for i, row in enumerate(self._rows[0]):
-            row, carried = _eliminate(row, pivots, [products[i, j] for j in range(n)])
+            row, carried = _eliminate(row, pivots, [_unit(i)])
             if row:
                 _file_pivot(pivots, row, carried)
         self._pivots = pivots
         self.length = self.dim - len(pivots)
         self.mu = len(pivots) - m_dim
-        self._squares = [products[i, j] for i in range(n) for j in range(i, n)]
-        self._w_dim = len(_echelon(self._squares))
+        nfs = {p: self._nf(products[p]) for p in pairs}
+        self._squares = list(nfs.values())
+        w_pivots = _echelon(self._squares)
+        self._w_dim = len(w_pivots)
         self.square_length = self.dim - self._w_dim
+        coords = {p: [t for t in nf if t[0] in w_pivots] for p, nf in nfs.items()}
+        self._coords = [[coords[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+        # the linear relations among the generators themselves, as an echelon
+        # of coefficient vectors: q = sum c_i*g_i is 0 exactly when c is in it
+        independent, self._relations = {}, {}
+        for i, g in enumerate(gens):
+            row, carried = _eliminate(g, independent, [_unit(i)])
+            if row:
+                _file_pivot(independent, row, carried)
+            else:
+                _echelon(carried, self._relations)
+        self._combinations = {}
         self._spans = {}
 
     def _shifted(self, p, mkey, mexp):
@@ -585,6 +639,21 @@ class FiniteAlgebra:
     def _nf(self, p):
         return self._shifted(p, *self._standard[0])
 
+    def _w_rows(self, vec):
+        """The rows coord(NF(q*g_j)), j = 1..n, of q = sum c_i*g_i, for c
+        given as a term list over the generators (see ``_unit``)."""
+        rows = []
+        for coords in zip(*self._coords):  # coords[i] = coord(P_ij)
+            row = []
+            for _, i, a, b, d in vec:
+                w = coords[i]
+                if w:
+                    if a != 1 or b or d != 1:
+                        w = kernel.scale_terms(w, (a, b, d))
+                    row = kernel.add_terms(row, w) if row else w
+            rows.append(row)
+        return rows
+
     def _span(self, Q: IdealHandle):
         """Echelon of (Q + L)/L, spanned by the NF(s*q); one per Q."""
         pivots = self._spans.get(Q.gens)
@@ -597,14 +666,37 @@ class FiniteAlgebra:
     def spans(self, Q: IdealHandle):
         """The span test: do the q*g_j (q in Q) span W?  None when some q
         lies outside I at the origin.  NF(q) is decomposed over the frame,
-        and its W-rows are minus the same combination of the carried rows."""
+        and the carried vector is minus its coefficient vector c, which
+        gives the same rank."""
         rows = []
         for q in Q.gens:
-            row, carried = _eliminate(self._nf(list(q.terms)), self._pivots, [[]] * len(self._rows[0]))
+            row, (vec,) = _eliminate(self._nf(list(q.terms)), self._pivots, [[]])
             if row:
                 return None
-            rows.extend(carried)
+            rows += self._w_rows(vec)
         return len(_echelon(rows, stop=self._w_dim)) == self._w_dim
+
+    def spans_combinations(self, c1, c2):
+        """The span test for Q = (q1, q2), q = sum c_i*g_i, given by the
+        coefficient vectors c1 and c2 (tuples of n scalars); None when q1 or
+        q2 is the zero polynomial.  Each vector's rows, and their echelon,
+        are formed once; q2's rows continue q1's echelon."""
+        first, second = self._combination_rows(c1), self._combination_rows(c2)
+        if first is None or second is None:
+            return None
+        return len(_echelon(second[0], dict(first[1]), self._w_dim)) == self._w_dim
+
+    def _combination_rows(self, c):
+        """(rows, their echelon) of q = sum c_i*g_i (see ``_w_rows``), or
+        None when q is the zero polynomial; one per c."""
+        if c not in self._combinations:
+            vec = [(-i, i) + x for i, x in enumerate(c) if x != kernel.SZERO]
+            if _eliminate(vec, self._relations)[0]:
+                rows = self._w_rows(vec)
+                self._combinations[c] = (rows, _echelon(rows))
+            else:
+                self._combinations[c] = None
+        return self._combinations[c]
 
     def colength(self, Q: IdealHandle) -> int:
         """ell(A/(Q + L)): ell(A/Q) when Q contains L, as a reduction does."""
@@ -628,3 +720,10 @@ class FiniteAlgebra:
         filed = len(pivots)
         rows = ([t for j in blocks for t in _lift(nfs[j - 1], j * offset)] for nfs in self._rows)
         return len(_echelon(rows, pivots)) - filed == self.length
+
+
+def _unit(i):
+    """The coefficient vector e_i as a term list over the generators: a
+    coefficient vector c is the terms (-i, i, c_i) with c_i != 0, so that
+    keys descend as the index rises."""
+    return [(-i, i, 1, 0, 1)]

@@ -22,11 +22,16 @@ The reduction search decides candidates in one pass.  For Q inside I, by
 Nakayama QI = I^2 at the origin exactly when the products q*g (q in Q,
 g in I) span W = I^2/(m*I^2 + J), the degree-2 part of the fiber cone
 (Northcott & Rees 1954).  The test is linear in q: q = sum c_i*g_i modulo
-m*I with constants c_i, so q*g_j = sum c_i*g_i*g_j modulo m*I^2.  The
-frame is B's echelon of I, each generator's pivot carrying its products
-with every g_j; a candidate costs, for each q, one normal form and one
-decomposition over the pivots (failing exactly when q is outside I at the
-origin), and one rank.
+m*I with constants c_i, so q*g_j = sum c_i*g_i*g_j modulo m*I^2.  So a
+candidate is a pair of coefficient vectors c over I's generators, and the
+test is a rank in W's coordinates: an element of W, a normal form in B,
+is read at the leading monomials of an echelon basis of W, at most
+n(n+1)/2 of them for n generators (see ``ideals.FiniteAlgebra``).  Q is
+a reduction exactly when the 2n vectors sum_i c_i*coord(g_i*g_j) have
+rank dim W.  A seed, given as polynomials, is decomposed into its
+coefficient vectors over B's echelon of I, which fails exactly when it
+lies outside I at the origin.  The polynomials of Q are formed only for
+the pair that passes.
 """
 
 from __future__ import annotations
@@ -34,8 +39,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import ShapeError, TriplepointError
+from .errors import ParameterError, ShapeError, TriplepointError
 from .ideals import IdealHandle, PresentedQuotient
+from .kernel import SONE, SZERO
 from .presentations import (
     RDP_RING,
     FamilyTag,
@@ -55,7 +61,7 @@ class EngineInvariantError(TriplepointError):
 
 
 # Coefficients of the generators in the search's linear combinations.
-_COEFFICIENT_POOL = ((0, 0, 1), (1, 0, 1), (-1, 0, 1), (2, 0, 1), (-2, 0, 1), (0, 1, 1))
+_COEFFICIENT_POOL = (SZERO, SONE, (-1, 0, 1), (2, 0, 1), (-2, 0, 1), (0, 1, 1))
 
 
 @dataclass(frozen=True)
@@ -104,44 +110,34 @@ def good_check(A: PresentedQuotient, I: IdealHandle, Q: IdealHandle) -> bool:
     return A.algebra(I).is_good(Q)
 
 
-def _candidate_pairs(gens, seeds=()):
-    """Candidate reductions of (gens): the seed pairs first, then pairs of
-    generators, sums and linear combinations over ``_COEFFICIENT_POOL``."""
-    n = len(gens)
+def _candidate_pairs(n, seeds=()):
+    """Candidate reductions of an ideal with n generators: the seed pairs
+    first, as given, then pairs of coefficient vectors (tuples of n
+    scalars): pairs of generators, sums and linear combinations over
+    ``_COEFFICIENT_POOL``."""
     yield from seeds
+    unit = [tuple(SONE if k == i else SZERO for k in range(n)) for i in range(n)]
     for i, j in itertools.combinations(range(n), 2):
-        yield (gens[i], gens[j])
+        yield (unit[i], unit[j])
     for i, j in itertools.combinations(range(n), 2):
-        s = gens[i] + gens[j]
+        s = tuple(SONE if k in (i, j) else SZERO for k in range(n))
         for k in range(n):
             if k not in (i, j):
-                yield (s, gens[k])
+                yield (s, unit[k])
     if n > 2:
         for i in range(n):
-            rest = None
-            for j in range(n):
-                if j != i:
-                    rest = gens[j] if rest is None else rest + gens[j]
-            yield (gens[i], rest)
-    ring = gens[0].ring
-    vectors = []
-    for vec in itertools.product(_COEFFICIENT_POOL, repeat=n):
-        if all(c == (0, 0, 1) for c in vec):
-            continue
-        vectors.append(vec)
-        if len(vectors) >= 80:
-            break
+            yield (unit[i], tuple(SZERO if k == i else SONE for k in range(n)))
+    nonzero = (v for v in itertools.product(_COEFFICIENT_POOL, repeat=n) if v != (SZERO,) * n)
+    yield from itertools.combinations(itertools.islice(nonzero, 80), 2)
 
-    def combine(vec):
-        p = ring.zero()
-        for c, g in zip(vec, gens):
-            if c != (0, 0, 1):
-                p = p + g * c
-        return p
 
-    combos = [combine(v) for v in vectors]
-    for a, b in itertools.combinations(range(len(combos)), 2):
-        yield (combos[a], combos[b])
+def _combination(gens, c):
+    """The polynomial sum c_i*g_i."""
+    p = gens[0].ring.zero()
+    for x, g in zip(c, gens):
+        if x != SZERO:
+            p = p + g * x
+    return p
 
 
 def find_reduction(A, I, seeds=(), max_candidates=400):
@@ -150,20 +146,24 @@ def find_reduction(A, I, seeds=(), max_candidates=400):
     ``max_candidates`` pairs hold none.
 
     One pass over the candidates, each decided in I's finite algebra by
-    the span test of the module docstring (a candidate outside I at the
-    origin is skipped): linear algebra, with no Groebner basis per
-    candidate.
+    the span test of the module docstring: linear algebra, with no Groebner
+    basis per candidate.  A seed outside I at the origin, and a candidate
+    whose combination is the zero polynomial, are skipped.
     """
-    gens = list(I.gens)
+    gens = I.gens
     if not gens:
         return None
+    seeds = tuple(seeds)
     B = A.algebra(I)
-    for q1, q2 in itertools.islice(_candidate_pairs(gens, seeds), max_candidates):
-        if not q1 or not q2:
-            continue
-        Q = IdealHandle(I.ring, [q1, q2])
-        if B.spans(Q):
-            return Q
+    pairs = itertools.islice(_candidate_pairs(len(gens), seeds), max_candidates)
+    for k, pair in enumerate(pairs):
+        if k >= len(seeds):
+            if B.spans_combinations(*pair):
+                return IdealHandle(I.ring, [_combination(gens, c) for c in pair])
+        elif all(pair):
+            Q = IdealHandle(I.ring, pair)
+            if B.spans(Q):
+                return Q
     return None
 
 
@@ -323,7 +323,7 @@ def verify_rdp_list(pres: RingPresentation):
     """Certify every listed RDP Ulrich ideal; for A and E families also
     certify that the next pattern ideal fails the numeric criterion."""
     if pres.cm_type != 1:
-        raise ValueError("verify_rdp_list expects an RDP presentation")
+        raise ParameterError(f"{pres.tag} is not a rational double point")
     A = pres.quotient
     certs = []
     for k, (gens, seed) in enumerate(_rdp_listed(pres.tag), start=1):

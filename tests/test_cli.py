@@ -271,3 +271,21 @@ def test_tag_parameters_other_than_ascii_digits_exit_2():
         res = invoke("classify", "--tag", tag)
         assert res.exit_code == 2, (tag, res.output)
         assert res.stdout == "" and "bad parameters in tag" in res.stderr
+
+
+def test_rdp_verify_refuses_a_ring_that_is_no_double_point_exit_2():
+    res = invoke("rdp-verify", "--tag", "A:1,2,3")
+    assert res.exit_code == 2, res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert res.stdout == ""
+    assert "input error: A:1,2,3 is not a rational double point" in res.stderr
+
+
+def test_graph_family_index_other_than_ascii_digits_exit_2():
+    # the G index is read like a tag parameter: ASCII digits only, so an
+    # Arabic-Indic one is no catalog entry rather than G1
+    assert invoke("graph", "z0", "--tag", "G1:3").exit_code == 0
+    for tag in ("G١:3", "G¹:3"):
+        res = invoke("graph", "z0", "--tag", tag)
+        assert res.exit_code == 2, (tag, res.output)
+        assert res.stdout == "" and "input error: no graph catalog entry" in res.stderr

@@ -1,9 +1,10 @@
 """Byte-identity guard: CLI stdout equals the recorded benchmark digests.
 
 ``perfbench/reference.json`` holds the sha256 of every benchmark command's
-stdout at the reference commit.  This samples one cross-check per ring
-family, five unseeded classifications and both sweep grids (many tiny
-Groebner bases) and compares digests; the file is only read.
+stdout at the reference commit.  This samples one cross-check and one
+unseeded classification (the exhaustive reduction search) per ring family
+and both sweep grids (many tiny Groebner bases) and compares digests; the
+file is only read.
 """
 
 import hashlib
@@ -22,7 +23,10 @@ REFERENCE = os.path.join(
 )
 
 CROSS_CHECK_TAGS = ("A:1,2,3", "B:1,4", "C:1,5", "D:2", "F:2", "H:7", "Gamma1", "EX-5.3")
-CLASSIFY_TAGS = ("A:1,2,3", "RDP-E7", "A:7,7,8", "H:5", "RDP-D:6")
+# at least one unseeded classification per family, so that the output bytes
+# of the reduction search are guarded
+CLASSIFY_TAGS = ("A:1,2,3", "RDP-E7", "A:7,7,8", "H:5", "RDP-D:6", "B:3,5", "C:2,6", "D:2",
+                 "F:2", "Gamma1", "RDP-A:7", "RDP-E6")
 
 COMMANDS = [("crosscheck", ("cross-check", "--tag", t, "--json")) for t in CROSS_CHECK_TAGS]
 COMMANDS += [

@@ -1,11 +1,12 @@
 """Ulrich certification: stability, verdicts, lists, the socle experiment."""
 
+import inspect
 import itertools
 
 import pytest
 from click.testing import CliRunner
 
-from triplepoint import expectations, ideals, ulrich
+from triplepoint import expectations, ideals, kernel, ulrich
 from triplepoint.cli import main
 from triplepoint.errors import ShapeError
 from triplepoint.ideals import IdealHandle
@@ -396,11 +397,17 @@ def _span_audit_ideals(tag):
     return pres, [IdealHandle(pres.ring, gens) for gens in ideals_]
 
 
+def _candidate_polynomials(I, limit=None):
+    """The search's candidate pairs for I, as pairs of polynomials."""
+    pairs = itertools.islice(ulrich._candidate_pairs(len(I.gens)), limit)
+    return [tuple(ulrich._combination(I.gens, c) for c in pair) for pair in pairs]
+
+
 def _usable(A, I, limit):
     """The first ``limit`` candidates the search would send to a check."""
     img = A.image(I)
     out = []
-    for q1, q2 in ulrich._candidate_pairs(list(I.gens)):
+    for q1, q2 in _candidate_polynomials(I):
         if q1 and q2 and img.contains(q1) and img.contains(q2):
             Q = IdealHandle(I.ring, [q1, q2])
             if len(Q.gens) == 2:
@@ -466,12 +473,14 @@ def test_seeded_command_builds_one_algebra_per_ideal(monkeypatch, argv):
 def test_span_rejected_candidates_get_no_groebner_basis(monkeypatch):
     built = _count_algebras(monkeypatch)
     rejected = []
-    original_spans = ideals.FiniteAlgebra.spans
+    original_spans = ideals.FiniteAlgebra.spans_combinations
 
-    def spans(self, Q):
-        ok = original_spans(self, Q)
+    def spans(self, c1, c2):
+        ok = original_spans(self, c1, c2)
         if ok is False:
-            rejected.append((Q, built[self]))
+            I = built[self]
+            Q = IdealHandle(I.ring, [ulrich._combination(I.gens, c) for c in (c1, c2)])
+            rejected.append((Q, I))
         return ok
 
     inputs = set()
@@ -481,7 +490,7 @@ def test_span_rejected_candidates_get_no_groebner_basis(monkeypatch):
         inputs.add(tuple(map(tuple, gens)))
         return original_gb(gens, ring, assume_prefix)
 
-    monkeypatch.setattr(ideals.FiniteAlgebra, "spans", spans)
+    monkeypatch.setattr(ideals.FiniteAlgebra, "spans_combinations", spans)
     monkeypatch.setattr(ideals, "_groebner_terms", recorded)
     res = CliRunner().invoke(main, ["classify", "--tag", "A:1,2,3", "--seed-reductions", "off"])
     assert res.exit_code == 0, res.output
@@ -506,8 +515,7 @@ def test_frame_membership_is_membership_in_i_plus_j(tag):
     for I in ideals_:
         B = A.algebra(I)
         length = A.colength(I)
-        pairs = ulrich._candidate_pairs(list(I.gens))
-        probes = [q for pair in itertools.islice(pairs, 100) for q in pair]
+        probes = [q for pair in _candidate_polynomials(I, 100) for q in pair]
         # candidates are combinations of I's generators; these may lie
         # outside I + J, or inside it only through m*I + J
         probes += list(ring.gens()) + [v * v for v in ring.gens()] + list(A.defining.gens)
@@ -524,9 +532,9 @@ def _walks(monkeypatch):
     walks = []
     original = ulrich._candidate_pairs
 
-    def walked(gens, seeds=()):
+    def walked(n, seeds=()):
         walks.append([])
-        for pair in original(gens, seeds):
+        for pair in original(n, seeds):
             walks[-1].append(tuple(map(str, pair)))
             yield pair
 
@@ -584,8 +592,7 @@ def _two_pass_reference(A, I, max_candidates=400):
         return A.colength(I_sq) == A.colength(Q) + 2 * A.colength(I)
 
     for check in (ambient, witness):
-        pairs = ulrich._candidate_pairs(list(I.gens))
-        for q1, q2 in itertools.islice(pairs, max_candidates):
+        for q1, q2 in _candidate_polynomials(I, max_candidates):
             if q1 and q2 and img.contains(q1) and img.contains(q2):
                 Q = IdealHandle(I.ring, [q1, q2])
                 if check(Q):
@@ -651,3 +658,158 @@ def test_certificates_match_the_groebner_reference():
         assert got == _reference_values(A, cert), (cert.tag, cert.ideal)
         verdicts.add(cert.verdict)
     assert verdicts == {"ulrich", "good-not-ulrich", "not-good"}
+
+
+# -- the span test in W's coordinates -----------------------------------------
+
+
+MAX_CANDIDATES = inspect.signature(find_reduction).parameters["max_candidates"].default
+
+
+def _term_list_span_test(B, I):
+    """The span test as the earlier design ran it, on term lists over B's
+    standard monomials: I/L's echelon, each generator's pivot carrying its
+    W-rows NF(g_i*g_j); NF(q) is decomposed over it, and the carried rows of
+    q1 and q2 must have rank dim W."""
+    gens = [list(g.terms) for g in I.gens]
+    n = len(gens)
+    w_rows = [[B._nf(kernel.mul_terms(g, h, I.ring.kc)) for h in gens] for g in gens]
+    pivots = ideals._echelon(itertools.chain.from_iterable(B._rows[1:]))
+    for i, row in enumerate(B._rows[0]):
+        row, carried = ideals._eliminate(row, pivots, w_rows[i])
+        if row:
+            ideals._file_pivot(pivots, row, carried)
+    w_dim = len(ideals._echelon([w for rows in w_rows for w in rows]))
+    echelons = {}  # the echelon of q's carried rows, for each q
+
+    def spans(q1, q2):
+        for q in (q1, q2):
+            if q not in echelons:
+                row, carried = ideals._eliminate(B._nf(list(q.terms)), pivots, [[]] * n)
+                assert not row  # a combination of the generators is inside I
+                echelons[q] = (carried, ideals._echelon(carried))
+        return len(ideals._echelon(echelons[q2][0], dict(echelons[q1][1]))) == w_dim
+
+    return spans
+
+
+def _chain_and_listed_ideals():
+    """(quotient, ideal) for the trace chains of grid_tags(3) and the listed
+    and next ideals of the double points."""
+    for tag in grid_tags(3):
+        pres = instantiate(tag)
+        v, count = trace_shape(pres)
+        others = [pres.ring.var(x) for k, x in enumerate(pres.ring.names) if k != v]
+        t = pres.ring.var(pres.ring.names[v])
+        yield from ((pres.quotient, IdealHandle(pres.ring, others + [t**i]))
+                    for i in range(1, count + 1))
+    for tag in expectations.rdp_grid():
+        pres, ideals_ = _span_audit_ideals(str(tag))
+        yield from ((pres.quotient, I) for I in ideals_)
+
+
+def test_coefficient_vectors_agree_with_the_term_list_span_test():
+    verdicts = set()
+    checked = 0
+    for A, I in _chain_and_listed_ideals():
+        B = A.algebra(I)
+        spans = _term_list_span_test(B, I)
+        pairs = list(itertools.islice(ulrich._candidate_pairs(len(I.gens)), MAX_CANDIDATES))
+        q = {c: ulrich._combination(I.gens, c) for c in set(itertools.chain(*pairs))}
+        for c1, c2 in pairs:
+            q1, q2 = q[c1], q[c2]
+            assert q1 and q2  # these generators have no linear relation
+            got = B.spans_combinations(c1, c2)
+            assert got == spans(q1, q2), (I, c1, c2)
+            verdicts.add(got)
+            checked += 1
+    assert verdicts == {True, False} and checked > 30000
+
+
+def test_zero_combinations_are_skipped(a123):
+    # x + y - (x + y) = 0: the combinations in the span of that relation are
+    # the zero polynomial, which no candidate ideal may hold
+    A = a123.quotient
+    I = IdealHandle(R, ["z", "t", "x", "y", "x + y"])
+    B = A.algebra(I)
+    zero = 0
+    for c1, c2 in itertools.islice(ulrich._candidate_pairs(len(I.gens)), MAX_CANDIDATES):
+        q1, q2 = (ulrich._combination(I.gens, c) for c in (c1, c2))
+        got = B.spans_combinations(c1, c2)
+        if q1 and q2:
+            assert got == B.spans(IdealHandle(R, [q1, q2])), (c1, c2)
+        else:
+            assert got is None, (c1, c2)
+            zero += 1
+    assert zero
+    Q = find_reduction(A, I)
+    assert Q is not None and len(Q.gens) == 2 and is_reduction_stable(A, I, Q)
+
+
+@pytest.mark.parametrize(
+    # a seeded E7 next ideal, the exhausted search of D:3's next ideal, and
+    # seeds that fail before the stream reaches the combinations
+    "tag,gens,seeds",
+    [
+        ("RDP-E7", ["x", "y^4", "z"], (("x", "z"), ("x + y^4", "z"))),
+        ("D:3", ["x", "y", "z", "t^3"], ()),
+        ("A:1,2,3", ["x", "y", "z", "t^2"], (("x", "y"), ("x^2", "t^2"), ("t", "x + y + z"))),
+    ],
+)
+def test_search_draws_every_candidate_from_the_stream(monkeypatch, tag, gens, seeds):
+    # the benchmark's tracer counts ulrich.candidates at _candidate_pairs, so
+    # every candidate decided must be one drawn there, seeds included
+    drawn, tried = [], []
+    original = ulrich._candidate_pairs
+
+    def counted(n, seeds=()):
+        for pair in original(n, seeds):
+            drawn.append(pair)
+            yield pair
+
+    def decided(name):
+        method = getattr(ideals.FiniteAlgebra, name)
+
+        def wrapper(self, *args):
+            tried.append(args)
+            return method(self, *args)
+
+        monkeypatch.setattr(ideals.FiniteAlgebra, name, wrapper)
+
+    monkeypatch.setattr(ulrich, "_candidate_pairs", counted)
+    decided("spans")
+    decided("spans_combinations")
+    A = instantiate(tag).quotient
+    ring = A.ring
+    I = IdealHandle(ring, gens)
+    seeds = tuple(tuple(ring.polynomial(q) for q in pair) for pair in seeds)
+    found = find_reduction(A, I, seeds)
+    assert len(drawn) == len(tried) >= len(seeds)
+    assert (found is None) == (len(tried) == MAX_CANDIDATES)
+
+
+@pytest.mark.parametrize(
+    "argv,built",
+    [
+        (("cross-check", "--tag", "A:1,2,3"), 2),  # m is the first chain ideal
+        (("classify", "--tag", "A:1,2,3", "--seed-reductions", "off"), 2),
+        (("classify", "--tag", "RDP-D:6"), 5),
+        (("rdp-verify", "--tag", "RDP-E7"), 4),  # three listed and the next
+    ],
+)
+def test_command_builds_each_algebra_once_and_keeps_one(monkeypatch, argv, built):
+    algebras = _count_algebras(monkeypatch)
+    kept = []
+    original = ideals.PresentedQuotient.algebra
+
+    def algebra(self, ideal):
+        alg = original(self, ideal)
+        kept.append(self._algebra)
+        return alg
+
+    monkeypatch.setattr(ideals.PresentedQuotient, "algebra", algebra)
+    res = CliRunner().invoke(main, list(argv))
+    assert res.exit_code == 0, res.output
+    assert len(algebras) == built
+    # the quotient holds the algebra it last handed out, and no other
+    assert all(gens == algebras[alg].gens for gens, alg in kept)
