@@ -144,12 +144,19 @@ class DualGraph:
 
     @classmethod
     def from_json_dict(cls, data):
+        """Graph from {"vertices": [{"id": ..., "weight": ...}], "edges":
+        [[a, b]]}: ids and endpoints must be strings and weights integers
+        (not bools, floats or strings), or the input is malformed."""
         try:
             ids = [v["id"] for v in data["vertices"]]
-            weights = [int(v["weight"]) for v in data["vertices"]]
+            weights = [v["weight"] for v in data["vertices"]]
             edges = [(a, b) for a, b in data["edges"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed graph object: {exc}") from exc
+        if not all(type(v) is str for v in itertools.chain(ids, *edges)):
+            raise ParseError("vertex ids and edge endpoints must be strings")
+        if not all(type(w) is int for w in weights):
+            raise ParseError("vertex weights must be integers")
         if not ids:
             raise ParseError("graph has no vertices")
         try:

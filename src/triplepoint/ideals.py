@@ -3,15 +3,20 @@
 Buchberger with the Gebauer-Moeller pair criteria (B applied when a pair
 is popped, not by rebuilding the queue) and sugar selection, tuned for
 the inputs the program makes, which are mostly monomials (the products
-in m*I^2, say).  Inputs enter by ascending leading monomial, each
-fully reduced by the basis so far, so an input that a monomial already
-there divides is dropped before any pair bookkeeping.  Two single-term
-elements never form a pair (their S-polynomial is 0), and a pair whose
-S-polynomial is identically zero (the two elements are monomial multiples
-of one polynomial) is dropped before it is formed.  The minimal basis is
-read off the live elements, those whose leads no later lead divides.  The
-output is the unique reduced Groebner basis sorted by ascending leading
-monomial, so equal ideals produce identical bases.
+in m*I^2, say).  Unless a prefix is assumed to be a basis, the monomial
+inputs enter first as one batch: a set of monomials is a Groebner basis
+already, so the minimal ones are filed as that prefix, with no reduction
+and no pair update.  The other inputs enter by ascending leading
+monomial, each fully reduced by the basis so far, so one that a monomial
+already there divides is dropped before any pair bookkeeping.  Two
+single-term elements never form a pair (their S-polynomial is 0), and a
+pair whose S-polynomial is identically zero (the two elements are
+monomial multiples of one polynomial) is dropped before it is formed.
+The minimal basis is read off the live elements, those whose leads no
+later lead divides.  The output is the unique reduced Groebner basis
+sorted by ascending leading monomial, so equal ideals produce identical
+bases.  Standard monomials are walked layer by layer in total degree,
+with set lookups in place of divisibility tests.
 
 Local statements are decided in finite quotients.  A local colength at
 the origin is computed in one step: when K has finite quotient dimension
@@ -24,7 +29,11 @@ infinite global quotient raises ``ColengthBudgetError``.
 
 Each verdict on a candidate ideal I is linear algebra in one finite
 algebra, A/(m*I^2 + J) at the origin (``FiniteAlgebra``), on the
-standard monomials of its localized basis.
+standard monomials of its localized basis.  That basis is mostly
+monomials, so the normal form of a monomial outside the standard ones is
+read by membership: it is 0 when a monomial of the basis divides it (so
+always, when the basis is monomials only), and only a monomial that no
+such monomial divides is reduced.
 
 Work is cached on the objects that own it, never in module globals: an
 ``IdealHandle`` keeps its reduced basis and standard monomials for its
@@ -32,8 +41,8 @@ lifetime, and a ``PresentedQuotient`` keeps one image handle per
 generator tuple and one localized handle per image basis for its
 lifetime, and the finite algebra of the ideal it last worked on; an
 algebra keeps its memo of monomial normal forms, so each distinct
-monomial is reduced once per ideal.  The CLI builds one presentation per command, so nothing
-accumulates across commands.
+monomial's normal form is found once per ideal.  The CLI builds one
+presentation per command, so nothing accumulates across commands.
 """
 
 from __future__ import annotations
@@ -91,6 +100,18 @@ def _groebner_terms(gens, ring, assume_prefix=0):
         return []
     kc = ring.kc
     prefix = min(assume_prefix, len(gens))
+    if not prefix:
+        # the monomial inputs enter as one batch, as the prefix: a set of
+        # monomials is a Groebner basis already; by ascending key a later
+        # monomial never divides an earlier one, so the kept ones (no kept
+        # monomial divides them) are minimal
+        kept = []
+        for g in sorted((g for g in gens if len(g) == 1), key=lambda g: g[0][0]):
+            e = g[0][1]
+            if not any(_divides(m[0][1], e) for m in kept):
+                kept.append(g)
+        gens = kept + [g for g in gens if len(g) > 1]
+        prefix = len(kept)
     G = [kernel.monic_terms(g) for g in gens[:prefix]]
     lm = [g[0][1] for g in G]
     deg = [sum(e) for e in lm]
@@ -135,10 +156,9 @@ def _groebner_terms(gens, ring, assume_prefix=0):
         live[:] = [k for k in live if not _divides(eh, lm[k])] + [h]
         basis[:] = [G[k] for k in live]
 
-    # inputs enter by ascending lead, each fully reduced by the live basis
-    # first: a multiple of an earlier monomial reduces to 0 and never reaches
-    # the pair update, and no live lead divides the lead of one that enters;
-    # the sugar of an input stays its total degree
+    # the other inputs enter by ascending lead, each fully reduced by the live
+    # basis first, so no live lead divides the lead of one that enters; the
+    # sugar of an input stays its total degree
     for g in sorted(gens[prefix:], key=lambda g: g[0][0]):
         r = kernel.reduce_terms(g, basis, kc)[1] if basis else g
         if r:
@@ -361,40 +381,38 @@ def _from_basis(ring: Ring, basis) -> IdealHandle:
 
 
 def _standard_monomials(lead_exps, n):
-    """Exponents outside the monomial ideal of ``lead_exps``, the leading
-    exponents of a reduced basis, by one walk from the origin.
+    """Exponents outside the monomial ideal of ``lead_exps``, found layer
+    by layer in total degree; the order of the list is not fixed.
 
-    The walk steps from a standard e to f = e + x_i.  A lead that divides f
-    but not e has its i-th exponent equal to f_i, so f is tested only
-    against the leads in the bucket (i, f_i).
+    f is standard exactly when f is not a lead and every f - x_j with
+    f_j > 0 is standard: a lead properly dividing f divides one of them.
+    Each f of the next layer is formed once, as e + x_i from the standard e
+    with i at or past e's last nonzero index, and its other f - x_j (j < i)
+    are looked up in the current layer.
 
     Returns None when some variable has no pure power among the leads.
     """
     for i in range(n):
         if not any(all(e[j] == 0 for j in range(n) if j != i) for e in lead_exps):
             return None
+    leads = set(lead_exps)
     origin = (0,) * n
-    if origin in lead_exps:
+    if origin in leads:
         return []
-    buckets = {}
-    for le in lead_exps:
-        for i, x in enumerate(le):
-            if x:
-                buckets.setdefault((i, x), []).append(le)
-    seen = {origin}
-    stack = [origin]
     out = []
-    while stack:
-        e = stack.pop()
-        out.append(e)
-        for i in range(n):
-            x = e[i] + 1
-            f = e[:i] + (x,) + e[i + 1 :]
-            if f in seen:
-                continue
-            seen.add(f)
-            if not any(_divides(le, f) for le in buckets.get((i, x), ())):
-                stack.append(f)
+    layer = [(origin, 0)]  # (e, e's last nonzero index)
+    while layer:
+        known = {e for e, _ in layer}
+        out += known
+        step = []
+        for e, top in layer:
+            for i in range(top, n):
+                f = e[:i] + (e[i] + 1,) + e[i + 1 :]
+                if f not in leads and all(
+                    not f[j] or f[:j] + (f[j] - 1,) + f[j + 1 :] in known for j in range(i)
+                ):
+                    step.append((f, i))
+        layer = step
     return out
 
 
@@ -552,7 +570,8 @@ class FiniteAlgebra:
     NF(s*g_j) span I/L, those with s != 1 span m*I/L, and the NF(g_i*g_j)
     span W = I^2/L, the degree-2 part of the fiber cone.  A normal form is
     linear, so NF(s*p) sums c*NF(s*u) over the terms c*u of p, and each
-    monomial is reduced once (a memo).
+    monomial's normal form is found once (a memo, which starts with the
+    standard monomials; see the module docstring for the others).
 
     Each product P_ij = g_i*g_j is formed once: L is generated by J and the
     x_k*P_ij, and W by the NF(P_ij).  The coordinates of w in W are its
@@ -567,9 +586,9 @@ class FiniteAlgebra:
     into c with q = sum c_i*g_i modulo m*I.
     """
 
-    __slots__ = ("dim", "length", "mu", "square_length", "_basis", "_kc", "_memo",
-                 "_standard", "_rows", "_pivots", "_squares", "_w_dim", "_coords",
-                 "_relations", "_combinations", "_spans")
+    __slots__ = ("dim", "length", "mu", "square_length", "_basis", "_monomial_leads",
+                 "_polynomial_leads", "_kc", "_memo", "_standard", "_rows", "_pivots",
+                 "_squares", "_w_dim", "_coords", "_relations", "_combinations", "_spans")
 
     def __init__(self, A: PresentedQuotient, I: IdealHandle):
         ring, kc = A.ring, A.ring.kc
@@ -587,6 +606,8 @@ class FiniteAlgebra:
         )
         local = A._localized(IdealHandle(ring, [Polynomial(ring, t) for t in m_squares]))
         self._basis = [list(g.terms) for g in local.groebner()]
+        self._monomial_leads = [g[0][1] for g in self._basis if len(g) == 1]
+        self._polynomial_leads = [g[0][1] for g in self._basis if len(g) > 1]
         self._kc = kc
         self._standard = sorted((ring.key(e), e) for e in local._standard())  # 1 first
         self._memo = {e: [(k, e, 1, 0, 1)] for k, e in self._standard}
@@ -628,8 +649,16 @@ class FiniteAlgebra:
             f = tuple(x + y for x, y in zip(e, mexp))
             nf = memo.get(f)
             if nf is None:
-                mono = [(k + mkey - kc, f, 1, 0, 1)]
-                nf = memo[f] = kernel.reduce_terms(mono, self._basis, kc)[1]
+                # the memo holds every standard monomial, so some lead
+                # divides f, and NF(f) is 0 unless every lead dividing f
+                # belongs to an element that is not a monomial
+                nf = memo[f] = (
+                    kernel.reduce_terms([(k + mkey - kc, f, 1, 0, 1)], self._basis, kc)[1]
+                    if self._polynomial_leads
+                    and any(_divides(le, f) for le in self._polynomial_leads)
+                    and not any(_divides(le, f) for le in self._monomial_leads)
+                    else []
+                )
             if nf:
                 if a != 1 or b or d != 1:
                     nf = kernel.scale_terms(nf, (a, b, d))

@@ -235,6 +235,26 @@ def test_graph_invariant_violation_exit_3(tmp_path):
     assert invoke("graph", "z0", "--file", str(path)).exit_code == 3
 
 
+def test_graph_file_wrong_json_types_exit_2(tmp_path):
+    # ids and endpoints must be strings, weights JSON integers: a list id or
+    # endpoint is no traceback, and a float, string or bool weight is not
+    # truncated or cast
+    good = {"id": "E", "weight": -2}
+    cases = [
+        {"vertices": [{"id": [1], "weight": -2}], "edges": []},
+        {"vertices": [good], "edges": [[["E"], "E"]]},
+        {"vertices": [{"id": "E", "weight": -2.5}], "edges": []},
+        {"vertices": [{"id": "E", "weight": "-3"}], "edges": []},
+        {"vertices": [{"id": "E", "weight": True}], "edges": []},
+    ]
+    path = tmp_path / "graph.json"
+    for data in cases:
+        path.write_text(json.dumps(data))
+        res = invoke("graph", "z0", "--file", str(path))
+        assert res.exit_code == 2, (data, res.output)
+        assert "input error" in res.output, data
+
+
 def test_rdp_verify_single():
     res = invoke("rdp-verify", "--tag", "RDP-E7", "--json")
     assert res.exit_code == 0

@@ -160,6 +160,61 @@ def test_buchberger_matches_reference_on_trace_ideal_products():
         assert got == expected
 
 
+def _monomial(ring, exp, coeff):
+    return list(ring.from_terms([(exp, coeff)]).terms)
+
+
+def test_monomial_batch_matches_reference():
+    # non-monic coefficients 2, i and 1/3, repeats, multiples of earlier
+    # monomials, monomials only, and a known basis as the assumed prefix
+    two, i, third = (2, 0, 1), (0, 1, 1), (1, 0, 3)
+    cases = [
+        [_monomial(R, (2, 0, 0, 0), two), _monomial(R, (1, 1, 0, 0), i),
+         _monomial(R, (2, 0, 0, 0), third), _monomial(R, (3, 1, 0, 0), two)],
+        [_monomial(R, (0, 0, 0, 3), i), _monomial(R, (0, 2, 0, 0), third),
+         _monomial(R, (0, 2, 0, 1), two), list(R.polynomial("x*y - t^2").terms),
+         list(R.polynomial("2*x*z - y*t").terms), _monomial(R, (0, 0, 0, 3), third)],
+        [_monomial(R, (0, 0, 0, 0), third), list(R.polynomial("x - y").terms)],
+    ]
+    rng = random.Random(53)
+    for _ in range(20):
+        cases.append([
+            _monomial(R, _random_exponent(rng, R, rng.randint(0, 4)), rng.choice(_COEFFS))
+            for _ in range(rng.randint(1, 12))
+        ])
+    for gens in cases:
+        expected = _reference_groebner(gens, R)
+        assert ideals._groebner_terms(gens, R) == expected, gens
+        for k in range(1, len(gens) + 1):
+            prefix = _reference_groebner(gens[:k], R)
+            got = ideals._groebner_terms(prefix + gens[k:], R, assume_prefix=len(prefix))
+            assert got == expected, (gens, k)
+
+
+def _reductions(monkeypatch):
+    """The list of arguments of every ``kernel.reduce_terms`` call from now on."""
+    calls = []
+    original = kernel.reduce_terms
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(kernel, "reduce_terms", counted)
+    return calls
+
+
+def test_monomial_inputs_make_no_reduction_on_entry(monkeypatch):
+    # m^3 is 20 monomials, a Groebner basis as it stands
+    calls = _reductions(monkeypatch)
+    m3 = IdealHandle(R, ["x", "y", "z", "t"]).power(3)
+    assert len(m3.groebner()) == 20
+    assert calls == []
+    # a binomial among them enters through the reduction
+    assert IdealHandle(R, m3.gens + (R.polynomial("x*y - z*t"),)).groebner()
+    assert calls
+
+
 def test_monomial_pairs_compute_no_lcm(monkeypatch):
     # m^3 is 20 monomials: 190 pairs, none of which needs an lcm
     computed = []
@@ -358,6 +413,27 @@ def test_quotient_dim_brute_force_oracle():
         assert I.quotient_dim() == expected
 
 
+def test_standard_monomials_match_box_enumeration():
+    rng = random.Random(29)
+    for n in (3, 4):
+        for _ in range(30):
+            pures = [rng.randint(1, 4) for _ in range(n)]
+            leads = {tuple(p if k == i else 0 for k in range(n)) for i, p in enumerate(pures)}
+            for _ in range(rng.randint(0, 5)):
+                leads.add(tuple(rng.randint(0, 3) for _ in range(n)))
+            leads.discard((0,) * n)
+            leads = list(leads)
+            box = itertools.product(*(range(p) for p in pures))
+            expected = [e for e in box if not any(_divides(le, e) for le in leads)]
+            got = ideals._standard_monomials(leads, n)
+            assert sorted(got) == expected, leads
+            assert len(set(got)) == len(got)
+    # a variable without a pure power: infinitely many
+    assert ideals._standard_monomials([(2, 0, 0), (0, 3, 0), (0, 1, 1)], 3) is None
+    # the unit ideal: none
+    assert ideals._standard_monomials([(0, 0, 0)], 3) == []
+
+
 def test_local_length_examples():
     A = A123()
     m = IdealHandle(R, ["x", "y", "z", "t"])
@@ -449,3 +525,24 @@ def test_presented_quotient_rejects_low_degree():
 def test_gb_cache_is_stable():
     I = IdealHandle(R, A123_GENS)
     assert I.groebner() is I.groebner()
+
+
+def test_monomial_algebra_reads_normal_forms_by_membership(monkeypatch):
+    # for I = m in A:1,2,3 the localized basis of m*I^2 + J is monomials
+    # only, so every monomial outside the standard ones has normal form 0;
+    # with that basis in hand (cached per quotient), the algebra makes no
+    # reduction at all
+    A = A123()
+    m = A.maximal_ideal()
+    first = ideals.FiniteAlgebra(A, m)
+    assert not first._polynomial_leads
+    calls = _reductions(monkeypatch)
+    again = ideals.FiniteAlgebra(A, m)
+    assert calls == []
+    assert (again.dim, again.length, again.mu, again.square_length) == (12, 1, 4, 5)
+    # a mixed basis: monomials that only its binomial leads divide are reduced
+    I = IdealHandle(R, ["x", "y", "z", "t^2"])
+    assert ideals.FiniteAlgebra(A, I)._polynomial_leads
+    calls.clear()
+    ideals.FiniteAlgebra(A, I)
+    assert calls

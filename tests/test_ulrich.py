@@ -652,12 +652,16 @@ def _reference_cases():
 
 
 def test_certificates_match_the_groebner_reference():
-    verdicts = set()
+    verdicts, mixed = set(), set()
     for A, cert in _reference_cases():
         got = (cert.length, cert.mu, cert.e0, cert.free_test, cert.good)
         assert got == _reference_values(A, cert), (cert.tag, cert.ideal)
         verdicts.add(cert.verdict)
+        # the finite algebra's basis: monomials only (normal forms read by
+        # membership alone), or with non-monomial elements (some reduced)
+        mixed.add(bool(A.algebra(cert.ideal)._polynomial_leads))
     assert verdicts == {"ulrich", "good-not-ulrich", "not-good"}
+    assert mixed == {False, True}
 
 
 # -- the span test in W's coordinates -----------------------------------------
