@@ -393,7 +393,7 @@ def _cycle_of(g, text):
 @click.option("--tag", default=None, help="graph catalog tag, e.g. G10:2")
 @click.option("--file", default=None, type=click.Path(exists=True), help="graph JSON file")
 @click.option("--cycle", default=None, help="cycle as JSON, e.g. {\"E0\":2,...}")
-@click.option("--max-steps", default=16, show_default=True, type=int)
+@click.option("--max-steps", default=16, show_default=True, type=click.IntRange(min=0))
 def cmd_graph(subcommand, tag, file, cycle, max_steps):
     """Resolution-graph computations; always emits JSON."""
 

@@ -92,9 +92,6 @@ class DualGraph:
     def n(self):
         return len(self.ids)
 
-    def adjacency(self, i):
-        return self._adj[i]
-
     def matrix(self):
         n = self.n
         M = [[0] * n for _ in range(n)]
@@ -177,11 +174,14 @@ class DualGraph:
 
     def cycle_from_json_dict(self, data):
         """Positive cycle from {vertex id: non-negative integer}; absent
-        ids count 0."""
+        ids count 0, and an id that is no vertex is malformed input."""
         if not isinstance(data, dict) or not all(
             type(c) is int and c >= 0 for c in data.values()
         ):
             raise ParseError("cycle must be an object of non-negative integers")
+        unknown = [v for v in data if v not in self.ids]
+        if unknown:
+            raise ParseError(f"cycle names unknown vertex {unknown[0]!r}")
         Z = tuple(data.get(v, 0) for v in self.ids)
         if not any(Z):
             raise ParseError("cycle must be positive")
@@ -249,10 +249,6 @@ def arithmetic_genus(g: DualGraph, Y) -> int:
     if s % 2:
         raise GraphInvariantError("odd self-intersection plus canonical pairing")
     return s // 2 + 1
-
-
-def rationality_check(g: DualGraph) -> bool:
-    return g._rational
 
 
 def _require_rational(g):

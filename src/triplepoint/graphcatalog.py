@@ -1,11 +1,21 @@
 """Weighted dual graph catalog.
 
+Every catalog graph is a tree, built by one helper, ``_tree``, from
+(id, weight, neighbour) triples: each vertex is listed after the vertex it
+joins, and the first has neighbour ``None``.  ``_path`` gives the triples of
+a run of vertices E_k, E_{k+1}, ... from a list of weights, in which a
+1-tuple ``(w,)`` is a branch: one vertex of weight w on the run's last
+vertex, the run going on from that vertex.  Each family is a short spec
+over these two helpers.
+
 Vertex indexing convention: figure order, left to right along the main
 chain, with branch vertices inserted right after their attachment vertex.
 Open circles in the source figures carry weight -2; the one marked vertex
 of a triple-point family carries -3.
 
-Tag grammar (same parser as the presentation catalog):
+Tag grammar (same parser as the presentation catalog, which also checks
+the ring catalog families' parameters; the graph-only families are checked
+here):
 
     A:l,m,n  B:m,n  C:m,n  D:n  F:n  H:n  Gamma1  Gamma2  Gamma3
     RDP-A:n  RDP-D:n  RDP-E6  RDP-E7  RDP-E8
@@ -17,15 +27,11 @@ Tag grammar (same parser as the presentation catalog):
 
 from __future__ import annotations
 
+import itertools
+
 from .dualgraph import DualGraph
 from .errors import ParameterError
-from .presentations import FamilyTag, parse_tag
-
-
-def _chain_graph(prefix, weights):
-    ids = [f"{prefix}{k+1}" for k in range(len(weights))]
-    edges = [(ids[k], ids[k + 1]) for k in range(len(weights) - 1)]
-    return ids, list(weights), edges
+from .presentations import parse_tag
 
 
 def _check(cond, msg):
@@ -33,150 +39,38 @@ def _check(cond, msg):
         raise ParameterError(msg)
 
 
-def _star(center_weight, arms, branch=None):
-    """Star around 'E0'; arms are weight lists from the center outwards."""
-    ids = []
-    weights = []
-    edges = []
-    counter = [0]
-
-    def new_id():
-        counter[0] += 1
-        return f"E{counter[0]}"
-
-    ids.append("E0")
-    weights.append(center_weight)
-    for arm in arms:
-        prev = "E0"
-        for w in arm:
-            v = new_id()
-            ids.append(v)
-            weights.append(w)
-            edges.append((prev, v))
-            prev = v
-    return DualGraph(ids, weights, edges)
-
-
-def _rtp_graph(tag: FamilyTag) -> DualGraph:
-    name, p = tag.name, tag.params
-    if name == "A":
-        _check(len(p) == 3 and 0 <= p[0] <= p[1] <= p[2], "A needs 0 <= l <= m <= n")
-        l, m, n = p
-        ids, weights, edges = [], [], []
-        # m-arm, outermost first
-        for k in range(m):
-            ids.append(f"E{k+1}")
-            weights.append(-2)
-            if k:
-                edges.append((f"E{k}", f"E{k+1}"))
-        center = f"E{m+1}"
-        ids.append(center)
-        weights.append(-3)
-        if m:
-            edges.append((f"E{m}", center))
-        # l-arm (branch), attachment end first
-        prev = center
-        for k in range(l):
-            v = f"E{m+2+k}"
-            ids.append(v)
-            weights.append(-2)
-            edges.append((prev, v))
-            prev = v
-        # n-arm, attachment end first
-        prev = center
-        for k in range(n):
-            v = f"E{m+l+2+k}"
-            ids.append(v)
-            weights.append(-2)
-            edges.append((prev, v))
-            prev = v
-        return DualGraph(ids, weights, edges)
-    if name == "B":
-        _check(len(p) == 2 and p[0] >= 0 and p[1] >= 3, "B needs m >= 0, n >= 3")
-        m, n = p
-        # arm of m, the -3 vertex, junction with a -2 tip, n-3 chain, end
-        seq = [(-2)] * m + [-3, -2] + ["BRANCH"] + [-2] * (n - 3) + [-2]
-        return _sequence_graph(seq)
-    if name == "C":
-        _check(len(p) == 2 and p[0] >= 0 and p[1] >= 4, "C needs m >= 0, n >= 4")
-        m, n = p
-        seq = [(-2)] * m + [-3] + [-2] * (n - 3) + [-2, "BRANCH"] + [-2]
-        return _sequence_graph(seq)
-    if name == "D":
-        _check(len(p) == 1 and p[0] >= 0, "D needs n >= 0")
-        n = p[0]
-        seq = [(-2)] * n + [-3, -2, -2, "BRANCH", -2, -2]
-        return _sequence_graph(seq)
-    if name == "F":
-        _check(len(p) == 1 and p[0] >= 0, "F needs n >= 0")
-        n = p[0]
-        seq = [(-2)] * n + [-3, -2, -2, -2, "BRANCH", -2, -2]
-        return _sequence_graph(seq)
-    if name == "H":
-        n = p[0] if len(p) == 1 else -1
-        _check(n >= 5, "H needs n >= 5")
-        # chain of n (-2)s with the -3 attached two before the right end
-        seq = [(-2)] * (n - 2) + [("BRANCH", -3), -2, -2]
-        return _sequence_graph(seq)
-    if name == "Gamma1":
-        _check(not p, "Gamma1 takes no parameters")
-        return _sequence_graph([-3, -2, -2, "BRANCH", -2, -2, -2])
-    if name == "Gamma2":
-        _check(not p, "Gamma2 takes no parameters")
-        return _sequence_graph([-3, -2, -2, "BRANCH", -2, -2, -2, -2])
-    if name == "Gamma3":
-        _check(not p, "Gamma3 takes no parameters")
-        return _sequence_graph([-3, -2, -2, -2, -2, "BRANCH", -2, -2])
-    raise ParameterError(f"no graph for tag {tag}")
-
-
-def _sequence_graph(seq):
-    """Chain with optional single-vertex branches.
-
-    Entries are weights; "BRANCH" attaches a -2 vertex to the previous
-    chain vertex, ("BRANCH", w) attaches weight w.  Ids follow figure
-    order: chain left to right, branches right after their attachment.
-    """
+def _tree(vertices) -> DualGraph:
+    """The tree of (id, weight, neighbour) triples."""
     ids, weights, edges = [], [], []
-    prev_chain = None
-    k = 0
-    for item in seq:
-        if item == "BRANCH" or (isinstance(item, tuple) and item[0] == "BRANCH"):
-            w = -2 if item == "BRANCH" else item[1]
-            k += 1
-            v = f"E{k}"
-            ids.append(v)
-            weights.append(w)
-            edges.append((prev_chain, v))
-        else:
-            k += 1
-            v = f"E{k}"
-            ids.append(v)
-            weights.append(item)
-            if prev_chain is not None:
-                edges.append((prev_chain, v))
-            prev_chain = v
+    for v, w, u in vertices:
+        ids.append(v)
+        weights.append(w)
+        if u is not None:
+            edges.append((u, v))
     return DualGraph(ids, weights, edges)
 
 
-def _rdp_graph(tag: FamilyTag) -> DualGraph:
-    name, p = tag.name, tag.params
-    if name == "RDP-A":
-        _check(len(p) == 1 and p[0] >= 1, "RDP-A needs n >= 1")
-        ids, weights, edges = _chain_graph("E", [-2] * p[0])
-        return DualGraph(ids, weights, edges)
-    if name == "RDP-D":
-        _check(len(p) == 1 and p[0] >= 4, "RDP-D needs n >= 4")
-        n = p[0]
-        return _star(-2, [[-2] * (n - 3), [-2], [-2]])
-    _check(not p, f"{name} takes no parameters")
-    if name == "RDP-E6":
-        return _star(-2, [[-2, -2], [-2, -2], [-2]])
-    if name == "RDP-E7":
-        return _star(-2, [[-2, -2, -2], [-2, -2], [-2]])
-    if name == "RDP-E8":
-        return _star(-2, [[-2, -2, -2, -2], [-2, -2], [-2]])
-    raise ParameterError(f"no graph for tag {tag}")
+def _path(items, start=None, k=1):
+    """Triples of the run E_k, E_{k+1}, ... joined to ``start``: a weight
+    continues the run, a branch (w,) hangs off the run's last vertex."""
+    out, prev = [], start
+    for j, item in enumerate(items, k):
+        v = f"E{j}"
+        if isinstance(item, tuple):
+            out.append((v, item[0], prev))
+        else:
+            out.append((v, item, prev))
+            prev = v
+    return out
+
+
+def _star(*arms):
+    """A -2 center E0 with -2 arms of these lengths."""
+    vertices, k = [("E0", -2, None)], 1
+    for length in arms:
+        vertices += _path([-2] * length, "E0", k)
+        k += length
+    return vertices
 
 
 # Gamma_i(b) data: (left arm outer->inner, right arm inner->outer, F index
@@ -200,72 +94,65 @@ _GAMMA_SHAPES = {
 }
 
 
-def _gamma_graph(i: int, b: int) -> DualGraph:
-    _check(b >= 2, "central weight needs b >= 2")
-    left, right, f_pos = _GAMMA_SHAPES[i]
-    ids, weights, edges = [], [], []
-    counter = [0]
+def _gamma(i, b):
+    """The left arm, the center E0 with its tip, then the right arm, whose
+    F vertex takes no number."""
+    left, right, f = _GAMMA_SHAPES[i]
+    k = len(left)
+    vertices = _path(left) + [("E0", -b, f"E{k}")] + _path([(-2,), *right[:f]], "E0", k + 1)
+    if f is None:
+        return vertices
+    vertices.append(("F", right[f], vertices[-1][0] if f else "E0"))
+    return vertices + _path(right[f + 1:], "F", k + f + 2)
 
-    def new_id():
-        counter[0] += 1
-        return f"E{counter[0]}"
 
-    left_ids = [new_id() for _ in left]
-    for v, w in zip(left_ids, left):
-        ids.append(v)
-        weights.append(w)
-    for a, bb in zip(left_ids, left_ids[1:]):
-        edges.append((a, bb))
-    ids.append("E0")
-    weights.append(-b)
-    if left_ids:
-        edges.append((left_ids[-1], "E0"))
-    tip = new_id()
-    ids.append(tip)
-    weights.append(-2)
-    edges.append(("E0", tip))
-    prev = "E0"
-    for k, w in enumerate(right):
-        v = "F" if f_pos == k else new_id()
-        ids.append(v)
-        weights.append(w)
-        edges.append((prev, v))
-        prev = v
-    return DualGraph(ids, weights, edges)
+# The graph of each ring catalog family, from its parameters (checked by
+# ``parse_tag``).
+_RING_GRAPHS = {
+    # the m-arm (outermost first), the -3 center, then the l-arm and the n-arm
+    "A": lambda l, m, n: (
+        _path([-2] * m + [-3])
+        + _path([-2] * l, f"E{m + 1}", m + 2)
+        + _path([-2] * n, f"E{m + 1}", m + l + 2)
+    ),
+    # arm of m, the -3 vertex, junction with a -2 tip, n-3 chain, end
+    "B": lambda m, n: _path([-2] * m + [-3, -2, (-2,)] + [-2] * (n - 2)),
+    "C": lambda m, n: _path([-2] * m + [-3] + [-2] * (n - 2) + [(-2,), -2]),
+    "D": lambda n: _path([-2] * n + [-3, -2, -2, (-2,), -2, -2]),
+    "F": lambda n: _path([-2] * n + [-3, -2, -2, -2, (-2,), -2, -2]),
+    # chain of n (-2)s with the -3 attached two before the right end
+    "H": lambda n: _path([-2] * (n - 2) + [(-3,), -2, -2]),
+    "Gamma1": lambda: _path([-3, -2, -2, (-2,), -2, -2, -2]),
+    "Gamma2": lambda: _path([-3, -2, -2, (-2,), -2, -2, -2, -2]),
+    "Gamma3": lambda: _path([-3, -2, -2, -2, -2, (-2,), -2, -2]),
+    "RDP-A": lambda n: _path([-2] * n),
+    "RDP-D": lambda n: _star(n - 3, 1, 1),
+    "RDP-E6": lambda: _star(2, 2, 1),
+    "RDP-E7": lambda: _star(3, 2, 1),
+    "RDP-E8": lambda: _star(4, 2, 1),
+    "EX-5.3": lambda: _gamma(10, 2),
+}
 
 
 def graph_catalog(tag) -> DualGraph:
     """The catalog graph for a tag (string or FamilyTag)."""
     if isinstance(tag, str):
         tag = parse_tag(tag)
-    name = tag.name
-    if name in ("A", "B", "C", "D", "F", "H", "Gamma1", "Gamma2", "Gamma3"):
-        return _rtp_graph(tag)
-    if name.startswith("RDP-"):
-        return _rdp_graph(tag)
+    name, p = tag.name, tag.params
+    if name in _RING_GRAPHS:
+        return _tree(_RING_GRAPHS[name](*p))
     if name == "cyclic":
-        _check(len(tag.params) >= 1, "cyclic needs at least one weight")
-        _check(all(b >= 2 for b in tag.params), "cyclic weights need b >= 2")
-        ids, weights, edges = _chain_graph("E", [-b for b in tag.params])
-        return DualGraph(ids, weights, edges)
+        _check(p and min(p) >= 2, "cyclic takes weights b1,...,bn >= 2")
+        return _tree(_path([-b for b in p]))
     if name == "T22":
-        _check(len(tag.params) >= 2, "T22 needs b plus at least one chain weight")
-        b, rest = tag.params[0], tag.params[1:]
-        _check(b >= 2 and all(x >= 2 for x in rest), "T22 weights need b >= 2")
-        n = len(rest)
-        ids = [f"E{n - k}" for k in range(n)] + ["E0", "U1", "U2"]
-        weights = [-rest[n - 1 - k] for k in range(n)] + [-b, -2, -2]
-        edges = [(f"E{k+1}", f"E{k+2}") for k in range(n - 1)]
-        edges += [("E1", "E0"), ("E0", "U1"), ("E0", "U2")]
-        return DualGraph(ids, weights, edges)
+        _check(len(p) >= 2 and min(p) >= 2, "T22 takes weights b,b1,...,bn >= 2")
+        n = len(p) - 1
+        chain = [(f"E{j}", -p[j], f"E{j + 1}" if j < n else None) for j in range(n, 0, -1)]
+        return _tree(chain + [("E0", -p[0], "E1"), ("U1", -2, "E0"), ("U2", -2, "E0")])
     if name.startswith("G") and name[1:].isascii() and name[1:].isdigit():
-        i = int(name[1:])
-        _check(1 <= i <= 15, "quotient star families are G1..G15")
-        _check(len(tag.params) == 1, f"{name} needs the central weight b")
-        return _gamma_graph(i, tag.params[0])
-    if name == "EX-5.3":
-        _check(not tag.params, "EX-5.3 takes no parameters")
-        return _gamma_graph(10, 2)
+        _check(1 <= int(name[1:]) <= 15, "quotient star families are G1..G15")
+        _check(len(p) == 1 and p[0] >= 2, f"{name} takes the central weight b >= 2")
+        return _tree(_gamma(int(name[1:]), p[0]))
     raise ParameterError(f"no graph catalog entry for tag {tag}")
 
 
@@ -274,19 +161,13 @@ def quotient_sweep_tags(b_max: int = 4, chain_len: int = 4, t22_len: int = 3):
     tags = []
     rng = range(2, b_max + 1)
     for n in range(1, chain_len + 1):
-        for combo in _products(rng, n):
+        for combo in itertools.product(rng, repeat=n):
             tags.append("cyclic:" + ",".join(map(str, combo)))
     for n in range(1, t22_len + 1):
         for b in rng:
-            for combo in _products(rng, n):
+            for combo in itertools.product(rng, repeat=n):
                 tags.append(f"T22:{b}," + ",".join(map(str, combo)))
     for i in range(1, 16):
         for b in rng:
             tags.append(f"G{i}:{b}")
     return tags
-
-
-def _products(rng, n):
-    import itertools
-
-    return itertools.product(rng, repeat=n)

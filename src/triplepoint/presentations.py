@@ -22,7 +22,22 @@ QUOT5_RING = Ring(("z1", "z2", "z3", "z4", "z5"))
 
 _RTP_FAMILIES = ("A", "B", "C", "D", "F", "H", "Gamma1", "Gamma2", "Gamma3")
 _RDP_FAMILIES = ("RDP-A", "RDP-D", "RDP-E6", "RDP-E7", "RDP-E8")
+_CATALOG = _RTP_FAMILIES + _RDP_FAMILIES + ("EX-5.2", "EX-5.3")
 _PARAMS = re.compile("[0-9]+(?:,[0-9]+)*")
+
+# The parameters of each catalog family that takes any: their names, and
+# their bound as text and as a test (each is a non-negative integer by the
+# tag grammar).  Every other catalog family takes none.
+_PARAMETERS = {
+    "A": ("l,m,n", "0 <= l <= m <= n", lambda l, m, n: l <= m <= n),
+    "B": ("m,n", "n >= 3", lambda m, n: n >= 3),
+    "C": ("m,n", "n >= 4", lambda m, n: n >= 4),
+    "D": ("n", "n >= 0", lambda n: True),
+    "F": ("n", "n >= 0", lambda n: True),
+    "H": ("n", "n >= 5", lambda n: n >= 5),
+    "RDP-A": ("n", "n >= 1", lambda n: n >= 1),
+    "RDP-D": ("n", "n >= 4", lambda n: n >= 4),
+}
 
 
 @dataclass(frozen=True)
@@ -50,7 +65,9 @@ class RingPresentation:
 
 def parse_tag(text: str) -> FamilyTag:
     """``NAME`` or ``NAME:p1,...,pk``, each parameter ASCII digits only (no
-    sign, space, underscore or other script, all of which ``int`` takes)."""
+    sign, space, underscore or other script, all of which ``int`` takes).
+    A catalog family's parameters must meet its entry in ``_PARAMETERS``;
+    other names (the graph-only families) are checked where they are built."""
     text = text.strip()
     if ":" in text:
         name, _, rest = text.partition(":")
@@ -62,12 +79,15 @@ def parse_tag(text: str) -> FamilyTag:
             raise ParseError(f"bad parameters in tag {text!r}") from exc
     else:
         name, params = text, ()
+    spec = _PARAMETERS.get(name)
+    if spec is None:
+        if params and name in _CATALOG:
+            raise ParameterError(f"{name} takes no parameters")
+    else:
+        names, bound, holds = spec
+        if len(params) != names.count(",") + 1 or not holds(*params):
+            raise ParameterError(f"{name} takes {names} with {bound}")
     return FamilyTag(name, params)
-
-
-def _check(cond, msg):
-    if not cond:
-        raise ParameterError(msg)
 
 
 def _matrix(ring, rows):
@@ -78,49 +98,36 @@ def _rtp_matrix(tag: FamilyTag):
     name, p = tag.name, tag.params
     R = RTP_RING
     if name == "A":
-        _check(len(p) == 3, "A needs parameters l,m,n")
         l, m, n = p
-        _check(0 <= l <= m <= n, "A needs 0 <= l <= m <= n")
         return _matrix(R, [["x", f"t^{m+1}", f"t^{n+1} + z"], [f"t^{l+1}", "y", "z"]])
     if name == "B":
-        _check(len(p) == 2, "B needs parameters m,n")
         m, n = p
-        _check(m >= 0 and n >= 3, "B needs m >= 0 and n >= 3")
         k = (n + 1) // 2
         if n % 2 == 1:  # n = 2k - 1
             return _matrix(R, [["x", "y", f"t^{k} + z*t"], [f"t^{m+1}", "z", "y"]])
         return _matrix(R, [["x", "y", "z*t"], [f"t^{m+1}", "z", f"y + t^{k}"]])
     if name == "C":
-        _check(len(p) == 2, "C needs parameters m,n")
         m, n = p
-        _check(m >= 0 and n >= 4, "C needs m >= 0 and n >= 4")
         return _matrix(R, [["x", "y", f"t^2 + z^{n-1}"], [f"t^{m+1}", "z", "y"]])
     if name == "D":
-        _check(len(p) == 1 and p[0] >= 0, "D needs n >= 0")
         n = p[0]
         return _matrix(R, [["x", "y", "z^2"], [f"t^{n+1}", "z", "y + t^2"]])
     if name == "F":
-        _check(len(p) == 1 and p[0] >= 0, "F needs n >= 0")
         n = p[0]
         return _matrix(R, [["x", "y", "t^3 + z^2"], [f"t^{n+1}", "z", "y"]])
     if name == "H":
-        _check(len(p) == 1 and p[0] >= 5, "H needs n >= 5")
         n = p[0]
         k = (n + 1) // 3
-        _check(k >= 2 and n - 3 * k in (-1, 0, 1), "H needs n = 3k-1, 3k or 3k+1")
         if n == 3 * k - 1:
             return _matrix(R, [["x", "y", f"z*t + t^{k}"], ["y", "z", "x"]])
         if n == 3 * k:
             return _matrix(R, [["x", "y", "z*t"], ["y", "z", f"x + t^{k}"]])
         return _matrix(R, [["x", "y", "z*t"], [f"y + t^{k}", "z", "x"]])
     if name == "Gamma1":
-        _check(not p, "Gamma1 takes no parameters")
         return _matrix(R, [["x", "y", "t^2"], ["y", "z", "x + z^2"]])
     if name == "Gamma2":
-        _check(not p, "Gamma2 takes no parameters")
         return _matrix(R, [["x", "y", "z^2"], ["y", "z", "x + t^2"]])
     if name == "Gamma3":
-        _check(not p, "Gamma3 takes no parameters")
         return _matrix(R, [["x", "y", "t^2 + z^3"], ["y", "z", "x"]])
     raise ParameterError(f"unknown RTP family {name!r}")
 
@@ -128,12 +135,9 @@ def _rtp_matrix(tag: FamilyTag):
 def _rdp_equation(tag: FamilyTag) -> str:
     name, p = tag.name, tag.params
     if name == "RDP-A":
-        _check(len(p) == 1 and p[0] >= 1, "RDP-A needs n >= 1")
         return f"z^2 + x^2 + y^{p[0]+1}"
     if name == "RDP-D":
-        _check(len(p) == 1 and p[0] >= 4, "RDP-D needs n >= 4")
         return f"z^2 + x^2*y + y^{p[0]-1}"
-    _check(not p, f"{name} takes no parameters")
     if name == "RDP-E6":
         return "z^2 + x^3 + y^4"
     if name == "RDP-E7":
@@ -158,12 +162,10 @@ def instantiate(tag) -> RingPresentation:
         defining = IdealHandle(RDP_RING, [eq])
         return RingPresentation(tag, PresentedQuotient(RDP_RING, defining), None, 1)
     if name == "EX-5.2":
-        _check(not tag.params, "EX-5.2 takes no parameters")
         M = _matrix(RTP_RING, [["x", "y", "z"], ["y", "z", "x^2 - t^3"]])
         defining = minors([list(r) for r in M], 2)
         return RingPresentation(tag, PresentedQuotient(RTP_RING, defining), M, 2)
     if name == "EX-5.3":
-        _check(not tag.params, "EX-5.3 takes no parameters")
         M = _matrix(
             QUOT5_RING,
             [["z1", "z4", "z2", "z3^2"], ["z2", "z3", "z4", "z5"]],

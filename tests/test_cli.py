@@ -201,6 +201,27 @@ def test_graph_cycle_negative_or_zero_exit_2():
             assert res.exit_code == 2, (sub, cycle, res.output)
 
 
+def test_graph_cycle_with_unknown_vertex_exit_2():
+    # an id that is no vertex is refused, not dropped from the cycle
+    for sub, cycle, unknown in (
+        ("pa", '{"E0":1,"E9":4}', "'E9'"),
+        ("stats", '{"E1":1,"E2":2,"E0":2,"E3":1,"F":1,"X":7}', "'X'"),
+    ):
+        res = invoke("graph", sub, "--tag", "G10:2", "--cycle", cycle)
+        assert res.exit_code == 2, (sub, res.output)
+        assert res.stdout == ""
+        assert f"input error: cycle names unknown vertex {unknown}" in res.stderr
+
+
+def test_graph_chains_negative_max_steps_exit_2():
+    res = invoke("graph", "chains", "--tag", "G3:2", "--max-steps", "-1")
+    assert res.exit_code == 2, res.output
+    assert "Invalid value for '--max-steps': -1 is not in the range x>=0." in res.output
+    assert "truncated" not in res.output
+    res = invoke("graph", "chains", "--tag", "G3:2", "--max-steps", "0")
+    assert res.exit_code == 0 and json.loads(res.output)["truncated"] is True
+
+
 def test_graph_stats_cycle_not_antinef_exit_2():
     # E0 alone pairs positively with its neighbours: bad input, not an
     # engine invariant violation
@@ -309,3 +330,18 @@ def test_graph_family_index_other_than_ascii_digits_exit_2():
         res = invoke("graph", "z0", "--tag", tag)
         assert res.exit_code == 2, (tag, res.output)
         assert res.stdout == "" and "input error: no graph catalog entry" in res.stderr
+
+
+def test_bad_ring_tag_same_error_for_every_command():
+    # a ring family's parameters are checked once, when the tag is read, so
+    # the algebra commands and the graph command refuse them alike
+    for tag in ("A:2,1,1", "B:1,2", "C:0,3", "H:4", "RDP-A:0", "RDP-D:3", "Gamma1:1",
+                "EX-5.3:1"):
+        lines = set()
+        for argv in (("classify", "--tag", tag), ("cross-check", "--tag", tag),
+                     ("graph", "z0", "--tag", tag)):
+            res = invoke(*argv)
+            assert res.exit_code == 2, (argv, res.output)
+            assert res.stdout == "" and res.stderr.startswith("input error: "), argv
+            lines.add(res.stderr)
+        assert len(lines) == 1, (tag, lines)

@@ -1,5 +1,6 @@
 """Graph engine: intersection theory, fundamental cycles, chains."""
 
+import hashlib
 import itertools
 import json
 import random
@@ -23,14 +24,13 @@ from triplepoint.dualgraph import (
     graph_multiplicity,
     intersection_pairing,
     is_antinef,
-    rationality_check,
     ulrich_support_candidates,
     unique_ulrich_filter,
 )
-from triplepoint.errors import GraphInvariantError
+from triplepoint.errors import GraphInvariantError, ParameterError
 from triplepoint.expectations import grid_tags, residue_closed_form, ulrich_count_expected
-from triplepoint.graphcatalog import graph_catalog, quotient_sweep_tags
-from triplepoint.presentations import FamilyTag
+from triplepoint.graphcatalog import _RING_GRAPHS, graph_catalog, quotient_sweep_tags
+from triplepoint.presentations import _RDP_FAMILIES, _RTP_FAMILIES, FamilyTag
 
 
 def single_vertex(w=-3):
@@ -96,7 +96,8 @@ def test_arithmetic_genus():
 
 def test_rationality_check_catalogs():
     for tag in ("B:2,5", "F:3", "cyclic:4,2", "G14:2", "RDP-E7"):
-        assert rationality_check(graph_catalog(tag))
+        g = graph_catalog(tag)
+        assert arithmetic_genus(g, fundamental_cycle(g)) == 0
 
 
 def test_multiplicity_and_stats():
@@ -268,6 +269,36 @@ def test_ex53_alias():
     assert graph_catalog("EX-5.3") == graph_catalog("G10:2")
 
 
+def _pinned_graph_tags():
+    tags = quotient_sweep_tags(5) + [str(t) for t in grid_tags(6)]
+    tags += [f"RDP-A:{n}" for n in range(1, 30)] + [f"RDP-D:{n}" for n in range(4, 30)]
+    tags += ["RDP-E6", "RDP-E7", "RDP-E8", "EX-5.3"]
+    tags += [f"A:{l},{m},{n}" for n in (7, 8) for m in range(n + 1) for l in range(m + 1)]
+    tags += [f"G{i}:{b}" for i in range(1, 16) for b in (6, 9)]
+    tags += ["T22:2,2,2,2,2", "T22:3,5,4,3,2", "T22:6,2,3,2,3,2", "T22:2,7"]
+    return tags
+
+
+def test_catalog_graphs_are_pinned():
+    # each catalog graph's vertex ids and weights, in order, and its edge set
+    # are what the commands' cycles and verdicts are keyed by
+    rows = []
+    for tag in _pinned_graph_tags():
+        g = graph_catalog(tag)
+        rows.append([tag, list(g.ids), list(g.weights), sorted(sorted(e) for e in g.edges)])
+    assert len(rows) == 1075
+    digest = hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode()).hexdigest()
+    assert digest == "af137b4cb40ef88d82e26294bd64dbaeb953b396bbbeaa4226e74933466fcbc9"
+
+
+def test_every_ring_family_but_ex52_has_a_graph():
+    # EX-5.2 is the one ring without a catalog graph
+    rings = _RTP_FAMILIES + _RDP_FAMILIES + ("EX-5.3",)
+    assert sorted(_RING_GRAPHS) == sorted(rings)
+    with pytest.raises(ParameterError, match="no graph catalog entry"):
+        graph_catalog("EX-5.2")
+
+
 def _fraction_lu_negative_definite(M):
     """Reference: exact LU over Fractions, negative definite iff every
     pivot is negative."""
@@ -398,7 +429,7 @@ def test_laufer_runs_once_per_graph_in_quotient_sweep(monkeypatch):
     g = graph_catalog("G7:3")
     full_runs.clear()
     Z0 = fundamental_cycle(g)
-    assert rationality_check(g) and graph_multiplicity(g) == 3
+    assert arithmetic_genus(g, Z0) == 0 and graph_multiplicity(g) == 3
     unique_ulrich_filter(g)
     ulrich_support_candidates(g)
     enumerate_ulrich_chains(g)

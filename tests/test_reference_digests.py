@@ -22,7 +22,10 @@ REFERENCE = os.path.join(
     "reference.json",
 )
 
-CROSS_CHECK_TAGS = ("A:1,2,3", "B:1,4", "C:1,5", "D:2", "F:2", "H:7", "Gamma1", "EX-5.3")
+# A:0,0,0 (no m-arm) and B:0,3 (the shortest B sequence) are the edge cases
+# of the graph builder
+CROSS_CHECK_TAGS = ("A:1,2,3", "B:1,4", "C:1,5", "D:2", "F:2", "H:7", "Gamma1", "EX-5.3",
+                    "A:0,0,0", "B:0,3")
 # at least one unseeded classification per family, so that the output bytes
 # of the reduction search are guarded
 CLASSIFY_TAGS = ("A:1,2,3", "RDP-E7", "A:7,7,8", "H:5", "RDP-D:6", "B:3,5", "C:2,6", "D:2",
