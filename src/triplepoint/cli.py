@@ -58,6 +58,17 @@ def _emit(data, as_json, text_renderer):
         text_renderer(data)
 
 
+def _rdp_list_passes(certs, nxt, expected):
+    """The pass rule for a double point's list (``verify_rdp_list``): the
+    expected count, every listed ideal Ulrich, and the next pattern ideal,
+    when there is one, not Ulrich."""
+    return (
+        len(certs) == expected
+        and all(c.verdict == "ulrich" for c in certs)
+        and (nxt is None or nxt.verdict != "ulrich")
+    )
+
+
 def _run(fn):
     try:
         code = fn()
@@ -109,9 +120,7 @@ def cmd_classify(tag, as_json, seed_reductions):
         if pres.cm_type == 1:
             certs, nxt = verify_rdp_list(pres)
             expected = exp.ulrich_count_expected(ftag)
-            ok = all(c.verdict == "ulrich" for c in certs) and len(certs) == expected
-            if nxt is not None:
-                ok = ok and nxt.verdict != "ulrich"
+            ok = _rdp_list_passes(certs, nxt, expected)
             data = {
                 "tag": str(ftag),
                 "ulrich": [c.to_json_dict() for c in certs],
@@ -393,8 +402,7 @@ def _cycle_of(g, text):
 @click.option("--tag", default=None, help="graph catalog tag, e.g. G10:2")
 @click.option("--file", default=None, type=click.Path(exists=True), help="graph JSON file")
 @click.option("--cycle", default=None, help="cycle as JSON, e.g. {\"E0\":2,...}")
-@click.option("--max-steps", default=16, show_default=True, type=click.IntRange(min=0))
-def cmd_graph(subcommand, tag, file, cycle, max_steps):
+def cmd_graph(subcommand, tag, file, cycle):
     """Resolution-graph computations; always emits JSON."""
 
     def work():
@@ -414,12 +422,11 @@ def cmd_graph(subcommand, tag, file, cycle, max_steps):
                 raise ParseError("cycle is not anti-nef")
             out = dg.cycle_stats(g, Z)
         else:  # chains
-            enum = dg.enumerate_ulrich_chains(g, max_steps=max_steps)
+            enum = dg.enumerate_ulrich_chains(g)
             out = {
                 "fundamental": g.cycle_to_json_dict(enum.fundamental),
                 "cycles": [g.cycle_to_json_dict(c) for c in enum.cycles],
                 "count": len(enum.chains),
-                "truncated": enum.truncated,
                 "antinefPruned": enum.antinef_pruned,
             }
         click.echo(json.dumps(out, separators=(", ", ": ")))
@@ -448,9 +455,7 @@ def cmd_rdp_verify(tag, as_json):
             pres = instantiate(ftag)
             certs, nxt = verify_rdp_list(pres)
             expected = exp.ulrich_count_expected(ftag)
-            ok = len(certs) == expected and all(c.verdict == "ulrich" for c in certs)
-            if nxt is not None:
-                ok = ok and nxt.verdict != "ulrich"
+            ok = _rdp_list_passes(certs, nxt, expected)
             if not ok:
                 failed = True
             rows.append(

@@ -17,6 +17,9 @@ fundamental cycle, each step adds a positive cycle Y with
 and the new cycle must stay anti-nef.  Supports of admissible Y are full
 connected components of the orthogonal locus {E_i : Z_prev . E_i = 0}: a
 component-boundary vertex would get positive pairing with the new cycle.
+The enumeration always ends: each step's Y is at most the previous one
+coefficientwise and differs from it (Y = Y_prev would give
+Y . Z_prev = Y . Y < 0), so a chain has at most sum(Z_0) steps.
 """
 
 from __future__ import annotations
@@ -293,24 +296,6 @@ def unique_ulrich_filter(g: DualGraph) -> bool:
     )
 
 
-def ulrich_support_candidates(g: DualGraph):
-    """Connected vertex sets between {b_i >= 3} and {E_i . Z_0 = 0}."""
-    _require_rational(g)
-    lower = frozenset(i for i in range(g.n) if g.weights[i] <= -3)
-    upper = [i for i in range(g.n) if g.pairing_with_vertex(g._z0, i) == 0]
-    if not lower.issubset(upper):
-        return []
-    free = sorted(set(upper) - lower)
-    out = []
-    for r in range(len(free) + 1):
-        for extra in itertools.combinations(free, r):
-            cand = frozenset(lower | set(extra))
-            if len(_components_of(g, cand)) == 1:
-                out.append(tuple(sorted(cand)))
-    out.sort()
-    return out
-
-
 @dataclass(frozen=True)
 class UlrichChain:
     """One chain Z_0 < Z_1 < ... < Z_s; steps hold (Y_k, Z_k)."""
@@ -329,7 +314,6 @@ class UlrichChain:
 class ChainEnumeration:
     fundamental: tuple
     chains: tuple  # UlrichChain, first entry is the empty chain (Z_0)
-    truncated: bool
     antinef_pruned: bool
 
     @property
@@ -358,7 +342,7 @@ def _components_of(g: DualGraph, vertices):
     return comps
 
 
-def enumerate_ulrich_chains(g: DualGraph, max_steps: int = 16) -> ChainEnumeration:
+def enumerate_ulrich_chains(g: DualGraph) -> ChainEnumeration:
     _require_rational(g)
     Z0 = g._z0
     K = canonical_numbers(g)  # read once; every K . Y below uses it
@@ -366,7 +350,7 @@ def enumerate_ulrich_chains(g: DualGraph, max_steps: int = 16) -> ChainEnumerati
     heavy = frozenset(i for i in range(g.n) if g.weights[i] <= -3)
     chains = [UlrichChain(())]
     seen_cycles = {Z0}
-    state = {"truncated": False, "pruned": False}
+    pruned = False
 
     def step_candidates(Zprev, upper, first):
         orth = [i for i in range(g.n) if g.pairing_with_vertex(Zprev, i) == 0]
@@ -395,30 +379,21 @@ def enumerate_ulrich_chains(g: DualGraph, max_steps: int = 16) -> ChainEnumerati
         # p_a(Y) = (Y.Y + K.Y)/2 + 1 = 0, with K.Y = K.Z_0 checked above
         return intersection_pairing(g, Y, Y) + KZ0 == -2
 
-    def extend(prefix_steps, Zprev, upper, depth, first):
-        if depth >= max_steps:
-            for Y in step_candidates(Zprev, upper, first):
-                if conditions_hold(Y, Zprev):
-                    Znew = tuple(a + b for a, b in zip(Zprev, Y))
-                    if is_antinef(g, Znew):
-                        state["truncated"] = True
-                        return
-            return
+    def extend(prefix_steps, Zprev, upper, first):
+        nonlocal pruned
         for Y in step_candidates(Zprev, upper, first):
             if not conditions_hold(Y, Zprev):
                 continue
             Znew = tuple(a + b for a, b in zip(Zprev, Y))
             if not is_antinef(g, Znew):
-                state["pruned"] = True
+                pruned = True
                 continue
             steps = prefix_steps + ((Y, Znew),)
             if Znew not in seen_cycles:
                 seen_cycles.add(Znew)
                 chains.append(UlrichChain(steps))
-            extend(steps, Znew, list(Y), depth + 1, False)
+            extend(steps, Znew, list(Y), False)
 
-    extend((), Z0, list(Z0), 0, True)
+    extend((), Z0, list(Z0), True)
     ordered = sorted(chains, key=lambda c: (c.depth, c.steps))
-    return ChainEnumeration(
-        Z0, tuple(ordered), state["truncated"], state["pruned"]
-    )
+    return ChainEnumeration(Z0, tuple(ordered), pruned)

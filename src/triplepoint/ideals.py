@@ -38,11 +38,12 @@ such monomial divides is reduced.
 Work is cached on the objects that own it, never in module globals: an
 ``IdealHandle`` keeps its reduced basis and standard monomials for its
 lifetime, and a ``PresentedQuotient`` keeps one image handle per
-generator tuple and one localized handle per image basis for its
-lifetime, and the finite algebra of the ideal it last worked on; an
-algebra keeps its memo of monomial normal forms, so each distinct
-monomial's normal form is found once per ideal.  The CLI builds one
-presentation per command, so nothing accumulates across commands.
+generator tuple for its lifetime, and the finite algebra of the ideal it
+last worked on; an algebra keeps its memo of monomial normal forms, so
+each distinct monomial's normal form is found once per ideal.  A
+localized ideal is not kept: a command almost never asks for the same
+one twice.  The CLI builds one presentation per command, so nothing
+accumulates across commands.
 """
 
 from __future__ import annotations
@@ -499,12 +500,11 @@ class PresentedQuotient:
     computations run in the polynomial ring.
 
     The quotient keeps, for its lifetime, one image handle per generator
-    tuple (so each image's reduced basis is computed once) and one
-    localized handle per image basis; of the ``FiniteAlgebra`` objects it
-    keeps the most recent one.
+    tuple (so each image's reduced basis is computed once); of the
+    ``FiniteAlgebra`` objects it keeps the most recent one.
     """
 
-    __slots__ = ("ring", "defining", "_maximal", "_images", "_local", "_algebra")
+    __slots__ = ("ring", "defining", "_maximal", "_images", "_algebra")
 
     def __init__(self, ring: Ring, defining: IdealHandle):
         self.ring = ring
@@ -517,7 +517,6 @@ class PresentedQuotient:
         self.defining = defining
         self._maximal = None
         self._images = {}
-        self._local = {}
         self._algebra = (None, None)
 
     def maximal_ideal(self) -> IdealHandle:
@@ -534,17 +533,7 @@ class PresentedQuotient:
 
     def colength(self, ideal: IdealHandle) -> int:
         """Length of (local ring)/(ideal) at the origin."""
-        return self._localized(ideal).quotient_dim()
-
-    def _localized(self, ideal: IdealHandle) -> IdealHandle:
-        """The image of ``ideal`` with its local ring at the origin and no
-        other zero (see ``_localize``); one per image basis."""
-        img = self.image(ideal)
-        gb = img.groebner()
-        local = self._local.get(gb)
-        if local is None:
-            local = self._local[gb] = _localize(img)
-        return local
+        return _localize(self.image(ideal)).quotient_dim()
 
     def algebra(self, ideal: IdealHandle) -> FiniteAlgebra:
         """The finite algebra of ``ideal`` (see ``FiniteAlgebra``).  Only the
@@ -604,7 +593,9 @@ class FiniteAlgebra:
             for k, e, *_ in (x.terms[0] for x in A.maximal_ideal().gens)
             for p in squares
         )
-        local = A._localized(IdealHandle(ring, [Polynomial(ring, t) for t in m_squares]))
+        local = _localize(
+            IdealHandle(ring, [Polynomial(ring, t) for t in m_squares] + list(A.defining.gens))
+        )
         self._basis = [list(g.terms) for g in local.groebner()]
         self._monomial_leads = [g[0][1] for g in self._basis if len(g) == 1]
         self._polynomial_leads = [g[0][1] for g in self._basis if len(g) > 1]

@@ -42,12 +42,6 @@ def _snorm(a, b, d):
     return (a, b, d)
 
 
-def _sadd(c1, c2):
-    a1, b1, d1 = c1
-    a2, b2, d2 = c2
-    return _snorm(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
-
-
 def _sdiv(c1, c2):
     # (a+bi)/d / ((p+qi)/e) = (a+bi)(p-qi)e / (d(p^2+q^2))
     a, b, d = c1
@@ -161,6 +155,12 @@ def reduce_terms(p, divisors, kc, want_quotients=False):
     Returns (quotients, remainder).  quotients is None unless requested,
     otherwise a list of term lists with p == sum(q_i * divisors_i) + r.
     The remainder has no term divisible by any divisor leading monomial.
+
+    Terms leave the heap in descending key order, and a step only adds terms
+    below the one it removes (a divisor's tail lies below its lead), so no
+    exponent is popped twice: each popped term is appended to the remainder
+    or, shifted by its divisor's lead, to one quotient, and both come out
+    canonical with no merge and no sort.
     """
     if not p:
         return ([[] for _ in divisors] if want_quotients else None), []
@@ -169,50 +169,30 @@ def reduce_terms(p, divisors, kc, want_quotients=False):
     work = {}
     heap = []
     for (k, e, a, b, d) in p:
-        work[e] = [k, a, b, d]
+        work[e] = (a, b, d)
         heap.append((-k, e))
     _heapify(heap)
-    rem = {}
-    quots = [{} for _ in range(nd)] if want_quotients else None
+    rem = []
+    quots = [[] for _ in range(nd)] if want_quotients else None
     while heap:
         nk, e = _heappop(heap)
-        ent = work.get(e)
-        if ent is None:
-            continue
-        del work[e]
+        coeff = work.pop(e, None)
+        if coeff is None:
+            continue  # cancelled, or a second heap entry for e
         k = -nk
-        coeff = (ent[1], ent[2], ent[3])
         hit = -1
         for idx in range(nd):
             if _divides(lead[idx][1], e):
                 hit = idx
                 break
         if hit < 0:
-            r = rem.get(e)
-            if r is None:
-                rem[e] = [k, coeff[0], coeff[1], coeff[2]]
-            else:
-                a, b, d = _sadd((r[1], r[2], r[3]), coeff)
-                if a or b:
-                    r[1], r[2], r[3] = a, b, d
-                else:
-                    del rem[e]
+            rem.append((k, e) + coeff)
             continue
         lk, le, la, lb, ld = lead[hit]
-        c = _sdiv(coeff, (la, lb, ld))
+        ca, cb, cd = _sdiv(coeff, (la, lb, ld))
         texp = tuple(x - y for x, y in zip(e, le))
         if want_quotients:
-            q = quots[hit]
-            prev = q.get(texp)
-            if prev is None:
-                q[texp] = [k - lk + kc, c[0], c[1], c[2]]
-            else:
-                a, b, d = _sadd((prev[1], prev[2], prev[3]), c)
-                if a or b:
-                    prev[1], prev[2], prev[3] = a, b, d
-                else:
-                    del q[texp]
-        ca, cb, cd = c
+            quots[hit].append((k - lk + kc, texp, ca, cb, cd))
         g = divisors[hit]
         for gi in range(1, len(g)):
             gk, ge, ga, gb, gd = g[gi]
@@ -223,27 +203,16 @@ def reduce_terms(p, divisors, kc, want_quotients=False):
             md = gd * cd
             cur = work.get(te)
             if cur is None:
-                na, nb, nd2 = _snorm(-ma, -mb, md)
-                work[te] = [tk, na, nb, nd2]
+                work[te] = _snorm(-ma, -mb, md)
                 _heappush(heap, (-tk, te))
             else:
-                a = cur[1] * md - ma * cur[3]
-                b = cur[2] * md - mb * cur[3]
+                a = cur[0] * md - ma * cur[2]
+                b = cur[1] * md - mb * cur[2]
                 if a or b:
-                    na, nb, nd2 = _snorm(a, b, cur[3] * md)
-                    cur[1], cur[2], cur[3] = na, nb, nd2
+                    work[te] = _snorm(a, b, cur[2] * md)
                 else:
                     del work[te]
-    rem_list = [(v[0], e, v[1], v[2], v[3]) for e, v in rem.items()]
-    rem_list.sort(reverse=True)
-    if want_quotients:
-        qlists = []
-        for q in quots:
-            ql = [(v[0], e, v[1], v[2], v[3]) for e, v in q.items()]
-            ql.sort(reverse=True)
-            qlists.append(ql)
-        return qlists, rem_list
-    return None, rem_list
+    return quots, rem
 
 
 def monic_terms(p):

@@ -13,7 +13,6 @@ powers, parsed text, and defining ideals (``check_exponent_cap``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import kernel
@@ -123,36 +122,6 @@ class Ring:
         return "*".join(parts) if parts else "1"
 
 
-@dataclass(frozen=True)
-class Gaussian:
-    """Gaussian rational a + b*i with exact Fraction parts."""
-
-    re: Fraction
-    im: Fraction
-
-    @classmethod
-    def from_triple(cls, t):
-        a, b, d = t
-        return cls(Fraction(a, d), Fraction(b, d))
-
-    def triple(self):
-        from math import gcd
-
-        d = self.re.denominator * self.im.denominator
-        d //= gcd(self.re.denominator, self.im.denominator)
-        return kernel._snorm(
-            self.re.numerator * (d // self.re.denominator),
-            self.im.numerator * (d // self.im.denominator),
-            d,
-        )
-
-    def __bool__(self):
-        return bool(self.re or self.im)
-
-    def __str__(self):
-        return _render_scalar(self.triple(), bare=True)
-
-
 def _to_triple(c):
     if isinstance(c, tuple) and len(c) == 3:
         return kernel._snorm(*c)
@@ -160,8 +129,6 @@ def _to_triple(c):
         return (c, 0, 1) if c else kernel.SZERO
     if isinstance(c, Fraction):
         return kernel._snorm(c.numerator, 0, c.denominator)
-    if isinstance(c, Gaussian):
-        return c.triple()
     raise TypeError(f"cannot use {type(c).__name__} as a scalar")
 
 
@@ -174,37 +141,8 @@ class Polynomial:
         self.ring = ring
         self.terms = tuple(terms)
 
-    # -- basic queries -------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self):
         return bool(self.terms)
-
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(t[1]) for t in self.terms)
-
-    def leading_term(self):
-        """(exponent tuple, Gaussian coefficient) of the grevlex-largest term."""
-        if not self.terms:
-            raise ZeroPolynomialError("zero polynomial has no leading term")
-        t = self.terms[0]
-        return t[1], Gaussian.from_triple((t[2], t[3], t[4]))
-
-    def coefficient(self, exp) -> Gaussian:
-        exp = tuple(exp)
-        for t in self.terms:
-            if t[1] == exp:
-                return Gaussian.from_triple((t[2], t[3], t[4]))
-        return Gaussian(Fraction(0), Fraction(0))
-
-    def monomials(self):
-        """Exponent tuples of the terms, in descending order."""
-        return tuple(t[1] for t in self.terms)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -234,7 +172,7 @@ class Polynomial:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Gaussian)) or (
+        if isinstance(other, (int, Fraction)) or (
             isinstance(other, tuple) and len(other) == 3
         ):
             c = _to_triple(other)
@@ -262,9 +200,6 @@ class Polynomial:
             base = base * base if n > 1 else base
             n >>= 1
         return out
-
-    def monic(self):
-        return Polynomial(self.ring, kernel.monic_terms(list(self.terms)))
 
     def reduce(self, divisors, want_quotients=False):
         """Remainder (and optional quotients) on division by ``divisors``."""

@@ -40,7 +40,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import ParameterError, ShapeError, TriplepointError
-from .ideals import IdealHandle, PresentedQuotient
+from .ideals import IdealHandle, PresentedQuotient, _localize
 from .kernel import SONE, SZERO
 from .presentations import (
     RDP_RING,
@@ -92,17 +92,6 @@ class UlrichCertificate:
             "good": self.good,
             "freeTest": self.free_test,
         }
-
-
-def is_reduction_stable(A: PresentedQuotient, I: IdealHandle, Q: IdealHandle) -> bool:
-    """I^2 == QI at the origin, for a 2-generated Q inside I at the origin:
-    the span test of the reduction search."""
-    if len(Q.gens) != 2:
-        raise ValueError("reduction must have exactly 2 generators")
-    spans = A.algebra(I).spans(Q)
-    if spans is None:
-        raise ValueError("reduction candidate is not inside the ideal")
-    return spans
 
 
 def good_check(A: PresentedQuotient, I: IdealHandle, Q: IdealHandle) -> bool:
@@ -346,5 +335,5 @@ def gorenstein_quotient_experiment(pres: RingPresentation) -> bool:
     ideals with no zero but the origin: the localized trace and its colon.
     """
     A = pres.quotient
-    local = A._localized(trace_ideal(pres))
+    local = _localize(A.image(trace_ideal(pres)))
     return local.quotient_dim() - local.colon(A.maximal_ideal()).quotient_dim() == 1

@@ -6,6 +6,7 @@ failures reproduce.
 """
 
 import itertools
+import math
 import random
 
 from triplepoint.dualgraph import DualGraph, fundamental_cycle, is_antinef
@@ -32,6 +33,17 @@ def _random_poly(rng, ring, max_terms=4, max_deg=2, max_coeff=3):
     return ring.from_terms(pairs)
 
 
+def assert_canonical(p):
+    """The terms of ``p`` are canonical: keys strictly descending, each the
+    ring's key of its exponent, coefficients nonzero and in lowest terms
+    with a positive denominator."""
+    keys = [t[0] for t in p.terms]
+    assert all(a > b for a, b in zip(keys, keys[1:]))
+    for key, exp, a, b, d in p.terms:
+        assert key == p.ring.key(exp)
+        assert (a or b) and d > 0 and math.gcd(math.gcd(a, b), d) == 1
+
+
 def run_spair_audit(seed=101, cases=200):
     """Every emitted Groebner basis passes the independent S-pair audit."""
     rng = random.Random(seed)
@@ -43,7 +55,8 @@ def run_spair_audit(seed=101, cases=200):
 
 
 def run_division_recombination(seed=202, cases=300):
-    """p == sum(q_i g_i) + r exactly, and the remainder is irreducible."""
+    """p == sum(q_i g_i) + r exactly, the remainder is irreducible, and the
+    remainder and quotients are canonical."""
     rng = random.Random(seed)
     for _ in range(cases):
         p = _random_poly(rng, R4, max_terms=5, max_deg=3)
@@ -55,6 +68,8 @@ def run_division_recombination(seed=202, cases=300):
         if not divisors:
             divisors = [R4.var("x")]
         quots, r = p.reduce(divisors, want_quotients=True)
+        for part in [r] + quots:
+            assert_canonical(part)
         total = r
         for q, g in zip(quots, divisors):
             total = total + q * g

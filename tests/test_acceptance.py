@@ -185,7 +185,7 @@ def test_criterion_6_quotient_sweep():
             continue
         mult = graph_multiplicity(g)
         filt = unique_ulrich_filter(g)
-        enum = enumerate_ulrich_chains(g, max_steps=8)
+        enum = enumerate_ulrich_chains(g)
         count = len(enum.chains)
         if filt and count != 1:
             bad.append((tag, "filter-vs-enumeration"))

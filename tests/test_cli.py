@@ -134,6 +134,15 @@ def test_cross_check_examples():
     assert data["graph"]["traceCycleLength"] == data["algebra"]["res"] == 2
 
 
+def test_cross_check_counts_every_chain():
+    # 18 Ulrich ideals: the graph side counts chains of depth 17 too
+    res = invoke("cross-check", "--tag", "A:17,17,17", "--json")
+    assert res.exit_code == 0, res.output
+    data = json.loads(res.output)
+    assert data["algebra"]["ulrichCount"] == data["graph"]["chainCount"] == 18
+    assert data["status"] == "pass"
+
+
 def test_cross_check_ex53():
     res = invoke("cross-check", "--tag", "EX-5.3", "--json")
     assert res.exit_code == 0
@@ -174,7 +183,7 @@ def test_graph_chains_output():
     assert res.exit_code == 0
     data = json.loads(res.output)
     assert data["count"] == 2
-    assert data["truncated"] is False
+    assert "truncated" not in data
 
 
 def test_graph_pa_defaults_to_fundamental_cycle():
@@ -211,15 +220,6 @@ def test_graph_cycle_with_unknown_vertex_exit_2():
         assert res.exit_code == 2, (sub, res.output)
         assert res.stdout == ""
         assert f"input error: cycle names unknown vertex {unknown}" in res.stderr
-
-
-def test_graph_chains_negative_max_steps_exit_2():
-    res = invoke("graph", "chains", "--tag", "G3:2", "--max-steps", "-1")
-    assert res.exit_code == 2, res.output
-    assert "Invalid value for '--max-steps': -1 is not in the range x>=0." in res.output
-    assert "truncated" not in res.output
-    res = invoke("graph", "chains", "--tag", "G3:2", "--max-steps", "0")
-    assert res.exit_code == 0 and json.loads(res.output)["truncated"] is True
 
 
 def test_graph_stats_cycle_not_antinef_exit_2():

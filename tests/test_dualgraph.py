@@ -24,7 +24,6 @@ from triplepoint.dualgraph import (
     graph_multiplicity,
     intersection_pairing,
     is_antinef,
-    ulrich_support_candidates,
     unique_ulrich_filter,
 )
 from triplepoint.errors import GraphInvariantError, ParameterError
@@ -119,20 +118,6 @@ def test_unique_ulrich_filter():
     assert unique_ulrich_filter(single_vertex(-3))
 
 
-def test_support_candidates():
-    assert ulrich_support_candidates(graph_catalog("G10:2")) == []
-    g7 = graph_catalog("G7:3")
-    cands = ulrich_support_candidates(g7)
-    # figure order: E1 E2 E3 E0 E4 E5 E6; Y1 of the worked example is
-    # supported on the four orthogonal chain vertices
-    y1_support = tuple(sorted(g7.ids.index(v) for v in ("E2", "E3", "E0", "E5")))
-    assert y1_support in cands
-    # all-(-2) graph: lower bound empty, subsets of the orthogonal set
-    g = graph_catalog("RDP-A:3")
-    cands = ulrich_support_candidates(g)
-    assert ((1,),) == tuple(c for c in cands if len(c) == 1)
-
-
 def test_chains_gamma7_recovers_printed_cycle():
     g = graph_catalog("G7:3")
     enum = enumerate_ulrich_chains(g)
@@ -145,9 +130,17 @@ def test_chains_a222_three_cycles():
     assert len(enumerate_ulrich_chains(g).chains) == 3
 
 
+def test_chains_run_to_the_end_of_long_chains():
+    # every step lowers sum(Y), so the enumeration ends without a depth cap;
+    # RDP-A:n has (n + 1) // 2 Ulrich ideals, one chain of each depth
+    enum = enumerate_ulrich_chains(graph_catalog("RDP-A:60"))
+    assert len(enum.chains) == 30
+    assert [c.depth for c in enum.chains] == list(range(30))
+
+
 def test_chains_g10_unique():
     enum = enumerate_ulrich_chains(graph_catalog("G10:2"))
-    assert len(enum.chains) == 1 and not enum.truncated
+    assert len(enum.chains) == 1
 
 
 def test_chains_strictly_increasing_and_distinct():
@@ -431,7 +424,6 @@ def test_laufer_runs_once_per_graph_in_quotient_sweep(monkeypatch):
     Z0 = fundamental_cycle(g)
     assert arithmetic_genus(g, Z0) == 0 and graph_multiplicity(g) == 3
     unique_ulrich_filter(g)
-    ulrich_support_candidates(g)
     enumerate_ulrich_chains(g)
     cycle_stats(g, Z0)
     assert full_runs == [] and fundamental_cycle(g) is Z0
