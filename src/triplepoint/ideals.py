@@ -15,8 +15,16 @@ monomial multiples of one polynomial) is dropped before it is formed.
 The minimal basis is read off the live elements, those whose leads no
 later lead divides.  The output is the unique reduced Groebner basis
 sorted by ascending leading monomial, so equal ideals produce identical
-bases.  Standard monomials are walked layer by layer in total degree,
-with set lookups in place of divisibility tests.
+bases.
+
+A monomial is addressed by its packed key (see ``polyring``): keys are
+additive, and one mask decides divisibility, so a lead that has a key is
+tested by key (the batch entry, the live set, criterion B, the minimal
+basis, the localization's pure powers, the finite algebra's memo); only
+the lcms of criteria M and F, which have none, are compared as exponent
+tuples.  Standard monomials are walked layer by layer in total degree on
+keys, with set lookups in place of divisibility tests, and come out as
+(key, exponent) pairs by ascending key.
 
 Local statements are decided in finite quotients.  A local colength at
 the origin is computed in one step: when K has finite quotient dimension
@@ -33,7 +41,8 @@ standard monomials of its localized basis.  That basis is mostly
 monomials, so the normal form of a monomial outside the standard ones is
 read by membership: it is 0 when a monomial of the basis divides it (so
 always, when the basis is monomials only), and only a monomial that no
-such monomial divides is reduced.
+such monomial divides is reduced.  The memo of normal forms is keyed by
+key, so an exponent tuple is formed only for a monomial not seen yet.
 
 Work is cached on the objects that own it, never in module globals: an
 ``IdealHandle`` keeps its reduced basis and standard monomials for its
@@ -54,7 +63,7 @@ from heapq import heappop, heappush
 from . import kernel
 from .errors import ColengthBudgetError, ZeroPolynomialError
 from .kernel import _divides
-from .polyring import Polynomial, Ring, check_exponent_cap
+from .polyring import _BIAS, Polynomial, Ring, check_exponent_cap
 
 
 def _exp_lcm(a, b):
@@ -81,14 +90,19 @@ def _same_multiple(f, g):
     return all(s[0] - kf == t[0] - kg and s[2:] == t[2:] for s, t in zip(f, g))
 
 
-def _criterion_b(lm, i, j, L):
-    """Criterion B, applied when the pair (i, j) with lcm L is popped: some
-    element h added after the pair was queued (h > j) has a lead dividing L,
-    and neither (i, h) nor (j, h) has lcm L.  These are the pairs an eager
-    update would have removed from the queue as each h came in."""
-    for h in range(j + 1, len(lm)):
-        eh = lm[h]
-        if _divides(eh, L) and L != _exp_lcm(lm[i], eh) and L != _exp_lcm(lm[j], eh):
+def _criterion_b(G, i, j, L, lkey, kc):
+    """Criterion B, applied when the pair (i, j) with lcm L of key ``lkey``
+    is popped: some element h of G added after the pair was queued (h > j)
+    has a lead dividing L, and neither (i, h) nor (j, h) has lcm L.  These
+    are the pairs an eager update would have removed from the queue as each
+    h came in."""
+    for h in range(j + 1, len(G)):
+        kh, eh = G[h][0][:2]
+        if (
+            (kh - lkey + kc) & kc == kc
+            and L != _exp_lcm(G[i][0][1], eh)
+            and L != _exp_lcm(G[j][0][1], eh)
+        ):
             return True
     return False
 
@@ -106,11 +120,15 @@ def _groebner_terms(gens, ring, assume_prefix=0):
         # monomials is a Groebner basis already; by ascending key a later
         # monomial never divides an earlier one, so the kept ones (no kept
         # monomial divides them) are minimal
-        kept = []
+        kept, keys = [], []
         for g in sorted((g for g in gens if len(g) == 1), key=lambda g: g[0][0]):
-            e = g[0][1]
-            if not any(_divides(m[0][1], e) for m in kept):
+            k = g[0][0]
+            for m in keys:
+                if (m - k + kc) & kc == kc:
+                    break
+            else:
                 kept.append(g)
+                keys.append(k)
         gens = kept + [g for g in gens if len(g) > 1]
         prefix = len(kept)
     G = [kernel.monic_terms(g) for g in gens[:prefix]]
@@ -126,7 +144,7 @@ def _groebner_terms(gens, ring, assume_prefix=0):
         ``sugar_g``, and apply the Gebauer-Moeller update for it."""
         h = len(G)
         G.append(g)
-        eh = g[0][1]
+        kh, eh = g[0][:2]
         dh = sum(eh)
         lm.append(eh)
         deg.append(dh)
@@ -154,7 +172,7 @@ def _groebner_terms(gens, ring, assume_prefix=0):
             if queue:
                 s = max(sugar[k] - deg[k], sugar[h] - dh) + sum(L)
                 heappush(heap, (s, ring.key(L), k, h, L))
-        live[:] = [k for k in live if not _divides(eh, lm[k])] + [h]
+        live[:] = [k for k in live if (kh - G[k][0][0] + kc) & kc != kc] + [h]
         basis[:] = [G[k] for k in live]
 
     # the other inputs enter by ascending lead, each fully reduced by the live
@@ -166,7 +184,7 @@ def _groebner_terms(gens, ring, assume_prefix=0):
             add(kernel.monic_terms(r), max(sum(t[1]) for t in g))
     while heap:
         s, lkey, i, j, L = heappop(heap)
-        if _criterion_b(lm, i, j, L) or _same_multiple(G[i], G[j]):
+        if _criterion_b(G, i, j, L, lkey, kc) or _same_multiple(G[i], G[j]):
             continue
         spol = _spoly(G[i], G[j], L, lkey, kc)
         r = spol and kernel.reduce_terms(spol, basis, kc)[1]
@@ -177,7 +195,8 @@ def _groebner_terms(gens, ring, assume_prefix=0):
     # lead that some live lead divides
     minimal = []
     for k in sorted(live, key=lambda k: G[k][0][0]):
-        if not any(_divides(m[0][1], lm[k]) for m in minimal):
+        lk = G[k][0][0]
+        if not any((m[0][0] - lk + kc) & kc == kc for m in minimal):
             minimal.append(G[k])
     # interreduce tails against the rest; the leads stay, so the list stays
     # sorted by ascending lead, and a single term is reduced already
@@ -263,18 +282,16 @@ class IdealHandle:
             out = out.product(self)
         return out
 
-    def leading_exponents(self) -> tuple:
-        return tuple(g.terms[0][1] for g in self.groebner())
-
     def quotient_dim(self):
         """Vector-space dimension of ring/ideal, or None when infinite."""
         std = self._standard()
         return None if std is None else len(std)
 
     def _standard(self):
-        """Exponents of the standard monomials, or None when infinitely many."""
+        """The standard monomials as (key, exponent) pairs by ascending key,
+        or None when infinitely many."""
         if self._std is None:
-            self._std = _standard_monomials(self.leading_exponents(), self.ring.n)
+            self._std = _standard_monomials([g.terms[0] for g in self.groebner()], self.ring)
         return self._std
 
     def colon(self, other: IdealHandle) -> IdealHandle:
@@ -298,11 +315,10 @@ class IdealHandle:
             return self  # the unit ideal
         ring, kc = self.ring, self.ring.kc
         gb = [list(g.terms) for g in self.groebner()]
-        monomials = sorted((ring.key(e), e) for e in std)
-        offset = monomials[-1][0] + 1  # normal forms have standard keys only
+        offset = std[-1][0] + 1  # normal forms have standard keys only
         pivots = {}
         kernel_rows = []
-        for k, e in monomials:
+        for k, e in std:
             row = [(k, e, 1, 0, 1)]
             for j, g in enumerate(other.gens, start=1):
                 prod = kernel.mono_mul_terms(list(g.terms), k, e, kernel.SONE, kc)
@@ -381,38 +397,45 @@ def _from_basis(ring: Ring, basis) -> IdealHandle:
     return handle
 
 
-def _standard_monomials(lead_exps, n):
-    """Exponents outside the monomial ideal of ``lead_exps``, found layer
-    by layer in total degree; the order of the list is not fixed.
+def _standard_monomials(leads, ring):
+    """The monomials outside the monomial ideal of the ``leads`` (terms, of
+    which the key and exponent are read), as (key, exponent) pairs by
+    ascending key, found layer by layer in total degree.
 
     f is standard exactly when f is not a lead and every f - x_j with
     f_j > 0 is standard: a lead properly dividing f divides one of them.
     Each f of the next layer is formed once, as e + x_i from the standard e
     with i at or past e's last nonzero index, and its other f - x_j (j < i)
-    are looked up in the current layer.
+    are looked up in the current layer.  Keys are additive, so f's key is
+    e's plus ``ring.units[i]``, every test is a set lookup of a key, and an
+    exponent tuple is built only for a standard f.
 
     Returns None when some variable has no pure power among the leads.
     """
+    n, units = ring.n, ring.units
+    lead_exps = [t[1] for t in leads]
     for i in range(n):
         if not any(all(e[j] == 0 for j in range(n) if j != i) for e in lead_exps):
             return None
-    leads = set(lead_exps)
-    origin = (0,) * n
-    if origin in leads:
+    lead_keys = {t[0] for t in leads}
+    if ring.kc in lead_keys:
         return []
     out = []
-    layer = [(origin, 0)]  # (e, e's last nonzero index)
+    layer = [(ring.kc, (0,) * n, 0)]  # (key, e, e's last nonzero index)
     while layer:
-        known = {e for e, _ in layer}
-        out += known
+        layer.sort()  # one total degree: by key is by the order
+        known = set()
+        for k, e, _ in layer:
+            out.append((k, e))
+            known.add(k)
         step = []
-        for e, top in layer:
+        for k, e, top in layer:
             for i in range(top, n):
-                f = e[:i] + (e[i] + 1,) + e[i + 1 :]
-                if f not in leads and all(
-                    not f[j] or f[:j] + (f[j] - 1,) + f[j + 1 :] in known for j in range(i)
+                fk = k + units[i]
+                if fk not in lead_keys and all(
+                    not e[j] or fk - units[j] in known for j in range(i)
                 ):
-                    step.append((f, i))
+                    step.append((fk, e[:i] + (e[i] + 1,) + e[i + 1 :], i))
         layer = step
     return out
 
@@ -428,15 +451,19 @@ def _localize(ideal: IdealHandle) -> IdealHandle:
     D = ideal.quotient_dim()
     if D is None:
         raise ColengthBudgetError("the global quotient is infinite")
-    ring = ideal.ring
+    ring, kc = ideal.ring, ideal.ring.kc
     gb = [list(g.terms) for g in ideal.groebner()]
-    members = [g[0][1] for g in gb if len(g) == 1]  # monomials of the ideal
+    members = [g[0][0] for g in gb if len(g) == 1]  # keys of the ideal's monomials
     powers = []
     for i in range(ring.n):
-        e = tuple(D if j == i else 0 for j in range(ring.n))
-        if any(_divides(m, e) for m in members):
+        # a lead over x_j is standard, so no lead exponent exceeds D and a
+        # monomial divides x_i^D only if it is a power of x_i: testing
+        # x_i^min(D, 2^15 - 1) keeps the key test exact for any D
+        pk = kc + min(D, _BIAS - 1) * ring.units[i]
+        if any((m - pk + kc) & kc == kc for m in members):
             continue
-        r = kernel.reduce_terms(list(ring.monomial(e).terms), gb, ring.kc)[1]
+        e = tuple(D if j == i else 0 for j in range(ring.n))
+        r = kernel.reduce_terms(list(ring.monomial(e).terms), gb, kc)[1]
         if r:
             powers.append(r)
     if not powers:
@@ -597,11 +624,11 @@ class FiniteAlgebra:
             IdealHandle(ring, [Polynomial(ring, t) for t in m_squares] + list(A.defining.gens))
         )
         self._basis = [list(g.terms) for g in local.groebner()]
-        self._monomial_leads = [g[0][1] for g in self._basis if len(g) == 1]
-        self._polynomial_leads = [g[0][1] for g in self._basis if len(g) > 1]
+        self._monomial_leads = [g[0][0] for g in self._basis if len(g) == 1]
+        self._polynomial_leads = [g[0][0] for g in self._basis if len(g) > 1]
         self._kc = kc
-        self._standard = sorted((ring.key(e), e) for e in local._standard())  # 1 first
-        self._memo = {e: [(k, e, 1, 0, 1)] for k, e in self._standard}
+        self._standard = local._standard()  # by ascending key, 1 first
+        self._memo = {k: [(k, e, 1, 0, 1)] for k, e in self._standard}
         self.dim = len(self._standard)
         self._rows = [[self._shifted(g, k, e) for g in gens] for k, e in self._standard]
         pivots = _echelon(itertools.chain.from_iterable(self._rows[1:]))
@@ -633,21 +660,26 @@ class FiniteAlgebra:
         self._spans = {}
 
     def _shifted(self, p, mkey, mexp):
-        """NF(X^mexp * p) for a term list p; X^mexp has key ``mkey``."""
+        """NF(X^mexp * p) for a term list p; X^mexp has key ``mkey``.  The
+        memo is keyed by key, so a term's exponent is shifted only when its
+        normal form is not known yet."""
         kc, memo = self._kc, self._memo
+        shift = mkey - kc
         out = []
         for k, e, a, b, d in p:
-            f = tuple(x + y for x, y in zip(e, mexp))
-            nf = memo.get(f)
+            fk = k + shift
+            nf = memo.get(fk)
             if nf is None:
                 # the memo holds every standard monomial, so some lead
                 # divides f, and NF(f) is 0 unless every lead dividing f
                 # belongs to an element that is not a monomial
-                nf = memo[f] = (
-                    kernel.reduce_terms([(k + mkey - kc, f, 1, 0, 1)], self._basis, kc)[1]
+                nf = memo[fk] = (
+                    kernel.reduce_terms(
+                        [(fk, tuple(x + y for x, y in zip(e, mexp)), 1, 0, 1)], self._basis, kc
+                    )[1]
                     if self._polynomial_leads
-                    and any(_divides(le, f) for le in self._polynomial_leads)
-                    and not any(_divides(le, f) for le in self._monomial_leads)
+                    and any((le - fk + kc) & kc == kc for le in self._polynomial_leads)
+                    and not any((le - fk + kc) & kc == kc for le in self._monomial_leads)
                     else []
                 )
             if nf:

@@ -10,7 +10,12 @@ order agrees with the monomial order), ``exp`` the exponent tuple, and
 ``re + im*i over den`` the coefficient in lowest terms with ``den > 0``.
 
 Keys are additive up to a ring constant ``kc`` (the key of the constant
-monomial): key(e1 + e2) == key(e1) + key(e2) - kc.
+monomial): key(e1 + e2) == key(e1) + key(e2) - kc.  ``kc`` is also the
+divisibility mask: for exponents below 2^15, a divides b exactly when
+(key(a) - key(b) + kc) & kc == kc (see ``polyring``).  The reduction
+addresses its work by key and decides which divisor's lead divides a term
+by this test; ``_divides`` compares exponent tuples, for the lcms of the
+pair criteria M and F in ``ideals``, which have no key.
 
 The public callables are exactly the term-list entry points the other
 modules call, and no function here calls a public name of this module.
@@ -158,9 +163,10 @@ def reduce_terms(p, divisors, kc, want_quotients=False):
 
     Terms leave the heap in descending key order, and a step only adds terms
     below the one it removes (a divisor's tail lies below its lead), so no
-    exponent is popped twice: each popped term is appended to the remainder
+    monomial is popped twice: each popped term is appended to the remainder
     or, shifted by its divisor's lead, to one quotient, and both come out
-    canonical with no merge and no sort.
+    canonical with no merge and no sort.  The pending terms are kept by key,
+    and a term's exponent tuple is built only when its key first appears.
     """
     if not p:
         return ([[] for _ in divisors] if want_quotients else None), []
@@ -169,27 +175,27 @@ def reduce_terms(p, divisors, kc, want_quotients=False):
     work = {}
     heap = []
     for (k, e, a, b, d) in p:
-        work[e] = (a, b, d)
-        heap.append((-k, e))
+        work[k] = (e, a, b, d)
+        heap.append(-k)
     _heapify(heap)
     rem = []
     quots = [[] for _ in range(nd)] if want_quotients else None
     while heap:
-        nk, e = _heappop(heap)
-        coeff = work.pop(e, None)
-        if coeff is None:
-            continue  # cancelled, or a second heap entry for e
-        k = -nk
+        k = -_heappop(heap)
+        term = work.pop(k, None)
+        if term is None:
+            continue  # cancelled, or a second heap entry for k
         hit = -1
         for idx in range(nd):
-            if _divides(lead[idx][1], e):
+            if (lead[idx][0] - k + kc) & kc == kc:
                 hit = idx
                 break
         if hit < 0:
-            rem.append((k, e) + coeff)
+            rem.append((k,) + term)
             continue
+        e = term[0]
         lk, le, la, lb, ld = lead[hit]
-        ca, cb, cd = _sdiv(coeff, (la, lb, ld))
+        ca, cb, cd = _sdiv(term[1:], (la, lb, ld))
         texp = tuple(x - y for x, y in zip(e, le))
         if want_quotients:
             quots[hit].append((k - lk + kc, texp, ca, cb, cd))
@@ -197,21 +203,20 @@ def reduce_terms(p, divisors, kc, want_quotients=False):
         for gi in range(1, len(g)):
             gk, ge, ga, gb, gd = g[gi]
             tk = gk + k - lk
-            te = tuple(x + y for x, y in zip(ge, texp))
             ma = ga * ca - gb * cb
             mb = ga * cb + gb * ca
             md = gd * cd
-            cur = work.get(te)
+            cur = work.get(tk)
             if cur is None:
-                work[te] = _snorm(-ma, -mb, md)
-                _heappush(heap, (-tk, te))
+                work[tk] = (tuple(x + y for x, y in zip(ge, texp)),) + _snorm(-ma, -mb, md)
+                _heappush(heap, -tk)
             else:
-                a = cur[0] * md - ma * cur[2]
-                b = cur[1] * md - mb * cur[2]
+                a = cur[1] * md - ma * cur[3]
+                b = cur[2] * md - mb * cur[3]
                 if a or b:
-                    work[te] = _snorm(a, b, cur[2] * md)
+                    work[tk] = (cur[0],) + _snorm(a, b, cur[3] * md)
                 else:
-                    del work[te]
+                    del work[tk]
     return quots, rem
 
 

@@ -6,9 +6,17 @@ and always kept in canonical form: terms strictly descending in grevlex,
 coefficients nonzero and in lowest terms.  Everything is safe to share
 across threads; operations are pure functions.
 
-Exponents are capped at 16383 per variable so that packed order keys fit
-in fixed 16-bit fields.  The cap is checked where exponents enter: monomials,
-powers, parsed text, and defining ideals (``check_exponent_cap``).
+A monomial is addressed by its packed grevlex key (``Ring.key``): one int
+whose integer order is the monomial order.  Keys are additive up to the
+key ``kc`` of 1, and ``units[i]`` is the step of x_i, so the key of e + x_i
+is key(e) + units[i].  ``kc`` is also a mask, 2^15 in each exponent field and
+0 in the degree field: for exponents below 2^15, a divides b exactly when
+(key(a) - key(b) + kc) & kc == kc, since each field of the difference is
+2^15 + b_j - a_j and keeps that bit exactly when a_j <= b_j.  The key order
+and this test are exact below 2^15.  Input exponents are capped at 16383
+(2^14 - 1) per variable, which leaves room for the products x_k*g_i*g_j the
+program forms; the cap is checked where exponents enter: monomials, powers,
+parsed text, and defining ideals (``check_exponent_cap``).
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ class Ring:
     """Polynomial ring context: ordered variable names, monomials in grevlex
     with x_1 > x_2 > ... > x_n."""
 
-    __slots__ = ("names", "n", "kc", "_index", "_hash")
+    __slots__ = ("names", "n", "kc", "units", "_index", "_hash")
 
     def __init__(self, names):
         names = tuple(names)
@@ -48,6 +56,8 @@ class Ring:
         self.n = len(names)
         self._index = {v: k for k, v in enumerate(names)}
         self.kc = self.key((0,) * self.n)
+        # key(x_i) - kc: one more in the degree field, one less in x_i's field
+        self.units = tuple((1 << _SHIFT * self.n) - (1 << _SHIFT * i) for i in range(self.n))
         self._hash = hash(names)
 
     def __eq__(self, other):

@@ -6,9 +6,10 @@ import random
 import pytest
 
 from triplepoint import ideals, kernel
-from triplepoint.errors import ColengthBudgetError
+from triplepoint.errors import ColengthBudgetError, ExponentRangeError
 from triplepoint.ideals import IdealHandle, PresentedQuotient, minors, spair_audit
 from triplepoint.polyring import Ring
+from triplepoint.presentations import instantiate
 
 R = Ring(("x", "y", "z", "t"))
 x, y, z, t = R.gens()
@@ -416,22 +417,27 @@ def test_quotient_dim_brute_force_oracle():
 def test_standard_monomials_match_box_enumeration():
     rng = random.Random(29)
     for n in (3, 4):
+        ring = Ring(tuple(f"v{k}" for k in range(n)))
         for _ in range(30):
             pures = [rng.randint(1, 4) for _ in range(n)]
             leads = {tuple(p if k == i else 0 for k in range(n)) for i, p in enumerate(pures)}
             for _ in range(rng.randint(0, 5)):
                 leads.add(tuple(rng.randint(0, 3) for _ in range(n)))
             leads.discard((0,) * n)
-            leads = list(leads)
+            leads = [(ring.key(e), e) for e in leads]
             box = itertools.product(*(range(p) for p in pures))
-            expected = [e for e in box if not any(_divides(le, e) for le in leads)]
-            got = ideals._standard_monomials(leads, n)
-            assert sorted(got) == expected, leads
-            assert len(set(got)) == len(got)
+            expected = [e for e in box if not any(_divides(le, e) for _, le in leads)]
+            got = ideals._standard_monomials(leads, ring)
+            assert sorted(e for _, e in got) == expected, leads
+            assert all(k == ring.key(e) for k, e in got)
+            keys = [k for k, _ in got]
+            assert keys == sorted(set(keys))  # ascending, so no repeats
+    R3 = Ring(("x", "y", "z"))
     # a variable without a pure power: infinitely many
-    assert ideals._standard_monomials([(2, 0, 0), (0, 3, 0), (0, 1, 1)], 3) is None
+    leads = [(R3.key(e), e) for e in [(2, 0, 0), (0, 3, 0), (0, 1, 1)]]
+    assert ideals._standard_monomials(leads, R3) is None
     # the unit ideal: none
-    assert ideals._standard_monomials([(0, 0, 0)], 3) == []
+    assert ideals._standard_monomials([(R3.kc, (0, 0, 0))], R3) == []
 
 
 def test_local_length_examples():
@@ -536,3 +542,41 @@ def test_monomial_algebra_reads_normal_forms_by_membership(monkeypatch):
     mixed = ideals.FiniteAlgebra(A, I)
     assert mixed._polynomial_leads
     assert [c for c in calls if c[1] is mixed._basis]
+
+
+@pytest.mark.parametrize(
+    "tag,gens,polynomial_elements",
+    [("A:8,8,8", ["x", "y", "z", "t^9"], 3), ("RDP-D:6", ["x + i*y^2", "y^3", "z"], 4)],
+)
+def test_key_indexed_memo_matches_uncached_reduction(tag, gens, polynomial_elements):
+    # bases with non-monomial elements, so that some memo entries are reduced
+    # and others are read by membership; every monomial of degree <= 6, shifted
+    # from 1 and in a second pass again, must have the normal form that the
+    # kernel's division by the localized basis gives
+    A = instantiate(tag).quotient
+    ring, kc = A.ring, A.ring.kc
+    alg = ideals.FiniteAlgebra(A, IdealHandle(ring, gens))
+    assert len(alg._polynomial_leads) == polynomial_elements
+    one_key, one = alg._standard[0]
+    exps = [e for e in itertools.product(range(7), repeat=ring.n) if sum(e) <= 6]
+    for _ in range(2):
+        for e in exps:
+            term = [(ring.key(e), e, 1, 0, 1)]
+            assert alg._shifted(term, one_key, one) == kernel.reduce_terms(term, alg._basis, kc)[1]
+    # and shifted by a monomial rather than from 1
+    x_key, x_exp = ring.var("x").terms[0][:2]
+    for e in exps:
+        f = tuple(a + b for a, b in zip(e, x_exp))
+        want = kernel.reduce_terms([(ring.key(f), f, 1, 0, 1)], alg._basis, kc)[1]
+        assert alg._shifted([(ring.key(e), e, 1, 0, 1)], x_key, x_exp) == want
+
+
+def test_localize_past_the_key_range():
+    # D = 40000 is past 2^15, where x_i^D has no exact key: a monomial power
+    # x^200 of the ideal still counts as dividing x^40000, so the ideal is
+    # already local; a missing one needs x^40000 itself, past the cap
+    local = IdealHandle(R, ["x^200", "y^200", "z", "t"])
+    assert ideals._localize(local) is local
+    assert local.quotient_dim() == 40000
+    with pytest.raises(ExponentRangeError):
+        ideals._localize(IdealHandle(R, ["x^200", "x*y - y^200", "z", "t"]))

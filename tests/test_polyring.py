@@ -1,5 +1,6 @@
 """Polynomial arithmetic, the grevlex order, parsing."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -229,3 +230,30 @@ def test_reduce_idempotent_and_witnessed(p, divisors):
     for qi, di in zip(quots, divisors):
         total = total + qi * di
     assert total == p
+
+
+def test_key_mask_divisibility_matches_exponents():
+    # kc is 2^15 in each exponent field: a divides b exactly when
+    # (key(a) - key(b) + kc) & kc == kc, for every exponent below 2^15
+    rng = random.Random(16)
+    top = (1 << 15) - 1
+
+    def field():
+        return rng.choice((0, top, rng.randint(0, 3), rng.randint(0, top)))
+
+    for n in (3, 4, 5):
+        ring = Ring(tuple(f"v{k}" for k in range(n)))
+        units = [ring.key(tuple(int(j == i) for j in range(n))) - ring.kc for i in range(n)]
+        assert list(ring.units) == units
+        extremes = [(0,) * n, (top,) * n]
+        cases = [(a, b) for a in extremes for b in extremes]
+        for _ in range(600):
+            a = tuple(field() for _ in range(n))
+            # b near a half the time, so that divisibility holds often
+            b = (tuple(field() for _ in range(n)) if rng.random() < 0.5 else
+                 tuple(min(top, max(0, x + rng.randint(-1, 2))) for x in a))
+            cases.append((a, b))
+        for a, b in cases:
+            for u, v in ((a, b), (b, a)):
+                mask = (ring.key(u) - ring.key(v) + ring.kc) & ring.kc == ring.kc
+                assert mask == all(x <= y for x, y in zip(u, v)), (u, v)
