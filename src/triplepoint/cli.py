@@ -130,6 +130,10 @@ def cmd_classify(tag, as_json, seed_reductions):
             }
             _emit(data, as_json, _render_classify_rdp)
             return 0 if ok else 1
+        if pres.cm_type != 2:
+            raise ParameterError(
+                f"classify needs CM type 1 or 2, and {ftag} has type {pres.cm_type}"
+            )
         tr = trace_ideal(pres)
         res = pres.quotient.colength(tr)
         ng = nearly_gorenstein(pres)
@@ -331,7 +335,7 @@ def cmd_cross_check(tag, as_json):
         }
         algebra_side = {
             "e0": ring_multiplicity(pres),
-            "mu": pres.quotient.min_gens(pres.quotient.maximal_ideal()),
+            "mu": pres.quotient.algebra(pres.quotient.maximal_ideal()).mu,
         }
         checks = [
             ("e0", algebra_side["e0"], graph_side["e0"]),

@@ -74,9 +74,6 @@ class DualGraph:
         self._z0 = _laufer(self, range(len(ids)))
         self._rational = arithmetic_genus(self, self._z0) == 0
 
-    def edge_indices(self):
-        return self._edge_idx
-
     def __eq__(self, other):
         return (
             isinstance(other, DualGraph)
@@ -130,17 +127,6 @@ class DualGraph:
         for j in self._adj[i]:
             total += Z[j]
         return total
-
-    def to_json_dict(self):
-        return {
-            "vertices": [
-                {"id": v, "weight": w} for v, w in zip(self.ids, self.weights)
-            ],
-            "edges": [[a, b] for a, b in self.edges],
-        }
-
-    def to_json(self):
-        return json.dumps(self.to_json_dict(), separators=(",", ":"))
 
     @classmethod
     def from_json_dict(cls, data):

@@ -1,8 +1,7 @@
 """Compiled-in expected values for the report commands.
 
-Closed forms for the residue, the nearly-Gorenstein boundary and
-Ulrich-set sizes, plus the standard parameter grids the verification
-sweeps run over.
+Closed forms for the residue and Ulrich-set sizes, plus the standard
+parameter grids the verification sweeps run over.
 """
 
 from __future__ import annotations
@@ -38,17 +37,6 @@ def residue_closed_form(tag: FamilyTag) -> int:
     if name == "EX-5.2":
         return 3
     raise ParameterError(f"no residue closed form for {tag}")
-
-
-def nearly_gorenstein_expected(tag: FamilyTag) -> bool:
-    name, p = tag.name, tag.params
-    if name in ("A", "B", "C"):
-        return p[0] == 0
-    if name in ("D", "F"):
-        return p[0] == 0
-    if name in ("H", "Gamma1", "Gamma2", "Gamma3", "EX-5.2"):
-        return False
-    raise ParameterError(f"no nearly-Gorenstein expectation for {tag}")
 
 
 def ulrich_count_expected(tag: FamilyTag) -> int:
@@ -110,8 +98,6 @@ PUBLISHED_TRACE_CYCLES = {
     "EX-5.3": {"E1": 1, "E2": 2, "E0": 2, "E3": 1, "F": 1},
 }
 
-EX53_TRACE_STATS = {"len": 2, "e0": 7, "mu": 5}
-
 
 def published_trace_cycle(tag_text: str):
     return PUBLISHED_TRACE_CYCLES.get(tag_text)
@@ -119,10 +105,8 @@ def published_trace_cycle(tag_text: str):
 
 __all__ = [
     "residue_closed_form",
-    "nearly_gorenstein_expected",
     "ulrich_count_expected",
     "grid_tags",
     "rdp_grid",
     "published_trace_cycle",
-    "EX53_TRACE_STATS",
 ]

@@ -156,14 +156,16 @@ def graph_catalog(tag) -> DualGraph:
     raise ParameterError(f"no graph catalog entry for tag {tag}")
 
 
-def quotient_sweep_tags(b_max: int = 4, chain_len: int = 4, t22_len: int = 3):
-    """Deterministic tag list for the quotient-singularity sweep."""
+def quotient_sweep_tags(b_max: int = 4):
+    """Deterministic tag list for the quotient-singularity sweep: chains of
+    1 to 4 weights, T22 graphs with 1 to 3 chain weights, and the star
+    shapes, all weights from 2 to ``b_max``."""
     tags = []
     rng = range(2, b_max + 1)
-    for n in range(1, chain_len + 1):
+    for n in range(1, 5):
         for combo in itertools.product(rng, repeat=n):
             tags.append("cyclic:" + ",".join(map(str, combo)))
-    for n in range(1, t22_len + 1):
+    for n in range(1, 4):
         for b in rng:
             for combo in itertools.product(rng, repeat=n):
                 tags.append(f"T22:{b}," + ",".join(map(str, combo)))

@@ -253,34 +253,10 @@ class IdealHandle:
             return False
         return not p.reduce(gb)
 
-    def equals(self, other: IdealHandle) -> bool:
-        if self.ring != other.ring:
-            raise ValueError("ideals from different rings")
-        return self.groebner() == other.groebner()
-
     def __add__(self, other: IdealHandle) -> IdealHandle:
         if self.ring != other.ring:
             raise ValueError("ideals from different rings")
         return IdealHandle(self.ring, self.gens + other.gens)
-
-    def product(self, other: IdealHandle) -> IdealHandle:
-        """Pairwise products, repeats dropped in order; a square uses only
-        the pairs i <= j."""
-        if self.ring != other.ring:
-            raise ValueError("ideals from different rings")
-        if self.gens == other.gens:
-            pairs = itertools.combinations_with_replacement(self.gens, 2)
-        else:
-            pairs = itertools.product(self.gens, other.gens)
-        return IdealHandle(self.ring, dict.fromkeys(a * b for a, b in pairs))
-
-    def power(self, n: int) -> IdealHandle:
-        if n < 1:
-            raise ValueError("power must be >= 1")
-        out = self
-        for _ in range(n - 1):
-            out = out.product(self)
-        return out
 
     def quotient_dim(self):
         """Vector-space dimension of ring/ideal, or None when infinite."""
@@ -440,20 +416,21 @@ def _standard_monomials(leads, ring):
     return out
 
 
-def _localize(ideal: IdealHandle) -> IdealHandle:
-    """An ideal with the local ring of ``ideal`` at the origin and no other
-    zero, so that its quotient dimension is the local length.
+def _localize(ring: Ring, basis, std):
+    """Localize the ideal whose reduced Groebner basis is ``basis`` (term
+    lists), with standard monomials ``std``: the reduced basis and standard
+    monomials of an ideal with the same local ring at the origin and no
+    other zero, so that its quotient dimension is the local length.
 
     With D = dim k[x]/ideal finite, adding the pure powers x_i^D changes
     nothing at the origin (m^D lies in the ideal there); when each x_i^D
-    reduces to 0 already, the ideal is the answer and no basis is computed.
+    reduces to 0 already, ``basis`` and ``std`` are the answer and no basis
+    is computed.
     """
-    D = ideal.quotient_dim()
-    if D is None:
+    if std is None:
         raise ColengthBudgetError("the global quotient is infinite")
-    ring, kc = ideal.ring, ideal.ring.kc
-    gb = [list(g.terms) for g in ideal.groebner()]
-    members = [g[0][0] for g in gb if len(g) == 1]  # keys of the ideal's monomials
+    D, kc = len(std), ring.kc
+    members = [g[0][0] for g in basis if len(g) == 1]  # keys of the ideal's monomials
     powers = []
     for i in range(ring.n):
         # a lead over x_j is standard, so no lead exponent exceeds D and a
@@ -463,12 +440,13 @@ def _localize(ideal: IdealHandle) -> IdealHandle:
         if any((m - pk + kc) & kc == kc for m in members):
             continue
         e = tuple(D if j == i else 0 for j in range(ring.n))
-        r = kernel.reduce_terms(list(ring.monomial(e).terms), gb, kc)[1]
+        r = kernel.reduce_terms(list(ring.monomial(e).terms), basis, kc)[1]
         if r:
             powers.append(r)
     if not powers:
-        return ideal
-    return _from_basis(ring, _groebner_terms(gb + powers, ring, assume_prefix=len(gb)))
+        return basis, std
+    local = _groebner_terms(basis + powers, ring, assume_prefix=len(basis))
+    return local, _standard_monomials([g[0] for g in local], ring)
 
 
 def minors(rows, k: int) -> IdealHandle:
@@ -496,27 +474,6 @@ def minors(rows, k: int) -> IdealHandle:
         for cs in itertools.combinations(range(n), k):
             gens.append(det(tuple(rs), tuple(cs)))
     return IdealHandle(ring, gens)
-
-
-def spair_audit(basis) -> bool:
-    """Independent check that every S-polynomial of ``basis`` reduces to 0.
-
-    Walks all pairs with no pruning, so it does not share the Buchberger
-    pair bookkeeping it is meant to audit.
-    """
-    basis = list(basis)
-    if not basis:
-        return True
-    ring = basis[0].ring
-    terms = [kernel.monic_terms(list(b.terms)) for b in basis]
-    for i in range(len(terms)):
-        for j in range(i + 1, len(terms)):
-            L = _exp_lcm(terms[i][0][1], terms[j][0][1])
-            s = _spoly(terms[i], terms[j], L, ring.key(L), ring.kc)
-            _, r = kernel.reduce_terms(s, terms, ring.kc)
-            if r:
-                return False
-    return True
 
 
 class PresentedQuotient:
@@ -560,7 +517,9 @@ class PresentedQuotient:
 
     def colength(self, ideal: IdealHandle) -> int:
         """Length of (local ring)/(ideal) at the origin."""
-        return _localize(self.image(ideal)).quotient_dim()
+        img = self.image(ideal)
+        basis = [list(g.terms) for g in img.groebner()]
+        return len(_localize(self.ring, basis, img._standard())[1])
 
     def algebra(self, ideal: IdealHandle) -> FiniteAlgebra:
         """The finite algebra of ``ideal`` (see ``FiniteAlgebra``).  Only the
@@ -571,10 +530,6 @@ class PresentedQuotient:
             alg = FiniteAlgebra(self, ideal)
             self._algebra = (ideal.gens, alg)
         return alg
-
-    def min_gens(self, ideal: IdealHandle) -> int:
-        """Minimal number of generators of the image of ``ideal``."""
-        return self.algebra(ideal).mu
 
 
 class FiniteAlgebra:
@@ -620,14 +575,16 @@ class FiniteAlgebra:
             for k, e, *_ in (x.terms[0] for x in A.maximal_ideal().gens)
             for p in squares
         )
-        local = _localize(
-            IdealHandle(ring, [Polynomial(ring, t) for t in m_squares] + list(A.defining.gens))
+        basis = _groebner_terms(
+            [list(t) for t in m_squares] + [list(g.terms) for g in A.defining.gens], ring
         )
-        self._basis = [list(g.terms) for g in local.groebner()]
+        # the standard monomials come by ascending key, 1 first
+        self._basis, self._standard = _localize(
+            ring, basis, _standard_monomials([g[0] for g in basis], ring)
+        )
         self._monomial_leads = [g[0][0] for g in self._basis if len(g) == 1]
         self._polynomial_leads = [g[0][0] for g in self._basis if len(g) > 1]
         self._kc = kc
-        self._standard = local._standard()  # by ascending key, 1 first
         self._memo = {k: [(k, e, 1, 0, 1)] for k, e in self._standard}
         self.dim = len(self._standard)
         self._rows = [[self._shifted(g, k, e) for g in gens] for k, e in self._standard]

@@ -112,13 +112,6 @@ class Ring:
             return self.zero()
         return check_exponent_cap(Polynomial(self, ((self.key(exp), exp, c[0], c[1], c[2]),)))
 
-    def from_terms(self, pairs) -> Polynomial:
-        """Build from (exp tuple, coefficient) pairs; collects duplicates."""
-        p = self.zero()
-        for exp, c in pairs:
-            p = p + self.monomial(exp, c)
-        return p
-
     def polynomial(self, text: str) -> Polynomial:
         return _parse(self, text)
 

@@ -7,9 +7,9 @@ length(A/I^2) - length(A/I) = mu(I) * length(A/I) is computed
 independently and must agree whenever a stable reduction is known; a
 disagreement is an engine invariant violation, not a verdict.
 
-Absence of a reduction is never read as "not Ulrich": the search is a
-bounded heuristic, so such candidates get the verdict
-``no-reduction-found``.
+Absence of a reduction is never read as "not Ulrich": the search tries a
+fixed finite list of candidates, which need not hold a reduction, so such
+ideals get the verdict ``no-reduction-found``.
 
 Every verdict on I is linear algebra in one finite algebra
 B = A/(m*I^2 + J) at the origin (``ideals.FiniteAlgebra``, J the defining
@@ -40,7 +40,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import ParameterError, ShapeError, TriplepointError
-from .ideals import IdealHandle, PresentedQuotient, _localize
+from .ideals import IdealHandle, PresentedQuotient, _from_basis, _localize
 from .kernel import SONE, SZERO
 from .presentations import (
     RDP_RING,
@@ -58,10 +58,6 @@ VERDICT_NO_REDUCTION = "no-reduction-found"
 
 class EngineInvariantError(TriplepointError):
     """A cross-check the engine guarantees internally has failed."""
-
-
-# Coefficients of the generators in the search's linear combinations.
-_COEFFICIENT_POOL = (SZERO, SONE, (-1, 0, 1), (2, 0, 1), (-2, 0, 1), (0, 1, 1))
 
 
 @dataclass(frozen=True)
@@ -102,8 +98,9 @@ def good_check(A: PresentedQuotient, I: IdealHandle, Q: IdealHandle) -> bool:
 def _candidate_pairs(n, seeds=()):
     """Candidate reductions of an ideal with n generators: the seed pairs
     first, as given, then pairs of coefficient vectors (tuples of n
-    scalars): pairs of generators, sums and linear combinations over
-    ``_COEFFICIENT_POOL``."""
+    scalars): each pair of generators, the sum of two generators with a
+    third, and, for n > 2, each generator with the sum of the others.  That
+    is n(n-1)^2/2 + n pairs for n > 2, and 1 pair for n = 2."""
     yield from seeds
     unit = [tuple(SONE if k == i else SZERO for k in range(n)) for i in range(n)]
     for i, j in itertools.combinations(range(n), 2):
@@ -116,8 +113,6 @@ def _candidate_pairs(n, seeds=()):
     if n > 2:
         for i in range(n):
             yield (unit[i], tuple(SZERO if k == i else SONE for k in range(n)))
-    nonzero = (v for v in itertools.product(_COEFFICIENT_POOL, repeat=n) if v != (SZERO,) * n)
-    yield from itertools.combinations(itertools.islice(nonzero, 80), 2)
 
 
 def _combination(gens, c):
@@ -129,10 +124,10 @@ def _combination(gens, c):
     return p
 
 
-def find_reduction(A, I, seeds=(), max_candidates=400):
+def find_reduction(A, I, seeds=()):
     """First 2-generated Q <= I with I^2 = QI at the origin, in the order of
-    ``_candidate_pairs`` (the pairs ``seeds`` first); None when its first
-    ``max_candidates`` pairs hold none.
+    ``_candidate_pairs`` (the pairs ``seeds`` first); None when none of
+    them is one.
 
     One pass over the candidates, each decided in I's finite algebra by
     the span test of the module docstring: linear algebra, with no Groebner
@@ -144,8 +139,7 @@ def find_reduction(A, I, seeds=(), max_candidates=400):
         return None
     seeds = tuple(seeds)
     B = A.algebra(I)
-    pairs = itertools.islice(_candidate_pairs(len(gens), seeds), max_candidates)
-    for k, pair in enumerate(pairs):
+    for k, pair in enumerate(_candidate_pairs(len(gens), seeds)):
         if k >= len(seeds):
             if B.spans_combinations(*pair):
                 return IdealHandle(I.ring, [_combination(gens, c) for c in pair])
@@ -334,6 +328,7 @@ def gorenstein_quotient_experiment(pres: RingPresentation) -> bool:
     length(A/tr) - length(A/(tr : m)).  Both are quotient dimensions of
     ideals with no zero but the origin: the localized trace and its colon.
     """
-    A = pres.quotient
-    local = _localize(A.image(trace_ideal(pres)))
-    return local.quotient_dim() - local.colon(A.maximal_ideal()).quotient_dim() == 1
+    A, ring = pres.quotient, pres.ring
+    tr = A.image(trace_ideal(pres))
+    basis, std = _localize(ring, [list(g.terms) for g in tr.groebner()], tr._standard())
+    return len(std) - _from_basis(ring, basis).colon(A.maximal_ideal()).quotient_dim() == 1

@@ -9,8 +9,9 @@ import itertools
 import math
 import random
 
+from reference import from_terms, spair_audit
 from triplepoint.dualgraph import DualGraph, fundamental_cycle, is_antinef
-from triplepoint.ideals import IdealHandle, PresentedQuotient, spair_audit
+from triplepoint.ideals import IdealHandle, PresentedQuotient
 from triplepoint.polyring import Ring
 
 R4 = Ring(("x", "y", "z", "t"))
@@ -30,7 +31,7 @@ def _random_poly(rng, ring, max_terms=4, max_deg=2, max_coeff=3):
             exp[rng.randrange(ring.n)] += 1
         c = (rng.randint(-max_coeff, max_coeff), rng.randint(-1, 1), rng.randint(1, 2))
         pairs.append((tuple(exp), c))
-    return ring.from_terms(pairs)
+    return from_terms(ring, pairs)
 
 
 def assert_canonical(p):

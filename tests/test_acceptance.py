@@ -9,6 +9,7 @@ import time
 import pytest
 
 import property_suites
+from reference import EX53_TRACE_STATS, nearly_gorenstein_expected
 from triplepoint.dualgraph import (
     cycle_length,
     cycle_mu,
@@ -21,9 +22,7 @@ from triplepoint.dualgraph import (
 )
 from triplepoint.errors import GraphInvariantError
 from triplepoint.expectations import (
-    EX53_TRACE_STATS,
     grid_tags,
-    nearly_gorenstein_expected,
     published_trace_cycle,
     rdp_grid,
     residue_closed_form,
@@ -222,7 +221,7 @@ def test_criterion_7_cross_engine_consistency(grid_results):
         mu_graph = cycle_mu(g, Z0)
         chain_count = len(enumerate_ulrich_chains(g).chains)
         e0_alg = ring_multiplicity(pres)
-        mu_alg = pres.quotient.min_gens(pres.quotient.maximal_ideal())
+        mu_alg = pres.quotient.algebra(pres.quotient.maximal_ideal()).mu
         ulrich_count = sum(1 for c in r["certs"] if c.verdict == "ulrich")
         if (e0_alg, mu_alg, ulrich_count) != (e0_graph, mu_graph, chain_count):
             bad.append(

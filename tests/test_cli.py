@@ -46,7 +46,9 @@ def test_classify_rdp_delegates_to_list():
 
 def test_classify_ex53_is_input_error():
     res = invoke("classify", "--tag", "EX-5.3")
-    assert res.exit_code == 3  # engine refuses CM type 3 trace by design
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert "input error: classify needs CM type 1 or 2, and EX-5.3 has type 3" in res.stderr
 
 
 def test_classify_bad_tag_exit_2():

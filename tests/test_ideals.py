@@ -5,9 +5,10 @@ import random
 
 import pytest
 
+from reference import from_terms, power, product, spair_audit
 from triplepoint import ideals, kernel
 from triplepoint.errors import ColengthBudgetError, ExponentRangeError
-from triplepoint.ideals import IdealHandle, PresentedQuotient, minors, spair_audit
+from triplepoint.ideals import IdealHandle, PresentedQuotient, minors
 from triplepoint.polyring import Ring
 from triplepoint.presentations import instantiate
 
@@ -88,7 +89,7 @@ def _random_terms(rng, ring):
     pairs = []
     for _ in range(rng.randint(1, 2)):
         pairs.append((_random_exponent(rng, ring, rng.randint(1, 3)), rng.choice(_COEFFS)))
-    return list(ring.from_terms(pairs).terms)
+    return list(from_terms(ring, pairs).terms)
 
 
 @pytest.mark.parametrize("ring", [R], ids=["grevlex"])
@@ -121,13 +122,13 @@ def _monomial_heavy(rng, ring):
             exps.append(tuple(e))
         else:
             exps.append(_random_exponent(rng, ring, rng.randint(1, 6)))
-    gens = [list(ring.from_terms([(e, rng.choice(_COEFFS))]).terms) for e in exps]
+    gens = [list(from_terms(ring, [(e, rng.choice(_COEFFS))]).terms) for e in exps]
     for _ in range(rng.randint(1, 3)):
         pairs = [
             (_random_exponent(rng, ring, rng.randint(1, 6)), rng.choice(_COEFFS))
             for _ in range(rng.randint(2, 3))
         ]
-        gens.append(list(ring.from_terms(pairs).terms))
+        gens.append(list(from_terms(ring, pairs).terms))
     rng.shuffle(gens)
     return gens
 
@@ -152,7 +153,7 @@ def test_buchberger_matches_reference_on_trace_ideal_products():
     m = A.maximal_ideal()
     J = [list(g.terms) for g in A.defining.gens]
     prefix = _reference_groebner(J, R)
-    for ideal in (I, m.product(I), I.power(2), m.product(I.power(2))):
+    for ideal in (I, product(m, I), power(I, 2), product(m, power(I, 2))):
         gens = [list(g.terms) for g in A.image(ideal).gens]
         expected = _reference_groebner(gens, R)
         assert ideals._groebner_terms(gens, R) == expected
@@ -162,7 +163,7 @@ def test_buchberger_matches_reference_on_trace_ideal_products():
 
 
 def _monomial(ring, exp, coeff):
-    return list(ring.from_terms([(exp, coeff)]).terms)
+    return list(from_terms(ring, [(exp, coeff)]).terms)
 
 
 def test_monomial_batch_matches_reference():
@@ -208,7 +209,7 @@ def _reductions(monkeypatch):
 def test_monomial_inputs_make_no_reduction_on_entry(monkeypatch):
     # m^3 is 20 monomials, a Groebner basis as it stands
     calls = _reductions(monkeypatch)
-    m3 = IdealHandle(R, ["x", "y", "z", "t"]).power(3)
+    m3 = power(IdealHandle(R, ["x", "y", "z", "t"]), 3)
     assert len(m3.groebner()) == 20
     assert calls == []
     # a binomial among them enters through the reduction
@@ -226,7 +227,7 @@ def test_monomial_pairs_compute_no_lcm(monkeypatch):
         return original(a, b)
 
     monkeypatch.setattr(ideals, "_exp_lcm", counted)
-    m3 = IdealHandle(R, ["x", "y", "z", "t"]).power(3)
+    m3 = power(IdealHandle(R, ["x", "y", "z", "t"]), 3)
     assert len(m3.gens) == 20
     assert len(m3.groebner()) == 20
     assert computed == []
@@ -245,7 +246,7 @@ def test_monomial_input_forms_no_s_polynomial(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(ideals, "_spoly", counted)
-    m3 = IdealHandle(R, ["x", "y", "z", "t"]).power(3)
+    m3 = power(IdealHandle(R, ["x", "y", "z", "t"]), 3)
     assert len(m3.groebner()) == 20
     assert formed == []
     # the counter sees the pairs of a non-monomial input
@@ -279,9 +280,10 @@ def test_member_trivial():
 
 
 def test_ideal_equal():
-    assert IdealHandle(R, ["x", "x+y"]).equals(IdealHandle(R, ["x", "y"]))
-    assert IdealHandle(R, ["x", "y", "z", "t^2", "t^3"]).equals(
-        IdealHandle(R, ["x", "y", "z", "t^2"])
+    assert IdealHandle(R, ["x", "x+y"]).groebner() == IdealHandle(R, ["x", "y"]).groebner()
+    assert (
+        IdealHandle(R, ["x", "y", "z", "t^2", "t^3"]).groebner()
+        == IdealHandle(R, ["x", "y", "z", "t^2"]).groebner()
     )
 
 
@@ -290,7 +292,7 @@ def test_trace_equals_entry_ideal_a123():
     entries = ["x", "t^3", "t^4 + z", "t^2", "y", "z"]
     lhs = IdealHandle(R, entries + A123_GENS)
     rhs = IdealHandle(R, ["x", "y", "z", "t^2"] + A123_GENS)
-    assert lhs.equals(rhs)
+    assert lhs.groebner() == rhs.groebner()
 
 
 def test_ideal_equal_random_shuffle_and_units():
@@ -301,23 +303,23 @@ def test_ideal_equal_random_shuffle_and_units():
         gens = [R.polynomial(s) for s in A123_GENS]
         rng.shuffle(gens)
         gens = [g * rng.choice(units) for g in gens]
-        assert IdealHandle(R, gens).equals(I)
+        assert IdealHandle(R, gens).groebner() == I.groebner()
 
 
 def test_sum_product_power():
-    assert (IdealHandle(R, ["x"]) + IdealHandle(R, ["y"])).equals(
-        IdealHandle(R, ["x", "y"])
+    assert (IdealHandle(R, ["x"]) + IdealHandle(R, ["y"])).groebner() == (
+        IdealHandle(R, ["x", "y"]).groebner()
     )
     xy = IdealHandle(R, ["x", "y"])
-    assert xy.product(xy).equals(IdealHandle(R, ["x^2", "x*y", "y^2"]))
+    assert product(xy, xy).groebner() == IdealHandle(R, ["x^2", "x*y", "y^2"]).groebner()
     m = IdealHandle(R, ["x", "y", "z", "t"])
-    assert m.power(2).quotient_dim() == 5
+    assert power(m, 2).quotient_dim() == 5
 
 
 def test_square_drops_repeated_generators():
-    m2 = IdealHandle(R, ["x", "y", "z", "t"]).power(2)
+    m2 = power(IdealHandle(R, ["x", "y", "z", "t"]), 2)
     assert len(m2.gens) == 10
-    square = m2.power(2)
+    square = power(m2, 2)
     assert len(square.gens) == len(set(square.gens)) == 35
     naive = IdealHandle(R, [a * b for a in m2.gens for b in m2.gens])
     assert len(naive.gens) == 100
@@ -325,11 +327,10 @@ def test_square_drops_repeated_generators():
 
 
 def test_colon():
-    assert IdealHandle(R, ["x^2", "y", "z", "t"]).colon(IdealHandle(R, ["x"])).equals(
-        IdealHandle(R, ["x", "y", "z", "t"])
-    )
+    colon = IdealHandle(R, ["x^2", "y", "z", "t"]).colon(IdealHandle(R, ["x"]))
+    assert colon.groebner() == IdealHandle(R, ["x", "y", "z", "t"]).groebner()
     xyzt2 = IdealHandle(R, ["x", "y", "z", "t^2"])
-    assert xyzt2.colon(IdealHandle(R, [R.one()])).equals(xyzt2)
+    assert xyzt2.colon(IdealHandle(R, [R.one()])).groebner() == xyzt2.groebner()
     # the colon is linear algebra in the finite quotient
     with pytest.raises(ColengthBudgetError):
         IdealHandle(R, ["x^2"]).colon(IdealHandle(R, ["x"]))
@@ -339,7 +340,7 @@ def test_colon_basis_is_the_reduced_groebner_basis():
     A = A123()
     m = IdealHandle(R, ["x", "y", "z", "t"])
     cases = [
-        (m.power(3), m, m.power(2)),
+        (power(m, 3), m, power(m, 2)),
         (A.image(IdealHandle(R, ["x", "y", "z", "t^3"])), m,
          A.image(IdealHandle(R, ["x", "y", "z", "t^2"]))),
         (IdealHandle(R, ["x^2 - x", "y", "z", "t^2"]), IdealHandle(R, ["t"]),
@@ -347,7 +348,7 @@ def test_colon_basis_is_the_reduced_groebner_basis():
     ]
     for K, L, expected in cases:
         C = K.colon(L)
-        assert C.equals(expected)
+        assert C.groebner() == expected.groebner()
         # the basis built from the kernel rows is what Buchberger returns
         assert C.groebner() == IdealHandle(R, C.gens).groebner()
         assert all(K.contains(c * g) for c in C.gens for g in L.gens)
@@ -358,7 +359,7 @@ def test_colon_good_ideal_identity_a123():
     A = A123()
     J1 = IdealHandle(R, ["x", "y", "z", "t"])
     Q1 = IdealHandle(R, ["t", "x + y + z"])
-    assert A.image(Q1).colon(J1).equals(A.image(J1))
+    assert A.image(Q1).colon(J1).groebner() == A.image(J1).groebner()
 
 
 def test_minors_entry_ideal_sample():
@@ -368,12 +369,12 @@ def test_minors_entry_ideal_sample():
         [R.polynomial("x"), R.polynomial(f"t^{n+1}"), R.polynomial(f"t^{n+1} + z")],
         [R.polynomial(f"t^{n+1}"), R.polynomial("y"), R.polynomial("z")],
     ]
-    assert minors(M, 1).equals(IdealHandle(R, ["x", "y", "z", f"t^{n+1}"]))
+    assert minors(M, 1).groebner() == IdealHandle(R, ["x", "y", "z", f"t^{n+1}"]).groebner()
 
 
 def test_minors_2x2_is_determinant():
     M = [[x, y], [z, t]]
-    assert minors(M, 2).equals(IdealHandle(R, [x * t - y * z]))
+    assert minors(M, 2).groebner() == IdealHandle(R, [x * t - y * z]).groebner()
 
 
 def test_minors_out_of_range():
@@ -512,9 +513,9 @@ def test_local_length_monotone():
 def test_min_gens():
     A = A123()
     m = IdealHandle(R, ["x", "y", "z", "t"])
-    assert A.min_gens(m) == 4
+    assert A.algebra(m).mu == 4
     for i in (1, 2):
-        assert A.min_gens(IdealHandle(R, ["x", "y", "z", f"t^{i}"])) == 4
+        assert A.algebra(IdealHandle(R, ["x", "y", "z", f"t^{i}"])).mu == 4
 
 
 def test_presented_quotient_rejects_low_degree():
@@ -576,7 +577,11 @@ def test_localize_past_the_key_range():
     # x^200 of the ideal still counts as dividing x^40000, so the ideal is
     # already local; a missing one needs x^40000 itself, past the cap
     local = IdealHandle(R, ["x^200", "y^200", "z", "t"])
-    assert ideals._localize(local) is local
-    assert local.quotient_dim() == 40000
+    basis, std = [list(g.terms) for g in local.groebner()], local._standard()
+    got = ideals._localize(R, basis, std)
+    assert got[0] is basis and got[1] is std
+    assert len(std) == 40000
+    other = IdealHandle(R, ["x^200", "x*y - y^200", "z", "t"])
+    basis, std = [list(g.terms) for g in other.groebner()], other._standard()
     with pytest.raises(ExponentRangeError):
-        ideals._localize(IdealHandle(R, ["x^200", "x*y - y^200", "z", "t"]))
+        ideals._localize(R, basis, std)

@@ -14,6 +14,7 @@ from triplepoint.errors import (
     ZeroPolynomialError,
 )
 from property_suites import assert_canonical
+from reference import from_terms
 from triplepoint.ideals import IdealHandle, PresentedQuotient
 from triplepoint.polyring import _MAX_EXP, Ring
 
@@ -192,7 +193,7 @@ def _polys(ring):
     exp = st.tuples(*(st.integers(0, 3) for _ in range(ring.n)))
     term = st.tuples(exp, coeff)
     return st.lists(term, max_size=5).map(
-        lambda pairs: ring.from_terms(pairs)
+        lambda pairs: from_terms(ring, pairs)
     )
 
 

@@ -1,11 +1,11 @@
 """Ulrich certification: stability, verdicts, lists, the socle experiment."""
 
-import inspect
 import itertools
 
 import pytest
 from click.testing import CliRunner
 
+from reference import power, product
 from triplepoint import expectations, ideals, kernel, ulrich
 from triplepoint.cli import main
 from triplepoint.errors import ShapeError
@@ -53,7 +53,7 @@ def test_stability_rejects_outsiders(a123):
 def test_m_squared_good_but_not_ulrich(a123):
     # powers of the maximal ideal stay good but fail the Ulrich count
     A = a123.quotient
-    m2 = IdealHandle(R, ["x", "y", "z", "t"]).power(2)
+    m2 = power(IdealHandle(R, ["x", "y", "z", "t"]), 2)
     seed = (R.polynomial("t^2"), R.polynomial("(x + y + z)^2"))
     cert = ulrich_check(A, m2, (seed,))
     assert cert.stable and cert.good is True
@@ -113,8 +113,8 @@ def test_good_check_is_false_when_i_squared_is_not_in_q(a123):
     A = a123.quotient
     m = IdealHandle(R, ["x", "y", "z", "t"])
     Q = IdealHandle(R, ["x + y + z", "t^2"])
-    assert A.colength(Q) == 6 > A.colength(m.power(2))
-    assert A.image(Q + m.power(2)).colon(m).quotient_dim() == A.colength(m)
+    assert A.colength(Q) == 6 > A.colength(power(m, 2))
+    assert A.image(Q + power(m, 2)).colon(m).quotient_dim() == A.colength(m)
     assert good_check(A, m, Q) is False
     I = IdealHandle(R, ["x", "y", "z", "t^3"])
     Q = IdealHandle(R, ["x + z", "y"])
@@ -145,7 +145,7 @@ def test_e7_next_ideal_is_decided_locally():
     A = instantiate("RDP-E7").quotient
     I = IdealHandle(RDP_RING, ["x", "y^4", "z"])
     Q = IdealHandle(RDP_RING, ["x + y^4", "z"])
-    assert not A.image(I.power(2)).equals(A.image(Q.product(I)))
+    assert A.image(power(I, 2)).groebner() != A.image(product(Q, I)).groebner()
     assert A.image(Q).quotient_dim() == 12
     assert A.colength(Q) == 7
     assert good_check(A, I, Q) is False
@@ -157,7 +157,7 @@ def test_first_candidate_is_decided_at_the_origin():
     A = instantiate("RDP-E7").quotient
     I = IdealHandle(RDP_RING, ["x", "y^4", "z"])
     seed = (RDP_RING.polynomial("x + y^4"), RDP_RING.var("z"))
-    Q = find_reduction(A, I, (seed,), max_candidates=1)
+    Q = find_reduction(A, I, (seed,))
     assert Q is not None and Q.gens == seed
 
 
@@ -332,7 +332,7 @@ def test_socle_experiment():
     "entries,gorenstein",
     [
         # k[x, y, z, t]/m^2: the socle m/m^2 has dimension 4
-        (IdealHandle(R, ["x", "y", "z", "t"]).power(2).gens, False),
+        (power(IdealHandle(R, ["x", "y", "z", "t"]), 2).gens, False),
         # k[x, t]/(x^2, t^2): x*s and t*s share the monomial x*t, and only
         # x*t itself is in the socle
         (("x^2", "y", "z", "t^2"), True),
@@ -401,6 +401,29 @@ def _candidate_polynomials(I, limit=None):
     return [tuple(ulrich._combination(I.gens, c) for c in pair) for pair in pairs]
 
 
+def _stream_length(n):
+    """The number of candidate pairs the search draws for n >= 2 generators
+    when no seed is given: pairs of generators, a sum of two with a third,
+    and (n > 2) each generator with the sum of the others."""
+    return 1 if n == 2 else n * (n - 1) ** 2 // 2 + n
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_candidate_stream_is_finite(n):
+    pairs = list(ulrich._candidate_pairs(n))
+    assert len(pairs) == len(set(pairs)) == _stream_length(n)
+
+
+def test_unseeded_search_certifies_m_squared(a123):
+    # m^2 has 10 generators, so 415 candidates; the first reduction among
+    # them is the last: t^2 beside the sum of the other nine generators
+    A = a123.quotient
+    m2 = power(A.maximal_ideal(), 2)
+    Q = find_reduction(A, m2)
+    assert Q is not None and A.algebra(m2).spans(Q)
+    assert Q.gens[0] == m2.gens[-1]
+
+
 def _usable(A, I, limit):
     """The first ``limit`` candidates the search would send to a check."""
     img = A.image(I)
@@ -424,12 +447,12 @@ def test_span_test_agrees_with_both_checks(tag):
     spans = stable = 0
     local_values = set()
     for I in ideals_:
-        I_sq = I.power(2)
+        I_sq = power(I, 2)
         B = A.algebra(I)
         for Q in _usable(A, I, 30):
             spanned = B.spans(Q)
             spans += spanned
-            if A.image(I_sq).equals(A.image(Q.product(I))):
+            if A.image(I_sq).groebner() == A.image(product(Q, I)).groebner():
                 stable += 1
                 assert spanned, (tag, I, Q)
             if A.image(Q).quotient_dim() is not None:
@@ -495,7 +518,7 @@ def test_span_rejected_candidates_get_no_groebner_basis(monkeypatch):
     assert len(built) >= 1 and rejected
     defining = instantiate("A:1,2,3").quotient.defining
     for Q, I in rejected:
-        qi_image = Q.product(I) + defining
+        qi_image = product(Q, I) + defining
         assert tuple(tuple(g.terms) for g in qi_image.gens) not in inputs, Q
 
 
@@ -540,20 +563,20 @@ def _walks(monkeypatch):
     return walks
 
 
-@pytest.mark.parametrize("limit", [3, 40, 400])
-def test_search_walks_the_candidates_once(monkeypatch, limit):
+def test_search_walks_the_candidates_once(monkeypatch):
     walks = _walks(monkeypatch)
-    found = searched = 0
-    for tag in ("RDP-E7", "A:1,2,3"):
+    outcomes = set()
+    for tag in ("RDP-E7", "A:1,2,3", "D:3"):
         pres, ideals_ = _span_audit_ideals(tag)
         for I in ideals_:
-            searched += 1
             del walks[:]
-            found += find_reduction(pres.quotient, I, max_candidates=limit) is not None
-            assert len(walks) == 1 and len(walks[0]) <= limit, (tag, I)
-            assert len(set(walks[0])) == len(walks[0]), (tag, I)
+            found = find_reduction(pres.quotient, I) is not None
+            assert len(walks) == 1 and len(set(walks[0])) == len(walks[0]), (tag, I)
+            # an exhausted search has walked the whole stream
+            assert found or len(walks[0]) == _stream_length(len(I.gens)), (tag, I)
+            outcomes.add(found)
     # both ends occur: exhausted searches, and found reductions
-    assert (limit == 3) == (found < searched)
+    assert outcomes == {True, False}
 
 
 def test_find_reduction_computes_no_colength(monkeypatch):
@@ -574,15 +597,15 @@ def test_find_reduction_computes_no_colength(monkeypatch):
         assert find_reduction(A, I).gens == want, tag
 
 
-def _two_pass_reference(A, I, max_candidates=400):
+def _two_pass_reference(A, I):
     """The search as two walks over the candidates inside I + J: ambient
     equality QI + J = I^2 + J first, then the local length witness
     length(A/I^2) = length(A/Q) + 2*length(A/I)."""
     img = A.image(I)
-    I_sq = I.power(2)
+    I_sq = power(I, 2)
 
     def ambient(Q):
-        return A.image(I_sq).equals(A.image(Q.product(I)))
+        return A.image(I_sq).groebner() == A.image(product(Q, I)).groebner()
 
     def witness(Q):
         if A.image(Q).quotient_dim() is None:
@@ -590,7 +613,7 @@ def _two_pass_reference(A, I, max_candidates=400):
         return A.colength(I_sq) == A.colength(Q) + 2 * A.colength(I)
 
     for check in (ambient, witness):
-        for q1, q2 in _candidate_polynomials(I, max_candidates):
+        for q1, q2 in _candidate_polynomials(I):
             if q1 and q2 and img.contains(q1) and img.contains(q2):
                 Q = IdealHandle(I.ring, [q1, q2])
                 if check(Q):
@@ -600,7 +623,7 @@ def _two_pass_reference(A, I, max_candidates=400):
 
 @pytest.mark.parametrize(
     # E7's next ideal has a reduction only at the origin, and D:3's next
-    # ideal exhausts the 400 candidates
+    # ideal exhausts the candidates
     "tag", ["RDP-A:7", "RDP-D:6", "RDP-E7", "A:1,2,3", "A:0,1,2", "B:1,4", "C:2,4", "D:3"]
 )
 def test_one_pass_matches_the_two_pass_reference(tag):
@@ -621,12 +644,14 @@ def _reference_values(A, cert):
     in the localized Q."""
     I, Q = cert.ideal, cert.reduction
     length = A.colength(I)
-    mu = A.colength(A.maximal_ideal().product(I)) - length
+    mu = A.colength(product(A.maximal_ideal(), I)) - length
     if Q is None:
         return length, mu, None, None, None
-    free_test = A.colength(I.power(2)) - length == mu * length
-    local = ideals._localize(A.image(Q))
-    good = all(local.contains(g) for g in I.power(2).gens)
+    free_test = A.colength(power(I, 2)) - length == mu * length
+    img = A.image(Q)
+    basis, _ = ideals._localize(A.ring, [list(g.terms) for g in img.groebner()], img._standard())
+    local = ideals._from_basis(A.ring, basis)
+    good = all(local.contains(g) for g in power(I, 2).gens)
     good = good and local.colon(I).quotient_dim() == length
     return length, mu, A.colength(Q), free_test, good
 
@@ -644,7 +669,7 @@ def _reference_cases():
         certs, nxt = verify_rdp_list(pres)
         yield from ((pres.quotient, c) for c in certs + ([nxt] if nxt else []))
     A = instantiate("A:1,2,3").quotient
-    m2 = A.maximal_ideal().power(2)
+    m2 = power(A.maximal_ideal(), 2)
     yield A, ulrich_check(A, m2, ((R.polynomial("t^2"), R.polynomial("(x + y + z)^2")),))
     yield A, ulrich_check(A, IdealHandle(R, ["x^2 - x", "y", "z", "t"]))
 
@@ -663,9 +688,6 @@ def test_certificates_match_the_groebner_reference():
 
 
 # -- the span test in W's coordinates -----------------------------------------
-
-
-MAX_CANDIDATES = inspect.signature(find_reduction).parameters["max_candidates"].default
 
 
 def _term_list_span_test(B, I):
@@ -712,11 +734,12 @@ def _chain_and_listed_ideals():
 
 def test_coefficient_vectors_agree_with_the_term_list_span_test():
     verdicts = set()
-    checked = 0
+    checked = expected = 0
     for A, I in _chain_and_listed_ideals():
         B = A.algebra(I)
         spans = _term_list_span_test(B, I)
-        pairs = list(itertools.islice(ulrich._candidate_pairs(len(I.gens)), MAX_CANDIDATES))
+        pairs = list(ulrich._candidate_pairs(len(I.gens)))
+        expected += _stream_length(len(I.gens))
         q = {c: ulrich._combination(I.gens, c) for c in set(itertools.chain(*pairs))}
         for c1, c2 in pairs:
             q1, q2 = q[c1], q[c2]
@@ -725,17 +748,18 @@ def test_coefficient_vectors_agree_with_the_term_list_span_test():
             assert got == spans(q1, q2), (I, c1, c2)
             verdicts.add(got)
             checked += 1
-    assert verdicts == {True, False} and checked > 30000
+    assert verdicts == {True, False} and checked == expected
 
 
 def test_zero_combinations_are_skipped(a123):
-    # x + y - (x + y) = 0: the combinations in the span of that relation are
-    # the zero polynomial, which no candidate ideal may hold
+    # x + (-x) = 0: the two candidates that sum those generators, drawn
+    # before the reduction (x + y + z, t), hold the zero polynomial, which
+    # no candidate ideal may hold
     A = a123.quotient
-    I = IdealHandle(R, ["z", "t", "x", "y", "x + y"])
+    I = IdealHandle(R, ["x", "-x", "y + z", "t"])
     B = A.algebra(I)
     zero = 0
-    for c1, c2 in itertools.islice(ulrich._candidate_pairs(len(I.gens)), MAX_CANDIDATES):
+    for c1, c2 in ulrich._candidate_pairs(len(I.gens)):
         q1, q2 = (ulrich._combination(I.gens, c) for c in (c1, c2))
         got = B.spans_combinations(c1, c2)
         if q1 and q2:
@@ -743,9 +767,9 @@ def test_zero_combinations_are_skipped(a123):
         else:
             assert got is None, (c1, c2)
             zero += 1
-    assert zero
+    assert zero == 2
     Q = find_reduction(A, I)
-    assert Q is not None and len(Q.gens) == 2 and A.algebra(I).spans(Q)
+    assert [str(q) for q in Q.gens] == ["x + y + z", "t"] and A.algebra(I).spans(Q)
 
 
 @pytest.mark.parametrize(
@@ -787,7 +811,9 @@ def test_search_draws_every_candidate_from_the_stream(monkeypatch, tag, gens, se
     seeds = tuple(tuple(ring.polynomial(q) for q in pair) for pair in seeds)
     found = find_reduction(A, I, seeds)
     assert len(drawn) == len(tried) >= len(seeds)
-    assert (found is None) == (len(tried) == MAX_CANDIDATES)
+    # an exhausted search draws the whole stream, and a found one no more
+    total = len(seeds) + _stream_length(len(gens))
+    assert len(tried) == total if found is None else len(tried) <= total
 
 
 @pytest.mark.parametrize(
