@@ -548,14 +548,15 @@ def test_frame_membership_is_membership_in_i_plus_j(tag):
     assert seen == {True, False}
 
 
-def _walks(monkeypatch):
-    """Wrap the candidate stream: one list of yielded pairs per walk."""
+def _walks(monkeypatch, limit=None):
+    """Wrap the candidate stream: one list of yielded pairs per walk, the
+    stream cut after its first `limit` pairs when a limit is given."""
     walks = []
     original = ulrich._candidate_pairs
 
     def walked(n, seeds=()):
         walks.append([])
-        for pair in original(n, seeds):
+        for pair in itertools.islice(original(n, seeds), limit):
             walks[-1].append(tuple(map(str, pair)))
             yield pair
 
@@ -563,20 +564,34 @@ def _walks(monkeypatch):
     return walks
 
 
-def test_search_walks_the_candidates_once(monkeypatch):
+@pytest.mark.parametrize("limit", [3, 40, 400])
+def test_search_walks_the_candidates_once(monkeypatch, limit):
+    cases = [(tag, pres.quotient, I) for tag in ("RDP-E7", "A:1,2,3", "D:3")
+             for pres, ideals_ in [_span_audit_ideals(tag)] for I in ideals_]
     walks = _walks(monkeypatch)
-    outcomes = set()
-    for tag in ("RDP-E7", "A:1,2,3", "D:3"):
-        pres, ideals_ = _span_audit_ideals(tag)
-        for I in ideals_:
-            del walks[:]
-            found = find_reduction(pres.quotient, I) is not None
-            assert len(walks) == 1 and len(set(walks[0])) == len(walks[0]), (tag, I)
-            # an exhausted search has walked the whole stream
-            assert found or len(walks[0]) == _stream_length(len(I.gens)), (tag, I)
-            outcomes.add(found)
+    full = []
+    for tag, A, I in cases:
+        del walks[:]
+        Q = find_reduction(A, I)
+        assert len(walks) == 1 and len(set(walks[0])) == len(walks[0]), (tag, I)
+        # an exhausted search has walked the whole stream
+        assert Q is not None or len(walks[0]) == _stream_length(len(I.gens)), (tag, I)
+        full.append((Q, len(walks[0])))
     # both ends occur: exhausted searches, and found reductions
-    assert outcomes == {True, False}
+    assert {Q is not None for Q, _ in full} == {True, False}
+    # on a stream cut after `limit` pairs the search finds the same reduction
+    # when it lies within the cut, and nothing otherwise
+    walks = _walks(monkeypatch, limit)
+    lost = 0
+    for (tag, A, I), (Q, drawn) in zip(cases, full):
+        del walks[:]
+        cut = find_reduction(A, I)
+        assert len(walks) == 1 and len(walks[0]) == min(drawn, limit), (tag, I)
+        want = Q.gens if Q is not None and drawn <= limit else None
+        assert (None if cut is None else cut.gens) == want, (tag, I)
+        lost += Q is not None and cut is None
+    # only the shortest cut loses reductions
+    assert (limit == 3) == (lost > 0)
 
 
 def test_find_reduction_computes_no_colength(monkeypatch):
