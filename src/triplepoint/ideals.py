@@ -449,31 +449,17 @@ def _localize(ring: Ring, basis, std):
     return local, _standard_monomials([g[0] for g in local], ring)
 
 
-def minors(rows, k: int) -> IdealHandle:
-    """Ideal of all k x k minors of a matrix of polynomials."""
-    if not rows or not rows[0]:
-        raise ValueError("empty matrix")
-    ring = rows[0][0].ring
-    m, n = len(rows), len(rows[0])
-    if k < 1 or k > min(m, n):
-        raise ValueError(f"minor size {k} out of range for {m}x{n} matrix")
-
-    def det(rs, cs):
-        if len(rs) == 1:
-            return rows[rs[0]][cs[0]]
-        total = ring.zero()
-        r0 = rs[0]
-        for pos, c in enumerate(cs):
-            sub = det(rs[1:], cs[:pos] + cs[pos + 1 :])
-            term = rows[r0][c] * sub
-            total = total + term if pos % 2 == 0 else total - term
-        return total
-
-    gens = []
-    for rs in itertools.combinations(range(m), k):
-        for cs in itertools.combinations(range(n), k):
-            gens.append(det(tuple(rs), tuple(cs)))
-    return IdealHandle(ring, gens)
+def minors(rows) -> IdealHandle:
+    """Ideal of the 2x2 minors of a 2-row matrix of polynomials: one
+    a_i*b_j - a_j*b_i for each pair of columns i < j, in the order of
+    ``itertools.combinations``."""
+    if len(rows) != 2 or len(rows[0]) != len(rows[1]) or len(rows[0]) < 2:
+        raise ValueError("minors need a matrix of 2 rows and at least 2 columns")
+    a, b = rows
+    return IdealHandle(
+        a[0].ring,
+        [a[i] * b[j] - a[j] * b[i] for i, j in itertools.combinations(range(len(a)), 2)],
+    )
 
 
 class PresentedQuotient:
@@ -554,12 +540,15 @@ class FiniteAlgebra:
     the rows of q are coord(NF(q*g_j)) = sum_i c_i*coord(P_ij), j = 1..n.
     The frame, I/L's echelon, files the rows with s != 1 first, then each
     NF(g_i) carrying its coefficient vector e_i, so that NF(q) decomposes
-    into c with q = sum c_i*g_i modulo m*I.
+    into c with q = sum c_i*g_i modulo m*I.  The generators whose NF(g_i)
+    files a pivot there (``minimal``, their indices) generate I minimally at
+    the origin, by Nakayama; there are mu of them.
     """
 
-    __slots__ = ("dim", "length", "mu", "square_length", "_basis", "_monomial_leads",
-                 "_polynomial_leads", "_kc", "_memo", "_standard", "_rows", "_pivots",
-                 "_squares", "_w_dim", "_coords", "_relations", "_combinations", "_spans")
+    __slots__ = ("dim", "length", "mu", "minimal", "square_length", "_basis",
+                 "_monomial_leads", "_polynomial_leads", "_kc", "_memo", "_standard", "_rows",
+                 "_pivots", "_squares", "_w_dim", "_coords", "_relations", "_combinations",
+                 "_spans")
 
     def __init__(self, A: PresentedQuotient, I: IdealHandle):
         ring, kc = A.ring, A.ring.kc
@@ -589,14 +578,16 @@ class FiniteAlgebra:
         self.dim = len(self._standard)
         self._rows = [[self._shifted(g, k, e) for g in gens] for k, e in self._standard]
         pivots = _echelon(itertools.chain.from_iterable(self._rows[1:]))
-        m_dim = len(pivots)
+        minimal = []
         for i, row in enumerate(self._rows[0]):
             row, carried = _eliminate(row, pivots, [_unit(i)])
             if row:
                 _file_pivot(pivots, row, carried)
+                minimal.append(i)
         self._pivots = pivots
         self.length = self.dim - len(pivots)
-        self.mu = len(pivots) - m_dim
+        self.minimal = tuple(minimal)
+        self.mu = len(minimal)
         nfs = {p: self._nf(products[p]) for p in pairs}
         self._squares = list(nfs.values())
         w_pivots = _echelon(self._squares)

@@ -135,6 +135,20 @@ def _to_triple(c):
     raise TypeError(f"cannot use {type(c).__name__} as a scalar")
 
 
+def _spow(c, n):
+    """The scalar c^n in lowest terms, for c = (a + b*i)/d and n >= 0: the
+    Gaussian integer (a + b*i)^n by repeated squaring, over d^n."""
+    a, b, d = c
+    re, im = 1, 0
+    k = n
+    while k:
+        if k & 1:
+            re, im = re * a - im * b, re * b + im * a
+        a, b = a * a - b * b, 2 * a * b
+        k >>= 1
+    return kernel._snorm(re, im, d**n)
+
+
 class Polynomial:
     """Immutable sparse polynomial over Q(i) in a fixed ring."""
 
@@ -195,6 +209,11 @@ class Polynomial:
         top = max((max(t[1]) for t in self.terms), default=0)
         if n * max(top, 1) > _MAX_EXP:
             raise ExponentRangeError(f"power {n} takes an exponent above the cap {_MAX_EXP}")
+        if len(self.terms) == 1:
+            # (c*X^e)^n = c^n * X^(n*e): one term, no multiplication
+            _, e, a, b, d = self.terms[0]
+            exp = tuple(n * x for x in e)
+            return Polynomial(self.ring, ((self.ring.key(exp), exp) + _spow((a, b, d), n),))
         out = self.ring.one()
         base = self
         while n:

@@ -1,10 +1,13 @@
 """Catalog of ring presentations: determinantal and hypersurface models.
 
-Every catalog entry is built from its printed defining matrix (families
-with a 2x3 Hilbert-Burch matrix) or hypersurface equation; the defining
-ideal of a determinantal entry is the ideal of maximal minors, and the
-canonical trace ideal of a 2x3 entry is the entry ideal I_1 of the matrix
-plus the defining ideal.
+Every catalog entry is built by polynomial arithmetic on its ring's
+variables: the defining matrix (the 2x3 Hilbert-Burch matrix of a triple
+point, or the 2x4 matrix of EX-5.3), the hypersurface equation of a double
+point, and the seed reductions are Python expressions that read like the
+printed ones (``t**(n + 1) + z`` for t^{n+1} + z), so no text is parsed.
+The defining ideal of a determinantal entry is the ideal of the 2x2 minors
+of its matrix, and the canonical trace ideal of a 2x3 entry is the entry
+ideal I_1 of the matrix plus the defining ideal.
 """
 
 from __future__ import annotations
@@ -19,6 +22,11 @@ from .polyring import Ring
 RTP_RING = Ring(("x", "y", "z", "t"))
 RDP_RING = Ring(("x", "y", "z"))
 QUOT5_RING = Ring(("z1", "z2", "z3", "z4", "z5"))
+
+# The variables the catalog's matrices, equations and seeds are written in.
+x, y, z, t = RTP_RING.gens()
+z1, z2, z3, z4, z5 = QUOT5_RING.gens()
+_RDP_GENS = RDP_RING.gens()
 
 _RTP_FAMILIES = ("A", "B", "C", "D", "F", "H", "Gamma1", "Gamma2", "Gamma3")
 _RDP_FAMILIES = ("RDP-A", "RDP-D", "RDP-E6", "RDP-E7", "RDP-E8")
@@ -90,60 +98,56 @@ def parse_tag(text: str) -> FamilyTag:
     return FamilyTag(name, params)
 
 
-def _matrix(ring, rows):
-    return tuple(tuple(ring.polynomial(e) for e in row) for row in rows)
-
-
 def _rtp_matrix(tag: FamilyTag):
     name, p = tag.name, tag.params
-    R = RTP_RING
     if name == "A":
         l, m, n = p
-        return _matrix(R, [["x", f"t^{m+1}", f"t^{n+1} + z"], [f"t^{l+1}", "y", "z"]])
+        return ((x, t ** (m + 1), t ** (n + 1) + z), (t ** (l + 1), y, z))
     if name == "B":
         m, n = p
         k = (n + 1) // 2
         if n % 2 == 1:  # n = 2k - 1
-            return _matrix(R, [["x", "y", f"t^{k} + z*t"], [f"t^{m+1}", "z", "y"]])
-        return _matrix(R, [["x", "y", "z*t"], [f"t^{m+1}", "z", f"y + t^{k}"]])
+            return ((x, y, t**k + z * t), (t ** (m + 1), z, y))
+        return ((x, y, z * t), (t ** (m + 1), z, y + t**k))
     if name == "C":
         m, n = p
-        return _matrix(R, [["x", "y", f"t^2 + z^{n-1}"], [f"t^{m+1}", "z", "y"]])
+        return ((x, y, t**2 + z ** (n - 1)), (t ** (m + 1), z, y))
     if name == "D":
         n = p[0]
-        return _matrix(R, [["x", "y", "z^2"], [f"t^{n+1}", "z", "y + t^2"]])
+        return ((x, y, z**2), (t ** (n + 1), z, y + t**2))
     if name == "F":
         n = p[0]
-        return _matrix(R, [["x", "y", "t^3 + z^2"], [f"t^{n+1}", "z", "y"]])
+        return ((x, y, t**3 + z**2), (t ** (n + 1), z, y))
     if name == "H":
         n = p[0]
         k = (n + 1) // 3
         if n == 3 * k - 1:
-            return _matrix(R, [["x", "y", f"z*t + t^{k}"], ["y", "z", "x"]])
+            return ((x, y, z * t + t**k), (y, z, x))
         if n == 3 * k:
-            return _matrix(R, [["x", "y", "z*t"], ["y", "z", f"x + t^{k}"]])
-        return _matrix(R, [["x", "y", "z*t"], [f"y + t^{k}", "z", "x"]])
+            return ((x, y, z * t), (y, z, x + t**k))
+        return ((x, y, z * t), (y + t**k, z, x))
     if name == "Gamma1":
-        return _matrix(R, [["x", "y", "t^2"], ["y", "z", "x + z^2"]])
+        return ((x, y, t**2), (y, z, x + z**2))
     if name == "Gamma2":
-        return _matrix(R, [["x", "y", "z^2"], ["y", "z", "x + t^2"]])
+        return ((x, y, z**2), (y, z, x + t**2))
     if name == "Gamma3":
-        return _matrix(R, [["x", "y", "t^2 + z^3"], ["y", "z", "x"]])
+        return ((x, y, t**2 + z**3), (y, z, x))
     raise ParameterError(f"unknown RTP family {name!r}")
 
 
-def _rdp_equation(tag: FamilyTag) -> str:
+def _rdp_equation(tag: FamilyTag):
     name, p = tag.name, tag.params
+    x, y, z = _RDP_GENS
     if name == "RDP-A":
-        return f"z^2 + x^2 + y^{p[0]+1}"
+        return z**2 + x**2 + y ** (p[0] + 1)
     if name == "RDP-D":
-        return f"z^2 + x^2*y + y^{p[0]-1}"
+        return z**2 + x**2 * y + y ** (p[0] - 1)
     if name == "RDP-E6":
-        return "z^2 + x^3 + y^4"
+        return z**2 + x**3 + y**4
     if name == "RDP-E7":
-        return "z^2 + x^3 + x*y^3"
+        return z**2 + x**3 + x * y**3
     if name == "RDP-E8":
-        return "z^2 + x^3 + y^5"
+        return z**2 + x**3 + y**5
     raise ParameterError(f"unknown RDP family {name!r}")
 
 
@@ -154,24 +158,18 @@ def instantiate(tag) -> RingPresentation:
     name = tag.name
     if name in _RTP_FAMILIES:
         M = _rtp_matrix(tag)
-        defining = minors([list(r) for r in M], 2)
+        defining = minors(M)
         quotient = PresentedQuotient(RTP_RING, defining)
         return RingPresentation(tag, quotient, M, 2)
     if name in _RDP_FAMILIES:
-        eq = _rdp_equation(tag)
-        defining = IdealHandle(RDP_RING, [eq])
+        defining = IdealHandle(RDP_RING, [_rdp_equation(tag)])
         return RingPresentation(tag, PresentedQuotient(RDP_RING, defining), None, 1)
     if name == "EX-5.2":
-        M = _matrix(RTP_RING, [["x", "y", "z"], ["y", "z", "x^2 - t^3"]])
-        defining = minors([list(r) for r in M], 2)
-        return RingPresentation(tag, PresentedQuotient(RTP_RING, defining), M, 2)
+        M = ((x, y, z), (y, z, x**2 - t**3))
+        return RingPresentation(tag, PresentedQuotient(RTP_RING, minors(M)), M, 2)
     if name == "EX-5.3":
-        M = _matrix(
-            QUOT5_RING,
-            [["z1", "z4", "z2", "z3^2"], ["z2", "z3", "z4", "z5"]],
-        )
-        defining = minors([list(r) for r in M], 2)
-        return RingPresentation(tag, PresentedQuotient(QUOT5_RING, defining), M, 3)
+        M = ((z1, z4, z2, z3**2), (z2, z3, z4, z5))
+        return RingPresentation(tag, PresentedQuotient(QUOT5_RING, minors(M)), M, 3)
     raise ParameterError(f"unknown catalog tag {tag}")
 
 
@@ -216,15 +214,14 @@ def ring_multiplicity(pres: RingPresentation) -> int:
 def published_reduction(tag: FamilyTag, i: int):
     """The reduction pair used in the source arguments for (x,y,z,t^i)."""
     name = tag.name
-    R = RTP_RING
     if name == "A":
-        return (R.polynomial(f"t^{i}"), R.polynomial("x + y + z"))
+        return (t**i, x + y + z)
     if name in ("B", "C", "D", "F"):
-        return (R.polynomial(f"t^{i}"), R.polynomial("x + z"))
+        return (t**i, x + z)
     if name in ("H", "Gamma1", "Gamma2", "Gamma3"):
-        return (R.polynomial(f"t^{i}"), R.polynomial("z"))
+        return (t**i, z)
     if name == "EX-5.2":
-        return (R.polynomial("x"), R.polynomial(f"t^{i}"))
+        return (x, t**i)
     return None
 
 
@@ -235,13 +232,11 @@ def maximal_reduction_seed(tag: FamilyTag):
         pair = published_reduction(tag, 1)
         return (pair,)
     if name in _RDP_FAMILIES:
-        return ((RDP_RING.var("x"), RDP_RING.var("y")),)
+        return (_RDP_GENS[:2],)
     if name == "EX-5.3":
-        R = QUOT5_RING
         return (
-            (R.polynomial("z1 + z3 + z5"), R.polynomial("z2 + z4")),
-            (R.polynomial("z1 + z5"), R.polynomial("z2 + z3 + z4")),
-            (R.polynomial("z1 - z5"), R.polynomial("z2 - z3 + z4")),
+            (z1 + z3 + z5, z2 + z4),
+            (z1 + z5, z2 + z3 + z4),
+            (z1 - z5, z2 - z3 + z4),
         )
     return ()
-

@@ -115,6 +115,16 @@ def _candidate_pairs(n, seeds=()):
             yield (unit[i], tuple(SZERO if k == i else SONE for k in range(n)))
 
 
+def _padded(c, indices, n):
+    """The vector of n scalars with c's entries at ``indices``, 0 elsewhere."""
+    if len(indices) == n:
+        return c
+    out = [SZERO] * n
+    for i, x in zip(indices, c):
+        out[i] = x
+    return tuple(out)
+
+
 def _combination(gens, c):
     """The polynomial sum c_i*g_i."""
     p = gens[0].ring.zero()
@@ -131,16 +141,22 @@ def find_reduction(A, I, seeds=()):
 
     One pass over the candidates, each decided in I's finite algebra by
     the span test of the module docstring: linear algebra, with no Groebner
-    basis per candidate.  A seed outside I at the origin, and a candidate
-    whose combination is the zero polynomial, are skipped.
+    basis per candidate.  The candidates combine a minimal generating set,
+    the generators at ``B.minimal`` (all of them when I is minimally
+    generated), each vector padded with zeros at the others: with a
+    redundant generator (a repeat, or one in m*I) in the list, the fixed
+    combinations could miss every reduction.  A seed outside I at the
+    origin, and a candidate whose combination is the zero polynomial, are
+    skipped.
     """
     gens = I.gens
     if not gens:
         return None
     seeds = tuple(seeds)
     B = A.algebra(I)
-    for k, pair in enumerate(_candidate_pairs(len(gens), seeds)):
+    for k, pair in enumerate(_candidate_pairs(len(B.minimal), seeds)):
         if k >= len(seeds):
+            pair = tuple(_padded(c, B.minimal, len(gens)) for c in pair)
             if B.spans_combinations(*pair):
                 return IdealHandle(I.ring, [_combination(gens, c) for c in pair])
         elif all(pair):
@@ -272,8 +288,8 @@ def _rdp_listed(tag: FamilyTag):
             m = n // 2
             for j in range(1, m):
                 items.append(([x, y**j, z], (x, y**j)))
-            plus = R.polynomial(f"x + i*y^{m-1}")
-            minus = R.polynomial(f"x - i*y^{m-1}")
+            iy = y ** (m - 1) * (0, 1, 1)  # i*y^(m-1)
+            plus, minus = x + iy, x - iy
             items.append(([plus, y**m, z], (plus, y**m)))
             items.append(([minus, y**m, z], (minus, y**m)))
         else:

@@ -5,12 +5,12 @@ import random
 
 import pytest
 
-from reference import from_terms, power, product, spair_audit
+from reference import cofactor_minors, from_terms, power, printed_matrix, product, spair_audit
 from triplepoint import ideals, kernel
 from triplepoint.errors import ColengthBudgetError, ExponentRangeError
 from triplepoint.ideals import IdealHandle, PresentedQuotient, minors
 from triplepoint.polyring import Ring
-from triplepoint.presentations import instantiate
+from triplepoint.presentations import instantiate, parse_tag
 
 R = Ring(("x", "y", "z", "t"))
 x, y, z, t = R.gens()
@@ -362,24 +362,25 @@ def test_colon_good_ideal_identity_a123():
     assert A.image(Q1).colon(J1).groebner() == A.image(J1).groebner()
 
 
-def test_minors_entry_ideal_sample():
-    # 1x1 minors of the sample matrix generate (x, y, z, t^(n+1))
-    n = 2
-    M = [
-        [R.polynomial("x"), R.polynomial(f"t^{n+1}"), R.polynomial(f"t^{n+1} + z")],
-        [R.polynomial(f"t^{n+1}"), R.polynomial("y"), R.polynomial("z")],
-    ]
-    assert minors(M, 1).groebner() == IdealHandle(R, ["x", "y", "z", f"t^{n+1}"]).groebner()
-
-
 def test_minors_2x2_is_determinant():
     M = [[x, y], [z, t]]
-    assert minors(M, 2).groebner() == IdealHandle(R, [x * t - y * z]).groebner()
+    assert minors(M).groebner() == IdealHandle(R, [x * t - y * z]).groebner()
+
+
+def test_minors_2x4_match_cofactor_expansion():
+    # EX-5.3's six minors, term for term and in column-pair order
+    text = printed_matrix(parse_tag("EX-5.3"))
+    ring = instantiate("EX-5.3").ring
+    M = [[ring.polynomial(e) for e in row] for row in text]
+    expected = cofactor_minors(M, 2)
+    assert len(expected) == 6
+    assert [g.terms for g in minors(M).gens] == [g.terms for g in expected]
 
 
 def test_minors_out_of_range():
-    with pytest.raises(ValueError):
-        minors([[x, y]], 2)
+    for rows in ([[x, y]], [[x, y], [z, t], [x, t]], [[x], [y]], [[x, y], [z]]):
+        with pytest.raises(ValueError):
+            minors(rows)
 
 
 def test_quotient_dim():

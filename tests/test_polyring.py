@@ -161,6 +161,23 @@ def test_exponent_cap_is_checked_where_exponents_enter():
     assert top.terms[0][0] == R3.key((_MAX_EXP, 0, 0))
 
 
+def test_one_term_power_equals_repeated_multiplication():
+    # the one-term power forms c^n and n*e directly; the product walks there
+    # one factor at a time, through the general multiplication
+    i = (0, 1, 1)
+    for p, top in ((x, _MAX_EXP), (x * i, _MAX_EXP), (-(y * t**2), _MAX_EXP // 2),
+                   (x * z * (2, 0, 3), 200), (t * (1, 1, 2), 200), (R.scalar(i), 200)):
+        product = R.one()
+        for n in range(top + 1):
+            assert p**n == product, (p, n)
+            product = product * p
+    assert (x * Fraction(2, 3)) ** _MAX_EXP == R.monomial(
+        (_MAX_EXP, 0, 0, 0), Fraction(2, 3) ** _MAX_EXP
+    )
+    with pytest.raises(ExponentRangeError):
+        (y * t**2) ** (_MAX_EXP // 2 + 1)
+
+
 @st.composite
 def _exponents_summing_below_cap(draw, n):
     total = draw(st.tuples(*(st.integers(0, _MAX_EXP) for _ in range(n))))

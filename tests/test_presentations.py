@@ -4,7 +4,15 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from reference import nearly_gorenstein_expected
+from reference import (
+    cofactor_minors,
+    nearly_gorenstein_expected,
+    printed_equation,
+    printed_matrix,
+    printed_maximal_reduction_seed,
+    printed_published_reduction,
+    printed_rdp_list,
+)
 from triplepoint.errors import (
     ExponentRangeError,
     ParameterError,
@@ -16,12 +24,15 @@ from triplepoint.ideals import IdealHandle, minors
 from triplepoint.presentations import (
     RTP_RING,
     instantiate,
+    maximal_reduction_seed,
     nearly_gorenstein,
     parse_tag,
+    published_reduction,
     residue,
     ring_multiplicity,
     trace_ideal,
 )
+from triplepoint.ulrich import _rdp_listed
 
 R = RTP_RING
 
@@ -48,6 +59,53 @@ def test_minors_reproduce_printed_generators(tag):
     pres = instantiate(tag)
     printed = IdealHandle(R, PRINTED[tag])
     assert pres.quotient.defining.groebner() == printed.groebner()
+
+
+# Every branch of the catalog: A up to 4; B with odd and even n; C, D and F;
+# H with n = 0, 1, 2 mod 3; the Gamma rings; the examples; the double points
+# with RDP-D of even and odd n.
+CATALOG_BRANCHES = (
+    [f"A:{l},{m},{n}" for l in range(5) for m in range(l, 5) for n in range(m, 5)]
+    + ["B:0,3", "B:1,4", "B:2,5", "B:3,6", "C:0,4", "C:2,7", "D:0", "D:3", "F:0", "F:4"]
+    + ["H:5", "H:6", "H:7", "H:8", "H:9", "H:10", "Gamma1", "Gamma2", "Gamma3"]
+    + ["EX-5.2", "EX-5.3", "RDP-A:1", "RDP-A:4", "RDP-D:4", "RDP-D:5", "RDP-D:8"]
+    + ["RDP-D:9", "RDP-E6", "RDP-E7", "RDP-E8"]
+)
+
+
+def _same_terms(built, text, ring):
+    """Built polynomials against parsed text, term for term."""
+    assert [p.terms for p in built] == [ring.polynomial(s).terms for s in text]
+
+
+@pytest.mark.parametrize("text", CATALOG_BRANCHES)
+def test_catalog_is_built_as_printed(text):
+    tag = parse_tag(text)
+    pres = instantiate(tag)
+    ring = pres.ring
+    if pres.matrix is None:
+        assert len(pres.quotient.defining.gens) == 1
+        _same_terms(pres.quotient.defining.gens, [printed_equation(tag)], ring)
+        for (gens, seed), (gens_text, seed_text) in zip(
+            _rdp_listed(tag), printed_rdp_list(tag), strict=True
+        ):
+            _same_terms(gens, gens_text, ring)
+            _same_terms(seed, seed_text, ring)
+    else:
+        rows = printed_matrix(tag)
+        for row, row_text in zip(pres.matrix, rows, strict=True):
+            _same_terms(row, row_text, ring)
+        expected = cofactor_minors([[ring.polynomial(e) for e in row] for row in rows], 2)
+        assert [g.terms for g in pres.quotient.defining.gens] == [g.terms for g in expected]
+    for i in range(1, 5):
+        pair, pair_text = published_reduction(tag, i), printed_published_reduction(tag, i)
+        assert (pair is None) == (pair_text is None)
+        if pair is not None:
+            _same_terms(pair, pair_text, ring)
+    for pair, pair_text in zip(
+        maximal_reduction_seed(tag), printed_maximal_reduction_seed(tag), strict=True
+    ):
+        _same_terms(pair, pair_text, ring)
 
 
 def test_instantiate_rdp_equations():
@@ -106,7 +164,7 @@ def test_trace_invariant_under_matrix_symmetries():
         alt = IdealHandle(R, entries) + pres.quotient.defining
         assert alt.groebner() == (base + pres.quotient.defining).groebner()
     # and the defining ideal itself only changes by sign under these moves
-    assert minors(swapped, 2).groebner() == pres.quotient.defining.groebner()
+    assert minors(swapped).groebner() == pres.quotient.defining.groebner()
 
 
 @pytest.mark.parametrize(

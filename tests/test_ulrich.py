@@ -788,6 +788,33 @@ def test_zero_combinations_are_skipped(a123):
 
 
 @pytest.mark.parametrize(
+    "gens,minimal",
+    [(["x", "-x", "y", "z", "t"], (0, 2, 3, 4)), (["z", "t", "x", "y", "-y"], (0, 1, 2, 3))],
+)
+def test_redundant_generators_hide_no_reduction(a123, gens, minimal):
+    # m written with a repeated generator: the candidates are formed over the
+    # minimal generators the frame picks, so the search still finds the
+    # published reduction (t, x + y + z) and m is certified Ulrich
+    A = a123.quotient
+    I = IdealHandle(R, gens)
+    B = A.algebra(I)
+    assert B.minimal == minimal and B.mu == 4
+    Q = find_reduction(A, I)
+    assert Q is not None and {str(q) for q in Q.gens} == {"t", "x + y + z"}
+    assert B.spans(Q)
+    assert ulrich_check(A, I).verdict == "ulrich"
+
+
+def test_minimal_generators_keep_the_stream(a123):
+    # a minimally generated ideal keeps every generator, so the candidates
+    # are those of the generators as given
+    A = a123.quotient
+    for gens in (["x", "y", "z", "t"], ["x", "y", "z", "t^2"], ["x", "y^2", "z", "t"]):
+        I = IdealHandle(R, gens)
+        assert A.algebra(I).minimal == tuple(range(len(gens)))
+
+
+@pytest.mark.parametrize(
     # a seeded E7 next ideal, the exhausted search of D:3's next ideal, and
     # seeds that fail before the stream reaches the combinations
     "tag,gens,seeds",
