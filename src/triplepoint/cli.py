@@ -327,10 +327,9 @@ def cmd_cross_check(tag, as_json):
         ftag = parse_tag(tag)
         pres = instantiate(ftag)
         g = graph_catalog(ftag)
-        Z0 = dg.fundamental_cycle(g)
         graph_side = {
-            "e0": -dg.intersection_pairing(g, Z0, Z0),
-            "mu": dg.cycle_mu(g, Z0),
+            "e0": dg.graph_multiplicity(g),
+            "mu": dg.cycle_mu(g, dg.fundamental_cycle(g)),
             "chainCount": len(dg.enumerate_ulrich_chains(g).chains),
         }
         algebra_side = {

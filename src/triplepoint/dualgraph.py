@@ -3,11 +3,16 @@
 Cycles are plain tuples of non-negative ints indexed like the graph's
 vertex list.  Anti-nef means Z.E_i <= 0 for every vertex (the weak sign
 convention, which the fundamental-cycle and orthogonality computations
-require).
+require).  The pairing vector of a cycle Z is (Z.E_i), one entry per vertex.
 
-A graph is checked when it is built: negative definiteness is Sylvester's
-test on the leading principal minors, in integer arithmetic.  It then holds
-its fundamental cycle Z_0 (Laufer's sequence) and whether p_a(Z_0) = 0.
+A graph is checked when it is built, in time linear in its size when it is
+a tree.  Negative definiteness is one exact symmetric elimination that takes
+a vertex of least remaining degree first: on a tree every step is a leaf,
+which changes only its neighbour's diagonal entry, and a graph with cycles
+also takes fill-in.  The graph then holds its fundamental cycle Z_0, from
+Laufer's computation sequence run as a worklist on the pairing vector, and
+Z_0's pairing vector P_0.  p_a(Z_0), the multiplicity -Z_0^2, mu and the
+uniqueness filter are sums over P_0.
 
 Chain enumeration follows the structure theorem: starting from the
 fundamental cycle, each step adds a positive cycle Y with
@@ -17,15 +22,20 @@ fundamental cycle, each step adds a positive cycle Y with
 and the new cycle must stay anti-nef.  Supports of admissible Y are full
 connected components of the orthogonal locus {E_i : Z_prev . E_i = 0}: a
 component-boundary vertex would get positive pairing with the new cycle.
-The enumeration always ends: each step's Y is at most the previous one
-coefficientwise and differs from it (Y = Y_prev would give
-Y . Z_prev = Y . Y < 0), so a chain has at most sum(Z_0) steps.
+Each cycle of the walk carries its pairing vector, so the locus is read off
+it, and one worklist run on the whole locus gives every component's
+fundamental cycle, the lower bound on Y.  The enumeration always ends: each
+step's Y is at most the previous one coefficientwise and differs from it
+(Y = Y_prev would give Y . Z_prev = Y . Y < 0), so a chain has at most
+sum(Z_0) steps.  The walk is depth-first on an explicit stack, so a long
+chain does not meet the interpreter's recursion limit.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 
 from .errors import GraphInvariantError, ParseError
@@ -34,7 +44,7 @@ from .errors import GraphInvariantError, ParseError
 class DualGraph:
     """Weighted dual graph of a resolution: negative-definite, no (-1)s."""
 
-    __slots__ = ("ids", "weights", "edges", "_adj", "_edge_idx", "_hash", "_z0", "_rational")
+    __slots__ = ("ids", "weights", "edges", "_adj", "_edge_idx", "_hash", "_z0", "_p0", "_rational")
 
     def __init__(self, ids, weights, edges):
         ids = tuple(ids)
@@ -46,33 +56,38 @@ class DualGraph:
         if any(w > -2 for w in weights):
             raise GraphInvariantError("vertex with self-intersection > -2")
         index = {v: k for k, v in enumerate(ids)}
-        norm_edges = []
-        edge_idx = []
+        norm_edges, edge_idx, seen = [], [], set()
+        adj = [[] for _ in ids]
         for a, b in edges:
             ia, ib = index[a], index[b]
             if ia == ib:
                 raise GraphInvariantError("loop edge")
-            key = (min(ia, ib), max(ia, ib))
-            if key in edge_idx:
+            key = (ia, ib) if ia < ib else (ib, ia)
+            if key in seen:
                 raise GraphInvariantError("multi-edge")
+            seen.add(key)
             edge_idx.append(key)
             norm_edges.append((a, b))
+            adj[ia].append(ib)
+            adj[ib].append(ia)
         self.ids = ids
         self.weights = weights
         self.edges = tuple(norm_edges)
         self._edge_idx = tuple(edge_idx)
-        adj = [[] for _ in ids]
-        for i, j in edge_idx:
-            adj[i].append(j)
-            adj[j].append(i)
-        self._adj = tuple(tuple(sorted(x)) for x in adj)
+        self._adj = tuple(map(tuple, adj))
         self._hash = hash((ids, weights, self._edge_idx))
-        if len(_components_of(self, range(len(ids)))) != 1:
+        # one search finds the components and the reduced cycle, 1 on every
+        # vertex, with its pairing vector w_i + deg_i: Laufer's start
+        inside = [True] * len(ids)
+        comps, Z, P = _locus(self, inside)
+        if len(comps) != 1:
             raise GraphInvariantError("graph is not connected")
         if not self.is_negative_definite():
             raise GraphInvariantError("intersection matrix is not negative definite")
-        self._z0 = _laufer(self, range(len(ids)))
-        self._rational = arithmetic_genus(self, self._z0) == 0
+        _laufer(self, Z, P, inside)
+        self._z0, self._p0 = tuple(Z), tuple(P)
+        # Z_0^2 + K.Z_0 = sum Z_i*(P_i - w_i - 2)
+        self._rational = _genus(sum(z * (p - w - 2) for z, p, w in zip(Z, P, weights))) == 0
 
     def __eq__(self, other):
         return (
@@ -92,33 +107,80 @@ class DualGraph:
     def n(self):
         return len(self.ids)
 
-    def matrix(self):
-        n = self.n
-        M = [[0] * n for _ in range(n)]
-        for i in range(n):
-            M[i][i] = self.weights[i]
-        for i, j in self._edge_idx:
-            M[i][j] = M[j][i] = 1
-        return M
-
     def is_negative_definite(self):
-        # Sylvester: the k-th leading principal minor has sign (-1)^k.
-        # Fraction-free Bareiss elimination: after step k the pivot M[k][k]
-        # is the (k+1)-th leading minor, and dividing by the previous pivot
-        # is exact.
-        M = self.matrix()
+        """Exact symmetric elimination, a vertex of least remaining degree
+        first.  Eliminating v leaves the Schur complement on the other
+        vertices, and the matrix is negative definite exactly when every
+        pivot d_v is negative, in any order of pivots: a principal block
+        and a Schur complement of a negative definite matrix are negative
+        definite.
+
+        Entries are exact fractions, (num, den) with den > 0.  A vertex of
+        degree <= 1 changes only its neighbour's diagonal, d_u - e^2/d_v,
+        and that neighbour is the xor of its remaining neighbours' indices.
+        On a tree e is the edges' 1 throughout, and num/den is a ratio of
+        subtree determinants with no reduction.  When every remaining vertex
+        has degree >= 2 (a graph with cycles), the step also takes fill-in,
+        e_uw - e_uv*e_vw/d_v for each pair of v's neighbours, and the
+        entries that are no longer 1 are kept in ``off``, in lowest terms.
+        """
         n = self.n
-        prev, sign = 1, -1
-        for k in range(n):
-            piv = M[k][k]
-            if piv * sign <= 0:
+        num, den = list(self.weights), [1] * n
+        deg = [len(a) for a in self._adj]
+        link = [0] * n  # xor of the remaining neighbours' indices
+        for i, j in self._edge_idx:
+            link[i] ^= j
+            link[j] ^= i
+        off = {}  # (i, j) with i < j: off-diagonal entries other than 1
+        fill = {}  # v: the vertices joined to v by fill-in
+        done = [False] * n
+        leaves = [v for v in range(n) if deg[v] <= 1]
+        for _ in range(n):
+            if leaves:
+                v = leaves.pop()
+            else:
+                v = min((u for u in range(n) if not done[u]), key=deg.__getitem__)
+            p, q = num[v], den[v]
+            if p >= 0:
                 return False
-            Mk = M[k]
-            for Mr in M[k + 1:]:
-                Mrk = Mr[k]
-                for c in range(k + 1, n):
-                    Mr[c] = (piv * Mr[c] - Mrk * Mk[c]) // prev
-            prev, sign = piv, -sign
+            done[v] = True
+            if deg[v] <= 1:
+                if deg[v]:
+                    u = link[v]
+                    link[u] ^= v
+                    deg[u] -= 1
+                    if deg[u] == 1:
+                        leaves.append(u)
+                    e = off.pop((u, v) if u < v else (v, u), None) if off else None
+                    if e is None:  # d_u - 1/d_v
+                        num[u], den[u] = den[u] * q - num[u] * p, -den[u] * p
+                    else:
+                        num[u], den[u] = _sub((num[u], den[u]), (-e[0] * e[0] * q, -e[1] * e[1] * p))
+                continue
+            nbrs = {}
+            for u in itertools.chain(self._adj[v], fill.pop(v, ())):
+                if not done[u]:
+                    nbrs[u] = off.pop((u, v) if u < v else (v, u), (1, 1))
+            items = list(nbrs.items())
+            for k, (u, (a, b)) in enumerate(items):
+                num[u], den[u] = _sub((num[u], den[u]), (-a * a * q, -b * b * p))
+                link[u] ^= v
+                deg[u] -= 1
+                for w, (c, d) in items[k + 1:]:
+                    key = (u, w) if u < w else (w, u)
+                    x = off.get(key)
+                    if x is None and w in self._adj[u]:
+                        x = (1, 1)
+                    elif x is None:  # fill-in: a new edge u-w
+                        x = (0, 1)
+                        fill.setdefault(u, []).append(w)
+                        fill.setdefault(w, []).append(u)
+                        link[u] ^= w
+                        link[w] ^= u
+                        deg[u] += 1
+                        deg[w] += 1
+                    off[key] = _sub(x, (-a * c * q, -b * d * p))
+            leaves += [u for u in nbrs if deg[u] <= 1]
         return True
 
     def pairing_with_vertex(self, Z, i):
@@ -177,6 +239,15 @@ class DualGraph:
         return Z
 
 
+
+def _sub(x, y):
+    """x - y for fractions (num, den) with den > 0, in lowest terms."""
+    (a, b), (c, d) = x, y
+    p, q = a * d - b * c, b * d
+    r = math.gcd(p, q)
+    return p // r, q // r
+
+
 def intersection_pairing(g: DualGraph, Y, Z) -> int:
     if len(Y) != g.n or len(Z) != g.n:
         raise ValueError("cycle length does not match vertex count")
@@ -202,23 +273,29 @@ def fundamental_cycle(g: DualGraph):
     return g._z0
 
 
-def _laufer(g: DualGraph, verts):
-    """Laufer's computation sequence on the subgraph induced by ``verts``:
-    from the reduced cycle, raise a coefficient while its vertex pairs
-    positively with the cycle.  The result, indexed like ``verts``, is the
-    subgraph's fundamental cycle; the sequence ends only when the subgraph is
-    negative definite."""
-    pos = {v: k for k, v in enumerate(verts)}
-    nbrs = [[pos[w] for w in g._adj[v] if w in pos] for v in verts]
-    weights = [g.weights[v] for v in verts]
-    Z = [1] * len(weights)
-    while True:
-        for k, w in enumerate(weights):
-            if Z[k] * w + sum(Z[j] for j in nbrs[k]) > 0:
-                Z[k] += 1
-                break
-        else:
-            return tuple(Z)
+def _laufer(g: DualGraph, Z, P, inside):
+    """Laufer's computation sequence as a worklist, in place.  ``Z`` is a
+    cycle supported on the vertices k with ``inside[k]``, and ``P`` its
+    pairing vector there.  While an inside vertex k pairs positively, Z[k]
+    rises by the least t that makes P[k] + t*w_k <= 0 (t steps of the
+    sequence at once) and P rises by t at k's neighbours; no vertex is
+    scanned again unless its pairing turns positive.  From the reduced
+    cycle of a negative definite vertex set it ends at the fundamental
+    cycle of each component of the set, in any order of steps, since a
+    step never passes an anti-nef cycle."""
+    adj, weights = g._adj, g.weights
+    work = [k for k, p in enumerate(P) if p > 0 and inside[k]]
+    while work:
+        k = work.pop()
+        p, w = P[k], weights[k]
+        t = -(p // w)  # ceil(p / -w)
+        Z[k] += t
+        P[k] = p + t * w
+        for j in adj[k]:
+            q = P[j]
+            P[j] = q + t
+            if q <= 0 < q + t and inside[j]:
+                work.append(j)
 
 
 def canonical_numbers(g: DualGraph):
@@ -231,13 +308,17 @@ def canonical_pairing(g: DualGraph, Z) -> int:
     return sum(c * k for c, k in zip(Z, K))
 
 
-def arithmetic_genus(g: DualGraph, Y) -> int:
-    if not is_positive(Y):
-        raise ValueError("arithmetic genus expects a positive cycle")
-    s = intersection_pairing(g, Y, Y) + canonical_pairing(g, Y)
+def _genus(s):
+    """p_a from s = Y.Y + K.Y."""
     if s % 2:
         raise GraphInvariantError("odd self-intersection plus canonical pairing")
     return s // 2 + 1
+
+
+def arithmetic_genus(g: DualGraph, Y) -> int:
+    if not is_positive(Y):
+        raise ValueError("arithmetic genus expects a positive cycle")
+    return _genus(intersection_pairing(g, Y, Y) + canonical_pairing(g, Y))
 
 
 def _require_rational(g):
@@ -246,8 +327,9 @@ def _require_rational(g):
 
 
 def graph_multiplicity(g: DualGraph) -> int:
+    """-Z_0^2 = -sum Z_0,i * P_0,i."""
     _require_rational(g)
-    return -intersection_pairing(g, g._z0, g._z0)
+    return -sum(z * p for z, p in zip(g._z0, g._p0))
 
 
 def cycle_length(g: DualGraph, Z) -> int:
@@ -259,11 +341,12 @@ def cycle_length(g: DualGraph, Z) -> int:
 
 
 def cycle_mu(g: DualGraph, Z) -> int:
-    """Minimal generator count of the represented ideal."""
+    """Minimal generator count of the represented ideal: 1 - Z.Z_0, and
+    Z.Z_0 = sum Z_i * P_0,i."""
     _require_rational(g)
     if not is_antinef(g, Z):
         raise ValueError("cycle is not anti-nef")
-    return -intersection_pairing(g, Z, g._z0) + 1
+    return 1 - sum(z * p for z, p in zip(Z, g._p0))
 
 
 def cycle_stats(g: DualGraph, Z):
@@ -277,9 +360,7 @@ def cycle_stats(g: DualGraph, Z):
 def unique_ulrich_filter(g: DualGraph) -> bool:
     """Some vertex has b >= 3 and negative pairing with Z_0 (forces X = {m})."""
     _require_rational(g)
-    return any(
-        g.weights[i] <= -3 and g.pairing_with_vertex(g._z0, i) < 0 for i in range(g.n)
-    )
+    return any(w <= -3 and p < 0 for w, p in zip(g.weights, g._p0))
 
 
 @dataclass(frozen=True)
@@ -307,79 +388,97 @@ class ChainEnumeration:
         return tuple(c.result(self.fundamental) for c in self.chains)
 
 
-def _components_of(g: DualGraph, vertices):
-    """Connected components of the induced subgraph, sorted; a vertex set
-    is connected when it forms exactly one."""
-    remaining = set(vertices)
-    comps = []
-    while remaining:
-        start = min(remaining)
-        seen = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in g._adj[v]:
-                if w in remaining and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        comps.append(tuple(sorted(seen)))
-        remaining -= seen
-    comps.sort()
-    return comps
+def _locus(g: DualGraph, inside):
+    """The components of the vertices flagged in ``inside``, sorted, by one
+    depth-first search, with the reduced cycle of the set (1 on it) and its
+    pairing vector there (w_v plus v's neighbours in the set)."""
+    adj, weights = g._adj, g.weights
+    Z, P, comps = [0] * len(adj), [0] * len(adj), []
+    for s, flag in enumerate(inside):
+        if flag and not Z[s]:
+            Z[s] = 1
+            comp, stack = [s], [s]
+            while stack:
+                v = stack.pop()
+                p = weights[v]
+                for w in adj[v]:
+                    if inside[w]:
+                        p += 1
+                        if not Z[w]:
+                            Z[w] = 1
+                            comp.append(w)
+                            stack.append(w)
+                P[v] = p
+            comps.append(tuple(sorted(comp)))
+    return comps, Z, P
 
 
 def enumerate_ulrich_chains(g: DualGraph) -> ChainEnumeration:
     _require_rational(g)
+    n, adj, weights = g.n, g._adj, g.weights
     Z0 = g._z0
     K = canonical_numbers(g)  # read once; every K . Y below uses it
     KZ0 = sum(c * k for c, k in zip(Z0, K))
-    heavy = frozenset(i for i in range(g.n) if g.weights[i] <= -3)
+    heavy = frozenset(i for i in range(n) if weights[i] <= -3)
     chains = [UlrichChain(())]
     seen_cycles = {Z0}
     pruned = False
 
-    def step_candidates(Zprev, upper, first):
-        orth = [i for i in range(g.n) if g.pairing_with_vertex(Zprev, i) == 0]
-        for comp in _components_of(g, orth):
-            # support bound for the first step: every b>=3 vertex sits in supp(Y_1)
-            if first and heavy and not heavy.issubset(comp):
+    def step_candidates(Pprev, upper, first):
+        """(Y, supp Y) for each candidate Y of a step from the cycle with
+        pairing vector ``Pprev``, Y at most ``upper``."""
+        inside = [p == 0 for p in Pprev]  # the orthogonal locus
+        # support bound for the first step: every b>=3 vertex sits in supp(Y_1)
+        if first and not all(inside[v] for v in heavy):
+            return
+        comps, lower, P = _locus(g, inside)
+        if first and heavy:
+            comps = [comp for comp in comps if heavy.issubset(comp)]
+        if not comps:
+            return
+        # the fundamental cycle of the induced subgraph bounds Y below; no
+        # edge joins two components, so one sequence on the locus gives all
+        _laufer(g, lower, P, inside)
+        for comp in comps:
+            if any(lower[v] > upper[v] for v in comp):
                 continue
-            if any(upper[v] < 1 for v in comp):
-                continue
-            # the fundamental cycle of the induced subgraph bounds Y below
-            lower = _laufer(g, comp)
-            if any(lo > upper[v] for lo, v in zip(lower, comp)):
-                continue
-            ranges = [range(lo, upper[v] + 1) for lo, v in zip(lower, comp)]
+            ranges = [range(lower[v], upper[v] + 1) for v in comp]
             for combo in itertools.product(*ranges):
-                Y = [0] * g.n
+                Y = [0] * n
                 for val, v in zip(combo, comp):
                     Y[v] = val
-                yield tuple(Y)
+                yield tuple(Y), comp
 
-    def conditions_hold(Y, Zprev):
-        if sum(c * k for c, k in zip(Y, K)) != KZ0:
-            return False
-        if intersection_pairing(g, Y, Zprev) != 0:
-            return False
-        # p_a(Y) = (Y.Y + K.Y)/2 + 1 = 0, with K.Y = K.Z_0 checked above
-        return intersection_pairing(g, Y, Y) + KZ0 == -2
-
-    def extend(prefix_steps, Zprev, upper, first):
-        nonlocal pruned
-        for Y in step_candidates(Zprev, upper, first):
-            if not conditions_hold(Y, Zprev):
+    # depth-first, one open candidate stream per step of the current chain
+    stack = [(step_candidates(g._p0, Z0, True), (), Z0, g._p0)]
+    while stack:
+        candidates, prefix, Zprev, Pprev = stack[-1]
+        for Y, comp in candidates:
+            if sum(Y[v] * K[v] for v in comp) != KZ0:
                 continue
-            Znew = tuple(a + b for a, b in zip(Zprev, Y))
-            if not is_antinef(g, Znew):
+            # the pairing vector of Z_prev + Y.  Y . Z_prev = 0, as Y lives on
+            # the locus, where Pprev is 0 and P is Y's own pairing vector
+            P = list(Pprev)
+            for v in comp:
+                y = Y[v]
+                P[v] += y * weights[v]
+                for j in adj[v]:
+                    P[j] += y
+            # p_a(Y) = (Y.Y + K.Y)/2 + 1 = 0, with K.Y = K.Z_0 checked above
+            if sum(Y[v] * P[v] for v in comp) + KZ0 != -2:
+                continue
+            if any(p > 0 for p in P):
                 pruned = True
                 continue
-            steps = prefix_steps + ((Y, Znew),)
+            Znew = tuple(a + b for a, b in zip(Zprev, Y))
+            steps = prefix + ((Y, Znew),)
             if Znew not in seen_cycles:
                 seen_cycles.add(Znew)
                 chains.append(UlrichChain(steps))
-            extend(steps, Znew, list(Y), False)
+            stack.append((step_candidates(P, Y, False), steps, Znew, P))
+            break
+        else:
+            stack.pop()
 
-    extend((), Z0, list(Z0), True)
     ordered = sorted(chains, key=lambda c: (c.depth, c.steps))
     return ChainEnumeration(Z0, tuple(ordered), pruned)

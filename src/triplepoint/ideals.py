@@ -547,8 +547,7 @@ class FiniteAlgebra:
 
     __slots__ = ("dim", "length", "mu", "minimal", "square_length", "_basis",
                  "_monomial_leads", "_polynomial_leads", "_kc", "_memo", "_standard", "_rows",
-                 "_pivots", "_squares", "_w_dim", "_coords", "_relations", "_combinations",
-                 "_spans")
+                 "_pivots", "_squares", "_w_dim", "_coords", "_combinations", "_spans")
 
     def __init__(self, A: PresentedQuotient, I: IdealHandle):
         ring, kc = A.ring, A.ring.kc
@@ -595,15 +594,6 @@ class FiniteAlgebra:
         self.square_length = self.dim - self._w_dim
         coords = {p: [t for t in nf if t[0] in w_pivots] for p, nf in nfs.items()}
         self._coords = [[coords[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
-        # the linear relations among the generators themselves, as an echelon
-        # of coefficient vectors: q = sum c_i*g_i is 0 exactly when c is in it
-        independent, self._relations = {}, {}
-        for i, g in enumerate(gens):
-            row, carried = _eliminate(g, independent, [_unit(i)])
-            if row:
-                _file_pivot(independent, row, carried)
-            else:
-                _echelon(carried, self._relations)
         self._combinations = {}
         self._spans = {}
 
@@ -678,24 +668,19 @@ class FiniteAlgebra:
 
     def spans_combinations(self, c1, c2):
         """The span test for Q = (q1, q2), q = sum c_i*g_i, given by the
-        coefficient vectors c1 and c2 (tuples of n scalars); None when q1 or
-        q2 is the zero polynomial.  Each vector's rows, and their echelon,
-        are formed once; q2's rows continue q1's echelon."""
+        coefficient vectors c1 and c2 (tuples of n scalars).  Each vector's
+        rows, and their echelon, are formed once; q2's rows continue q1's
+        echelon.  A zero combination has zero rows, so its pair fails: an
+        m-primary ideal of a 2-dimensional ring has no principal reduction."""
         first, second = self._combination_rows(c1), self._combination_rows(c2)
-        if first is None or second is None:
-            return None
         return len(_echelon(second[0], dict(first[1]), self._w_dim)) == self._w_dim
 
     def _combination_rows(self, c):
-        """(rows, their echelon) of q = sum c_i*g_i (see ``_w_rows``), or
-        None when q is the zero polynomial; one per c."""
+        """(rows, their echelon) of q = sum c_i*g_i (see ``_w_rows``); one
+        per c."""
         if c not in self._combinations:
-            vec = [(-i, i) + x for i, x in enumerate(c) if x != kernel.SZERO]
-            if _eliminate(vec, self._relations)[0]:
-                rows = self._w_rows(vec)
-                self._combinations[c] = (rows, _echelon(rows))
-            else:
-                self._combinations[c] = None
+            rows = self._w_rows([(-i, i) + x for i, x in enumerate(c) if x != kernel.SZERO])
+            self._combinations[c] = (rows, _echelon(rows))
         return self._combinations[c]
 
     def colength(self, Q: IdealHandle) -> int:
@@ -707,7 +692,9 @@ class FiniteAlgebra:
         (Q + L)/L (then I^2 lies in Q + m*I^2, so in Q by Nakayama, as does
         L), and then the two are equal exactly when ell(A/(Q : I)), the rank
         of s -> (NF(s*g_j) mod Q)_j with each g_j block lifted above the
-        last, equals ell(A/I)."""
+        last, equals ell(A/I).  That map is then 0 on I/L, so its rank is
+        its rank on the standard monomials off the pivots of I/L's echelon,
+        which span a complement of I/L: ell(A/I) rows, not dim B."""
         span = self._span(Q)
         if any(_eliminate(w, span)[0] for w in self._squares):
             return False
@@ -718,7 +705,11 @@ class FiniteAlgebra:
             for head, _ in span.values():
                 pivots[head[0][0] + j * offset] = (_lift(head, j * offset), ())
         filed = len(pivots)
-        rows = ([t for j in blocks for t in _lift(nfs[j - 1], j * offset)] for nfs in self._rows)
+        rows = (
+            [t for j in blocks for t in _lift(nfs[j - 1], j * offset)]
+            for (k, _), nfs in zip(self._standard, self._rows)
+            if k not in self._pivots
+        )
         return len(_echelon(rows, pivots)) - filed == self.length
 
 

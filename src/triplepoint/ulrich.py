@@ -146,8 +146,7 @@ def find_reduction(A, I, seeds=()):
     generated), each vector padded with zeros at the others: with a
     redundant generator (a repeat, or one in m*I) in the list, the fixed
     combinations could miss every reduction.  A seed outside I at the
-    origin, and a candidate whose combination is the zero polynomial, are
-    skipped.
+    origin is skipped.
     """
     gens = I.gens
     if not gens:

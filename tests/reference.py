@@ -3,6 +3,9 @@
 No command forms an ideal product or power, audits a Groebner basis, builds
 a polynomial from exponent pairs or writes a graph as JSON, so these live
 here, beside the tests that compare the program's results against them.
+So do the plainer forms of three of the program's computations: Laufer's
+sequence by rescanning, the chain walk by recursion and the "good" rank over
+every row.
 The expected values here are the source's, for checks no command makes.
 
 The catalog is kept here in its printed text forms too (matrices,
@@ -16,8 +19,15 @@ import itertools
 import json
 
 from triplepoint import kernel
+from triplepoint.dualgraph import (
+    ChainEnumeration,
+    UlrichChain,
+    canonical_numbers,
+    intersection_pairing,
+    is_antinef,
+)
 from triplepoint.errors import ParameterError
-from triplepoint.ideals import IdealHandle, _exp_lcm, _spoly
+from triplepoint.ideals import IdealHandle, _echelon, _eliminate, _exp_lcm, _lift, _spoly
 
 # The source's statistics of the trace cycle of EX-5.3 (its G10:2 graph).
 EX53_TRACE_STATS = {"len": 2, "e0": 7, "mu": 5}
@@ -84,6 +94,108 @@ def graph_json(g):
         "edges": [[a, b] for a, b in g.edges],
     }
     return json.dumps(data, separators=(",", ":"))
+
+
+def rescanning_laufer(g, verts):
+    """Laufer's computation sequence on the subgraph induced by ``verts``:
+    from the reduced cycle, raise the first coefficient whose vertex pairs
+    positively with the cycle, and scan again.  The result, indexed like
+    ``verts``, is the subgraph's fundamental cycle."""
+    pos = {v: k for k, v in enumerate(verts)}
+    nbrs = [[pos[w] for w in g._adj[v] if w in pos] for v in verts]
+    weights = [g.weights[v] for v in verts]
+    Z = [1] * len(weights)
+    while True:
+        for k, w in enumerate(weights):
+            if Z[k] * w + sum(Z[j] for j in nbrs[k]) > 0:
+                Z[k] += 1
+                break
+        else:
+            return tuple(Z)
+
+
+def induced_components(g, vertices):
+    """Connected components of the induced subgraph, sorted."""
+    remaining = set(vertices)
+    comps = []
+    while remaining:
+        start = min(remaining)
+        seen, stack = {start}, [start]
+        while stack:
+            for w in g._adj[stack.pop()]:
+                if w in remaining and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        comps.append(tuple(sorted(seen)))
+        remaining -= seen
+    return sorted(comps)
+
+
+def recursive_chains(g):
+    """The chain enumeration as a recursive depth-first walk, each cycle
+    tested by the pairing formulas and each lower bound by
+    ``rescanning_laufer``."""
+    Z0 = g._z0
+    K = canonical_numbers(g)
+    KZ0 = sum(c * k for c, k in zip(Z0, K))
+    heavy = frozenset(i for i in range(g.n) if g.weights[i] <= -3)
+    chains = [UlrichChain(())]
+    seen_cycles = {Z0}
+    pruned = False
+
+    def step_candidates(Zprev, upper, first):
+        orth = [i for i in range(g.n) if g.pairing_with_vertex(Zprev, i) == 0]
+        for comp in induced_components(g, orth):
+            if first and heavy and not heavy.issubset(comp):
+                continue
+            lower = rescanning_laufer(g, comp)
+            if any(lo > upper[v] for lo, v in zip(lower, comp)):
+                continue
+            for combo in itertools.product(*(range(lo, upper[v] + 1) for lo, v in zip(lower, comp))):
+                Y = [0] * g.n
+                for val, v in zip(combo, comp):
+                    Y[v] = val
+                yield tuple(Y)
+
+    def extend(prefix_steps, Zprev, upper, first):
+        nonlocal pruned
+        for Y in step_candidates(Zprev, upper, first):
+            if sum(c * k for c, k in zip(Y, K)) != KZ0:
+                continue
+            if intersection_pairing(g, Y, Zprev) != 0:
+                continue
+            if intersection_pairing(g, Y, Y) + KZ0 != -2:
+                continue
+            Znew = tuple(a + b for a, b in zip(Zprev, Y))
+            if not is_antinef(g, Znew):
+                pruned = True
+                continue
+            steps = prefix_steps + ((Y, Znew),)
+            if Znew not in seen_cycles:
+                seen_cycles.add(Znew)
+                chains.append(UlrichChain(steps))
+            extend(steps, Znew, Y, False)
+
+    extend((), Z0, Z0, True)
+    ordered = sorted(chains, key=lambda c: (c.depth, c.steps))
+    return ChainEnumeration(Z0, tuple(ordered), pruned)
+
+
+def is_good_on_every_row(B, Q):
+    """``FiniteAlgebra.is_good`` with the rank of s -> (NF(s*g_j) mod Q)_j
+    taken over every standard monomial s, not only those off I's pivots."""
+    span = B._span(Q)
+    if any(_eliminate(w, span)[0] for w in B._squares):
+        return False
+    offset = B._standard[-1][0] + 1
+    blocks = range(len(B._rows[0]), 0, -1)
+    pivots = {}
+    for j in blocks:
+        for head, _ in span.values():
+            pivots[head[0][0] + j * offset] = (_lift(head, j * offset), ())
+    filed = len(pivots)
+    rows = ([t for j in blocks for t in _lift(nfs[j - 1], j * offset)] for nfs in B._rows)
+    return len(_echelon(rows, pivots)) - filed == B.length
 
 
 # -- the catalog as printed ---------------------------------------------

@@ -1,15 +1,18 @@
 """Graph engine: intersection theory, fundamental cycles, chains."""
 
 import hashlib
+import inspect
 import itertools
 import json
 import random
+import sys
+import time
 from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
-from reference import graph_json
+from reference import graph_json, induced_components, recursive_chains, rescanning_laufer
 from triplepoint import dualgraph
 from triplepoint.cli import main
 from triplepoint.dualgraph import (
@@ -302,10 +305,12 @@ def _fraction_lu_negative_definite(M):
         piv = M[k][k]
         if piv >= 0:
             return False
+        pivot_row = [(c, M[k][c]) for c in range(k + 1, n) if M[k][c]]
         for r in range(k + 1, n):
-            f = M[r][k] / piv
-            for c in range(k, n):
-                M[r][c] -= f * M[k][c]
+            if M[r][k]:
+                f = M[r][k] / piv
+                for c, x in pivot_row:
+                    M[r][c] -= f * x
     return True
 
 
@@ -327,32 +332,32 @@ def _graph_or_none(ids, weights, edges):
 
 
 def test_integer_sylvester_matches_fraction_lu_on_random_graphs():
+    # the least-degree elimination against Fraction LU: trees (leaf steps
+    # only) and graphs with cycles (fill-in), both verdicts for each shape
     rng = random.Random(11)
-    verdicts = {True: 0, False: 0}
-    with_cycles = 0
-    for trial in range(200):
-        n = rng.randint(1, 9)
+    verdicts = {(shape, v): 0 for shape in ("tree", "cycles") for v in (True, False)}
+    for trial in range(400):
+        n = rng.randint(1, 40)
         ids = [f"E{k}" for k in range(n)]
         index_edges = {(rng.randrange(k), k) for k in range(1, n)}  # spanning tree
         if trial % 2 and n >= 3:
-            extra = rng.randint(1, n - 1)
-            for _ in range(extra):
+            for _ in range(rng.randint(1, min(n - 1, 4))):
                 i, j = sorted(rng.sample(range(n), 2))
                 index_edges.add((i, j))
-        with_cycles += len(index_edges) >= n
+        shape = "cycles" if len(index_edges) >= n else "tree"
         index_edges = sorted(index_edges)
-        weights = [rng.choice([-2, -2, -3, -4]) for _ in range(n)]
+        heavy = rng.choice([0.1, 0.4, 0.8])
+        weights = [rng.choice([-3, -4, -5]) if rng.random() < heavy else -2 for _ in range(n)]
         expected = _fraction_lu_negative_definite(
             _intersection_matrix(weights, index_edges)
         )
-        verdicts[expected] += 1
+        verdicts[shape, expected] += 1
         edges = [(ids[i], ids[j]) for i, j in index_edges]
         g = _graph_or_none(ids, weights, edges)
         assert (g is not None) == expected, (weights, index_edges)
         if g is not None:
             assert g.is_negative_definite()
-    # both verdicts and both shapes are exercised
-    assert min(verdicts.values()) >= 30 and with_cycles >= 30
+    assert min(verdicts.values()) >= 40, verdicts
 
 
 def _minus_two_star(arms):
@@ -402,10 +407,10 @@ def test_laufer_runs_once_per_graph_in_quotient_sweep(monkeypatch):
     laufer = dualgraph._laufer
     catalog = graph_catalog
 
-    def counting_laufer(g, verts):
-        if len(verts) == len(g.ids):
+    def counting_laufer(g, Z, P, inside):
+        if all(inside):
             full_runs.append(g.ids)
-        return laufer(g, verts)
+        return laufer(g, Z, P, inside)
 
     def counting_catalog(tag):
         g = catalog(tag)
@@ -419,7 +424,7 @@ def test_laufer_runs_once_per_graph_in_quotient_sweep(monkeypatch):
     rows = json.loads(result.output)["rows"]
     assert len(built) == len(rows) > 0
     assert len(full_runs) == len(built)
-    # the graph functions read the stored Z_0 and rationality flag
+    # the graph functions read the stored Z_0, P_0 and rationality flag
     g = graph_catalog("G7:3")
     full_runs.clear()
     Z0 = fundamental_cycle(g)
@@ -431,14 +436,15 @@ def test_laufer_runs_once_per_graph_in_quotient_sweep(monkeypatch):
 
 
 def test_induced_bound_is_the_subgraph_fundamental_cycle(monkeypatch):
+    # one worklist run on an orthogonal locus gives the fundamental cycle of
+    # each of its components
     induced = []
     laufer = dualgraph._laufer
 
-    def recording_laufer(g, verts):
-        Z = laufer(g, verts)
-        if len(verts) < len(g.ids):
-            induced.append((g, tuple(verts), Z))
-        return Z
+    def recording_laufer(g, Z, P, inside):
+        laufer(g, Z, P, inside)
+        if not all(inside):
+            induced.append((g, [v for v, f in enumerate(inside) if f], list(Z)))
 
     graphs = [graph_catalog(t) for t in grid_tags(4)]
     for tag in quotient_sweep_tags(5):
@@ -450,12 +456,89 @@ def test_induced_bound_is_the_subgraph_fundamental_cycle(monkeypatch):
     for g in graphs:
         enumerate_ulrich_chains(g)
     monkeypatch.undo()
-    assert len(induced) >= 50
-    for g, comp, Z in induced:
+    comps = [(g, comp, Z) for g, locus, Z in induced for comp in induced_components(g, locus)]
+    assert len(induced) >= 50 and len(comps) > len(induced)
+    for g, comp, Z in comps:
         inside = set(comp)
         sub = DualGraph(
             [g.ids[v] for v in comp],
             [g.weights[v] for v in comp],
             [(g.ids[i], g.ids[j]) for i, j in g._edge_idx if i in inside and j in inside],
         )
-        assert Z == fundamental_cycle(sub), (g.ids, comp)
+        assert tuple(Z[v] for v in comp) == fundamental_cycle(sub), (g.ids, comp)
+
+
+def _sweep_and_catalog_graphs():
+    """The graphs of the quotient sweep at b <= 5 and of the 290 catalog
+    tags that cross-check takes (A-F and Gamma up to 8, H:5-8, EX-5.3)."""
+    sweep = []
+    for tag in quotient_sweep_tags(5):
+        try:
+            sweep.append(graph_catalog(tag))
+        except GraphInvariantError:
+            pass
+    catalog = [t for t in map(str, grid_tags(8)) if not t.startswith("H:")]
+    catalog += [f"H:{n}" for n in range(5, 9)] + ["EX-5.3"]
+    assert len(quotient_sweep_tags(5)) == 736 and len(catalog) == 290
+    return sweep + [graph_catalog(t) for t in catalog]
+
+
+def test_z0_and_its_invariants_match_the_reference_formulas():
+    graphs = _sweep_and_catalog_graphs()
+    filters = set()
+    for g in graphs:
+        Z0 = fundamental_cycle(g)
+        assert Z0 == rescanning_laufer(g, range(g.n)), g.ids
+        assert g._p0 == tuple(g.pairing_with_vertex(Z0, i) for i in range(g.n))
+        assert arithmetic_genus(g, Z0) == 0 and g._rational
+        assert graph_multiplicity(g) == -intersection_pairing(g, Z0, Z0)
+        assert cycle_mu(g, Z0) == 1 - intersection_pairing(g, Z0, Z0)
+        filt = any(
+            g.weights[i] <= -3 and g.pairing_with_vertex(Z0, i) < 0 for i in range(g.n)
+        )
+        assert unique_ulrich_filter(g) == filt
+        filters.add(filt)
+    assert filters == {True, False}
+
+
+def test_chains_match_the_recursive_walk():
+    # the explicit stack walks the same depth-first search: the same chains
+    # in the same order, and the same anti-nef pruning flag
+    depths = set()
+    for g in _sweep_and_catalog_graphs():
+        enum = enumerate_ulrich_chains(g)
+        assert enum == recursive_chains(g), g.ids
+        depths.update(c.depth for c in enum.chains)
+    assert depths == set(range(9))
+
+
+def test_chain_walk_needs_no_recursion():
+    # RDP-A:600 has a chain of 299 steps; the recursive walk needs a frame
+    # per step, the explicit stack none
+    g = graph_catalog("RDP-A:600")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        enum = enumerate_ulrich_chains(g)
+        with pytest.raises(RecursionError):
+            recursive_chains(g)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(enum.chains) == 300
+    assert [c.depth for c in enum.chains] == list(range(300))
+
+
+@pytest.mark.parametrize(
+    "tag", ["RDP-A:400", "RDP-A:2000", "cyclic:" + ",".join(["2"] * 300), "RDP-D:2000"]
+)
+def test_large_trees_build_in_linear_time(tag):
+    # each elimination step is a leaf, each Laufer step a worklist entry;
+    # the cubic Bareiss test took 2.3 s on RDP-A:400
+    best = min(_build_time(tag) for _ in range(3))
+    assert best < 0.1, best
+
+
+def _build_time(tag):
+    start = time.perf_counter()
+    graph_catalog(tag)
+    return time.perf_counter() - start

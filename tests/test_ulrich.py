@@ -5,7 +5,7 @@ import itertools
 import pytest
 from click.testing import CliRunner
 
-from reference import power, product
+from reference import is_good_on_every_row, power, product
 from triplepoint import expectations, ideals, kernel, ulrich
 from triplepoint.cli import main
 from triplepoint.errors import ShapeError
@@ -137,6 +137,44 @@ def test_good_check_after_e0_computes_no_basis(monkeypatch, a123):
     assert good_check(A, I, Q) is True
     # the colon is linear algebra on the algebra the check built
     assert inputs == []
+
+
+def test_good_rank_off_the_pivots_matches_the_rank_on_every_row(monkeypatch):
+    # once I^2 lies in Q, s -> (s*g_j mod Q)_j is 0 on I, so its rank on the
+    # l(A/I) monomials off I's pivots is its rank on all of B
+    original = ideals.FiniteAlgebra.is_good
+    verdicts = []
+
+    def compared(B, Q):
+        got = original(B, Q)
+        assert got == is_good_on_every_row(B, Q), (B.minimal, Q)
+        verdicts.append(got)
+        return got
+
+    monkeypatch.setattr(ideals.FiniteAlgebra, "is_good", compared)
+    for tag in grid_tags(4):
+        pres = instantiate(tag)
+        try:
+            trace_shape(pres)
+        except ShapeError:
+            continue
+        classify_ulrich_set(pres)
+    for tag in expectations.rdp_grid():
+        verify_rdp_list(instantiate(tag))
+    ranked = len(verdicts)
+    # the not-good cases above: Q : I is A, or I^2 is not in Q
+    A = instantiate("A:1,2,3").quotient
+    m = IdealHandle(R, ["x", "y", "z", "t"])
+    Q = IdealHandle(R, ["t", "x + y + z"])
+    assert good_check(A, Q, Q) is False
+    assert good_check(A, m, IdealHandle(R, ["x + y + z", "t^2"])) is False
+    assert good_check(A, IdealHandle(R, ["x", "y", "z", "t^3"]), IdealHandle(R, ["x + z", "y"])) is False
+    I = IdealHandle(R, ["x^2 - x", "y", "z", "t"])
+    assert good_check(A, I, IdealHandle(R, ["t", "(x^2 - x)*(1 - x)^2 + y + z"])) is True
+    E7 = instantiate("RDP-E7").quotient
+    I = IdealHandle(RDP_RING, ["x", "y^4", "z"])
+    assert good_check(E7, I, IdealHandle(RDP_RING, ["x + y^4", "z"])) is False
+    assert ranked > 150 and set(verdicts[:ranked]) == {True, False}
 
 
 def test_e7_next_ideal_is_decided_locally():
@@ -768,8 +806,8 @@ def test_coefficient_vectors_agree_with_the_term_list_span_test():
 
 def test_zero_combinations_are_skipped(a123):
     # x + (-x) = 0: the two candidates that sum those generators, drawn
-    # before the reduction (x + y + z, t), hold the zero polynomial, which
-    # no candidate ideal may hold
+    # before the reduction (x + y + z, t), hold the zero polynomial, whose
+    # rows are zero, so the pair simply fails the span test
     A = a123.quotient
     I = IdealHandle(R, ["x", "-x", "y + z", "t"])
     B = A.algebra(I)
@@ -780,7 +818,7 @@ def test_zero_combinations_are_skipped(a123):
         if q1 and q2:
             assert got == B.spans(IdealHandle(R, [q1, q2])), (c1, c2)
         else:
-            assert got is None, (c1, c2)
+            assert got is False, (c1, c2)
             zero += 1
     assert zero == 2
     Q = find_reduction(A, I)
