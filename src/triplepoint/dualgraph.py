@@ -117,7 +117,7 @@ class DualGraph:
 
         Entries are exact fractions, (num, den) with den > 0.  A vertex of
         degree <= 1 changes only its neighbour's diagonal, d_u - e^2/d_v,
-        and that neighbour is the xor of its remaining neighbours' indices.
+        and that neighbour is the one of its neighbours not yet eliminated.
         On a tree e is the edges' 1 throughout, and num/den is a ratio of
         subtree determinants with no reduction.  When every remaining vertex
         has degree >= 2 (a graph with cycles), the step also takes fill-in,
@@ -127,10 +127,6 @@ class DualGraph:
         n = self.n
         num, den = list(self.weights), [1] * n
         deg = [len(a) for a in self._adj]
-        link = [0] * n  # xor of the remaining neighbours' indices
-        for i, j in self._edge_idx:
-            link[i] ^= j
-            link[j] ^= i
         off = {}  # (i, j) with i < j: off-diagonal entries other than 1
         fill = {}  # v: the vertices joined to v by fill-in
         done = [False] * n
@@ -146,8 +142,11 @@ class DualGraph:
             done[v] = True
             if deg[v] <= 1:
                 if deg[v]:
-                    u = link[v]
-                    link[u] ^= v
+                    for u in self._adj[v]:
+                        if not done[u]:
+                            break
+                    else:  # the neighbour is joined to v by fill-in
+                        u = next(u for u in fill[v] if not done[u])
                     deg[u] -= 1
                     if deg[u] == 1:
                         leaves.append(u)
@@ -164,7 +163,6 @@ class DualGraph:
             items = list(nbrs.items())
             for k, (u, (a, b)) in enumerate(items):
                 num[u], den[u] = _sub((num[u], den[u]), (-a * a * q, -b * b * p))
-                link[u] ^= v
                 deg[u] -= 1
                 for w, (c, d) in items[k + 1:]:
                     key = (u, w) if u < w else (w, u)
@@ -175,8 +173,6 @@ class DualGraph:
                         x = (0, 1)
                         fill.setdefault(u, []).append(w)
                         fill.setdefault(w, []).append(u)
-                        link[u] ^= w
-                        link[w] ^= u
                         deg[u] += 1
                         deg[w] += 1
                     off[key] = _sub(x, (-a * c * q, -b * d * p))

@@ -331,32 +331,54 @@ def _graph_or_none(ids, weights, edges):
         return None
 
 
+def _check_against_fraction_lu(rng, n, extra_edges, weights):
+    """Build a random connected graph on n vertices: a spanning tree plus
+    extra_edges(n) random edges, weights from weights(n).  Assert the
+    constructor's verdict is Fraction LU's; return (shape, verdict)."""
+    ids = [f"E{k}" for k in range(n)]
+    index_edges = {(rng.randrange(k), k) for k in range(1, n)}  # spanning tree
+    for _ in range(extra_edges(n)):
+        i, j = sorted(rng.sample(range(n), 2))
+        index_edges.add((i, j))
+    shape = "cycles" if len(index_edges) >= n else "tree"
+    index_edges = sorted(index_edges)
+    w = weights(n)
+    expected = _fraction_lu_negative_definite(_intersection_matrix(w, index_edges))
+    g = _graph_or_none(ids, w, [(ids[i], ids[j]) for i, j in index_edges])
+    assert (g is not None) == expected, (w, index_edges)
+    if g is not None:
+        assert g.is_negative_definite()
+    return shape, expected
+
+
 def test_integer_sylvester_matches_fraction_lu_on_random_graphs():
-    # the least-degree elimination against Fraction LU: trees (leaf steps
-    # only) and graphs with cycles (fill-in), both verdicts for each shape
+    # the least-degree elimination against Fraction LU, both verdicts for
+    # trees (leaf steps only) and for graphs with cycles (fill-in)
     rng = random.Random(11)
+    # small dense graphs: up to n - 1 extra edges on n <= 9 vertices, so
+    # fill-in entries are themselves filled and updated
+    seen = []
+    for trial in range(200):
+        seen.append(_check_against_fraction_lu(
+            rng,
+            rng.randint(1, 9),
+            lambda n: rng.randint(1, n - 1) if trial % 2 and n >= 3 else 0,
+            lambda n: [rng.choice([-2, -2, -3, -4]) for _ in range(n)],
+        ))
+    shapes, verdicts = zip(*seen)
+    assert min(verdicts.count(True), verdicts.count(False), shapes.count("cycles")) >= 30
+    # larger sparse graphs: n <= 40, at most 4 extra edges, and a share of
+    # heavier weights drawn per graph so that both verdicts stay common
     verdicts = {(shape, v): 0 for shape in ("tree", "cycles") for v in (True, False)}
     for trial in range(400):
-        n = rng.randint(1, 40)
-        ids = [f"E{k}" for k in range(n)]
-        index_edges = {(rng.randrange(k), k) for k in range(1, n)}  # spanning tree
-        if trial % 2 and n >= 3:
-            for _ in range(rng.randint(1, min(n - 1, 4))):
-                i, j = sorted(rng.sample(range(n), 2))
-                index_edges.add((i, j))
-        shape = "cycles" if len(index_edges) >= n else "tree"
-        index_edges = sorted(index_edges)
         heavy = rng.choice([0.1, 0.4, 0.8])
-        weights = [rng.choice([-3, -4, -5]) if rng.random() < heavy else -2 for _ in range(n)]
-        expected = _fraction_lu_negative_definite(
-            _intersection_matrix(weights, index_edges)
+        shape_verdict = _check_against_fraction_lu(
+            rng,
+            rng.randint(1, 40),
+            lambda n: rng.randint(1, min(n - 1, 4)) if trial % 2 and n >= 3 else 0,
+            lambda n: [rng.choice([-3, -4, -5]) if rng.random() < heavy else -2 for _ in range(n)],
         )
-        verdicts[shape, expected] += 1
-        edges = [(ids[i], ids[j]) for i, j in index_edges]
-        g = _graph_or_none(ids, weights, edges)
-        assert (g is not None) == expected, (weights, index_edges)
-        if g is not None:
-            assert g.is_negative_definite()
+        verdicts[shape_verdict] += 1
     assert min(verdicts.values()) >= 40, verdicts
 
 
