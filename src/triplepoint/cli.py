@@ -27,7 +27,6 @@ from .errors import (
 from .graphcatalog import graph_catalog, quotient_sweep_tags
 from .presentations import (
     instantiate,
-    nearly_gorenstein,
     parse_tag,
     residue,
     ring_multiplicity,
@@ -136,7 +135,7 @@ def cmd_classify(tag, as_json, seed_reductions):
             )
         tr = trace_ideal(pres)
         res = pres.quotient.colength(tr)
-        ng = nearly_gorenstein(pres)
+        ng = res == 1  # tr lies in m, so m <= tr exactly when ell(A/tr) = 1
         certs = classify_ulrich_set(pres, use_seeds=use_seeds)
         rejected_ideal, rejected = next_candidate_rejected_by_trace(pres)
         expected_res = exp.residue_closed_form(ftag)

@@ -305,9 +305,8 @@ def canonical_pairing(g: DualGraph, Z) -> int:
 
 
 def _genus(s):
-    """p_a from s = Y.Y + K.Y."""
-    if s % 2:
-        raise GraphInvariantError("odd self-intersection plus canonical pairing")
+    """p_a from s = Y.Y + K.Y, which is even: with K.E_i = -w_i - 2,
+    Y.Y + K.Y = sum w_i*Y_i*(Y_i - 1) + 2*sum_edges Y_i*Y_j - 2*sum Y_i."""
     return s // 2 + 1
 
 

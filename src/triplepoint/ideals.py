@@ -221,8 +221,6 @@ class IdealHandle:
         self.ring = ring
         kept = []
         for g in gens:
-            if isinstance(g, str):
-                g = ring.polynomial(g)
             if g.ring != ring:
                 raise ValueError("generator from a different ring")
             if g:
@@ -242,16 +240,6 @@ class IdealHandle:
 
     def is_zero(self) -> bool:
         return not self.gens
-
-    def contains(self, p: Polynomial) -> bool:
-        if p.ring != self.ring:
-            raise ValueError("polynomial from a different ring")
-        if not p:
-            return True
-        gb = self.groebner()
-        if not gb:
-            return False
-        return not p.reduce(gb)
 
     def __add__(self, other: IdealHandle) -> IdealHandle:
         if self.ring != other.ring:

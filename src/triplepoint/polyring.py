@@ -15,8 +15,8 @@ is key(e) + units[i].  ``kc`` is also a mask, 2^15 in each exponent field and
 2^15 + b_j - a_j and keeps that bit exactly when a_j <= b_j.  The key order
 and this test are exact below 2^15.  Input exponents are capped at 16383
 (2^14 - 1) per variable, which leaves room for the products x_k*g_i*g_j the
-program forms; the cap is checked where exponents enter: monomials, powers,
-parsed text, and defining ideals (``check_exponent_cap``).
+program forms; the cap is checked where exponents enter: monomials, powers
+and defining ideals (``check_exponent_cap``).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import kernel
-from .errors import ExponentRangeError, ParseError, RingMismatchError, ZeroPolynomialError
+from .errors import ExponentRangeError, RingMismatchError
 
 _SHIFT = 16
 _BIAS = 1 << 15
@@ -51,6 +51,8 @@ class Ring:
         if len(set(names)) != len(names):
             raise ValueError("duplicate variable names")
         if "i" in names:
+            # the renderer prints the imaginary unit as i, so a variable of
+            # that name would make printed polynomials ambiguous
             raise ValueError("'i' is reserved for the imaginary unit")
         self.names = names
         self.n = len(names)
@@ -112,9 +114,6 @@ class Ring:
             return self.zero()
         return check_exponent_cap(Polynomial(self, ((self.key(exp), exp, c[0], c[1], c[2]),)))
 
-    def polynomial(self, text: str) -> Polynomial:
-        return _parse(self, text)
-
     def render_monomial(self, exp) -> str:
         parts = []
         for name, e in zip(self.names, exp):
@@ -130,8 +129,6 @@ def _to_triple(c):
         return kernel._snorm(*c)
     if isinstance(c, int):
         return (c, 0, 1) if c else kernel.SZERO
-    if isinstance(c, Fraction):
-        return kernel._snorm(c.numerator, 0, c.denominator)
     raise TypeError(f"cannot use {type(c).__name__} as a scalar")
 
 
@@ -189,9 +186,7 @@ class Polynomial:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)) or (
-            isinstance(other, tuple) and len(other) == 3
-        ):
+        if isinstance(other, int) or (isinstance(other, tuple) and len(other) == 3):
             c = _to_triple(other)
             if c == kernel.SZERO:
                 return self.ring.zero()
@@ -222,22 +217,6 @@ class Polynomial:
             base = base * base if n > 1 else base
             n >>= 1
         return out
-
-    def reduce(self, divisors, want_quotients=False):
-        """Remainder (and optional quotients) on division by ``divisors``."""
-        divs = []
-        for g in divisors:
-            self._check(g)
-            if not g.terms:
-                raise ZeroPolynomialError("zero divisor in division")
-            divs.append(list(g.terms))
-        q, r = kernel.reduce_terms(
-            list(self.terms), divs, self.ring.kc, want_quotients
-        )
-        rpoly = Polynomial(self.ring, r)
-        if want_quotients:
-            return [Polynomial(self.ring, t) for t in q], rpoly
-        return rpoly
 
     # -- equality and text ----------------------------------------------
 
@@ -271,17 +250,18 @@ class Polynomial:
         return f"<{self}>"
 
 
-def _render_scalar(c, bare=False):
-    """(a + b i)/d with each part in lowest terms."""
+def _render_scalar(c):
+    """(a + b i)/d with each part in lowest terms, a mixed one in
+    parentheses.  The callers pass a pure imaginary one with b > 0 and carry
+    its sign themselves."""
     a, b, d = c
     re, im = Fraction(a, d), Fraction(b, d)
     if not im:
         return str(re)
     im_text = "i" if abs(im) == 1 else f"{abs(im)}i"
     if not re:
-        return im_text if im > 0 else f"-{im_text}"
-    s = f"{re}+{im_text}" if im > 0 else f"{re}-{im_text}"
-    return s if bare else f"({s})"
+        return im_text
+    return f"({re}+{im_text})" if im > 0 else f"({re}-{im_text})"
 
 
 def _render_term(c, mono):
@@ -292,7 +272,7 @@ def _render_term(c, mono):
             return _render_scalar((-a, 0, d)), True
         if a == 0 and b < 0:
             return _render_scalar((0, -b, d)), True
-        return _render_scalar(c, bare=(b == 0 or a == 0)), False
+        return _render_scalar(c), False
     if b == 0:
         if a == 1 and d == 1:
             return mono, False
@@ -308,136 +288,3 @@ def _render_term(c, mono):
             return f"i*{mono}", negative
         return f"{_render_scalar((0, bb, d))}*{mono}", negative
     return f"{_render_scalar(c)}*{mono}", False
-
-
-# -- parser ------------------------------------------------------------
-
-_MINUS_CHARS = {"-", "−"}
-
-
-def _tokenize(text):
-    toks = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _MINUS_CHARS:
-            toks.append(("op", "-"))
-            i += 1
-        elif ch in "+*/^()":
-            toks.append(("op", ch))
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(("num", int(text[i:j])))
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(("name", text[i:j]))
-            i = j
-        else:
-            raise ParseError(f"unexpected character {ch!r} in polynomial")
-    return toks
-
-
-class _Parser:
-    def __init__(self, ring, toks):
-        self.ring = ring
-        self.toks = toks
-        self.pos = 0
-
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else (None, None)
-
-    def take(self):
-        t = self.peek()
-        self.pos += 1
-        return t
-
-    def parse(self):
-        p = self.expr()
-        if self.pos != len(self.toks):
-            raise ParseError("trailing input in polynomial")
-        return p
-
-    def expr(self):
-        kind, val = self.peek()
-        negate = False
-        if kind == "op" and val in "+-":
-            self.take()
-            negate = val == "-"
-        p = self.term()
-        if negate:
-            p = -p
-        while True:
-            kind, val = self.peek()
-            if kind == "op" and val in "+-":
-                self.take()
-                q = self.term()
-                p = p - q if val == "-" else p + q
-            else:
-                return p
-
-    def term(self):
-        p = self.factor()
-        while True:
-            kind, val = self.peek()
-            if kind == "op" and val == "*":
-                self.take()
-                p = p * self.factor()
-            elif kind in ("num", "name") or (kind == "op" and val == "("):
-                # juxtaposition: "2x", "3i", "(1+i)x"
-                p = p * self.factor()
-            else:
-                return p
-
-    def factor(self):
-        base = self.primary()
-        kind, val = self.peek()
-        if kind == "op" and val == "^":
-            self.take()
-            k3, v3 = self.take()
-            if k3 != "num":
-                raise ParseError("exponent must be an integer")
-            return base ** v3
-        return base
-
-    def primary(self):
-        kind, val = self.take()
-        if kind == "num":
-            num = val
-            k2, v2 = self.peek()
-            if k2 == "op" and v2 == "/":
-                self.take()
-                k3, v3 = self.take()
-                if k3 != "num" or v3 == 0:
-                    raise ParseError("bad rational literal")
-                return self.ring.scalar((num, 0, v3))
-            return self.ring.scalar(num)
-        if kind == "name":
-            if val == "i":
-                return self.ring.scalar((0, 1, 1))
-            if val not in self.ring._index:
-                raise ParseError(f"unknown variable {val!r}")
-            return self.ring.var(val)
-        if kind == "op" and val == "(":
-            p = self.expr()
-            k2, v2 = self.take()
-            if not (k2 == "op" and v2 == ")"):
-                raise ParseError("unbalanced parenthesis")
-            return p
-        raise ParseError(f"unexpected token {val!r}")
-
-
-def _parse(ring, text):
-    toks = _tokenize(text)
-    if not toks:
-        raise ParseError("empty polynomial text")
-    return check_exponent_cap(_Parser(ring, toks).parse())

@@ -191,11 +191,6 @@ def residue(pres: RingPresentation) -> int:
     return pres.quotient.colength(trace_ideal(pres))
 
 
-def nearly_gorenstein(pres: RingPresentation) -> bool:
-    tr = trace_ideal(pres)
-    return all(tr.contains(v) for v in pres.ring.gens())
-
-
 def ring_multiplicity(pres: RingPresentation) -> int:
     """e0 of the ring: colength of a found 2-generated reduction of m, read
     off the finite algebra of m."""

@@ -9,17 +9,18 @@ import itertools
 import math
 import random
 
-from reference import from_terms, spair_audit
+from reference import from_terms, reduce, spair_audit
 from triplepoint.dualgraph import DualGraph, fundamental_cycle, is_antinef
 from triplepoint.ideals import IdealHandle, PresentedQuotient
 from triplepoint.polyring import Ring
 
 R4 = Ring(("x", "y", "z", "t"))
 R3 = Ring(("x", "y", "z"))
+x, y, z, t = R4.gens()
 
 A123 = PresentedQuotient(
     R4,
-    IdealHandle(R4, ["x*y - t^5", "x*z - t^6 - z*t^2", "y*z + y*t^4 - z*t^3"]),
+    IdealHandle(R4, [x * y - t**5, x * z - t**6 - z * t**2, y * z + y * t**4 - z * t**3]),
 )
 
 
@@ -67,15 +68,15 @@ def run_division_recombination(seed=202, cases=300):
             if g
         ]
         if not divisors:
-            divisors = [R4.var("x")]
-        quots, r = p.reduce(divisors, want_quotients=True)
+            divisors = [x]
+        quots, r = reduce(p, divisors, want_quotients=True)
         for part in [r] + quots:
             assert_canonical(part)
         total = r
         for q, g in zip(quots, divisors):
             total = total + q * g
         assert total == p
-        assert r.reduce(divisors) == r
+        assert reduce(r, divisors) == r
     return cases
 
 
@@ -122,14 +123,13 @@ def run_minimality_oracle(seed=404, cases=100):
 def run_colength_monotonicity(seed=505, cases=200):
     """I <= J implies len(A/I) >= len(A/J)."""
     rng = random.Random(seed)
-    base_power = ["x", "y", "z"]
     for _ in range(cases):
         k = rng.randint(1, 4)
-        gens = base_power + [f"t^{k}"]
+        gens = [x, y, z, t**k]
         for _ in range(rng.randint(0, 2)):
             p = _random_poly(rng, R4, max_terms=2, max_deg=2)
             if p:
-                gens.append(str(p))
+                gens.append(p)
         I = IdealHandle(R4, gens)
         extra = _random_poly(rng, R4, max_terms=2, max_deg=3)
         J = I + IdealHandle(R4, [extra] if extra else [])

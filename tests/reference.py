@@ -1,18 +1,20 @@
 """Reference computations and formats that only the tests use.
 
-No command forms an ideal product or power, audits a Groebner basis, builds
-a polynomial from exponent pairs or writes a graph as JSON, so these live
-here, beside the tests that compare the program's results against them.
-So do the plainer forms of three of the program's computations: Laufer's
-sequence by rescanning, the chain walk by recursion and the "good" rank over
-every row.
+No command forms an ideal product or power, divides by a list of
+polynomials, tests membership in the ambient ring, audits a Groebner basis,
+builds a polynomial from exponent pairs or writes a graph as JSON, so these
+live here, beside the tests that compare the program's results against
+them.  So do the plainer forms of five of the program's computations:
+Laufer's sequence by rescanning, the chain walk by recursion, the "good"
+rank over every row, and the two trace verdicts of ``classify`` by ambient
+membership (the program reads both off colengths).
 The expected values here are the source's, for checks no command makes.
 
 The catalog is kept here in its printed text forms too (matrices,
 equations, seeds and the double points' Ulrich lists, exponents
 substituted from the general displays), with a cofactor expansion of
 minors: the program builds the same polynomials by arithmetic, and the
-tests parse these texts to check them term for term.
+tests read these texts with ``read`` to check them term for term.
 """
 
 import itertools
@@ -26,8 +28,11 @@ from triplepoint.dualgraph import (
     intersection_pairing,
     is_antinef,
 )
-from triplepoint.errors import ParameterError
+from triplepoint.errors import ParameterError, ZeroPolynomialError
 from triplepoint.ideals import IdealHandle, _echelon, _eliminate, _exp_lcm, _lift, _spoly
+from triplepoint.polyring import Polynomial
+from triplepoint.presentations import trace_ideal
+from triplepoint.ulrich import next_candidate_rejected_by_trace
 
 # The source's statistics of the trace cycle of EX-5.3 (its G10:2 graph).
 EX53_TRACE_STATS = {"len": 2, "e0": 7, "mu": 5}
@@ -41,6 +46,47 @@ def nearly_gorenstein_expected(tag):
     if name in ("H", "Gamma1", "Gamma2", "Gamma3", "EX-5.2"):
         return False
     raise ParameterError(f"no nearly-Gorenstein expectation for {tag}")
+
+
+def read(ring, text):
+    """A printed polynomial in ``ring``: ``text`` with ``^`` for powers,
+    evaluated as Python with the ring's variables and the imaginary unit
+    ``i`` bound.  Coefficients are integers written with ``*``."""
+    names = dict(zip(ring.names, ring.gens()), i=ring.scalar((0, 1, 1)))
+    return ring.zero() + eval(text.replace("^", "**"), {"__builtins__": {}}, names)
+
+
+def reduce(p, divisors, want_quotients=False):
+    """Remainder (and the quotients, when asked) of ``p`` on division by
+    ``divisors``."""
+    divs = []
+    for g in divisors:
+        if not g:
+            raise ZeroPolynomialError("zero divisor in division")
+        divs.append(list(g.terms))
+    q, r = kernel.reduce_terms(list(p.terms), divs, p.ring.kc, want_quotients)
+    r = Polynomial(p.ring, r)
+    return ([Polynomial(p.ring, t) for t in q], r) if want_quotients else r
+
+
+def contains(I, p):
+    """Does ``p`` lie in the ideal ``I`` of the ambient polynomial ring?"""
+    gb = I.groebner()
+    return not p or bool(gb) and not reduce(p, gb)
+
+
+def nearly_gorenstein_by_membership(pres):
+    """m <= tr, decided by membership of each variable in the ambient ring."""
+    tr = trace_ideal(pres)
+    return all(contains(tr, v) for v in pres.ring.gens())
+
+
+def rejected_by_membership(pres):
+    """Does the first candidate past the trace fail to contain the trace,
+    decided by membership of each trace generator in the candidate's image
+    in the ambient ring?"""
+    img = pres.quotient.image(next_candidate_rejected_by_trace(pres)[0])
+    return not all(contains(img, g) for g in trace_ideal(pres).gens)
 
 
 def from_terms(ring, pairs):

@@ -17,6 +17,9 @@ Module-level assignments are checked like functions.  Special names are
 used by the language, and a definition registered by a decorator call (a
 click command) is used by its decorator.  There is no allowlist: code that
 only the tests use lives in ``tests/reference.py``.
+
+A module-level import is used when code of its module loads the name it
+binds, resolved by scope as above (``from __future__`` binds nothing).
 """
 
 import ast
@@ -123,6 +126,11 @@ class _Uses(ast.NodeVisitor):
     def _use(self, key):
         self.uses.append((key, self.module, self.owner))
 
+    def _import_use(self, scope, name):
+        """A load of ``name``, bound by an import in ``scope``."""
+        if isinstance(scope, ast.Module):
+            self._use(("import", name))
+
     def _enter(self, node, qualname):
         outer = self.owner
         if isinstance(node, _DEFS):
@@ -166,6 +174,7 @@ class _Uses(ast.NodeVisitor):
             return
         scope, qualname, target = found
         if target is not None:
+            self._import_use(scope, node.id)
             if target[0] == "name":
                 self._use((target[1], target[2]))
         elif isinstance(scope, ast.ClassDef):
@@ -178,6 +187,7 @@ class _Uses(ast.NodeVisitor):
         found = self._resolve(value.id) if isinstance(value, ast.Name) else None
         target = found and found[2]
         if target and target[0] != "name":
+            self._import_use(found[0], value.id)
             if target[0] == "module":
                 self._use((target[1], node.attr))
             return  # an attribute of an imported module names no method
@@ -245,6 +255,25 @@ def _unused(sources):
         unused = found
 
 
+def _unused_imports(sources):
+    """The module-level imports in ``sources`` ({module name: source text})
+    whose bound name no code of their module loads, as "module: name"."""
+    unused = []
+    for module, text in sources.items():
+        tree, uses = ast.parse(text), []
+        _Uses(module, tree, uses)
+        loaded = {key[1] for key, _, _ in uses if key[0] == "import"}
+        for stmt in tree.body:
+            if isinstance(stmt, ast.Import) or (
+                isinstance(stmt, ast.ImportFrom) and stmt.module != "__future__"
+            ):
+                for a in stmt.names:
+                    name = a.asname or a.name.split(".")[0]
+                    if name not in loaded:
+                        unused.append(f"{module}: {name}")
+    return unused
+
+
 def _package_sources():
     sources = {}
     for fname in sorted(os.listdir(PACKAGE)):
@@ -256,6 +285,38 @@ def _package_sources():
 
 def test_every_definition_is_used_by_the_package():
     assert _unused(_package_sources()) == []
+
+
+def test_every_import_is_loaded_by_its_module():
+    assert _unused_imports(_package_sources()) == []
+
+
+def test_unused_imports_are_found():
+    # ParseError is named only in a docstring, and re only as a local
+    # variable that shadows the import; the __future__ import binds nothing,
+    # and an import used in a decorator or through a module attribute counts
+    sources = {
+        "polyring": (
+            "from __future__ import annotations\n"
+            "import re\n"
+            "from fractions import Fraction\n"
+            "from . import kernel\n"
+            "from .errors import ParseError, RingMismatchError as Mismatch\n"
+            "def render(a, d):\n"
+            "    \"\"\"No ParseError here.\"\"\"\n"
+            "    re = Fraction(a, d)\n"
+            "    return str(re)\n"
+            "def check(p):\n"
+            "    raise Mismatch(kernel.SZERO)\n"
+        ),
+        "cli": (
+            "import click\n"
+            "import os.path\n"
+            "@click.command()\n"
+            "def main(): pass\n"
+        ),
+    }
+    assert _unused_imports(sources) == ["polyring: re", "polyring: ParseError", "cli: os"]
 
 
 def test_names_resolve_by_scope():

@@ -506,9 +506,17 @@ def _sweep_and_catalog_graphs():
 
 
 def test_z0_and_its_invariants_match_the_reference_formulas():
+    # also Y.Y + K.Y, from which _genus halves p_a, is even on random
+    # positive cycles Y: sum w_i*Y_i*(Y_i - 1) + 2*sum_edges Y_i*Y_j - 2*sum Y_i
     graphs = _sweep_and_catalog_graphs()
+    rng = random.Random(50)
     filters = set()
     for g in graphs:
+        for _ in range(3):
+            Y = [rng.randint(0, 4) for _ in range(g.n)]
+            Y[rng.randrange(g.n)] += 1
+            s = intersection_pairing(g, Y, Y) + canonical_pairing(g, Y)
+            assert s % 2 == 0 and arithmetic_genus(g, Y) == s // 2 + 1, (g.ids, Y)
         Z0 = fundamental_cycle(g)
         assert Z0 == rescanning_laufer(g, range(g.n)), g.ids
         assert g._p0 == tuple(g.pairing_with_vertex(Z0, i) for i in range(g.n))

@@ -5,7 +5,16 @@ import random
 
 import pytest
 
-from reference import cofactor_minors, from_terms, power, printed_matrix, product, spair_audit
+from reference import (
+    cofactor_minors,
+    contains,
+    from_terms,
+    power,
+    printed_matrix,
+    product,
+    read,
+    spair_audit,
+)
 from triplepoint import ideals, kernel
 from triplepoint.errors import ColengthBudgetError, ExponentRangeError
 from triplepoint.ideals import IdealHandle, PresentedQuotient, minors
@@ -15,7 +24,7 @@ from triplepoint.presentations import instantiate, parse_tag
 R = Ring(("x", "y", "z", "t"))
 x, y, z, t = R.gens()
 
-A123_GENS = ["x*y - t^5", "x*z - t^6 - z*t^2", "y*z + y*t^4 - z*t^3"]
+A123_GENS = [x * y - t**5, x * z - t**6 - z * t**2, y * z + y * t**4 - z * t**3]
 
 
 def A123():
@@ -23,18 +32,18 @@ def A123():
 
 
 def test_buchberger_monomial_pair():
-    gb = IdealHandle(R, ["x^2", "x*y"]).groebner()
+    gb = IdealHandle(R, [x**2, x * y]).groebner()
     assert [str(g) for g in gb] == ["x*y", "x^2"]
 
 
 def test_buchberger_variables():
-    gb = IdealHandle(R, ["x", "y", "z", "t"]).groebner()
+    gb = IdealHandle(R, [x, y, z, t]).groebner()
     assert {str(g) for g in gb} == {"x", "y", "z", "t"}
 
 
 def test_buchberger_a123_membership_and_audit():
     I = IdealHandle(R, A123_GENS)
-    assert I.contains(R.polynomial("x*y - t^5"))
+    assert contains(I, x * y - t**5)
     assert spair_audit(I.groebner())
 
 
@@ -149,7 +158,7 @@ def test_buchberger_matches_reference_on_monomial_heavy_inputs(ring):
 def test_buchberger_matches_reference_on_trace_ideal_products():
     # I + J, m*I + J, I^2 + J and m*I^2 + J for I = (x, y, z, t^2) in A:1,2,3
     A = A123()
-    I = IdealHandle(R, ["x", "y", "z", "t^2"])
+    I = IdealHandle(R, [x, y, z, t**2])
     m = A.maximal_ideal()
     J = [list(g.terms) for g in A.defining.gens]
     prefix = _reference_groebner(J, R)
@@ -174,9 +183,9 @@ def test_monomial_batch_matches_reference():
         [_monomial(R, (2, 0, 0, 0), two), _monomial(R, (1, 1, 0, 0), i),
          _monomial(R, (2, 0, 0, 0), third), _monomial(R, (3, 1, 0, 0), two)],
         [_monomial(R, (0, 0, 0, 3), i), _monomial(R, (0, 2, 0, 0), third),
-         _monomial(R, (0, 2, 0, 1), two), list(R.polynomial("x*y - t^2").terms),
-         list(R.polynomial("2*x*z - y*t").terms), _monomial(R, (0, 0, 0, 3), third)],
-        [_monomial(R, (0, 0, 0, 0), third), list(R.polynomial("x - y").terms)],
+         _monomial(R, (0, 2, 0, 1), two), list((x * y - t**2).terms),
+         list((2 * x * z - y * t).terms), _monomial(R, (0, 0, 0, 3), third)],
+        [_monomial(R, (0, 0, 0, 0), third), list((x - y).terms)],
     ]
     rng = random.Random(53)
     for _ in range(20):
@@ -209,11 +218,11 @@ def _reductions(monkeypatch):
 def test_monomial_inputs_make_no_reduction_on_entry(monkeypatch):
     # m^3 is 20 monomials, a Groebner basis as it stands
     calls = _reductions(monkeypatch)
-    m3 = power(IdealHandle(R, ["x", "y", "z", "t"]), 3)
+    m3 = power(IdealHandle(R, [x, y, z, t]), 3)
     assert len(m3.groebner()) == 20
     assert calls == []
     # a binomial among them enters through the reduction
-    assert IdealHandle(R, m3.gens + (R.polynomial("x*y - z*t"),)).groebner()
+    assert IdealHandle(R, m3.gens + (x * y - z * t,)).groebner()
     assert calls
 
 
@@ -227,12 +236,12 @@ def test_monomial_pairs_compute_no_lcm(monkeypatch):
         return original(a, b)
 
     monkeypatch.setattr(ideals, "_exp_lcm", counted)
-    m3 = power(IdealHandle(R, ["x", "y", "z", "t"]), 3)
+    m3 = power(IdealHandle(R, [x, y, z, t]), 3)
     assert len(m3.gens) == 20
     assert len(m3.groebner()) == 20
     assert computed == []
     # one binomial among them pairs with the monomials
-    gens = m3.gens + (R.polynomial("x*y - z*t"),)
+    gens = m3.gens + (x * y - z * t,)
     assert IdealHandle(R, gens).groebner()
     assert computed
 
@@ -246,7 +255,7 @@ def test_monomial_input_forms_no_s_polynomial(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(ideals, "_spoly", counted)
-    m3 = power(IdealHandle(R, ["x", "y", "z", "t"]), 3)
+    m3 = power(IdealHandle(R, [x, y, z, t]), 3)
     assert len(m3.groebner()) == 20
     assert formed == []
     # the counter sees the pairs of a non-monomial input
@@ -265,7 +274,7 @@ def test_shared_factor_pair_forms_no_s_polynomial(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(ideals, "_spoly", counted)
-    gb = IdealHandle(R, ["x*(y - z)", "t*(y - z)"]).groebner()
+    gb = IdealHandle(R, [x * (y - z), t * (y - z)]).groebner()
     assert [str(g) for g in gb] == ["y*t - z*t", "x*y - x*z"]
     assert formed == []
 
@@ -275,23 +284,23 @@ def test_spair_audit_rejects_non_basis():
 
 
 def test_member_trivial():
-    assert IdealHandle(R, ["x"]).contains(x**2)
-    assert not IdealHandle(R, ["x", "y", "z", "t"]).contains(R.one())
+    assert contains(IdealHandle(R, [x]), x**2)
+    assert not contains(IdealHandle(R, [x, y, z, t]), R.one())
 
 
 def test_ideal_equal():
-    assert IdealHandle(R, ["x", "x+y"]).groebner() == IdealHandle(R, ["x", "y"]).groebner()
+    assert IdealHandle(R, [x, x + y]).groebner() == IdealHandle(R, [x, y]).groebner()
     assert (
-        IdealHandle(R, ["x", "y", "z", "t^2", "t^3"]).groebner()
-        == IdealHandle(R, ["x", "y", "z", "t^2"]).groebner()
+        IdealHandle(R, [x, y, z, t**2, t**3]).groebner()
+        == IdealHandle(R, [x, y, z, t**2]).groebner()
     )
 
 
 def test_trace_equals_entry_ideal_a123():
     # entry ideal of the defining matrix plus the relations = (x,y,z,t^2)
-    entries = ["x", "t^3", "t^4 + z", "t^2", "y", "z"]
+    entries = [x, t**3, t**4 + z, t**2, y, z]
     lhs = IdealHandle(R, entries + A123_GENS)
-    rhs = IdealHandle(R, ["x", "y", "z", "t^2"] + A123_GENS)
+    rhs = IdealHandle(R, [x, y, z, t**2] + A123_GENS)
     assert lhs.groebner() == rhs.groebner()
 
 
@@ -300,24 +309,24 @@ def test_ideal_equal_random_shuffle_and_units():
     I = IdealHandle(R, A123_GENS)
     units = [(0, 1, 1), (2, 0, 1), (-1, 0, 1), (0, -2, 1)]
     for _ in range(6):
-        gens = [R.polynomial(s) for s in A123_GENS]
+        gens = list(A123_GENS)
         rng.shuffle(gens)
         gens = [g * rng.choice(units) for g in gens]
         assert IdealHandle(R, gens).groebner() == I.groebner()
 
 
 def test_sum_product_power():
-    assert (IdealHandle(R, ["x"]) + IdealHandle(R, ["y"])).groebner() == (
-        IdealHandle(R, ["x", "y"]).groebner()
+    assert (IdealHandle(R, [x]) + IdealHandle(R, [y])).groebner() == (
+        IdealHandle(R, [x, y]).groebner()
     )
-    xy = IdealHandle(R, ["x", "y"])
-    assert product(xy, xy).groebner() == IdealHandle(R, ["x^2", "x*y", "y^2"]).groebner()
-    m = IdealHandle(R, ["x", "y", "z", "t"])
+    xy = IdealHandle(R, [x, y])
+    assert product(xy, xy).groebner() == IdealHandle(R, [x**2, x * y, y**2]).groebner()
+    m = IdealHandle(R, [x, y, z, t])
     assert power(m, 2).quotient_dim() == 5
 
 
 def test_square_drops_repeated_generators():
-    m2 = power(IdealHandle(R, ["x", "y", "z", "t"]), 2)
+    m2 = power(IdealHandle(R, [x, y, z, t]), 2)
     assert len(m2.gens) == 10
     square = power(m2, 2)
     assert len(square.gens) == len(set(square.gens)) == 35
@@ -327,38 +336,38 @@ def test_square_drops_repeated_generators():
 
 
 def test_colon():
-    colon = IdealHandle(R, ["x^2", "y", "z", "t"]).colon(IdealHandle(R, ["x"]))
-    assert colon.groebner() == IdealHandle(R, ["x", "y", "z", "t"]).groebner()
-    xyzt2 = IdealHandle(R, ["x", "y", "z", "t^2"])
+    colon = IdealHandle(R, [x**2, y, z, t]).colon(IdealHandle(R, [x]))
+    assert colon.groebner() == IdealHandle(R, [x, y, z, t]).groebner()
+    xyzt2 = IdealHandle(R, [x, y, z, t**2])
     assert xyzt2.colon(IdealHandle(R, [R.one()])).groebner() == xyzt2.groebner()
     # the colon is linear algebra in the finite quotient
     with pytest.raises(ColengthBudgetError):
-        IdealHandle(R, ["x^2"]).colon(IdealHandle(R, ["x"]))
+        IdealHandle(R, [x**2]).colon(IdealHandle(R, [x]))
 
 
 def test_colon_basis_is_the_reduced_groebner_basis():
     A = A123()
-    m = IdealHandle(R, ["x", "y", "z", "t"])
+    m = IdealHandle(R, [x, y, z, t])
     cases = [
         (power(m, 3), m, power(m, 2)),
-        (A.image(IdealHandle(R, ["x", "y", "z", "t^3"])), m,
-         A.image(IdealHandle(R, ["x", "y", "z", "t^2"]))),
-        (IdealHandle(R, ["x^2 - x", "y", "z", "t^2"]), IdealHandle(R, ["t"]),
-         IdealHandle(R, ["x^2 - x", "y", "z", "t"])),
+        (A.image(IdealHandle(R, [x, y, z, t**3])), m,
+         A.image(IdealHandle(R, [x, y, z, t**2]))),
+        (IdealHandle(R, [x**2 - x, y, z, t**2]), IdealHandle(R, [t]),
+         IdealHandle(R, [x**2 - x, y, z, t])),
     ]
     for K, L, expected in cases:
         C = K.colon(L)
         assert C.groebner() == expected.groebner()
         # the basis built from the kernel rows is what Buchberger returns
         assert C.groebner() == IdealHandle(R, C.gens).groebner()
-        assert all(K.contains(c * g) for c in C.gens for g in L.gens)
+        assert all(contains(K, c * g) for c in C.gens for g in L.gens)
 
 
 def test_colon_good_ideal_identity_a123():
     # (Q1 : J1) = J1 inside the quotient, consequence of Ulrich => good
     A = A123()
-    J1 = IdealHandle(R, ["x", "y", "z", "t"])
-    Q1 = IdealHandle(R, ["t", "x + y + z"])
+    J1 = IdealHandle(R, [x, y, z, t])
+    Q1 = IdealHandle(R, [t, x + y + z])
     assert A.image(Q1).colon(J1).groebner() == A.image(J1).groebner()
 
 
@@ -371,7 +380,7 @@ def test_minors_2x4_match_cofactor_expansion():
     # EX-5.3's six minors, term for term and in column-pair order
     text = printed_matrix(parse_tag("EX-5.3"))
     ring = instantiate("EX-5.3").ring
-    M = [[ring.polynomial(e) for e in row] for row in text]
+    M = [[read(ring, e) for e in row] for row in text]
     expected = cofactor_minors(M, 2)
     assert len(expected) == 6
     assert [g.terms for g in minors(M).gens] == [g.terms for g in expected]
@@ -384,10 +393,10 @@ def test_minors_out_of_range():
 
 
 def test_quotient_dim():
-    assert IdealHandle(R, ["x", "y", "z", "t"]).quotient_dim() == 1
-    assert IdealHandle(R, ["x"]).quotient_dim() is None
+    assert IdealHandle(R, [x, y, z, t]).quotient_dim() == 1
+    assert IdealHandle(R, [x]).quotient_dim() is None
     R2 = Ring(("x", "y"))
-    assert IdealHandle(R2, ["x"]).quotient_dim() is None
+    assert IdealHandle(R2, [R2.var("x")]).quotient_dim() is None
 
 
 def _brute_standard_count(lead_exps, n, box):
@@ -444,10 +453,10 @@ def test_standard_monomials_match_box_enumeration():
 
 def test_local_length_examples():
     A = A123()
-    m = IdealHandle(R, ["x", "y", "z", "t"])
+    m = IdealHandle(R, [x, y, z, t])
     assert A.colength(m) == 1
     for i in (1, 2, 3):
-        Ji = IdealHandle(R, ["x", "y", "z", f"t^{i}"])
+        Ji = IdealHandle(R, [x, y, z, t**i])
         assert A.colength(Ji) == i
 
 
@@ -456,7 +465,7 @@ def test_local_length_sees_only_the_origin():
     # (0, 0, 1, 0): the global quotient has length 2, the local length at
     # the origin ignores the distant point
     A = A123()
-    I = IdealHandle(R, ["x", "y", "z^2 - z", "t"])
+    I = IdealHandle(R, [x, y, z**2 - z, t])
     assert A.image(I).quotient_dim() == 2
     assert A.colength(I) == 1
 
@@ -474,11 +483,11 @@ def test_local_length_of_m_primary_ideal_runs_no_truncation_basis(monkeypatch):
         return original(gens, ring, assume_prefix)
 
     monkeypatch.setattr(ideals, "_groebner_terms", counted)
-    assert A.colength(IdealHandle(R, ["x", "y", "z", "t^3"])) == 3
+    assert A.colength(IdealHandle(R, [x, y, z, t**3])) == 3
     assert truncations == []
     # (x^2 - x, y, z, t) also cuts out the point (1, 0, 0, 0) of the
     # surface: m^N never lies in it, so truncation must run
-    I = IdealHandle(R, ["x^2 - x", "y", "z", "t"])
+    I = IdealHandle(R, [x**2 - x, y, z, t])
     assert A.image(I).quotient_dim() == 2
     assert A.colength(I) == 1
     assert truncations
@@ -486,12 +495,12 @@ def test_local_length_of_m_primary_ideal_runs_no_truncation_basis(monkeypatch):
 
 def test_images_are_cached_per_quotient():
     A = A123()
-    I = IdealHandle(R, ["x", "y", "z", "t^2"])
-    assert A.image(I) is A.image(IdealHandle(R, ["x", "y", "z", "t^2"]))
+    I = IdealHandle(R, [x, y, z, t**2])
+    assert A.image(I) is A.image(IdealHandle(R, [x, y, z, t**2]))
     assert A.image(A.image(I)) is A.image(I)
     assert A.colength(I) == 2
     # the same ideal from other generators: another image, the same basis
-    other = IdealHandle(R, ["t^2", "z", "y", "x"])
+    other = IdealHandle(R, [t**2, z, y, x])
     assert A.image(other) is not A.image(I)
     assert A.image(other).groebner() == A.image(I).groebner()
     assert A.colength(other) == 2
@@ -501,27 +510,27 @@ def test_local_length_budget_error():
     # (x, y) leaves a curve through the origin: no stabilization
     A = A123()
     with pytest.raises(ColengthBudgetError):
-        A.colength(IdealHandle(R, ["x", "y"]))
+        A.colength(IdealHandle(R, [x, y]))
 
 
 def test_local_length_monotone():
     A = A123()
-    I = IdealHandle(R, ["x", "y", "z", "t^3"])
-    J = IdealHandle(R, ["x", "y", "z", "t^3", "t^2"])
+    I = IdealHandle(R, [x, y, z, t**3])
+    J = IdealHandle(R, [x, y, z, t**3, t**2])
     assert A.colength(I) >= A.colength(J)
 
 
 def test_min_gens():
     A = A123()
-    m = IdealHandle(R, ["x", "y", "z", "t"])
+    m = IdealHandle(R, [x, y, z, t])
     assert A.algebra(m).mu == 4
     for i in (1, 2):
-        assert A.algebra(IdealHandle(R, ["x", "y", "z", f"t^{i}"])).mu == 4
+        assert A.algebra(IdealHandle(R, [x, y, z, t**i])).mu == 4
 
 
 def test_presented_quotient_rejects_low_degree():
     with pytest.raises(ValueError):
-        PresentedQuotient(R, IdealHandle(R, ["x - t^2"]))
+        PresentedQuotient(R, IdealHandle(R, [x - t**2]))
 
 
 def test_gb_cache_is_stable():
@@ -540,7 +549,7 @@ def test_monomial_algebra_reads_normal_forms_by_membership(monkeypatch):
     assert not [c for c in calls if c[1] is alg._basis]
     assert (alg.dim, alg.length, alg.mu, alg.square_length) == (12, 1, 4, 5)
     # a mixed basis: monomials that only its binomial leads divide are reduced
-    I = IdealHandle(R, ["x", "y", "z", "t^2"])
+    I = IdealHandle(R, [x, y, z, t**2])
     mixed = ideals.FiniteAlgebra(A, I)
     assert mixed._polynomial_leads
     assert [c for c in calls if c[1] is mixed._basis]
@@ -557,7 +566,7 @@ def test_key_indexed_memo_matches_uncached_reduction(tag, gens, polynomial_eleme
     # kernel's division by the localized basis gives
     A = instantiate(tag).quotient
     ring, kc = A.ring, A.ring.kc
-    alg = ideals.FiniteAlgebra(A, IdealHandle(ring, gens))
+    alg = ideals.FiniteAlgebra(A, IdealHandle(ring, [read(ring, g) for g in gens]))
     assert len(alg._polynomial_leads) == polynomial_elements
     one_key, one = alg._standard[0]
     exps = [e for e in itertools.product(range(7), repeat=ring.n) if sum(e) <= 6]
@@ -577,12 +586,12 @@ def test_localize_past_the_key_range():
     # D = 40000 is past 2^15, where x_i^D has no exact key: a monomial power
     # x^200 of the ideal still counts as dividing x^40000, so the ideal is
     # already local; a missing one needs x^40000 itself, past the cap
-    local = IdealHandle(R, ["x^200", "y^200", "z", "t"])
+    local = IdealHandle(R, [x**200, y**200, z, t])
     basis, std = [list(g.terms) for g in local.groebner()], local._standard()
     got = ideals._localize(R, basis, std)
     assert got[0] is basis and got[1] is std
     assert len(std) == 40000
-    other = IdealHandle(R, ["x^200", "x*y - y^200", "z", "t"])
+    other = IdealHandle(R, [x**200, x * y - y**200, z, t])
     basis, std = [list(g.terms) for g in other.groebner()], other._standard()
     with pytest.raises(ExponentRangeError):
         ideals._localize(R, basis, std)

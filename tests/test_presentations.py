@@ -1,17 +1,23 @@
 """Catalog presentations: printed generators, traces, residues."""
 
+import json
+import os
+
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from reference import (
     cofactor_minors,
+    nearly_gorenstein_by_membership,
     nearly_gorenstein_expected,
     printed_equation,
     printed_matrix,
     printed_maximal_reduction_seed,
     printed_published_reduction,
     printed_rdp_list,
+    read,
+    rejected_by_membership,
 )
 from triplepoint.errors import (
     ExponentRangeError,
@@ -20,21 +26,27 @@ from triplepoint.errors import (
     UnsupportedTypeError,
 )
 from triplepoint.expectations import grid_tags, residue_closed_form
-from triplepoint.ideals import IdealHandle, minors
+from triplepoint.ideals import IdealHandle, PresentedQuotient, minors
 from triplepoint.presentations import (
     RTP_RING,
+    FamilyTag,
+    RingPresentation,
     instantiate,
     maximal_reduction_seed,
-    nearly_gorenstein,
     parse_tag,
     published_reduction,
     residue,
     ring_multiplicity,
     trace_ideal,
 )
-from triplepoint.ulrich import _rdp_listed
+from triplepoint.ulrich import _rdp_listed, next_candidate_rejected_by_trace
 
 R = RTP_RING
+x, y, z, t = R.gens()
+
+REFERENCE = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "reference.json"
+)
 
 # Defining equations as printed for each family at small parameters
 # (exponents substituted by hand from the general displays).
@@ -57,7 +69,7 @@ PRINTED = {
 @pytest.mark.parametrize("tag", sorted(PRINTED))
 def test_minors_reproduce_printed_generators(tag):
     pres = instantiate(tag)
-    printed = IdealHandle(R, PRINTED[tag])
+    printed = IdealHandle(R, [read(R, g) for g in PRINTED[tag]])
     assert pres.quotient.defining.groebner() == printed.groebner()
 
 
@@ -74,8 +86,8 @@ CATALOG_BRANCHES = (
 
 
 def _same_terms(built, text, ring):
-    """Built polynomials against parsed text, term for term."""
-    assert [p.terms for p in built] == [ring.polynomial(s).terms for s in text]
+    """Built polynomials against printed text, term for term."""
+    assert [p.terms for p in built] == [read(ring, s).terms for s in text]
 
 
 @pytest.mark.parametrize("text", CATALOG_BRANCHES)
@@ -95,7 +107,7 @@ def test_catalog_is_built_as_printed(text):
         rows = printed_matrix(tag)
         for row, row_text in zip(pres.matrix, rows, strict=True):
             _same_terms(row, row_text, ring)
-        expected = cofactor_minors([[ring.polynomial(e) for e in row] for row in rows], 2)
+        expected = cofactor_minors([[read(ring, e) for e in row] for row in rows], 2)
         assert [g.terms for g in pres.quotient.defining.gens] == [g.terms for g in expected]
     for i in range(1, 5):
         pair, pair_text = published_reduction(tag, i), printed_published_reduction(tag, i)
@@ -109,17 +121,16 @@ def test_catalog_is_built_as_printed(text):
 
 
 def test_instantiate_rdp_equations():
-    rdp = instantiate("RDP-E6")
-    assert rdp.quotient.defining.gens == (rdp.ring.polynomial("z^2 + x^3 + y^4"),)
-    rdp = instantiate("RDP-A:2")
-    assert rdp.quotient.defining.gens == (rdp.ring.polynomial("z^2 + x^2 + y^3"),)
+    for tag, text in (("RDP-E6", "z^2 + x^3 + y^4"), ("RDP-A:2", "z^2 + x^2 + y^3")):
+        pres = instantiate(tag)
+        assert pres.quotient.defining.gens == (read(pres.ring, text),)
 
 
 def test_instantiate_h_branches():
     # n = 3k-1 with k = 2 picks the zt + t^k column
-    assert instantiate("H:5").matrix[0][2] == R.polynomial("z*t + t^2")
-    assert instantiate("H:6").matrix[1][2] == R.polynomial("x + t^2")
-    assert instantiate("H:7").matrix[1][0] == R.polynomial("y + t^2")
+    assert instantiate("H:5").matrix[0][2] == z * t + t**2
+    assert instantiate("H:6").matrix[1][2] == x + t**2
+    assert instantiate("H:7").matrix[1][0] == y + t**2
 
 
 def test_instantiate_bad_params():
@@ -131,13 +142,13 @@ def test_instantiate_bad_params():
 @pytest.mark.parametrize(
     "tag,expected",
     [
-        ("A:1,2,3", ["x", "y", "z", "t^2"]),
-        ("A:0,1,2", ["x", "y", "z", "t"]),
-        ("F:4", ["x", "y", "z", "t^3"]),
-        ("F:1", ["x", "y", "z", "t^2"]),
-        ("Gamma1", ["x", "y", "z", "t^2"]),
-        ("H:7", ["x", "y", "z", "t^2"]),
-        ("EX-5.2", ["x", "y", "z", "t^3"]),
+        ("A:1,2,3", [x, y, z, t**2]),
+        ("A:0,1,2", [x, y, z, t]),
+        ("F:4", [x, y, z, t**3]),
+        ("F:1", [x, y, z, t**2]),
+        ("Gamma1", [x, y, z, t**2]),
+        ("H:7", [x, y, z, t**2]),
+        ("EX-5.2", [x, y, z, t**3]),
     ],
 )
 def test_trace_ideals(tag, expected):
@@ -174,10 +185,41 @@ def test_residues(tag, expected):
     assert residue(instantiate(tag)) == expected
 
 
+def _trace_verdict_presentations():
+    """The CM-type-2 presentations of grid(6) and of every tag the benchmark's
+    reference commands name, then one whose next candidate past the trace
+    is the trace itself: J = (t^2) puts t^2 into (x, y, z, t^3) + J."""
+    with open(REFERENCE, encoding="utf-8") as fh:
+        commands = [c for pool in json.load(fh)["digests"].values() for c in pool]
+    named = [c.split("--tag ")[1].split()[0] for c in commands if "--tag " in c]
+    for text in dict.fromkeys([str(tag) for tag in grid_tags(6)] + named):
+        pres = instantiate(text)
+        if pres.cm_type == 2:
+            yield pres
+    quotient = PresentedQuotient(R, IdealHandle(R, [t**2]))
+    yield RingPresentation(FamilyTag("doctored", ()), quotient, ((x, y, z, t**3),), 2)
+
+
 def test_residue_one_iff_nearly_gorenstein_on_grid():
-    for ftag in grid_tags(3):
-        pres = instantiate(ftag)
-        assert (residue(pres) == 1) == nearly_gorenstein(pres)
+    # classify reads nearly Gorenstein (m <= tr) as ell(A/tr) = 1, since tr
+    # lies in m; the reference decides it by membership in the ambient ring
+    nearly = []
+    for pres in _trace_verdict_presentations():
+        assert (residue(pres) == 1) == nearly_gorenstein_by_membership(pres), pres.tag
+        nearly.append(residue(pres) == 1)
+    assert len(nearly) == 301 and nearly.count(True) == 58
+
+
+def test_next_candidate_rejection_matches_ambient_membership():
+    # the next candidate I lies inside tr, so classify reads "I does not
+    # contain tr" as ell(A/I) != ell(A/tr); the reference decides it by
+    # membership of tr's generators in I + J in the ambient ring
+    rejected = []
+    for pres in _trace_verdict_presentations():
+        verdict = next_candidate_rejected_by_trace(pres)[1]
+        assert verdict == rejected_by_membership(pres), pres.tag
+        rejected.append(verdict)
+    assert len(rejected) == 301 and rejected.count(False) == 1
 
 
 def test_nearly_gorenstein_expected_small():
@@ -192,7 +234,8 @@ def test_nearly_gorenstein_expected_small():
         ("Gamma2", False),
         ("H:6", False),
     ]:
-        assert nearly_gorenstein(instantiate(tag)) == expected
+        pres = instantiate(tag)
+        assert (residue(pres) == 1) == nearly_gorenstein_by_membership(pres) == expected
         assert nearly_gorenstein_expected(parse_tag(tag)) == expected
 
 

@@ -5,7 +5,7 @@ import itertools
 import pytest
 from click.testing import CliRunner
 
-from reference import is_good_on_every_row, power, product
+from reference import contains, is_good_on_every_row, power, product, read
 from triplepoint import expectations, ideals, kernel, ulrich
 from triplepoint.cli import main
 from triplepoint.errors import ShapeError
@@ -24,6 +24,12 @@ from triplepoint.ulrich import (
 )
 
 R = RTP_RING
+x, y, z, t = R.gens()
+
+
+def _ideal(ring, texts):
+    """The ideal of the printed generators ``texts`` in ``ring``."""
+    return IdealHandle(ring, [read(ring, g) for g in texts])
 
 
 @pytest.fixture(scope="module")
@@ -33,28 +39,28 @@ def a123():
 
 def test_stability_published_pair(a123):
     A = a123.quotient
-    J1 = IdealHandle(R, ["x", "y", "z", "t"])
-    Q1 = IdealHandle(R, ["t", "x + y + z"])
+    J1 = IdealHandle(R, [x, y, z, t])
+    Q1 = IdealHandle(R, [t, x + y + z])
     assert A.algebra(J1).spans(Q1) is True
 
 
 def test_stability_trivial_q_equals_i(a123):
     A = a123.quotient
-    Q = IdealHandle(R, ["t", "x + y + z"])
+    Q = IdealHandle(R, [t, x + y + z])
     assert A.algebra(Q).spans(Q) is True
 
 
 def test_stability_rejects_outsiders(a123):
     A = a123.quotient
-    I = IdealHandle(R, ["x", "y", "z", "t^2"])
-    assert A.algebra(I).spans(IdealHandle(R, ["t", "x"])) is None
+    I = IdealHandle(R, [x, y, z, t**2])
+    assert A.algebra(I).spans(IdealHandle(R, [t, x])) is None
 
 
 def test_m_squared_good_but_not_ulrich(a123):
     # powers of the maximal ideal stay good but fail the Ulrich count
     A = a123.quotient
-    m2 = power(IdealHandle(R, ["x", "y", "z", "t"]), 2)
-    seed = (R.polynomial("t^2"), R.polynomial("(x + y + z)^2"))
+    m2 = power(IdealHandle(R, [x, y, z, t]), 2)
+    seed = (t**2, (x + y + z) ** 2)
     cert = ulrich_check(A, m2, (seed,))
     assert cert.stable and cert.good is True
     assert cert.verdict == "good-not-ulrich"
@@ -70,7 +76,7 @@ def test_ulrich_check_computes_each_basis_once(monkeypatch):
 
     monkeypatch.setattr(ideals, "_groebner_terms", counted)
     A = instantiate("A:1,2,3").quotient
-    I = IdealHandle(R, ["x", "y", "z", "t^2"])
+    I = IdealHandle(R, [x, y, z, t**2])
     cert = ulrich_check(A, I)
     assert cert.verdict == "ulrich"
     assert inputs
@@ -79,7 +85,7 @@ def test_ulrich_check_computes_each_basis_once(monkeypatch):
 
 def test_parameter_ideal_is_not_good(a123):
     A = a123.quotient
-    Q = IdealHandle(R, ["t", "x + y + z"])
+    Q = IdealHandle(R, [t, x + y + z])
     assert A.algebra(Q).spans(Q) is True
     assert good_check(A, Q, Q) is False
     assert ulrich_check(A, Q).verdict == "not-good"
@@ -89,7 +95,7 @@ def test_ulrich_verdict_is_local(a123):
     # (x^2 - x, y, z, t) is m at the origin; its other zero, the surface
     # point (1, 0, 0, 0), must not spoil "good"
     A = a123.quotient
-    I = IdealHandle(R, ["x^2 - x", "y", "z", "t"])
+    I = IdealHandle(R, [x**2 - x, y, z, t])
     assert A.image(I).quotient_dim() == 2
     cert = ulrich_check(A, I)
     assert (cert.e0, cert.mu, cert.length) == (3, 4, 1)
@@ -98,8 +104,8 @@ def test_ulrich_verdict_is_local(a123):
 
 def test_good_check_localizes_before_the_colon(a123):
     A = a123.quotient
-    I = IdealHandle(R, ["x^2 - x", "y", "z", "t"])
-    Q = IdealHandle(R, ["t", "(x^2 - x)*(1 - x)^2 + y + z"])
+    I = IdealHandle(R, [x**2 - x, y, z, t])
+    Q = IdealHandle(R, [t, (x**2 - x) * (1 - x) ** 2 + y + z])
     assert good_check(A, I, Q) is True
     # without localization the colon also counts the other zeros of Q + J
     assert A.colength(I) == 1 != A.image(Q).colon(I).quotient_dim()
@@ -111,20 +117,20 @@ def test_good_check_is_false_when_i_squared_is_not_in_q(a123):
     # larger Q + m^2 + J by m is m; and (x + z, y) : (x, y, z, t^3) is not
     # that ideal, yet has its colength
     A = a123.quotient
-    m = IdealHandle(R, ["x", "y", "z", "t"])
-    Q = IdealHandle(R, ["x + y + z", "t^2"])
+    m = IdealHandle(R, [x, y, z, t])
+    Q = IdealHandle(R, [x + y + z, t**2])
     assert A.colength(Q) == 6 > A.colength(power(m, 2))
     assert A.image(Q + power(m, 2)).colon(m).quotient_dim() == A.colength(m)
     assert good_check(A, m, Q) is False
-    I = IdealHandle(R, ["x", "y", "z", "t^3"])
-    Q = IdealHandle(R, ["x + z", "y"])
+    I = IdealHandle(R, [x, y, z, t**3])
+    Q = IdealHandle(R, [x + z, y])
     assert A.image(Q).colon(I).quotient_dim() == A.colength(I) == 3
     assert good_check(A, I, Q) is False
 
 
 def test_good_check_after_e0_computes_no_basis(monkeypatch, a123):
     A = a123.quotient
-    I = IdealHandle(R, ["x", "y", "z", "t^2"])
+    I = IdealHandle(R, [x, y, z, t**2])
     Q = ulrich_check(A, I).reduction  # e0 and "good" on I's algebra
     inputs = []
     original = ideals._groebner_terms
@@ -164,16 +170,16 @@ def test_good_rank_off_the_pivots_matches_the_rank_on_every_row(monkeypatch):
     ranked = len(verdicts)
     # the not-good cases above: Q : I is A, or I^2 is not in Q
     A = instantiate("A:1,2,3").quotient
-    m = IdealHandle(R, ["x", "y", "z", "t"])
-    Q = IdealHandle(R, ["t", "x + y + z"])
+    m = IdealHandle(R, [x, y, z, t])
+    Q = IdealHandle(R, [t, x + y + z])
     assert good_check(A, Q, Q) is False
-    assert good_check(A, m, IdealHandle(R, ["x + y + z", "t^2"])) is False
-    assert good_check(A, IdealHandle(R, ["x", "y", "z", "t^3"]), IdealHandle(R, ["x + z", "y"])) is False
-    I = IdealHandle(R, ["x^2 - x", "y", "z", "t"])
-    assert good_check(A, I, IdealHandle(R, ["t", "(x^2 - x)*(1 - x)^2 + y + z"])) is True
+    assert good_check(A, m, IdealHandle(R, [x + y + z, t**2])) is False
+    assert good_check(A, IdealHandle(R, [x, y, z, t**3]), IdealHandle(R, [x + z, y])) is False
+    I = IdealHandle(R, [x**2 - x, y, z, t])
+    assert good_check(A, I, IdealHandle(R, [t, (x**2 - x) * (1 - x) ** 2 + y + z])) is True
     E7 = instantiate("RDP-E7").quotient
-    I = IdealHandle(RDP_RING, ["x", "y^4", "z"])
-    assert good_check(E7, I, IdealHandle(RDP_RING, ["x + y^4", "z"])) is False
+    I = _ideal(RDP_RING, ["x", "y^4", "z"])
+    assert good_check(E7, I, _ideal(RDP_RING, ["x + y^4", "z"])) is False
     assert ranked > 150 and set(verdicts[:ranked]) == {True, False}
 
 
@@ -181,8 +187,8 @@ def test_e7_next_ideal_is_decided_locally():
     # Q = (x + y^4, z) is a reduction of (x, y^4, z) only at the origin:
     # the global quotient of Q + J has dimension 12, the local length is 7
     A = instantiate("RDP-E7").quotient
-    I = IdealHandle(RDP_RING, ["x", "y^4", "z"])
-    Q = IdealHandle(RDP_RING, ["x + y^4", "z"])
+    I = _ideal(RDP_RING, ["x", "y^4", "z"])
+    Q = _ideal(RDP_RING, ["x + y^4", "z"])
     assert A.image(power(I, 2)).groebner() != A.image(product(Q, I)).groebner()
     assert A.image(Q).quotient_dim() == 12
     assert A.colength(Q) == 7
@@ -193,8 +199,8 @@ def test_first_candidate_is_decided_at_the_origin():
     # the seed fails an ambient equality check but is a reduction at the
     # origin, so the span test accepts it before any later candidate is tried
     A = instantiate("RDP-E7").quotient
-    I = IdealHandle(RDP_RING, ["x", "y^4", "z"])
-    seed = (RDP_RING.polynomial("x + y^4"), RDP_RING.var("z"))
+    I = _ideal(RDP_RING, ["x", "y^4", "z"])
+    seed = (read(RDP_RING, "x + y^4"), RDP_RING.var("z"))
     Q = find_reduction(A, I, (seed,))
     assert Q is not None and Q.gens == seed
 
@@ -202,8 +208,8 @@ def test_first_candidate_is_decided_at_the_origin():
 def test_find_reduction_seeded_and_unseeded():
     pres = instantiate("EX-5.2")
     A = pres.quotient
-    J3 = IdealHandle(R, ["x", "y", "z", "t^3"])
-    seeded = find_reduction(A, J3, ((R.var("x"), R.polynomial("t^3")),))
+    J3 = IdealHandle(R, [x, y, z, t**3])
+    seeded = find_reduction(A, J3, ((x, t**3),))
     assert seeded is not None and {str(g) for g in seeded.gens} == {"x", "t^3"}
     unseeded = find_reduction(A, J3)
     assert unseeded is not None and A.algebra(J3).spans(unseeded)
@@ -212,14 +218,14 @@ def test_find_reduction_seeded_and_unseeded():
 def test_find_reduction_h5():
     pres = instantiate("H:5")
     A = pres.quotient
-    J1 = IdealHandle(R, ["x", "y", "z", "t"])
+    J1 = IdealHandle(R, [x, y, z, t])
     Q = find_reduction(A, J1)
     assert Q is not None and A.algebra(J1).spans(Q)
 
 
 def test_certificate_values(a123):
     A = a123.quotient
-    J2 = IdealHandle(R, ["x", "y", "z", "t^2"])
+    J2 = IdealHandle(R, [x, y, z, t**2])
     cert = ulrich_check(A, J2)
     assert cert.verdict == "ulrich"
     assert (cert.e0, cert.mu, cert.length) == (6, 4, 2)
@@ -251,7 +257,7 @@ def test_trace_shape_error():
     # hand-built presentation whose trace is not of pure-power shape:
     # reuse EX-5.2 but query the shape of a doctored ideal
     pres = instantiate("Gamma1")
-    bad = IdealHandle(R, ["x + y", "y", "z", "t^2"])
+    bad = IdealHandle(R, [x + y, y, z, t**2])
 
     class Doctored:
         ring = pres.ring
@@ -297,19 +303,19 @@ def test_ulrich_implies_good_and_trace_containment():
             assert cert.verdict == "ulrich"
             assert cert.good is True
             img = pres.quotient.image(cert.ideal)
-            assert all(img.contains(g) for g in tr.gens)
+            assert all(contains(img, g) for g in tr.gens)
 
 
 def test_certificate_invariance_under_units_and_order(a123):
     A = a123.quotient
-    base = ulrich_check(A, IdealHandle(R, ["x", "y", "z", "t^2"]))
+    base = ulrich_check(A, IdealHandle(R, [x, y, z, t**2]))
     twisted = IdealHandle(
         R,
         [
-            R.polynomial("t^2") * (0, 1, 1),
-            R.var("z") * (2, 0, 1),
-            R.var("y") * (-1, 0, 1),
-            R.var("x"),
+            t**2 * (0, 1, 1),
+            z * (2, 0, 1),
+            y * (-1, 0, 1),
+            x,
         ],
     )
     cert = ulrich_check(A, twisted)
@@ -370,20 +376,20 @@ def test_socle_experiment():
     "entries,gorenstein",
     [
         # k[x, y, z, t]/m^2: the socle m/m^2 has dimension 4
-        (power(IdealHandle(R, ["x", "y", "z", "t"]), 2).gens, False),
+        (power(IdealHandle(R, [x, y, z, t]), 2).gens, False),
         # k[x, t]/(x^2, t^2): x*s and t*s share the monomial x*t, and only
         # x*t itself is in the socle
-        (("x^2", "y", "z", "t^2"), True),
+        ((x**2, y, z, t**2), True),
         # the global quotient k[x, t]/(x^2 - x, t^2) has two points and a
         # 2-dimensional socle; the local one at the origin is k[t]/(t^2)
-        (("x^2 - x", "y", "z", "t^2"), True),
+        ((x**2 - x, y, z, t**2), True),
     ],
 )
 def test_socle_experiment_on_other_traces(a123, entries, gorenstein):
     class Doctored:
         ring = a123.ring
         quotient = a123.quotient
-        matrix = (tuple(R.polynomial(e) if isinstance(e, str) else e for e in entries),)
+        matrix = (tuple(entries),)
         cm_type = 2
 
     assert gorenstein_quotient_experiment(Doctored()) is gorenstein
@@ -467,7 +473,7 @@ def _usable(A, I, limit):
     img = A.image(I)
     out = []
     for q1, q2 in _candidate_polynomials(I):
-        if q1 and q2 and img.contains(q1) and img.contains(q2):
+        if q1 and q2 and contains(img, q1) and contains(img, q2):
             Q = IdealHandle(I.ring, [q1, q2])
             if len(Q.gens) == 2:
                 out.append(Q)
@@ -641,12 +647,12 @@ def test_find_reduction_computes_no_colength(monkeypatch):
     expected = []
     for tag, gens in cases:
         A = instantiate(tag).quotient
-        I = IdealHandle(A.ring, gens) if gens else A.maximal_ideal()
+        I = _ideal(A.ring, gens) if gens else A.maximal_ideal()
         expected.append(find_reduction(A, I).gens)
     monkeypatch.setattr(ideals.PresentedQuotient, "colength", refused)
     for (tag, gens), want in zip(cases, expected):
         A = instantiate(tag).quotient
-        I = IdealHandle(A.ring, gens) if gens else A.maximal_ideal()
+        I = _ideal(A.ring, gens) if gens else A.maximal_ideal()
         assert find_reduction(A, I).gens == want, tag
 
 
@@ -667,7 +673,7 @@ def _two_pass_reference(A, I):
 
     for check in (ambient, witness):
         for q1, q2 in _candidate_polynomials(I):
-            if q1 and q2 and img.contains(q1) and img.contains(q2):
+            if q1 and q2 and contains(img, q1) and contains(img, q2):
                 Q = IdealHandle(I.ring, [q1, q2])
                 if check(Q):
                     return Q
@@ -704,7 +710,7 @@ def _reference_values(A, cert):
     img = A.image(Q)
     basis, _ = ideals._localize(A.ring, [list(g.terms) for g in img.groebner()], img._standard())
     local = ideals._from_basis(A.ring, basis)
-    good = all(local.contains(g) for g in power(I, 2).gens)
+    good = all(contains(local, g) for g in power(I, 2).gens)
     good = good and local.colon(I).quotient_dim() == length
     return length, mu, A.colength(Q), free_test, good
 
@@ -723,8 +729,8 @@ def _reference_cases():
         yield from ((pres.quotient, c) for c in certs + ([nxt] if nxt else []))
     A = instantiate("A:1,2,3").quotient
     m2 = power(A.maximal_ideal(), 2)
-    yield A, ulrich_check(A, m2, ((R.polynomial("t^2"), R.polynomial("(x + y + z)^2")),))
-    yield A, ulrich_check(A, IdealHandle(R, ["x^2 - x", "y", "z", "t"]))
+    yield A, ulrich_check(A, m2, ((t**2, (x + y + z) ** 2),))
+    yield A, ulrich_check(A, IdealHandle(R, [x**2 - x, y, z, t]))
 
 
 def test_certificates_match_the_groebner_reference():
@@ -809,7 +815,7 @@ def test_zero_combinations_are_skipped(a123):
     # before the reduction (x + y + z, t), hold the zero polynomial, whose
     # rows are zero, so the pair simply fails the span test
     A = a123.quotient
-    I = IdealHandle(R, ["x", "-x", "y + z", "t"])
+    I = IdealHandle(R, [x, -x, y + z, t])
     B = A.algebra(I)
     zero = 0
     for c1, c2 in ulrich._candidate_pairs(len(I.gens)):
@@ -827,7 +833,7 @@ def test_zero_combinations_are_skipped(a123):
 
 @pytest.mark.parametrize(
     "gens,minimal",
-    [(["x", "-x", "y", "z", "t"], (0, 2, 3, 4)), (["z", "t", "x", "y", "-y"], (0, 1, 2, 3))],
+    [([x, -x, y, z, t], (0, 2, 3, 4)), ([z, t, x, y, -y], (0, 1, 2, 3))],
 )
 def test_redundant_generators_hide_no_reduction(a123, gens, minimal):
     # m written with a repeated generator: the candidates are formed over the
@@ -847,7 +853,7 @@ def test_minimal_generators_keep_the_stream(a123):
     # a minimally generated ideal keeps every generator, so the candidates
     # are those of the generators as given
     A = a123.quotient
-    for gens in (["x", "y", "z", "t"], ["x", "y", "z", "t^2"], ["x", "y^2", "z", "t"]):
+    for gens in ([x, y, z, t], [x, y, z, t**2], [x, y**2, z, t]):
         I = IdealHandle(R, gens)
         assert A.algebra(I).minimal == tuple(range(len(gens)))
 
@@ -887,8 +893,8 @@ def test_search_draws_every_candidate_from_the_stream(monkeypatch, tag, gens, se
     decided("spans_combinations")
     A = instantiate(tag).quotient
     ring = A.ring
-    I = IdealHandle(ring, gens)
-    seeds = tuple(tuple(ring.polynomial(q) for q in pair) for pair in seeds)
+    I = _ideal(ring, gens)
+    seeds = tuple(tuple(read(ring, q) for q in pair) for pair in seeds)
     found = find_reduction(A, I, seeds)
     assert len(drawn) == len(tried) >= len(seeds)
     # an exhausted search draws the whole stream, and a found one no more
