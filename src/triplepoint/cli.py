@@ -274,6 +274,7 @@ def cmd_quotient_sweep(max_param, as_json):
             filt = dg.unique_ulrich_filter(g)
             enum = dg.enumerate_ulrich_chains(g)
             count = len(enum.chains)
+            # the walk never reads the filter: this checks that it implies Z_0 alone
             if filt and count != 1:
                 raise EngineInvariantError(
                     f"filter says unique but enumeration found {count} on {tag}"

@@ -14,21 +14,12 @@ Laufer's computation sequence run as a worklist on the pairing vector, and
 Z_0's pairing vector P_0.  p_a(Z_0), the multiplicity -Z_0^2, mu and the
 uniqueness filter are sums over P_0.
 
-Chain enumeration follows the structure theorem: starting from the
-fundamental cycle, each step adds a positive cycle Y with
-
-    Y . Z_prev = 0,   p_a(Y) = 0,   K . (Z_0 - Y) = 0,
-
-and the new cycle must stay anti-nef.  Supports of admissible Y are full
-connected components of the orthogonal locus {E_i : Z_prev . E_i = 0}: a
-component-boundary vertex would get positive pairing with the new cycle.
-Each cycle of the walk carries its pairing vector, so the locus is read off
-it, and one worklist run on the whole locus gives every component's
-fundamental cycle, the lower bound on Y.  The enumeration always ends: each
-step's Y is at most the previous one coefficientwise and differs from it
-(Y = Y_prev would give Y . Z_prev = Y . Y < 0), so a chain has at most
-sum(Z_0) steps.  The walk is depth-first on an explicit stack, so a long
-chain does not meet the interpreter's recursion limit.
+Chain enumeration follows the structure theorem: starting from Z_0, each
+step adds the fundamental cycle F_C of one component C of the orthogonal
+locus {E_i : Z_prev . E_i = 0}, the only Y with p_a(Y) = 0 that a step can
+add there (the proof is in ``enumerate_ulrich_chains``).  Each cycle of the
+walk carries its pairing vector, so the locus is read off it, and one
+worklist run on the whole locus gives every component's F_C.
 """
 
 from __future__ import annotations
@@ -409,68 +400,73 @@ def _locus(g: DualGraph, inside):
 
 
 def enumerate_ulrich_chains(g: DualGraph) -> ChainEnumeration:
+    """Every Ulrich chain of the rational graph ``g``, with one candidate Y
+    per component C of each step's orthogonal locus: its fundamental cycle.
+
+    A step from Z_prev adds a positive Y with Y . Z_prev = 0, p_a(Y) = 0,
+    K . Y = K . Z_0 and Y at most the previous step's Y (Z_0 at first), and
+    keeps Z_prev + Y anti-nef.  As Z_prev is anti-nef, Y . Z_prev = 0 puts
+    supp Y in the locus {E_v : Z_prev . E_v = 0}, where
+    (Z_prev + Y) . E_v = Y . E_v: so Y is anti-nef there, and supp Y is a
+    union of whole components, since a locus vertex off supp Y joined to it
+    would pair positively.  p_a <= 0 on every positive cycle of a rational
+    graph (Artin 1966) and p_a(A + B) = p_a(A) + p_a(B) + A . B - 1, so
+    p_a(Y) = 0 leaves one component C, and Y >= F_C, the least positive
+    cycle anti-nef on C.  Write Y = F_C + D with D >= 0 on C: p_a(F_C) = 0
+    (a fundamental cycle has p_a >= 0), p_a(D) <= 0 and F_C . D <= 0, so
+    p_a(Y) <= -1 unless D = 0.  Hence
+    Y = F_C, whose p_a needs no test.  On the first step, K . E_v = b_v - 2
+    makes K . Y = K . Z_0 with Y <= Z_0 ask Y = Z_0 on every vertex with
+    b >= 3, so the uniqueness filter is a consequence, not a test.
+
+    Each step's Y is at most the previous one and differs from it (Y = Y_prev
+    would give Y . Z_prev = Y . Y < 0), so a chain has at most sum(Z_0)
+    steps.  The walk is depth-first on an explicit stack, so a long chain
+    does not meet the interpreter's recursion limit.
+    """
     _require_rational(g)
     n, adj, weights = g.n, g._adj, g.weights
     Z0 = g._z0
     K = canonical_numbers(g)  # read once; every K . Y below uses it
     KZ0 = sum(c * k for c, k in zip(Z0, K))
-    heavy = frozenset(i for i in range(n) if weights[i] <= -3)
     chains = [UlrichChain(())]
     seen_cycles = {Z0}
     pruned = False
 
-    def step_candidates(Pprev, upper, first):
-        """(Y, supp Y) for each candidate Y of a step from the cycle with
-        pairing vector ``Pprev``, Y at most ``upper``."""
-        inside = [p == 0 for p in Pprev]  # the orthogonal locus
-        # support bound for the first step: every b>=3 vertex sits in supp(Y_1)
-        if first and not all(inside[v] for v in heavy):
-            return
-        comps, lower, P = _locus(g, inside)
-        if first and heavy:
-            comps = [comp for comp in comps if heavy.issubset(comp)]
-        if not comps:
-            return
-        # the fundamental cycle of the induced subgraph bounds Y below; no
-        # edge joins two components, so one sequence on the locus gives all
-        _laufer(g, lower, P, inside)
+    def steps_from(Pprev, upper):
+        """(F_C, the pairing vector of Z_prev + F_C) for each component C of
+        the locus of the cycle Z_prev with pairing vector ``Pprev`` where
+        F_C <= ``upper``, K . F_C = K . Z_0 and Z_prev + F_C is anti-nef."""
+        nonlocal pruned
+        inside = [p == 0 for p in Pprev]
+        comps, F, PF = _locus(g, inside)
+        _laufer(g, F, PF, inside)  # no edge joins two components: every F_C
         for comp in comps:
-            if any(lower[v] > upper[v] for v in comp):
+            if sum(F[v] * K[v] for v in comp) != KZ0 or any(F[v] > upper[v] for v in comp):
                 continue
-            ranges = [range(lower[v], upper[v] + 1) for v in comp]
-            for combo in itertools.product(*ranges):
-                Y = [0] * n
-                for val, v in zip(combo, comp):
-                    Y[v] = val
-                yield tuple(Y), comp
-
-    # depth-first, one open candidate stream per step of the current chain
-    stack = [(step_candidates(g._p0, Z0, True), (), Z0, g._p0)]
-    while stack:
-        candidates, prefix, Zprev, Pprev = stack[-1]
-        for Y, comp in candidates:
-            if sum(Y[v] * K[v] for v in comp) != KZ0:
-                continue
-            # the pairing vector of Z_prev + Y.  Y . Z_prev = 0, as Y lives on
-            # the locus, where Pprev is 0 and P is Y's own pairing vector
-            P = list(Pprev)
+            # Pprev is 0 on the locus, so P adds F_C's own pairing vector
+            Y, P = [0] * n, list(Pprev)
             for v in comp:
-                y = Y[v]
+                y = Y[v] = F[v]
                 P[v] += y * weights[v]
                 for j in adj[v]:
                     P[j] += y
-            # p_a(Y) = (Y.Y + K.Y)/2 + 1 = 0, with K.Y = K.Z_0 checked above
-            if sum(Y[v] * P[v] for v in comp) + KZ0 != -2:
-                continue
             if any(p > 0 for p in P):
                 pruned = True
-                continue
+            else:
+                yield tuple(Y), P
+
+    # depth-first, one open step stream per step of the current chain
+    stack = [(steps_from(g._p0, Z0), (), Z0)]
+    while stack:
+        candidates, prefix, Zprev = stack[-1]
+        for Y, P in candidates:
             Znew = tuple(a + b for a, b in zip(Zprev, Y))
             steps = prefix + ((Y, Znew),)
             if Znew not in seen_cycles:
                 seen_cycles.add(Znew)
                 chains.append(UlrichChain(steps))
-            stack.append((step_candidates(P, Y, False), steps, Znew, P))
+            stack.append((steps_from(P, Y), steps, Znew))
             break
         else:
             stack.pop()

@@ -161,6 +161,8 @@ class Polynomial:
     # -- arithmetic ----------------------------------------------------
 
     def _check(self, other):
+        if not isinstance(other, Polynomial):
+            raise TypeError(f"cannot use {type(other).__name__} as a polynomial")
         if self.ring != other.ring:
             raise RingMismatchError(
                 f"ring mismatch: {self.ring!r} vs {other.ring!r}"

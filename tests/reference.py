@@ -178,22 +178,24 @@ def induced_components(g, vertices):
 
 
 def recursive_chains(g):
-    """The chain enumeration as a recursive depth-first walk, each cycle
-    tested by the pairing formulas and each lower bound by
-    ``rescanning_laufer``."""
+    """The chain enumeration as the structure theorem states it, the
+    reference for the lemma that each step's only candidate on a component
+    C of the orthogonal locus is its fundamental cycle F_C.  Each step
+    walks, on purpose, the whole box of cycles between F_C (from
+    ``rescanning_laufer``) and the previous Y, by ``itertools.product``,
+    and decides each cycle by the pairing formulas alone: K . Y = K . Z_0,
+    Y . Z_prev = 0, p_a(Y) = 0 and anti-nefness, with no first-step
+    shortcut.  The walk is recursive and depth-first."""
     Z0 = g._z0
     K = canonical_numbers(g)
     KZ0 = sum(c * k for c, k in zip(Z0, K))
-    heavy = frozenset(i for i in range(g.n) if g.weights[i] <= -3)
     chains = [UlrichChain(())]
     seen_cycles = {Z0}
     pruned = False
 
-    def step_candidates(Zprev, upper, first):
+    def step_candidates(Zprev, upper):
         orth = [i for i in range(g.n) if g.pairing_with_vertex(Zprev, i) == 0]
         for comp in induced_components(g, orth):
-            if first and heavy and not heavy.issubset(comp):
-                continue
             lower = rescanning_laufer(g, comp)
             if any(lo > upper[v] for lo, v in zip(lower, comp)):
                 continue
@@ -203,9 +205,9 @@ def recursive_chains(g):
                     Y[v] = val
                 yield tuple(Y)
 
-    def extend(prefix_steps, Zprev, upper, first):
+    def extend(prefix_steps, Zprev, upper):
         nonlocal pruned
-        for Y in step_candidates(Zprev, upper, first):
+        for Y in step_candidates(Zprev, upper):
             if sum(c * k for c, k in zip(Y, K)) != KZ0:
                 continue
             if intersection_pairing(g, Y, Zprev) != 0:
@@ -220,9 +222,9 @@ def recursive_chains(g):
             if Znew not in seen_cycles:
                 seen_cycles.add(Znew)
                 chains.append(UlrichChain(steps))
-            extend(steps, Znew, Y, False)
+            extend(steps, Znew, Y)
 
-    extend((), Z0, Z0, True)
+    extend((), Z0, Z0)
     ordered = sorted(chains, key=lambda c: (c.depth, c.steps))
     return ChainEnumeration(Z0, tuple(ordered), pruned)
 

@@ -171,13 +171,31 @@ def test_chain_counts_match_residues_on_grid():
 
 
 def test_filter_implies_unique_over_sweep():
-    for tag in quotient_sweep_tags(4):
+    # the walk tests K . Y = K . Z_0 and never reads the filter, so this
+    # checks the lemma that a filtered graph has only Z_0, as does the
+    # quotient-sweep invariant; and multiplicity >= 4 leaves Z_0 alone
+    def runs(top, ns):
+        weights = range(2, top + 1)
+        return [",".join(map(str, c)) for n in ns for c in itertools.product(weights, repeat=n)]
+
+    tags = [f"G{i}:{b}" for i in range(1, 16) for b in range(2, 40)]
+    tags += [f"T22:{b},{run}" for b in range(2, 5) for run in runs(4, range(1, 6))]
+    tags += [f"cyclic:{run}" for run in runs(5, range(1, 7))]
+    assert len(tags) == 7119
+    filtered = heavy = 0
+    for tag in tags:
         try:
             g = graph_catalog(tag)
         except GraphInvariantError:
             continue
+        count = len(enumerate_ulrich_chains(g).chains)
         if unique_ulrich_filter(g):
-            assert len(enumerate_ulrich_chains(g).chains) == 1, tag
+            filtered += 1
+            assert count == 1, tag
+        if graph_multiplicity(g) >= 4:
+            heavy += 1
+            assert count == 1, tag
+    assert filtered > 7000 and heavy > 7000, (filtered, heavy)
 
 
 def test_rdp_dynkin_chain_counts_match_published_lists():
@@ -531,15 +549,36 @@ def test_z0_and_its_invariants_match_the_reference_formulas():
     assert filters == {True, False}
 
 
+def _random_rational_trees(seed, count):
+    """``count`` seeded random rational trees with 2-10 vertices and weights
+    -2 to -4; a drawn tree that is not negative definite or not rational is
+    drawn again."""
+    rng = random.Random(seed)
+    trees = []
+    while len(trees) < count:
+        n = rng.randint(2, 10)
+        ids = [f"E{k}" for k in range(n)]
+        edges = [(ids[rng.randrange(k)], ids[k]) for k in range(1, n)]
+        try:
+            g = DualGraph(ids, [rng.choice([-2, -3, -4]) for _ in range(n)], edges)
+        except GraphInvariantError:
+            continue
+        if g._rational:
+            trees.append(g)
+    return trees
+
+
 def test_chains_match_the_recursive_walk():
-    # the explicit stack walks the same depth-first search: the same chains
+    # one candidate per component, F_C, on an explicit stack, against the
+    # recursive walk over each whole box with its p_a test: the same chains
     # in the same order, and the same anti-nef pruning flag
+    large = [graph_catalog(t) for t in ("RDP-A:300", "RDP-D:150", "H:150", "A:15,15,15")]
     depths = set()
-    for g in _sweep_and_catalog_graphs():
+    for g in _sweep_and_catalog_graphs() + large + _random_rational_trees(21, 3000):
         enum = enumerate_ulrich_chains(g)
         assert enum == recursive_chains(g), g.ids
         depths.update(c.depth for c in enum.chains)
-    assert depths == set(range(9))
+    assert depths == set(range(150))
 
 
 def test_chain_walk_needs_no_recursion():

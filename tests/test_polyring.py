@@ -199,6 +199,11 @@ def test_scalars_are_ints_or_gaussian_triples():
             R.scalar(bad)
         with pytest.raises(TypeError):
             R.monomial((1, 0, 0, 0), bad)
+    # nor as an operand of polynomial arithmetic
+    for op in (lambda: x * Fraction(1, 2), lambda: x * 0.5, lambda: 0.5 * x, lambda: x + 0.5,
+               lambda: x - 0.5, lambda: x * "a", lambda: "a" + x):
+        with pytest.raises(TypeError):
+            op()
 
 
 def test_gaussian_str():
