@@ -1,21 +1,19 @@
 """Groebner-basis core and ideal calculus.
 
 Buchberger with the Gebauer-Moeller pair criteria (B applied when a pair
-is popped, not by rebuilding the queue) and sugar selection, tuned for
-the inputs the program makes, which are mostly monomials (the products
-in m*I^2, say).  Unless a prefix is assumed to be a basis, the monomial
-inputs enter first as one batch: a set of monomials is a Groebner basis
-already, so the minimal ones are filed as that prefix, with no reduction
-and no pair update.  The other inputs enter by ascending leading
-monomial, each fully reduced by the basis so far, so one that a monomial
-already there divides is dropped before any pair bookkeeping.  Two
-single-term elements never form a pair (their S-polynomial is 0), and a
-pair whose S-polynomial is identically zero (the two elements are
-monomial multiples of one polynomial) is dropped before it is formed.
-The minimal basis is read off the live elements, those whose leads no
-later lead divides.  The output is the unique reduced Groebner basis
-sorted by ascending leading monomial, so equal ideals produce identical
-bases.
+is popped, not by rebuilding the queue), taking pairs by ascending lcm
+(the normal strategy), tuned for the inputs the program makes, which are
+mostly monomials (the products in m*I^2, say).  Unless a prefix is
+assumed to be a basis, the monomial inputs enter first as one batch: a
+set of monomials is a Groebner basis already, so the minimal ones are
+filed as that prefix, with no reduction and no pair update.  The other
+inputs enter by ascending leading monomial, each fully reduced by the
+basis so far, so one that a monomial already there divides is dropped
+before any pair bookkeeping.  Two single-term elements never form a pair
+(their S-polynomial is 0).  The minimal basis is read off the live
+elements, those whose leads no later lead divides.  The output is the
+unique reduced Groebner basis sorted by ascending leading monomial, so
+equal ideals produce identical bases.
 
 A monomial is addressed by its packed key (see ``polyring``): keys are
 additive, and one mask decides divisibility, so a lead that has a key is
@@ -80,16 +78,6 @@ def _spoly(f, g, L, lkey, kc):
     return kernel.add_terms(a, b)
 
 
-def _same_multiple(f, g):
-    """Is the S-polynomial of monic term lists f, g zero?  It is exactly
-    when (L/lm f)*f = (L/lm g)*g: the lists have one length, and term by
-    term the keys, shifted by their leads' keys, and the coefficients agree."""
-    if len(f) != len(g):
-        return False
-    kf, kg = f[0][0], g[0][0]
-    return all(s[0] - kf == t[0] - kg and s[2:] == t[2:] for s, t in zip(f, g))
-
-
 def _criterion_b(G, i, j, L, lkey, kc):
     """Criterion B, applied when the pair (i, j) with lcm L of key ``lkey``
     is popped: some element h of G added after the pair was queued (h > j)
@@ -134,21 +122,19 @@ def _groebner_terms(gens, ring, assume_prefix=0):
     G = [kernel.monic_terms(g) for g in gens[:prefix]]
     lm = [g[0][1] for g in G]
     deg = [sum(e) for e in lm]
-    sugar = [max(sum(t[1]) for t in g) for g in G]
     live = list(range(prefix))  # elements whose leads no later lead divides
     basis = list(G)  # their term lists, the reducers
-    heap = []  # pending pairs as (sugar, lcm key, i, j, lcm)
+    heap = []  # pending pairs as (lcm key, i, j, lcm), popped by ascending lcm
 
-    def add(g, sugar_g):
-        """Append the monic element g, reduced by ``basis``, with sugar
-        ``sugar_g``, and apply the Gebauer-Moeller update for it."""
+    def add(g):
+        """Append the monic element g, reduced by ``basis``, and apply the
+        Gebauer-Moeller update for it."""
         h = len(G)
         G.append(g)
         kh, eh = g[0][:2]
         dh = sum(eh)
         lm.append(eh)
         deg.append(dh)
-        sugar.append(sugar_g)
         monomial = len(g) == 1
         new = []
         for k in live:
@@ -170,26 +156,24 @@ def _groebner_terms(gens, ring, assume_prefix=0):
                 kept.append((L, queue, k))
         for L, queue, k in kept:
             if queue:
-                s = max(sugar[k] - deg[k], sugar[h] - dh) + sum(L)
-                heappush(heap, (s, ring.key(L), k, h, L))
+                heappush(heap, (ring.key(L), k, h, L))
         live[:] = [k for k in live if (kh - G[k][0][0] + kc) & kc != kc] + [h]
         basis[:] = [G[k] for k in live]
 
     # the other inputs enter by ascending lead, each fully reduced by the live
-    # basis first, so no live lead divides the lead of one that enters; the
-    # sugar of an input stays its total degree
+    # basis first, so no live lead divides the lead of one that enters
     for g in sorted(gens[prefix:], key=lambda g: g[0][0]):
-        r = kernel.reduce_terms(g, basis, kc)[1] if basis else g
+        r = kernel.reduce_terms(g, basis, kc) if basis else g
         if r:
-            add(kernel.monic_terms(r), max(sum(t[1]) for t in g))
+            add(kernel.monic_terms(r))
     while heap:
-        s, lkey, i, j, L = heappop(heap)
-        if _criterion_b(G, i, j, L, lkey, kc) or _same_multiple(G[i], G[j]):
+        lkey, i, j, L = heappop(heap)
+        if _criterion_b(G, i, j, L, lkey, kc):
             continue
         spol = _spoly(G[i], G[j], L, lkey, kc)
-        r = spol and kernel.reduce_terms(spol, basis, kc)[1]
+        r = spol and kernel.reduce_terms(spol, basis, kc)
         if r:
-            add(kernel.monic_terms(r), s)
+            add(kernel.monic_terms(r))
 
     # minimal basis from the live set alone: an element that left it has a
     # lead that some live lead divides
@@ -203,7 +187,7 @@ def _groebner_terms(gens, ring, assume_prefix=0):
     reduced = list(minimal)
     for t, g in enumerate(minimal):
         if len(g) > 1 and len(minimal) > 1:
-            reduced[t] = kernel.reduce_terms(g, reduced[:t] + reduced[t + 1 :], kc)[1]
+            reduced[t] = kernel.reduce_terms(g, reduced[:t] + reduced[t + 1 :], kc)
     return reduced
 
 
@@ -286,7 +270,7 @@ class IdealHandle:
             row = [(k, e, 1, 0, 1)]
             for j, g in enumerate(other.gens, start=1):
                 prod = kernel.mono_mul_terms(list(g.terms), k, e, kernel.SONE, kc)
-                nf = kernel.reduce_terms(prod, gb, kc)[1]
+                nf = kernel.reduce_terms(prod, gb, kc)
                 row = _lift(nf, j * offset) + row
             row, _ = _eliminate(row, pivots)
             if row[0][0] >= offset:
@@ -428,7 +412,7 @@ def _localize(ring: Ring, basis, std):
         if any((m - pk + kc) & kc == kc for m in members):
             continue
         e = tuple(D if j == i else 0 for j in range(ring.n))
-        r = kernel.reduce_terms(list(ring.monomial(e).terms), basis, kc)[1]
+        r = kernel.reduce_terms(list(ring.monomial(e).terms), basis, kc)
         if r:
             powers.append(r)
     if not powers:
@@ -602,7 +586,7 @@ class FiniteAlgebra:
                 nf = memo[fk] = (
                     kernel.reduce_terms(
                         [(fk, tuple(x + y for x, y in zip(e, mexp)), 1, 0, 1)], self._basis, kc
-                    )[1]
+                    )
                     if self._polynomial_leads
                     and any((le - fk + kc) & kc == kc for le in self._polynomial_leads)
                     and not any((le - fk + kc) & kc == kc for le in self._monomial_leads)

@@ -154,22 +154,20 @@ def _divides(a, b):
     return True
 
 
-def reduce_terms(p, divisors, kc, want_quotients=False):
-    """Multivariate division of p by an ordered list of nonzero divisors.
-
-    Returns (quotients, remainder).  quotients is None unless requested,
-    otherwise a list of term lists with p == sum(q_i * divisors_i) + r.
-    The remainder has no term divisible by any divisor leading monomial.
+def reduce_terms(p, divisors, kc):
+    """Remainder of the multivariate division of p by an ordered list of
+    nonzero divisors: no term of it is divisible by a divisor's leading
+    monomial, and p minus it lies in the ideal of the divisors.
 
     Terms leave the heap in descending key order, and a step only adds terms
     below the one it removes (a divisor's tail lies below its lead), so no
-    monomial is popped twice: each popped term is appended to the remainder
-    or, shifted by its divisor's lead, to one quotient, and both come out
-    canonical with no merge and no sort.  The pending terms are kept by key,
-    and a term's exponent tuple is built only when its key first appears.
+    monomial is popped twice: each term that no lead divides is appended to
+    the remainder, which comes out canonical with no merge and no sort.  The
+    pending terms are kept by key, and a term's exponent tuple is built only
+    when its key first appears.
     """
     if not p:
-        return ([[] for _ in divisors] if want_quotients else None), []
+        return []
     lead = [d[0] for d in divisors]
     nd = len(divisors)
     work = {}
@@ -179,7 +177,6 @@ def reduce_terms(p, divisors, kc, want_quotients=False):
         heap.append(-k)
     _heapify(heap)
     rem = []
-    quots = [[] for _ in range(nd)] if want_quotients else None
     while heap:
         k = -_heappop(heap)
         term = work.pop(k, None)
@@ -197,8 +194,6 @@ def reduce_terms(p, divisors, kc, want_quotients=False):
         lk, le, la, lb, ld = lead[hit]
         ca, cb, cd = _sdiv(term[1:], (la, lb, ld))
         texp = tuple(x - y for x, y in zip(e, le))
-        if want_quotients:
-            quots[hit].append((k - lk + kc, texp, ca, cb, cd))
         g = divisors[hit]
         for gi in range(1, len(g)):
             gk, ge, ga, gb, gd = g[gi]
@@ -217,7 +212,7 @@ def reduce_terms(p, divisors, kc, want_quotients=False):
                     work[tk] = (cur[0],) + _snorm(a, b, cur[3] * md)
                 else:
                     del work[tk]
-    return quots, rem
+    return rem
 
 
 def monic_terms(p):

@@ -57,16 +57,45 @@ def read(ring, text):
 
 
 def reduce(p, divisors, want_quotients=False):
-    """Remainder (and the quotients, when asked) of ``p`` on division by
-    ``divisors``."""
+    """Remainder of ``p`` on division by ``divisors``, from the kernel.
+    With ``want_quotients``, also the quotients, found by a textbook
+    division of its own whose remainder must equal the kernel's."""
     divs = []
     for g in divisors:
         if not g:
             raise ZeroPolynomialError("zero divisor in division")
         divs.append(list(g.terms))
-    q, r = kernel.reduce_terms(list(p.terms), divs, p.ring.kc, want_quotients)
-    r = Polynomial(p.ring, r)
-    return ([Polynomial(p.ring, t) for t in q], r) if want_quotients else r
+    r = Polynomial(p.ring, kernel.reduce_terms(list(p.terms), divs, p.ring.kc))
+    if not want_quotients:
+        return r
+    quots, rest = _divide(p, divisors)
+    assert rest == r, (p, divisors)
+    return quots, r
+
+
+def _divide(p, divisors):
+    """Textbook multivariate division: the lead term of what is left goes
+    to the quotient of the first divisor whose lead divides it, and to the
+    remainder when none does.  Returns (quotients, remainder)."""
+    ring = p.ring
+    quots = [ring.zero() for _ in divisors]
+    rem = ring.zero()
+    while p:
+        _, e, a, b, d = p.terms[0]
+        lead = ring.monomial(e, (a, b, d))
+        for i, g in enumerate(divisors):
+            _, ge, ga, gb, gd = g.terms[0]
+            if all(u >= v for u, v in zip(e, ge)):
+                # (a + b*i)/d over (ga + gb*i)/gd, by the conjugate of ga + gb*i
+                c = ((a * ga + b * gb) * gd, (b * ga - a * gb) * gd, d * (ga * ga + gb * gb))
+                q = ring.monomial(tuple(u - v for u, v in zip(e, ge)), c)
+                quots[i] = quots[i] + q
+                p = p - q * g
+                break
+        else:
+            rem = rem + lead
+            p = p - lead
+    return quots, rem
 
 
 def contains(I, p):
@@ -128,7 +157,7 @@ def spair_audit(basis):
     for i, j in itertools.combinations(range(len(terms)), 2):
         L = _exp_lcm(terms[i][0][1], terms[j][0][1])
         s = _spoly(terms[i], terms[j], L, ring.key(L), ring.kc)
-        if kernel.reduce_terms(s, terms, ring.kc)[1]:
+        if kernel.reduce_terms(s, terms, ring.kc):
             return False
     return True
 

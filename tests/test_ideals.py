@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import signal
 
 import pytest
 
@@ -20,6 +21,7 @@ from triplepoint.errors import ColengthBudgetError, ExponentRangeError
 from triplepoint.ideals import IdealHandle, PresentedQuotient, minors
 from triplepoint.polyring import Ring
 from triplepoint.presentations import instantiate, parse_tag
+from triplepoint.ulrich import VERDICT_NOT_GOOD, ulrich_check
 
 R = Ring(("x", "y", "z", "t"))
 x, y, z, t = R.gens()
@@ -67,7 +69,7 @@ def _reference_groebner(gens, ring):
             kernel.mul_terms([(ring.key(mf), mf, 1, 0, 1)], f, kc),
             kernel.mul_terms([(ring.key(mg), mg, -1, 0, 1)], g, kc),
         )
-        _, r = kernel.reduce_terms(s, G, kc)
+        r = kernel.reduce_terms(s, G, kc)
         if r:
             G.append(kernel.monic_terms(r))
             pairs += [(k, len(G) - 1) for k in range(len(G) - 1)]
@@ -77,7 +79,7 @@ def _reference_groebner(gens, ring):
             minimal.append(g)
     reduced = []
     for k, g in enumerate(minimal):
-        _, r = kernel.reduce_terms(g, minimal[:k] + minimal[k + 1 :], kc)
+        r = kernel.reduce_terms(g, minimal[:k] + minimal[k + 1 :], kc)
         reduced.append(kernel.monic_terms(r))
     return sorted(reduced, key=lambda g: g[0][0])
 
@@ -103,6 +105,12 @@ def _random_terms(rng, ring):
 
 @pytest.mark.parametrize("ring", [R], ids=["grevlex"])
 def test_buchberger_matches_reference_without_criteria(ring):
+    # t*(x*(y - z)) = x*(t*(y - z)): a queued pair, its leads x*y and y*t
+    # not coprime, whose S-polynomial is identically zero
+    shared = IdealHandle(ring, [x * (y - z), t * (y - z)])
+    gens = [list(g.terms) for g in shared.gens]
+    assert ideals._groebner_terms(gens, ring) == _reference_groebner(gens, ring)
+    assert [str(g) for g in shared.groebner()] == ["y*t - z*t", "x*y - x*z"]
     rng = random.Random(31)
     for _ in range(50):
         gens = [_random_terms(rng, ring) for _ in range(rng.randint(3, 5))]
@@ -261,22 +269,6 @@ def test_monomial_input_forms_no_s_polynomial(monkeypatch):
     # the counter sees the pairs of a non-monomial input
     assert IdealHandle(R, A123_GENS).groebner()
     assert formed
-
-
-def test_shared_factor_pair_forms_no_s_polynomial(monkeypatch):
-    # t*(x*(y - z)) = x*(t*(y - z)): the pair is queued, its leads x*y and
-    # y*t are not coprime, but its S-polynomial is identically zero
-    formed = []
-    original = ideals._spoly
-
-    def counted(*args):
-        formed.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(ideals, "_spoly", counted)
-    gb = IdealHandle(R, [x * (y - z), t * (y - z)]).groebner()
-    assert [str(g) for g in gb] == ["y*t - z*t", "x*y - x*z"]
-    assert formed == []
 
 
 def test_spair_audit_rejects_non_basis():
@@ -555,6 +547,42 @@ def test_monomial_algebra_reads_normal_forms_by_membership(monkeypatch):
     assert [c for c in calls if c[1] is mixed._basis]
 
 
+class _OverTime(Exception):
+    pass
+
+
+def _raise_over_time(signum, frame):
+    raise _OverTime
+
+
+def test_non_homogeneous_algebras_finish_under_a_time_bound():
+    # m-primary ideals of A:1,2,3 with non-homogeneous generators, where the
+    # Groebner basis of m*I^2 + J is prone to coefficient growth: the four
+    # full certificates finish within 30 s
+    cases = [
+        ([2 * x * z + 3 * x + 2 * t, 3 * x * y + 2 * z * t + 2 * z], (21, 4, 4, 6)),
+        ([x * t + 2 * y * t + y, 3 * x + 2 * t], (18, 4, 3, 5)),
+        ([3 * x + 3 * z + 3 * t, x * t + x], (18, 3, 4, 5)),
+        ([3 * x * y + 3 * x, 2 * y + 3 * z + 3 * t], (18, 3, 4, 5)),
+    ]
+    A = A123()
+    previous = signal.signal(signal.SIGALRM, _raise_over_time)
+    signal.setitimer(signal.ITIMER_REAL, 30)
+    try:
+        for gens, (dim, length, mu, e0) in cases:
+            I = IdealHandle(R, gens + [x**3, y**2, z**2, t**3])
+            B = A.algebra(I)
+            assert (B.dim, B.length, B.mu) == (dim, length, mu), gens
+            assert A.colength(I) == length
+            cert = ulrich_check(A, I)
+            assert (cert.e0, cert.verdict) == (e0, VERDICT_NOT_GOOD), gens
+    except _OverTime:
+        pytest.fail("the four certificates took more than 30 s")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @pytest.mark.parametrize(
     "tag,gens,polynomial_elements",
     [("A:8,8,8", ["x", "y", "z", "t^9"], 3), ("RDP-D:6", ["x + i*y^2", "y^3", "z"], 4)],
@@ -573,12 +601,12 @@ def test_key_indexed_memo_matches_uncached_reduction(tag, gens, polynomial_eleme
     for _ in range(2):
         for e in exps:
             term = [(ring.key(e), e, 1, 0, 1)]
-            assert alg._shifted(term, one_key, one) == kernel.reduce_terms(term, alg._basis, kc)[1]
+            assert alg._shifted(term, one_key, one) == kernel.reduce_terms(term, alg._basis, kc)
     # and shifted by a monomial rather than from 1
     x_key, x_exp = ring.var("x").terms[0][:2]
     for e in exps:
         f = tuple(a + b for a, b in zip(e, x_exp))
-        want = kernel.reduce_terms([(ring.key(f), f, 1, 0, 1)], alg._basis, kc)[1]
+        want = kernel.reduce_terms([(ring.key(f), f, 1, 0, 1)], alg._basis, kc)
         assert alg._shifted([(ring.key(e), e, 1, 0, 1)], x_key, x_exp) == want
 
 
