@@ -272,9 +272,9 @@ class IdealHandle:
                 prod = kernel.mono_mul_terms(list(g.terms), k, e, kernel.SONE, kc)
                 nf = kernel.reduce_terms(prod, gb, kc)
                 row = _lift(nf, j * offset) + row
-            row, _ = _eliminate(row, pivots)
+            row = _eliminate(row, pivots)
             if row[0][0] >= offset:
-                _file_pivot(pivots, row)
+                pivots[row[0][0]] = kernel.monic_terms(row)
             else:
                 kernel_rows.append(row)
         if not kernel_rows:
@@ -290,44 +290,29 @@ class IdealHandle:
 #
 # Finite-algebra linear algebra (the colon, and every subspace of a
 # ``FiniteAlgebra``) runs on term lists as rows, with the leading key as the
-# pivot column.  A pivot is a monic head plus the rows it carries: the rows
-# that follow every step applied to the head (only the generators' pivots of
-# the span test carry any).
+# pivot column.  The pivots are a dict from leading key to monic row.
 
 
-def _eliminate(row, pivots, carried=()):
+def _eliminate(row, pivots):
     """Echelon step: while the leading key of the term list ``row`` has a
-    pivot, subtract the multiple of the pivot that cancels it from ``row``,
-    and the same multiple of the pivot's carried rows from ``carried``.
-    Returns the reduced row and carried rows."""
+    pivot, subtract the multiple of the pivot that cancels it.  Returns the
+    reduced row."""
     while row and row[0][0] in pivots:
-        head, rows = pivots[row[0][0]]
         _, _, a, b, d = row[0]
-        c = (-a, -b, d)
-        row = kernel.add_terms(row, kernel.scale_terms(head, c))
-        if rows:
-            carried = [kernel.add_terms(w, kernel.scale_terms(v, c)) for w, v in zip(carried, rows)]
-    return row, carried
-
-
-def _file_pivot(pivots, row, carried=()):
-    """File the nonzero ``row`` as the pivot of its leading key: made monic,
-    and its carried rows scaled by the same factor."""
-    if carried:
-        c = kernel._sdiv(kernel.SONE, row[0][2:])
-        carried = [kernel.scale_terms(w, c) for w in carried]
-    pivots[row[0][0]] = (kernel.monic_terms(row), carried)
+        row = kernel.add_terms(row, kernel.scale_terms(pivots[row[0][0]], (-a, -b, d)))
+    return row
 
 
 def _echelon(rows, pivots=None, stop=None):
     """Echelon of term lists on leading keys: file each row that the pivots
-    so far (``pivots``, none by default) leave nonzero, until there are
-    ``stop`` pivots.  Returns the pivots; their number is the rank."""
+    so far (``pivots``, none by default) leave nonzero, made monic, until
+    there are ``stop`` pivots.  Returns the pivots; their number is the
+    rank."""
     pivots = {} if pivots is None else pivots
     for row in rows:
-        row, _ = _eliminate(row, pivots)
+        row = _eliminate(row, pivots)
         if row:
-            _file_pivot(pivots, row)
+            pivots[row[0][0]] = kernel.monic_terms(row)
             if len(pivots) == stop:
                 break
     return pivots
@@ -507,19 +492,19 @@ class FiniteAlgebra:
     coefficients at the pivot keys of W's echelon (projecting onto them is
     one-to-one on W), at most n(n+1)/2 of them.
 
-    The span test (see ``ulrich``) is linear algebra in these coordinates.
-    A coefficient vector c = (c_1, ..., c_n) stands for q = sum c_i*g_i, and
-    the rows of q are coord(NF(q*g_j)) = sum_i c_i*coord(P_ij), j = 1..n.
-    The frame, I/L's echelon, files the rows with s != 1 first, then each
-    NF(g_i) carrying its coefficient vector e_i, so that NF(q) decomposes
-    into c with q = sum c_i*g_i modulo m*I.  The generators whose NF(g_i)
-    files a pivot there (``minimal``, their indices) generate I minimally at
-    the origin, by Nakayama; there are mu of them.
+    The frame, I/L's echelon, files the rows with s != 1 first (they span
+    m*I/L), then each NF(g_i).  The generators whose NF(g_i) files a pivot
+    there (``minimal``, their indices) generate I minimally at the origin,
+    by Nakayama; there are mu of them.  The span test (see ``ulrich``) is
+    linear algebra in W's coordinates, over these mu generators g_i: q has
+    the rows coord(NF(q*g_j)), j in ``minimal``, and a coefficient vector
+    c (mu scalars) stands for q = sum c_i*g_i, whose rows are
+    sum_i c_i*coord(P_ij).
     """
 
     __slots__ = ("dim", "length", "mu", "minimal", "square_length", "_basis",
                  "_monomial_leads", "_polynomial_leads", "_kc", "_memo", "_standard", "_rows",
-                 "_pivots", "_squares", "_w_dim", "_coords", "_combinations", "_spans")
+                 "_pivots", "_squares", "_w_pivots", "_coords", "_combinations", "_spans")
 
     def __init__(self, A: PresentedQuotient, I: IdealHandle):
         ring, kc = A.ring, A.ring.kc
@@ -551,9 +536,9 @@ class FiniteAlgebra:
         pivots = _echelon(itertools.chain.from_iterable(self._rows[1:]))
         minimal = []
         for i, row in enumerate(self._rows[0]):
-            row, carried = _eliminate(row, pivots, [_unit(i)])
+            row = _eliminate(row, pivots)
             if row:
-                _file_pivot(pivots, row, carried)
+                pivots[row[0][0]] = kernel.monic_terms(row)
                 minimal.append(i)
         self._pivots = pivots
         self.length = self.dim - len(pivots)
@@ -561,11 +546,11 @@ class FiniteAlgebra:
         self.mu = len(minimal)
         nfs = {p: self._nf(products[p]) for p in pairs}
         self._squares = list(nfs.values())
-        w_pivots = _echelon(self._squares)
-        self._w_dim = len(w_pivots)
-        self.square_length = self.dim - self._w_dim
-        coords = {p: [t for t in nf if t[0] in w_pivots] for p, nf in nfs.items()}
-        self._coords = [[coords[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+        self._w_pivots = _echelon(self._squares)
+        self.square_length = self.dim - len(self._w_pivots)
+        self._coords = [
+            [self._coord(nfs[min(i, j), max(i, j)]) for j in minimal] for i in minimal
+        ]
         self._combinations = {}
         self._spans = {}
 
@@ -601,17 +586,20 @@ class FiniteAlgebra:
     def _nf(self, p):
         return self._shifted(p, *self._standard[0])
 
-    def _w_rows(self, vec):
-        """The rows coord(NF(q*g_j)), j = 1..n, of q = sum c_i*g_i, for c
-        given as a term list over the generators (see ``_unit``)."""
+    def _coord(self, w):
+        """The coordinates of w in W: its terms at the pivot keys of W."""
+        return [t for t in w if t[0] in self._w_pivots]
+
+    def _w_rows(self, c):
+        """The rows coord(NF(q*g_j)), j in ``minimal``, of q = sum c_i*g_i
+        over the minimal generators."""
         rows = []
         for coords in zip(*self._coords):  # coords[i] = coord(P_ij)
             row = []
-            for _, i, a, b, d in vec:
-                w = coords[i]
-                if w:
-                    if a != 1 or b or d != 1:
-                        w = kernel.scale_terms(w, (a, b, d))
+            for x, w in zip(c, coords):
+                if x != kernel.SZERO and w:
+                    if x != kernel.SONE:
+                        w = kernel.scale_terms(w, x)
                     row = kernel.add_terms(row, w) if row else w
             rows.append(row)
         return rows
@@ -626,32 +614,34 @@ class FiniteAlgebra:
         return pivots
 
     def spans(self, Q: IdealHandle):
-        """The span test: do the q*g_j (q in Q) span W?  None when some q
-        lies outside I at the origin.  NF(q) is decomposed over the frame,
-        and the carried vector is minus its coefficient vector c, which
-        gives the same rank."""
+        """The span test: do the q*g_j (q in Q, j in ``minimal``) span W?
+        None when some q lies outside I at the origin, that is, when the
+        frame leaves NF(q) nonzero.  For q in I, NF(q*g_j) = NF(q*NF(g_j))
+        lies in W."""
+        kc, w_dim = self._kc, len(self._w_pivots)
+        gens = [self._rows[0][j] for j in self.minimal]  # the NF(g_j)
         rows = []
         for q in Q.gens:
-            row, (vec,) = _eliminate(self._nf(list(q.terms)), self._pivots, [[]])
-            if row:
+            q = list(q.terms)
+            if _eliminate(self._nf(q), self._pivots):
                 return None
-            rows += self._w_rows(vec)
-        return len(_echelon(rows, stop=self._w_dim)) == self._w_dim
+            rows += [self._coord(self._nf(kernel.mul_terms(q, g, kc))) for g in gens]
+        return len(_echelon(rows, stop=w_dim)) == w_dim
 
     def spans_combinations(self, c1, c2):
-        """The span test for Q = (q1, q2), q = sum c_i*g_i, given by the
-        coefficient vectors c1 and c2 (tuples of n scalars).  Each vector's
-        rows, and their echelon, are formed once; q2's rows continue q1's
-        echelon.  A zero combination has zero rows, so its pair fails: an
-        m-primary ideal of a 2-dimensional ring has no principal reduction."""
+        """The span test for Q = (q1, q2), q = sum c_i*g_i over the minimal
+        generators, given by the coefficient vectors c1 and c2 (tuples of mu
+        scalars).  Each vector's rows, and their echelon, are formed once;
+        q2's rows continue q1's echelon."""
         first, second = self._combination_rows(c1), self._combination_rows(c2)
-        return len(_echelon(second[0], dict(first[1]), self._w_dim)) == self._w_dim
+        w_dim = len(self._w_pivots)
+        return len(_echelon(second[0], dict(first[1]), w_dim)) == w_dim
 
     def _combination_rows(self, c):
         """(rows, their echelon) of q = sum c_i*g_i (see ``_w_rows``); one
         per c."""
         if c not in self._combinations:
-            rows = self._w_rows([(-i, i) + x for i, x in enumerate(c) if x != kernel.SZERO])
+            rows = self._w_rows(c)
             self._combinations[c] = (rows, _echelon(rows))
         return self._combinations[c]
 
@@ -668,14 +658,14 @@ class FiniteAlgebra:
         its rank on the standard monomials off the pivots of I/L's echelon,
         which span a complement of I/L: ell(A/I) rows, not dim B."""
         span = self._span(Q)
-        if any(_eliminate(w, span)[0] for w in self._squares):
+        if any(_eliminate(w, span) for w in self._squares):
             return False
         offset = self._standard[-1][0] + 1  # normal forms have standard keys only
         blocks = range(len(self._rows[0]), 0, -1)  # highest first
         pivots = {}
         for j in blocks:
-            for head, _ in span.values():
-                pivots[head[0][0] + j * offset] = (_lift(head, j * offset), ())
+            for head in span.values():
+                pivots[head[0][0] + j * offset] = _lift(head, j * offset)
         filed = len(pivots)
         rows = (
             [t for j in blocks for t in _lift(nfs[j - 1], j * offset)]
@@ -683,10 +673,3 @@ class FiniteAlgebra:
             if k not in self._pivots
         )
         return len(_echelon(rows, pivots)) - filed == self.length
-
-
-def _unit(i):
-    """The coefficient vector e_i as a term list over the generators: a
-    coefficient vector c is the terms (-i, i, c_i) with c_i != 0, so that
-    keys descend as the index rises."""
-    return [(-i, i, 1, 0, 1)]

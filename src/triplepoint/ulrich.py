@@ -21,17 +21,17 @@ anything.
 The reduction search decides candidates in one pass.  For Q inside I, by
 Nakayama QI = I^2 at the origin exactly when the products q*g (q in Q,
 g in I) span W = I^2/(m*I^2 + J), the degree-2 part of the fiber cone
-(Northcott & Rees 1954).  The test is linear in q: q = sum c_i*g_i modulo
-m*I with constants c_i, so q*g_j = sum c_i*g_i*g_j modulo m*I^2.  So a
-candidate is a pair of coefficient vectors c over I's generators, and the
-test is a rank in W's coordinates: an element of W, a normal form in B,
-is read at the leading monomials of an echelon basis of W, at most
-n(n+1)/2 of them for n generators (see ``ideals.FiniteAlgebra``).  Q is
-a reduction exactly when the 2n vectors sum_i c_i*coord(g_i*g_j) have
-rank dim W.  A seed, given as polynomials, is decomposed into its
-coefficient vectors over B's echelon of I, which fails exactly when it
-lies outside I at the origin.  The polynomials of Q are formed only for
-the pair that passes.
+(Northcott & Rees 1954), and g may range over a minimal generating set
+g_1, ..., g_mu.  The test is a rank in W's coordinates: an element of W, a
+normal form in B, is read at the leading monomials of an echelon basis of
+W, at most mu(mu+1)/2 of them (see ``ideals.FiniteAlgebra``).  Q is a
+reduction exactly when the 2*mu rows coord(q*g_j) have rank dim W.  A
+seed, given as polynomials, is tested by its own products, once it is
+found inside I at the origin.  The search's own candidates are linear in
+q: q = sum c_i*g_i with constants c_i has q*g_j = sum c_i*g_i*g_j, so a
+candidate is a pair of coefficient vectors c over the minimal generators,
+its rows are sums of the coord(g_i*g_j), and the polynomials of Q are
+formed only for the pair that passes.
 """
 
 from __future__ import annotations
@@ -115,16 +115,6 @@ def _candidate_pairs(n, seeds=()):
             yield (unit[i], tuple(SZERO if k == i else SONE for k in range(n)))
 
 
-def _padded(c, indices, n):
-    """The vector of n scalars with c's entries at ``indices``, 0 elsewhere."""
-    if len(indices) == n:
-        return c
-    out = [SZERO] * n
-    for i, x in zip(indices, c):
-        out[i] = x
-    return tuple(out)
-
-
 def _combination(gens, c):
     """The polynomial sum c_i*g_i."""
     p = gens[0].ring.zero()
@@ -143,19 +133,17 @@ def find_reduction(A, I, seeds=()):
     the span test of the module docstring: linear algebra, with no Groebner
     basis per candidate.  The candidates combine a minimal generating set,
     the generators at ``B.minimal`` (all of them when I is minimally
-    generated), each vector padded with zeros at the others: with a
-    redundant generator (a repeat, or one in m*I) in the list, the fixed
-    combinations could miss every reduction.  A seed outside I at the
-    origin is skipped.
+    generated): with a redundant generator (a repeat, or one in m*I) in the
+    list, the fixed combinations could miss every reduction.  A seed
+    outside I at the origin is skipped.
     """
-    gens = I.gens
-    if not gens:
+    if not I.gens:
         return None
     seeds = tuple(seeds)
     B = A.algebra(I)
-    for k, pair in enumerate(_candidate_pairs(len(B.minimal), seeds)):
+    gens = [I.gens[i] for i in B.minimal]
+    for k, pair in enumerate(_candidate_pairs(B.mu, seeds)):
         if k >= len(seeds):
-            pair = tuple(_padded(c, B.minimal, len(gens)) for c in pair)
             if B.spans_combinations(*pair):
                 return IdealHandle(I.ring, [_combination(gens, c) for c in pair])
         elif all(pair):

@@ -262,14 +262,14 @@ def is_good_on_every_row(B, Q):
     """``FiniteAlgebra.is_good`` with the rank of s -> (NF(s*g_j) mod Q)_j
     taken over every standard monomial s, not only those off I's pivots."""
     span = B._span(Q)
-    if any(_eliminate(w, span)[0] for w in B._squares):
+    if any(_eliminate(w, span) for w in B._squares):
         return False
     offset = B._standard[-1][0] + 1
     blocks = range(len(B._rows[0]), 0, -1)
     pivots = {}
     for j in blocks:
-        for head, _ in span.values():
-            pivots[head[0][0] + j * offset] = (_lift(head, j * offset), ())
+        for head in span.values():
+            pivots[head[0][0] + j * offset] = _lift(head, j * offset)
     filed = len(pivots)
     rows = ([t for j in blocks for t in _lift(nfs[j - 1], j * offset)] for nfs in B._rows)
     return len(_echelon(rows, pivots)) - filed == B.length

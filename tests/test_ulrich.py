@@ -11,7 +11,14 @@ from triplepoint.cli import main
 from triplepoint.errors import ShapeError
 from triplepoint.ideals import IdealHandle
 from triplepoint.expectations import grid_tags
-from triplepoint.presentations import RDP_RING, RTP_RING, instantiate, trace_ideal
+from triplepoint.presentations import (
+    RDP_RING,
+    RTP_RING,
+    instantiate,
+    maximal_reduction_seed,
+    published_reduction,
+    trace_ideal,
+)
 from triplepoint.ulrich import (
     classify_ulrich_set,
     find_reduction,
@@ -585,9 +592,13 @@ def test_frame_membership_is_membership_in_i_plus_j(tag):
         # outside I + J, or inside it only through m*I + J
         probes += list(ring.gens()) + [v * v for v in ring.gens()] + list(A.defining.gens)
         probes += [v * I.gens[0] + I.gens[-1] for v in ring.gens()]
+        reference = _term_list_span_test(B, I)
         for q in filter(None, probes):
-            inside = B.spans(IdealHandle(ring, [q])) is not None
-            assert inside == (A.colength(I + IdealHandle(ring, [q])) == length), (tag, I, q)
+            Q = IdealHandle(ring, [q])
+            got = B.spans(Q)
+            assert got == reference(*Q.gens), (tag, I, q)
+            inside = got is not None
+            assert inside == (A.colength(I + Q) == length), (tag, I, q)
             seen.add(inside)
     assert seen == {True, False}
 
@@ -749,29 +760,50 @@ def test_certificates_match_the_groebner_reference():
 # -- the span test in W's coordinates -----------------------------------------
 
 
+def _eliminate_carrying(row, pivots, carried):
+    """The earlier design's echelon step: the pivots map a key to (monic
+    head, carried rows), and each multiple of a head subtracted from
+    ``row`` is applied to its carried rows and subtracted from
+    ``carried``.  Returns the reduced row and carried rows."""
+    while row and row[0][0] in pivots:
+        head, rows = pivots[row[0][0]]
+        _, _, a, b, d = row[0]
+        c = (-a, -b, d)
+        row = kernel.add_terms(row, kernel.scale_terms(head, c))
+        if rows:
+            carried = [kernel.add_terms(w, kernel.scale_terms(v, c)) for w, v in zip(carried, rows)]
+    return row, carried
+
+
 def _term_list_span_test(B, I):
     """The span test as the earlier design ran it, on term lists over B's
     standard monomials: I/L's echelon, each generator's pivot carrying its
     W-rows NF(g_i*g_j); NF(q) is decomposed over it, and the carried rows of
-    q1 and q2 must have rank dim W."""
+    the q must have rank dim W.  The test returns None when some q lies
+    outside I at the origin (its NF is not decomposed)."""
     gens = [list(g.terms) for g in I.gens]
     n = len(gens)
     w_rows = [[B._nf(kernel.mul_terms(g, h, I.ring.kc)) for h in gens] for g in gens]
-    pivots = ideals._echelon(itertools.chain.from_iterable(B._rows[1:]))
+    frame = ideals._echelon(itertools.chain.from_iterable(B._rows[1:]))
+    pivots = {k: (head, ()) for k, head in frame.items()}
     for i, row in enumerate(B._rows[0]):
-        row, carried = ideals._eliminate(row, pivots, w_rows[i])
+        row, carried = _eliminate_carrying(row, pivots, w_rows[i])
         if row:
-            ideals._file_pivot(pivots, row, carried)
+            c = kernel._sdiv(kernel.SONE, row[0][2:])
+            pivots[row[0][0]] = (
+                kernel.monic_terms(row), [kernel.scale_terms(w, c) for w in carried]
+            )
     w_dim = len(ideals._echelon([w for rows in w_rows for w in rows]))
-    echelons = {}  # the echelon of q's carried rows, for each q
+    decomposed = {}  # q's carried rows, or None outside I, for each q
 
-    def spans(q1, q2):
-        for q in (q1, q2):
-            if q not in echelons:
-                row, carried = ideals._eliminate(B._nf(list(q.terms)), pivots, [[]] * n)
-                assert not row  # a combination of the generators is inside I
-                echelons[q] = (carried, ideals._echelon(carried))
-        return len(ideals._echelon(echelons[q2][0], dict(echelons[q1][1]))) == w_dim
+    def spans(*qs):
+        for q in qs:
+            if q not in decomposed:
+                row, carried = _eliminate_carrying(B._nf(list(q.terms)), pivots, [[]] * n)
+                decomposed[q] = None if row else carried
+        if any(decomposed[q] is None for q in qs):
+            return None
+        return len(ideals._echelon(w for q in qs for w in decomposed[q])) == w_dim
 
     return spans
 
@@ -797,12 +829,15 @@ def test_coefficient_vectors_agree_with_the_term_list_span_test():
     for A, I in _chain_and_listed_ideals():
         B = A.algebra(I)
         spans = _term_list_span_test(B, I)
-        pairs = list(ulrich._candidate_pairs(len(I.gens)))
-        expected += _stream_length(len(I.gens))
-        q = {c: ulrich._combination(I.gens, c) for c in set(itertools.chain(*pairs))}
+        # vectors over the minimal generators: y^2 of (x, y^2, z) is not
+        # one in RDP-A:1, where y^2 = -x^2 - z^2
+        gens = [I.gens[i] for i in B.minimal]
+        pairs = list(ulrich._candidate_pairs(B.mu))
+        expected += _stream_length(B.mu)
+        q = {c: ulrich._combination(gens, c) for c in set(itertools.chain(*pairs))}
         for c1, c2 in pairs:
             q1, q2 = q[c1], q[c2]
-            assert q1 and q2  # these generators have no linear relation
+            assert q1 and q2
             got = B.spans_combinations(c1, c2)
             assert got == spans(q1, q2), (I, c1, c2)
             verdicts.add(got)
@@ -810,25 +845,64 @@ def test_coefficient_vectors_agree_with_the_term_list_span_test():
     assert verdicts == {True, False} and checked == expected
 
 
-def test_zero_combinations_are_skipped(a123):
-    # x + (-x) = 0: the two candidates that sum those generators, drawn
-    # before the reduction (x + y + z, t), hold the zero polynomial, whose
-    # rows are zero, so the pair simply fails the span test
+def _seeded_ideals():
+    """(quotient, ideal, seed pairs) for every seed the commands try: the
+    maximal ideal's seeds of each catalog ring, the published pair of each
+    chain ideal (x, y, z, t^i) up to the trace, and the listed and next
+    seeds of the double points."""
+    tags = grid_tags(6) + ["EX-5.2", "EX-5.3"] + [f"RDP-A:{n}" for n in range(1, 17)]
+    tags += [f"RDP-D:{n}" for n in range(4, 17)] + ["RDP-E6", "RDP-E7", "RDP-E8"]
+    for tag in tags:
+        pres = instantiate(tag)
+        A, ring = pres.quotient, pres.ring
+        yield A, A.maximal_ideal(), maximal_reduction_seed(pres.tag)
+        if pres.cm_type == 1:
+            for gens, seed in ulrich._rdp_listed(pres.tag):
+                yield A, IdealHandle(ring, gens), (seed,)
+            nxt = ulrich._rdp_next(pres.tag)
+            if nxt is not None:
+                yield A, IdealHandle(ring, nxt[0]), nxt[1]
+        elif pres.cm_type == 2:
+            v, count = trace_shape(pres)
+            others = [ring.var(n) for k, n in enumerate(ring.names) if k != v]
+            t = ring.var(ring.names[v])
+            for i in range(1, count + 1):
+                yield A, IdealHandle(ring, others + [t**i]), (published_reduction(pres.tag, i),)
+
+
+def test_seeds_agree_with_the_term_list_span_test():
+    # a seed is tested by its own products; the earlier design decomposed
+    # it over the frame into coefficient vectors
+    verdicts = []
+    for A, I, seeds in _seeded_ideals():
+        B = A.algebra(I)
+        spans = _term_list_span_test(B, I)
+        for pair in seeds:
+            Q = IdealHandle(I.ring, pair)
+            got = B.spans(Q)
+            assert got == spans(*Q.gens), (I, pair)
+            verdicts.append(got)
+    assert len(verdicts) == 830 and set(verdicts) == {True, False}
+
+
+def test_zero_combinations_are_skipped(monkeypatch, a123):
+    # x + (-x) = 0 cannot be formed: the candidates are vectors over the
+    # mu = 3 minimal generators x, y + z, t, so each combination is nonzero
     A = a123.quotient
     I = IdealHandle(R, [x, -x, y + z, t])
     B = A.algebra(I)
-    zero = 0
-    for c1, c2 in ulrich._candidate_pairs(len(I.gens)):
-        q1, q2 = (ulrich._combination(I.gens, c) for c in (c1, c2))
-        got = B.spans_combinations(c1, c2)
-        if q1 and q2:
-            assert got == B.spans(IdealHandle(R, [q1, q2])), (c1, c2)
-        else:
-            assert got is False, (c1, c2)
-            zero += 1
-    assert zero == 2
+    assert B.minimal == (0, 2, 3)
+    vectors = []
+    original = ideals.FiniteAlgebra.spans_combinations
+
+    def spans(self, c1, c2):
+        vectors.extend((c1, c2))
+        return original(self, c1, c2)
+
+    monkeypatch.setattr(ideals.FiniteAlgebra, "spans_combinations", spans)
     Q = find_reduction(A, I)
-    assert [str(q) for q in Q.gens] == ["x + y + z", "t"] and A.algebra(I).spans(Q)
+    assert [str(q) for q in Q.gens] == ["x + y + z", "t"] and B.spans(Q)
+    assert vectors and all(len(c) == 3 for c in vectors)
 
 
 @pytest.mark.parametrize(
