@@ -50,9 +50,13 @@ _ENGINE_ERRORS = (
 )
 
 
+def _dumps(data):
+    return json.dumps(data, separators=(", ", ": "))
+
+
 def _emit(data, as_json, text_renderer):
     if as_json:
-        click.echo(json.dumps(data, separators=(", ", ": ")))
+        click.echo(_dumps(data))
     else:
         text_renderer(data)
 
@@ -349,7 +353,7 @@ def cmd_cross_check(tag, as_json):
             checks.append(
                 ("ulrichCount/chainCount", algebra_side["ulrichCount"], graph_side["chainCount"])
             )
-            published = exp.published_trace_cycle(str(ftag))
+            published = exp.PUBLISHED_TRACE_CYCLES.get(str(ftag))
             if published is not None:
                 Z = g.cycle_from_json_dict(published)
                 graph_side["traceCycleLength"] = dg.cycle_length(g, Z)
@@ -386,14 +390,30 @@ def _load_graph(tag, file):
         raise ParseError("give exactly one of --tag or --file")
     if tag is not None:
         return graph_catalog(tag)
-    with open(file, "r", encoding="utf-8") as fh:
-        return dg.DualGraph.from_json(fh.read())
+    try:
+        with open(file, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read graph file: {exc}") from exc
+    return dg.DualGraph.from_json(text)
+
+
+def _echo_chains(g, enum):
+    """Echo the chains object {"fundamental", "cycles", "count",
+    "antinefPruned"} one cycle at a time: the bytes of ``_dumps`` of the
+    whole object, without holding it or its text."""
+    fundamental = _dumps(g.cycle_to_json_dict(enum.fundamental))
+    click.echo(f'{{"fundamental": {fundamental}, "cycles": [', nl=False)
+    for k, Z in enumerate(enum.cycles):
+        click.echo((", " if k else "") + _dumps(g.cycle_to_json_dict(Z)), nl=False)
+    pruned = _dumps(enum.antinef_pruned)
+    click.echo(f'], "count": {len(enum.chains)}, "antinefPruned": {pruned}}}')
 
 
 def _cycle_of(g, text):
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid cycle JSON: {exc}") from exc
     return g.cycle_from_json_dict(data)
 
@@ -403,7 +423,12 @@ def _cycle_of(g, text):
     "subcommand", type=click.Choice(["z0", "pa", "filter", "chains", "stats"])
 )
 @click.option("--tag", default=None, help="graph catalog tag, e.g. G10:2")
-@click.option("--file", default=None, type=click.Path(exists=True), help="graph JSON file")
+@click.option(
+    "--file",
+    default=None,
+    type=click.Path(exists=True, dir_okay=False),
+    help="graph JSON file",
+)
 @click.option("--cycle", default=None, help="cycle as JSON, e.g. {\"E0\":2,...}")
 def cmd_graph(subcommand, tag, file, cycle):
     """Resolution-graph computations; always emits JSON."""
@@ -425,14 +450,9 @@ def cmd_graph(subcommand, tag, file, cycle):
                 raise ParseError("cycle is not anti-nef")
             out = dg.cycle_stats(g, Z)
         else:  # chains
-            enum = dg.enumerate_ulrich_chains(g)
-            out = {
-                "fundamental": g.cycle_to_json_dict(enum.fundamental),
-                "cycles": [g.cycle_to_json_dict(c) for c in enum.cycles],
-                "count": len(enum.chains),
-                "antinefPruned": enum.antinef_pruned,
-            }
-        click.echo(json.dumps(out, separators=(", ", ": ")))
+            _echo_chains(g, dg.enumerate_ulrich_chains(g))
+            return 0
+        click.echo(_dumps(out))
         return 0
 
     def work_guard():

@@ -203,7 +203,7 @@ class DualGraph:
     def from_json(cls, text):
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ParseError(f"invalid graph JSON: {exc}") from exc
         return cls.from_json_dict(data)
 

@@ -97,16 +97,3 @@ PUBLISHED_TRACE_CYCLES = {
     "A:1,2,3": {"E1": 1, "E2": 2, "E3": 2, "E4": 1, "E5": 2, "E6": 2, "E7": 1},
     "EX-5.3": {"E1": 1, "E2": 2, "E0": 2, "E3": 1, "F": 1},
 }
-
-
-def published_trace_cycle(tag_text: str):
-    return PUBLISHED_TRACE_CYCLES.get(tag_text)
-
-
-__all__ = [
-    "residue_closed_form",
-    "ulrich_count_expected",
-    "grid_tags",
-    "rdp_grid",
-    "published_trace_cycle",
-]

@@ -254,21 +254,23 @@ def next_candidate_rejected_by_trace(pres: RingPresentation):
 # -- rational double point lists ----------------------------------------
 
 
+def _rdp_pattern_top(tag: FamilyTag):
+    """For the families whose list is the pattern (x, y^j, z) alone (A and
+    E), the largest listed j; None for the others."""
+    if tag.name == "RDP-A":
+        return (tag.params[0] + 1) // 2
+    return {"RDP-E6": 2, "RDP-E7": 3, "RDP-E8": 2}.get(tag.name)
+
+
 def _rdp_listed(tag: FamilyTag):
     """(ideal generators, seed reduction) for each listed Ulrich ideal."""
     R = RDP_RING
     x, y, z = R.var("x"), R.var("y"), R.var("z")
     name = tag.name
     items = []
-    if name in ("RDP-A", "RDP-E6", "RDP-E7", "RDP-E8"):
-        if name == "RDP-A":
-            n = tag.params[0]
-            jmax = (n + 1) // 2
-        else:
-            jmax = {"RDP-E6": 2, "RDP-E7": 3, "RDP-E8": 2}[name]
-        for j in range(1, jmax + 1):
-            items.append(([x, y**j, z], (x, y**j)))
-        return items
+    top = _rdp_pattern_top(tag)
+    if top is not None:
+        return [([x, y**j, z], (x, y**j)) for j in range(1, top + 1)]
     if name == "RDP-D":
         n = tag.params[0]
         if n % 2 == 0:
@@ -291,15 +293,12 @@ def _rdp_listed(tag: FamilyTag):
 def _rdp_next(tag: FamilyTag):
     """The first ideal past the listed pattern, for families where the
     pattern continues formally (A and E)."""
+    top = _rdp_pattern_top(tag)
+    if top is None:
+        return None
     R = RDP_RING
     x, y, z = R.var("x"), R.var("y"), R.var("z")
-    name = tag.name
-    if name == "RDP-A":
-        j = (tag.params[0] + 1) // 2 + 1
-    elif name in ("RDP-E6", "RDP-E7", "RDP-E8"):
-        j = {"RDP-E6": 3, "RDP-E7": 4, "RDP-E8": 3}[name]
-    else:
-        return None
+    j = top + 1
     ideal = [x, y**j, z]
     seeds = ((x, z), (x + y**j, z), (x, y**j))
     return ideal, seeds

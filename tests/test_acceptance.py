@@ -26,8 +26,8 @@ from triplepoint.dualgraph import (
 )
 from triplepoint.errors import GraphInvariantError
 from triplepoint.expectations import (
+    PUBLISHED_TRACE_CYCLES,
     grid_tags,
-    published_trace_cycle,
     rdp_grid,
     residue_closed_form,
     ulrich_count_expected,
@@ -162,11 +162,11 @@ def test_criterion_5_graph_engine_vs_figures():
         g10.cycle_to_json_dict(fundamental_cycle(g10))
         == {"E1": 1, "E2": 1, "E0": 2, "E3": 1, "F": 1}
     )
-    Z = g10.cycle_from_json_dict(published_trace_cycle("EX-5.3"))
+    Z = g10.cycle_from_json_dict(PUBLISHED_TRACE_CYCLES["EX-5.3"])
     checks.append(cycle_stats(g10, Z) == EX53_TRACE_STATS)
     ga = graph_catalog("A:1,2,3")
     enum = enumerate_ulrich_chains(ga)
-    Z1 = ga.cycle_from_json_dict(published_trace_cycle("A:1,2,3"))
+    Z1 = ga.cycle_from_json_dict(PUBLISHED_TRACE_CYCLES["A:1,2,3"])
     checks.append(Z1 in enum.cycles and len(enum.chains) == 2)
     _report(
         "criterion 5 (graph engine vs printed figures)",
@@ -230,7 +230,7 @@ def test_criterion_7_cross_engine_consistency(grid_results):
             bad.append(
                 (str(tag), (e0_alg, mu_alg, ulrich_count), (e0_graph, mu_graph, chain_count))
             )
-        published = published_trace_cycle(str(tag))
+        published = PUBLISHED_TRACE_CYCLES.get(str(tag))
         if published is not None:
             Z = g.cycle_from_json_dict(published)
             if cycle_length(g, Z) != r["residue"]:

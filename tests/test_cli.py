@@ -2,9 +2,14 @@
 
 import json
 
+import pytest
 from click.testing import CliRunner
 
+from triplepoint import dualgraph as dg
 from triplepoint.cli import main
+from triplepoint.errors import GraphInvariantError
+from triplepoint.expectations import grid_tags, rdp_grid
+from triplepoint.graphcatalog import graph_catalog, quotient_sweep_tags
 
 
 def invoke(*args):
@@ -236,6 +241,51 @@ def test_graph_parse_error_exit_2(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{nope")
     assert invoke("graph", "z0", "--file", str(path)).exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "case", ["directory", "not utf-8", "nested graph", "nested cycle"]
+)
+def test_graph_unreadable_input_exit_2(tmp_path, case):
+    # input the graph reader cannot read is bad input: no traceback, and no
+    # engine invariant violation
+    path = tmp_path / "graph.json"
+    args = ["graph", "z0", "--file", str(path)]
+    if case == "directory":
+        args[-1] = str(tmp_path)
+    elif case == "not utf-8":
+        path.write_bytes(b'\xff\xfe{"vertices": []}')
+    elif case == "nested graph":
+        path.write_text("[" * 200_000)
+    else:
+        args = ["graph", "stats", "--tag", "G10:2", "--cycle", "[" * 5_000]
+    res = invoke(*args)
+    assert res.exit_code == 2, res.output
+    assert res.stdout == "" and "Traceback" not in res.output
+
+
+def _chain_graphs():
+    tags = [str(t) for t in grid_tags(6) + rdp_grid()] + ["EX-5.3", "RDP-A:50"]
+    for tag in tags + quotient_sweep_tags(4):
+        try:
+            yield tag, graph_catalog(tag)
+        except GraphInvariantError:
+            continue  # not a resolution graph at these weights
+
+
+def test_graph_chains_streams_the_whole_object():
+    # the cycles are written one at a time, as the bytes of the object
+    for tag, g in _chain_graphs():
+        enum = dg.enumerate_ulrich_chains(g)
+        whole = {
+            "fundamental": g.cycle_to_json_dict(enum.fundamental),
+            "cycles": [g.cycle_to_json_dict(c) for c in enum.cycles],
+            "count": len(enum.chains),
+            "antinefPruned": enum.antinef_pruned,
+        }
+        res = invoke("graph", "chains", "--tag", tag)
+        assert res.exit_code == 0, (tag, res.output)
+        assert res.stdout == json.dumps(whole, separators=(", ", ": ")) + "\n", tag
 
 
 def test_graph_without_vertices_exit_2(tmp_path):
