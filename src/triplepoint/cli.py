@@ -413,7 +413,7 @@ def _echo_chains(g, enum):
 def _cycle_of(g, text):
     try:
         data = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # also an integer past the digit limit
         raise ParseError(f"invalid cycle JSON: {exc}") from exc
     return g.cycle_from_json_dict(data)
 

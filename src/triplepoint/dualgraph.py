@@ -203,7 +203,7 @@ class DualGraph:
     def from_json(cls, text):
         try:
             data = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:  # also an integer past the digit limit
             raise ParseError(f"invalid graph JSON: {exc}") from exc
         return cls.from_json_dict(data)
 
@@ -436,11 +436,13 @@ def enumerate_ulrich_chains(g: DualGraph) -> ChainEnumeration:
     def steps_from(Pprev, upper):
         """(F_C, the pairing vector of Z_prev + F_C) for each component C of
         the locus of the cycle Z_prev with pairing vector ``Pprev`` where
-        F_C <= ``upper``, K . F_C = K . Z_0 and Z_prev + F_C is anti-nef."""
+        F_C <= ``upper``, K . F_C = K . Z_0 and Z_prev + F_C is anti-nef, as
+        a list, so that the walk keeps no locus while it goes deeper."""
         nonlocal pruned
         inside = [p == 0 for p in Pprev]
         comps, F, PF = _locus(g, inside)
         _laufer(g, F, PF, inside)  # no edge joins two components: every F_C
+        out = []
         for comp in comps:
             if sum(F[v] * K[v] for v in comp) != KZ0 or any(F[v] > upper[v] for v in comp):
                 continue
@@ -454,10 +456,11 @@ def enumerate_ulrich_chains(g: DualGraph) -> ChainEnumeration:
             if any(p > 0 for p in P):
                 pruned = True
             else:
-                yield tuple(Y), P
+                out.append((tuple(Y), P))
+        return out
 
-    # depth-first, one open step stream per step of the current chain
-    stack = [(steps_from(g._p0, Z0), (), Z0)]
+    # depth-first, one iterator over the step list per step of the current chain
+    stack = [(iter(steps_from(g._p0, Z0)), (), Z0)]
     while stack:
         candidates, prefix, Zprev = stack[-1]
         for Y, P in candidates:
@@ -466,7 +469,7 @@ def enumerate_ulrich_chains(g: DualGraph) -> ChainEnumeration:
             if Znew not in seen_cycles:
                 seen_cycles.add(Znew)
                 chains.append(UlrichChain(steps))
-            stack.append((steps_from(P, Y), steps, Znew))
+            stack.append((iter(steps_from(P, Y)), steps, Znew))
             break
         else:
             stack.pop()

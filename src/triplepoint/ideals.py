@@ -15,14 +15,15 @@ elements, those whose leads no later lead divides.  The output is the
 unique reduced Groebner basis sorted by ascending leading monomial, so
 equal ideals produce identical bases.
 
-A monomial is addressed by its packed key (see ``polyring``): keys are
-additive, and one mask decides divisibility, so a lead that has a key is
-tested by key (the batch entry, the live set, criterion B, the minimal
-basis, the localization's pure powers, the finite algebra's memo); only
-the lcms of criteria M and F, which have none, are compared as exponent
-tuples.  Standard monomials are walked layer by layer in total degree on
-keys, with set lookups in place of divisibility tests, and come out as
-(key, exponent) pairs by ascending key.
+A monomial is its packed key (see ``polyring``): keys are additive, and
+one mask decides divisibility, so a lead is tested by key (the batch
+entry, the live set, criterion B, the minimal basis, the localization's
+pure powers, the finite algebra's memo).  Only the lcms of criteria M and
+F have no key: Buchberger decodes each lead once, as its element enters
+the basis, and forms and compares the lcms as exponent tuples.  Standard
+monomials are walked layer by layer in total degree on keys, with set
+lookups in place of divisibility tests, and come out as keys in
+ascending order.
 
 Local statements are decided in finite quotients.  A local colength at
 the origin is computed in one step: when K has finite quotient dimension
@@ -40,7 +41,7 @@ monomials, so the normal form of a monomial outside the standard ones is
 read by membership: it is 0 when a monomial of the basis divides it (so
 always, when the basis is monomials only), and only a monomial that no
 such monomial divides is reduced.  The memo of normal forms is keyed by
-key, so an exponent tuple is formed only for a monomial not seen yet.
+key, so each monomial's normal form is found once.
 
 Work is cached on the objects that own it, never in module globals: an
 ``IdealHandle`` keeps its reduced basis and standard monomials for its
@@ -59,37 +60,40 @@ import itertools
 from heapq import heappop, heappush
 
 from . import kernel
-from .errors import ColengthBudgetError, ZeroPolynomialError
-from .kernel import _divides
-from .polyring import _BIAS, Polynomial, Ring, check_exponent_cap
+from .errors import ColengthBudgetError, ExponentRangeError, ZeroPolynomialError
+from .polyring import _BIAS, _MAX_EXP, _SHIFT, Polynomial, Ring, check_exponent_cap
 
 
 def _exp_lcm(a, b):
     return tuple(x if x > y else y for x, y in zip(a, b))
 
 
-def _spoly(f, g, L, lkey, kc):
-    """S-polynomial of monic term lists f, g with lead lcm ``L`` of key
+def _divides(a, b):
+    for x, y in zip(a, b):
+        if x > y:
+            return False
+    return True
+
+
+def _spoly(f, g, lkey, kc):
+    """S-polynomial of monic term lists f, g whose leads have the lcm of key
     ``lkey``; keys are additive, so X^(L - lm f) has key lkey - key(lm f) + kc."""
-    mf = tuple(x - y for x, y in zip(L, f[0][1]))
-    mg = tuple(x - y for x, y in zip(L, g[0][1]))
-    a = kernel.mono_mul_terms(f, lkey - f[0][0] + kc, mf, kernel.SONE, kc)
-    b = kernel.mono_mul_terms(g, lkey - g[0][0] + kc, mg, (-1, 0, 1), kc)
+    a = kernel.mono_mul_terms(f, lkey - f[0][0] + kc, kernel.SONE, kc)
+    b = kernel.mono_mul_terms(g, lkey - g[0][0] + kc, (-1, 0, 1), kc)
     return kernel.add_terms(a, b)
 
 
-def _criterion_b(G, i, j, L, lkey, kc):
+def _criterion_b(G, lm, i, j, L, lkey, kc):
     """Criterion B, applied when the pair (i, j) with lcm L of key ``lkey``
     is popped: some element h of G added after the pair was queued (h > j)
     has a lead dividing L, and neither (i, h) nor (j, h) has lcm L.  These
     are the pairs an eager update would have removed from the queue as each
-    h came in."""
+    h came in.  ``lm`` holds the leads' exponents."""
     for h in range(j + 1, len(G)):
-        kh, eh = G[h][0][:2]
         if (
-            (kh - lkey + kc) & kc == kc
-            and L != _exp_lcm(G[i][0][1], eh)
-            and L != _exp_lcm(G[j][0][1], eh)
+            (G[h][0][0] - lkey + kc) & kc == kc
+            and L != _exp_lcm(lm[i], lm[h])
+            and L != _exp_lcm(lm[j], lm[h])
         ):
             return True
     return False
@@ -120,7 +124,7 @@ def _groebner_terms(gens, ring, assume_prefix=0):
         gens = kept + [g for g in gens if len(g) > 1]
         prefix = len(kept)
     G = [kernel.monic_terms(g) for g in gens[:prefix]]
-    lm = [g[0][1] for g in G]
+    lm = [ring.exponents(g[0][0]) for g in G]  # the leads' exponents
     deg = [sum(e) for e in lm]
     live = list(range(prefix))  # elements whose leads no later lead divides
     basis = list(G)  # their term lists, the reducers
@@ -131,7 +135,8 @@ def _groebner_terms(gens, ring, assume_prefix=0):
         Gebauer-Moeller update for it."""
         h = len(G)
         G.append(g)
-        kh, eh = g[0][:2]
+        kh = g[0][0]
+        eh = ring.exponents(kh)
         dh = sum(eh)
         lm.append(eh)
         deg.append(dh)
@@ -168,9 +173,9 @@ def _groebner_terms(gens, ring, assume_prefix=0):
             add(kernel.monic_terms(r))
     while heap:
         lkey, i, j, L = heappop(heap)
-        if _criterion_b(G, i, j, L, lkey, kc):
+        if _criterion_b(G, lm, i, j, L, lkey, kc):
             continue
-        spol = _spoly(G[i], G[j], L, lkey, kc)
+        spol = _spoly(G[i], G[j], lkey, kc)
         r = spol and kernel.reduce_terms(spol, basis, kc)
         if r:
             add(kernel.monic_terms(r))
@@ -236,10 +241,10 @@ class IdealHandle:
         return None if std is None else len(std)
 
     def _standard(self):
-        """The standard monomials as (key, exponent) pairs by ascending key,
-        or None when infinitely many."""
+        """The keys of the standard monomials in ascending order, or None
+        when infinitely many."""
         if self._std is None:
-            self._std = _standard_monomials([g.terms[0] for g in self.groebner()], self.ring)
+            self._std = _standard_monomials([g.terms[0][0] for g in self.groebner()], self.ring)
         return self._std
 
     def colon(self, other: IdealHandle) -> IdealHandle:
@@ -263,13 +268,13 @@ class IdealHandle:
             return self  # the unit ideal
         ring, kc = self.ring, self.ring.kc
         gb = [list(g.terms) for g in self.groebner()]
-        offset = std[-1][0] + 1  # normal forms have standard keys only
+        offset = std[-1] + 1  # normal forms have standard keys only
         pivots = {}
         kernel_rows = []
-        for k, e in std:
-            row = [(k, e, 1, 0, 1)]
+        for k in std:
+            row = [(k, 1, 0, 1)]
             for j, g in enumerate(other.gens, start=1):
-                prod = kernel.mono_mul_terms(list(g.terms), k, e, kernel.SONE, kc)
+                prod = kernel.mono_mul_terms(list(g.terms), k, kernel.SONE, kc)
                 nf = kernel.reduce_terms(prod, gb, kc)
                 row = _lift(nf, j * offset) + row
             row = _eliminate(row, pivots)
@@ -298,7 +303,7 @@ def _eliminate(row, pivots):
     pivot, subtract the multiple of the pivot that cancels it.  Returns the
     reduced row."""
     while row and row[0][0] in pivots:
-        _, _, a, b, d = row[0]
+        _, a, b, d = row[0]
         row = kernel.add_terms(row, kernel.scale_terms(pivots[row[0][0]], (-a, -b, d)))
     return row
 
@@ -330,45 +335,45 @@ def _from_basis(ring: Ring, basis) -> IdealHandle:
     return handle
 
 
-def _standard_monomials(leads, ring):
-    """The monomials outside the monomial ideal of the ``leads`` (terms, of
-    which the key and exponent are read), as (key, exponent) pairs by
-    ascending key, found layer by layer in total degree.
+def _standard_monomials(lead_keys, ring):
+    """The keys of the monomials outside the monomial ideal of the leads of
+    keys ``lead_keys``, in ascending order, found layer by layer in total
+    degree.
 
     f is standard exactly when f is not a lead and every f - x_j with
     f_j > 0 is standard: a lead properly dividing f divides one of them.
     Each f of the next layer is formed once, as e + x_i from the standard e
     with i at or past e's last nonzero index, and its other f - x_j (j < i)
     are looked up in the current layer.  Keys are additive, so f's key is
-    e's plus ``ring.units[i]``, every test is a set lookup of a key, and an
-    exponent tuple is built only for a standard f.
+    e's plus ``ring.units[i]``, and every test is a set lookup of a key;
+    e_j = 0 exactly when e's key keeps the top bit of field j, that of kc.
 
     Returns None when some variable has no pure power among the leads.
     """
-    n, units = ring.n, ring.units
-    lead_exps = [t[1] for t in leads]
+    n, units, kc = ring.n, ring.units, ring.kc
+    lead_exps = [ring.exponents(k) for k in lead_keys]
     for i in range(n):
         if not any(all(e[j] == 0 for j in range(n) if j != i) for e in lead_exps):
             return None
-    lead_keys = {t[0] for t in leads}
-    if ring.kc in lead_keys:
+    lead_keys = set(lead_keys)
+    if kc in lead_keys:
         return []
+    bits = [_BIAS << _SHIFT * j for j in range(n)]
     out = []
-    layer = [(ring.kc, (0,) * n, 0)]  # (key, e, e's last nonzero index)
+    layer = [(kc, 0)]  # (key of e, e's last nonzero index)
     while layer:
         layer.sort()  # one total degree: by key is by the order
-        known = set()
-        for k, e, _ in layer:
-            out.append((k, e))
-            known.add(k)
+        keys = [k for k, _ in layer]
+        out += keys
+        known = set(keys)
         step = []
-        for k, e, top in layer:
+        for k, top in layer:
             for i in range(top, n):
                 fk = k + units[i]
                 if fk not in lead_keys and all(
-                    not e[j] or fk - units[j] in known for j in range(i)
+                    k & bits[j] or fk - units[j] in known for j in range(i)
                 ):
-                    step.append((fk, e[:i] + (e[i] + 1,) + e[i + 1 :], i))
+                    step.append((fk, i))
         layer = step
     return out
 
@@ -396,14 +401,15 @@ def _localize(ring: Ring, basis, std):
         pk = kc + min(D, _BIAS - 1) * ring.units[i]
         if any((m - pk + kc) & kc == kc for m in members):
             continue
-        e = tuple(D if j == i else 0 for j in range(ring.n))
-        r = kernel.reduce_terms(list(ring.monomial(e).terms), basis, kc)
+        if D > _MAX_EXP:
+            raise ExponentRangeError(f"exponent {D} exceeds the cap {_MAX_EXP}")
+        r = kernel.reduce_terms([(pk, 1, 0, 1)], basis, kc)
         if r:
             powers.append(r)
     if not powers:
         return basis, std
     local = _groebner_terms(basis + powers, ring, assume_prefix=len(basis))
-    return local, _standard_monomials([g[0] for g in local], ring)
+    return local, _standard_monomials([g[0][0] for g in local], ring)
 
 
 def minors(rows) -> IdealHandle:
@@ -436,7 +442,9 @@ class PresentedQuotient:
     def __init__(self, ring: Ring, defining: IdealHandle):
         self.ring = ring
         for g in defining.gens:
-            if any(sum(t[1]) < 2 for t in g.terms):
+            # grevlex is graded, so a term of degree below 2 lies at or below
+            # x_1, the greatest of degree 1, and so does the last term
+            if g.terms[-1][0] <= ring.kc + ring.units[0]:
                 raise ValueError(
                     "defining ideal not inside the square of the maximal ideal"
                 )
@@ -516,8 +524,8 @@ class FiniteAlgebra:
         # m*(I^2): the generators of I^2, then of m times them, repeats dropped
         squares = dict.fromkeys(tuple(p) for p in products.values())
         m_squares = dict.fromkeys(
-            tuple(kernel.mono_mul_terms(list(p), k, e, kernel.SONE, kc))
-            for k, e, *_ in (x.terms[0] for x in A.maximal_ideal().gens)
+            tuple(kernel.mono_mul_terms(list(p), kc + u, kernel.SONE, kc))
+            for u in ring.units
             for p in squares
         )
         basis = _groebner_terms(
@@ -525,14 +533,14 @@ class FiniteAlgebra:
         )
         # the standard monomials come by ascending key, 1 first
         self._basis, self._standard = _localize(
-            ring, basis, _standard_monomials([g[0] for g in basis], ring)
+            ring, basis, _standard_monomials([g[0][0] for g in basis], ring)
         )
         self._monomial_leads = [g[0][0] for g in self._basis if len(g) == 1]
         self._polynomial_leads = [g[0][0] for g in self._basis if len(g) > 1]
         self._kc = kc
-        self._memo = {k: [(k, e, 1, 0, 1)] for k, e in self._standard}
+        self._memo = {k: [(k, 1, 0, 1)] for k in self._standard}
         self.dim = len(self._standard)
-        self._rows = [[self._shifted(g, k, e) for g in gens] for k, e in self._standard]
+        self._rows = [[self._shifted(g, k) for g in gens] for k in self._standard]
         pivots = _echelon(itertools.chain.from_iterable(self._rows[1:]))
         minimal = []
         for i, row in enumerate(self._rows[0]):
@@ -554,14 +562,13 @@ class FiniteAlgebra:
         self._combinations = {}
         self._spans = {}
 
-    def _shifted(self, p, mkey, mexp):
-        """NF(X^mexp * p) for a term list p; X^mexp has key ``mkey``.  The
-        memo is keyed by key, so a term's exponent is shifted only when its
-        normal form is not known yet."""
+    def _shifted(self, p, mkey):
+        """NF(X^m * p) for a term list p and the monomial X^m of key
+        ``mkey``."""
         kc, memo = self._kc, self._memo
         shift = mkey - kc
         out = []
-        for k, e, a, b, d in p:
+        for k, a, b, d in p:
             fk = k + shift
             nf = memo.get(fk)
             if nf is None:
@@ -569,9 +576,7 @@ class FiniteAlgebra:
                 # divides f, and NF(f) is 0 unless every lead dividing f
                 # belongs to an element that is not a monomial
                 nf = memo[fk] = (
-                    kernel.reduce_terms(
-                        [(fk, tuple(x + y for x, y in zip(e, mexp)), 1, 0, 1)], self._basis, kc
-                    )
+                    kernel.reduce_terms([(fk, 1, 0, 1)], self._basis, kc)
                     if self._polynomial_leads
                     and any((le - fk + kc) & kc == kc for le in self._polynomial_leads)
                     and not any((le - fk + kc) & kc == kc for le in self._monomial_leads)
@@ -584,7 +589,7 @@ class FiniteAlgebra:
         return out
 
     def _nf(self, p):
-        return self._shifted(p, *self._standard[0])
+        return self._shifted(p, self._kc)
 
     def _coord(self, w):
         """The coordinates of w in W: its terms at the pivot keys of W."""
@@ -609,7 +614,7 @@ class FiniteAlgebra:
         pivots = self._spans.get(Q.gens)
         if pivots is None:
             qs = [list(q.terms) for q in Q.gens]
-            rows = (self._shifted(q, k, e) for k, e in self._standard for q in qs)
+            rows = (self._shifted(q, k) for k in self._standard for q in qs)
             pivots = self._spans[Q.gens] = _echelon(rows)
         return pivots
 
@@ -660,7 +665,7 @@ class FiniteAlgebra:
         span = self._span(Q)
         if any(_eliminate(w, span) for w in self._squares):
             return False
-        offset = self._standard[-1][0] + 1  # normal forms have standard keys only
+        offset = self._standard[-1] + 1  # normal forms have standard keys only
         blocks = range(len(self._rows[0]), 0, -1)  # highest first
         pivots = {}
         for j in blocks:
@@ -669,7 +674,7 @@ class FiniteAlgebra:
         filed = len(pivots)
         rows = (
             [t for j in blocks for t in _lift(nfs[j - 1], j * offset)]
-            for (k, _), nfs in zip(self._standard, self._rows)
+            for k, nfs in zip(self._standard, self._rows)
             if k not in self._pivots
         )
         return len(_echelon(rows, pivots)) - filed == self.length

@@ -1,21 +1,20 @@
 """Term kernel: sparse polynomial arithmetic over Q(i), in pure Python.
 
 A polynomial is a list of terms sorted strictly descending by sort key,
-with no zero coefficients.  Each term is a flat 5-tuple
+with no zero coefficients.  Each term is a flat 4-tuple
 
-    (key, exp, re, im, den)
+    (key, re, im, den)
 
 where ``key`` is the packed monomial order key (a single int whose integer
-order agrees with the monomial order), ``exp`` the exponent tuple, and
-``re + im*i over den`` the coefficient in lowest terms with ``den > 0``.
+order agrees with the monomial order; it is the monomial, see ``polyring``)
+and ``re + im*i over den`` the coefficient in lowest terms with ``den > 0``.
 
 Keys are additive up to a ring constant ``kc`` (the key of the constant
 monomial): key(e1 + e2) == key(e1) + key(e2) - kc.  ``kc`` is also the
 divisibility mask: for exponents below 2^15, a divides b exactly when
-(key(a) - key(b) + kc) & kc == kc (see ``polyring``).  The reduction
-addresses its work by key and decides which divisor's lead divides a term
-by this test; ``_divides`` compares exponent tuples, for the lcms of the
-pair criteria M and F in ``ideals``, which have no key.
+(key(a) - key(b) + kc) & kc == kc (see ``polyring``).  The kernel works on
+keys alone: products add keys, and the reduction decides which divisor's
+lead divides a term by this test.
 
 The public callables are exactly the term-list entry points the other
 modules call, and no function here calls a public name of this module.
@@ -77,13 +76,13 @@ def add_terms(p, q):
             out.append(tq)
             j += 1
         else:
-            a1, b1, d1 = tp[2], tp[3], tp[4]
-            a2, b2, d2 = tq[2], tq[3], tq[4]
+            _, a1, b1, d1 = tp
+            _, a2, b2, d2 = tq
             a = a1 * d2 + a2 * d1
             b = b1 * d2 + b2 * d1
             if a or b:
                 a, b, d = _snorm(a, b, d1 * d2)
-                out.append((kp, tp[1], a, b, d))
+                out.append((kp, a, b, d))
             i += 1
             j += 1
     out.extend(p[i:])
@@ -92,28 +91,27 @@ def add_terms(p, q):
 
 
 def neg_terms(p):
-    return [(k, e, -a, -b, d) for (k, e, a, b, d) in p]
+    return [(k, -a, -b, d) for (k, a, b, d) in p]
 
 
 def scale_terms(p, c):
     """Multiply by a nonzero scalar."""
     ca, cb, cd = c
     out = []
-    for (k, e, a, b, d) in p:
+    for (k, a, b, d) in p:
         na, nb, nd = _snorm(a * ca - b * cb, a * cb + b * ca, d * cd)
-        out.append((k, e, na, nb, nd))
+        out.append((k, na, nb, nd))
     return out
 
 
-def mono_mul_terms(p, mkey, mexp, c, kc):
-    """Multiply by c * X^mexp (c nonzero)."""
+def mono_mul_terms(p, mkey, c, kc):
+    """Multiply by c times the monomial of key ``mkey`` (c nonzero)."""
     ca, cb, cd = c
     shift = mkey - kc
     out = []
-    for (k, e, a, b, d) in p:
+    for (k, a, b, d) in p:
         na, nb, nd = _snorm(a * ca - b * cb, a * cb + b * ca, d * cd)
-        ne = tuple(x + y for x, y in zip(e, mexp))
-        out.append((k + shift, ne, na, nb, nd))
+        out.append((k + shift, na, nb, nd))
     return out
 
 
@@ -123,35 +121,27 @@ def mul_terms(p, q, kc):
     if len(p) > len(q):
         p, q = q, p
     acc = {}
-    for (k1, e1, a1, b1, d1) in p:
-        for (k2, e2, a2, b2, d2) in q:
+    for (k1, a1, b1, d1) in p:
+        for (k2, a2, b2, d2) in q:
             k = k1 + k2 - kc
             cur = acc.get(k)
             if cur is None:
-                ne = tuple(x + y for x, y in zip(e1, e2))
-                acc[k] = [ne, a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2]
+                acc[k] = [a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2]
             else:
-                _, a, b, d = cur
+                a, b, d = cur
                 na = a1 * a2 - b1 * b2
                 nb = a1 * b2 + b1 * a2
                 nd = d1 * d2
-                cur[1] = a * nd + na * d
-                cur[2] = b * nd + nb * d
-                cur[3] = d * nd
+                cur[0] = a * nd + na * d
+                cur[1] = b * nd + nb * d
+                cur[2] = d * nd
     out = []
     for k in sorted(acc, reverse=True):
-        e, a, b, d = acc[k]
+        a, b, d = acc[k]
         if a or b:
             a, b, d = _snorm(a, b, d)
-            out.append((k, e, a, b, d))
+            out.append((k, a, b, d))
     return out
-
-
-def _divides(a, b):
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-    return True
 
 
 def reduce_terms(p, divisors, kc):
@@ -163,8 +153,7 @@ def reduce_terms(p, divisors, kc):
     below the one it removes (a divisor's tail lies below its lead), so no
     monomial is popped twice: each term that no lead divides is appended to
     the remainder, which comes out canonical with no merge and no sort.  The
-    pending terms are kept by key, and a term's exponent tuple is built only
-    when its key first appears.
+    pending coefficients are kept by key.
     """
     if not p:
         return []
@@ -172,15 +161,15 @@ def reduce_terms(p, divisors, kc):
     nd = len(divisors)
     work = {}
     heap = []
-    for (k, e, a, b, d) in p:
-        work[k] = (e, a, b, d)
+    for (k, a, b, d) in p:
+        work[k] = (a, b, d)
         heap.append(-k)
     _heapify(heap)
     rem = []
     while heap:
         k = -_heappop(heap)
-        term = work.pop(k, None)
-        if term is None:
+        c = work.pop(k, None)
+        if c is None:
             continue  # cancelled, or a second heap entry for k
         hit = -1
         for idx in range(nd):
@@ -188,28 +177,26 @@ def reduce_terms(p, divisors, kc):
                 hit = idx
                 break
         if hit < 0:
-            rem.append((k,) + term)
+            rem.append((k,) + c)
             continue
-        e = term[0]
-        lk, le, la, lb, ld = lead[hit]
-        ca, cb, cd = _sdiv(term[1:], (la, lb, ld))
-        texp = tuple(x - y for x, y in zip(e, le))
+        lk, la, lb, ld = lead[hit]
+        ca, cb, cd = _sdiv(c, (la, lb, ld))
         g = divisors[hit]
         for gi in range(1, len(g)):
-            gk, ge, ga, gb, gd = g[gi]
+            gk, ga, gb, gd = g[gi]
             tk = gk + k - lk
             ma = ga * ca - gb * cb
             mb = ga * cb + gb * ca
             md = gd * cd
             cur = work.get(tk)
             if cur is None:
-                work[tk] = (tuple(x + y for x, y in zip(ge, texp)),) + _snorm(-ma, -mb, md)
+                work[tk] = _snorm(-ma, -mb, md)
                 _heappush(heap, -tk)
             else:
-                a = cur[1] * md - ma * cur[3]
-                b = cur[2] * md - mb * cur[3]
+                a = cur[0] * md - ma * cur[2]
+                b = cur[1] * md - mb * cur[2]
                 if a or b:
-                    work[tk] = (cur[0],) + _snorm(a, b, cur[3] * md)
+                    work[tk] = _snorm(a, b, cur[2] * md)
                 else:
                     del work[tk]
     return rem
@@ -219,12 +206,12 @@ def monic_terms(p):
     """Scale so the leading coefficient is 1."""
     if not p:
         return p
-    la, lb, ld = p[0][2], p[0][3], p[0][4]
+    la, lb, ld = p[0][1:]
     if la == 1 and lb == 0 and ld == 1:
         return p
     ca, cb, cd = _sdiv(SONE, (la, lb, ld))
     out = []
-    for (k, e, a, b, d) in p:
+    for (k, a, b, d) in p:
         na, nb, nd = _snorm(a * ca - b * cb, a * cb + b * ca, d * cd)
-        out.append((k, e, na, nb, nd))
+        out.append((k, na, nb, nd))
     return out

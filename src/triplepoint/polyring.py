@@ -6,17 +6,19 @@ and always kept in canonical form: terms strictly descending in grevlex,
 coefficients nonzero and in lowest terms.  Everything is safe to share
 across threads; operations are pure functions.
 
-A monomial is addressed by its packed grevlex key (``Ring.key``): one int
-whose integer order is the monomial order.  Keys are additive up to the
-key ``kc`` of 1, and ``units[i]`` is the step of x_i, so the key of e + x_i
-is key(e) + units[i].  ``kc`` is also a mask, 2^15 in each exponent field and
-0 in the degree field: for exponents below 2^15, a divides b exactly when
+A monomial is its packed grevlex key (``Ring.key``): one int whose
+integer order is the monomial order, and a term is (key, coefficient).
+Keys are additive up to the key ``kc`` of 1, and ``units[i]`` is the step
+of x_i, so the key of e + x_i is key(e) + units[i].  ``kc`` is also a
+mask, 2^15 in each exponent field and 0 in the degree field: for
+exponents below 2^15, a divides b exactly when
 (key(a) - key(b) + kc) & kc == kc, since each field of the difference is
-2^15 + b_j - a_j and keeps that bit exactly when a_j <= b_j.  The key order
-and this test are exact below 2^15.  Input exponents are capped at 16383
-(2^14 - 1) per variable, which leaves room for the products x_k*g_i*g_j the
-program forms; the cap is checked where exponents enter: monomials, powers
-and defining ideals (``check_exponent_cap``).
+2^15 + b_j - a_j and keeps that bit exactly when a_j <= b_j.  The key
+order, this test and ``Ring.exponents``, which decodes a key for the few
+readers that need one exponent per variable, are exact below 2^15.  Input
+exponents are capped at 16383 (2^14 - 1) per variable, which leaves room
+for the products x_k*g_i*g_j the program forms; the cap is checked where
+exponents enter: powers and defining ideals (``check_exponent_cap``).
 """
 
 from __future__ import annotations
@@ -28,15 +30,19 @@ from .errors import ExponentRangeError, RingMismatchError
 
 _SHIFT = 16
 _BIAS = 1 << 15
+_MASK = (1 << _SHIFT) - 1
 _MAX_EXP = (1 << 14) - 1
 
 
 def check_exponent_cap(p: Polynomial) -> Polynomial:
     """``p`` itself; ``ExponentRangeError`` when a term has an exponent above
-    the cap, where the packed order key fields would overlap."""
-    for t in p.terms:
-        if max(t[1]) > _MAX_EXP:
-            raise ExponentRangeError(f"exponent {max(t[1])} exceeds the cap {_MAX_EXP}")
+    the cap, where the packed order key fields would overlap.  No exponent
+    exceeds the lead's degree (its key's top field): below the cap, no key is decoded."""
+    if p.terms and p.terms[0][0] >> _SHIFT * p.ring.n > _MAX_EXP:
+        for t in p.terms:
+            top = max(p.ring.exponents(t[0]))
+            if top > _MAX_EXP:
+                raise ExponentRangeError(f"exponent {top} exceeds the cap {_MAX_EXP}")
     return p
 
 
@@ -80,6 +86,14 @@ class Ring:
             key = (key << _SHIFT) | (_BIAS - x)
         return key
 
+    def exponents(self, key) -> tuple:
+        """The exponent tuple of ``key``: field i is _BIAS - e_i."""
+        exp = []
+        for _ in range(self.n):
+            exp.append(_BIAS - (key & _MASK))
+            key >>= _SHIFT
+        return tuple(exp)
+
     # -- constructors -------------------------------------------------
 
     def zero(self) -> Polynomial:
@@ -92,27 +106,13 @@ class Ring:
         c = _to_triple(c)
         if c == kernel.SZERO:
             return self.zero()
-        e = (0,) * self.n
-        return Polynomial(self, ((self.kc, e, c[0], c[1], c[2]),))
+        return Polynomial(self, ((self.kc,) + c,))
 
     def var(self, name) -> Polynomial:
-        i = self._index[name]
-        e = tuple(1 if j == i else 0 for j in range(self.n))
-        return Polynomial(self, ((self.key(e), e, 1, 0, 1),))
+        return Polynomial(self, ((self.kc + self.units[self._index[name]], 1, 0, 1),))
 
     def gens(self) -> tuple:
         return tuple(self.var(v) for v in self.names)
-
-    def monomial(self, exp, coeff=1) -> Polynomial:
-        exp = tuple(exp)
-        if len(exp) != self.n:
-            raise ValueError("exponent length mismatch")
-        if any(x < 0 for x in exp):
-            raise ValueError("negative exponent")
-        c = _to_triple(coeff)
-        if c == kernel.SZERO:
-            return self.zero()
-        return check_exponent_cap(Polynomial(self, ((self.key(exp), exp, c[0], c[1], c[2]),)))
 
     def render_monomial(self, exp) -> str:
         parts = []
@@ -203,14 +203,14 @@ class Polynomial:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power")
-        top = max((max(t[1]) for t in self.terms), default=0)
+        top = max((max(self.ring.exponents(t[0])) for t in self.terms), default=0)
         if n * max(top, 1) > _MAX_EXP:
             raise ExponentRangeError(f"power {n} takes an exponent above the cap {_MAX_EXP}")
         if len(self.terms) == 1:
             # (c*X^e)^n = c^n * X^(n*e): one term, no multiplication
-            _, e, a, b, d = self.terms[0]
-            exp = tuple(n * x for x in e)
-            return Polynomial(self.ring, ((self.ring.key(exp), exp) + _spow((a, b, d), n),))
+            k, a, b, d = self.terms[0]
+            kc = self.ring.kc
+            return Polynomial(self.ring, ((kc + n * (k - kc),) + _spow((a, b, d), n),))
         out = self.ring.one()
         base = self
         while n:
@@ -238,8 +238,8 @@ class Polynomial:
         if not self.terms:
             return "0"
         parts = []
-        for idx, (k, e, a, b, d) in enumerate(self.terms):
-            mono = self.ring.render_monomial(e)
+        for idx, (k, a, b, d) in enumerate(self.terms):
+            mono = self.ring.render_monomial(self.ring.exponents(k))
             coeff = (a, b, d)
             text, negative = _render_term(coeff, mono)
             if idx == 0:

@@ -65,13 +65,17 @@ class UlrichCertificate:
     tag: str
     ideal: IdealHandle
     reduction: IdealHandle | None
-    stable: bool
     good: bool | None
     e0: int | None
     mu: int
     length: int
     free_test: bool | None
     verdict: str
+
+    @property
+    def stable(self) -> bool:
+        """A stable reduction (I^2 = QI) was found."""
+        return self.reduction is not None
 
     def to_json_dict(self):
         return {
@@ -164,7 +168,7 @@ def ulrich_check(
     Q = find_reduction(A, I, seeds)
     if Q is None:
         return UlrichCertificate(
-            tag, I, None, False, None, None, mu, length, None, VERDICT_NO_REDUCTION
+            tag, I, None, None, None, mu, length, None, VERDICT_NO_REDUCTION
         )
     e0 = B.colength(Q)
     numeric = e0 == (mu - 1) * length
@@ -181,7 +185,7 @@ def ulrich_check(
     else:
         verdict = VERDICT_NOT_GOOD
     return UlrichCertificate(
-        tag, I, Q, True, good, e0, mu, length, free_test, verdict
+        tag, I, Q, good, e0, mu, length, free_test, verdict
     )
 
 
@@ -199,7 +203,7 @@ def trace_shape(pres: RingPresentation):
     for g in gb:
         if len(g.terms) != 1:
             raise ShapeError(f"trace basis element {g} is not a monomial")
-        exp = g.terms[0][1]
+        exp = ring.exponents(g.terms[0][0])
         support = [k for k, e in enumerate(exp) if e]
         if len(support) != 1:
             raise ShapeError(f"trace basis element {g} is not a pure power")

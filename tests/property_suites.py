@@ -37,12 +37,13 @@ def _random_poly(rng, ring, max_terms=4, max_deg=2, max_coeff=3):
 
 def assert_canonical(p):
     """The terms of ``p`` are canonical: keys strictly descending, each the
-    ring's key of its exponent, coefficients nonzero and in lowest terms
-    with a positive denominator."""
+    ring's key of the nonnegative exponents it decodes to, coefficients
+    nonzero and in lowest terms with a positive denominator."""
     keys = [t[0] for t in p.terms]
     assert all(a > b for a, b in zip(keys, keys[1:]))
-    for key, exp, a, b, d in p.terms:
-        assert key == p.ring.key(exp)
+    for key, a, b, d in p.terms:
+        exp = p.ring.exponents(key)
+        assert min(exp) >= 0 and key == p.ring.key(exp)
         assert (a or b) and d > 0 and math.gcd(math.gcd(a, b), d) == 1
 
 

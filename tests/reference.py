@@ -28,9 +28,9 @@ from triplepoint.dualgraph import (
     intersection_pairing,
     is_antinef,
 )
-from triplepoint.errors import ParameterError, ZeroPolynomialError
-from triplepoint.ideals import IdealHandle, _echelon, _eliminate, _exp_lcm, _lift, _spoly
-from triplepoint.polyring import Polynomial
+from triplepoint.errors import ExponentRangeError, ParameterError, ZeroPolynomialError
+from triplepoint.ideals import IdealHandle, _echelon, _eliminate, _lift, _spoly
+from triplepoint.polyring import _MAX_EXP, Polynomial, _to_triple
 from triplepoint.presentations import trace_ideal
 from triplepoint.ulrich import next_candidate_rejected_by_trace
 
@@ -81,14 +81,16 @@ def _divide(p, divisors):
     quots = [ring.zero() for _ in divisors]
     rem = ring.zero()
     while p:
-        _, e, a, b, d = p.terms[0]
-        lead = ring.monomial(e, (a, b, d))
+        k, a, b, d = p.terms[0]
+        e = ring.exponents(k)
+        lead = monomial(ring, e, (a, b, d))
         for i, g in enumerate(divisors):
-            _, ge, ga, gb, gd = g.terms[0]
+            gk, ga, gb, gd = g.terms[0]
+            ge = ring.exponents(gk)
             if all(u >= v for u, v in zip(e, ge)):
                 # (a + b*i)/d over (ga + gb*i)/gd, by the conjugate of ga + gb*i
                 c = ((a * ga + b * gb) * gd, (b * ga - a * gb) * gd, d * (ga * ga + gb * gb))
-                q = ring.monomial(tuple(u - v for u, v in zip(e, ge)), c)
+                q = monomial(ring, tuple(u - v for u, v in zip(e, ge)), c)
                 quots[i] = quots[i] + q
                 p = p - q * g
                 break
@@ -118,12 +120,27 @@ def rejected_by_membership(pres):
     return not all(contains(img, g) for g in trace_ideal(pres).gens)
 
 
+def monomial(ring, exp, coeff=1):
+    """The polynomial coeff*X^exp, its exponents checked against the cap."""
+    exp = tuple(exp)
+    if len(exp) != ring.n:
+        raise ValueError("exponent length mismatch")
+    if any(x < 0 for x in exp):
+        raise ValueError("negative exponent")
+    if max(exp, default=0) > _MAX_EXP:
+        raise ExponentRangeError(f"exponent {max(exp)} exceeds the cap {_MAX_EXP}")
+    c = _to_triple(coeff)
+    if c == kernel.SZERO:
+        return ring.zero()
+    return Polynomial(ring, ((ring.key(exp),) + c,))
+
+
 def from_terms(ring, pairs):
     """The polynomial sum c*X^e of (exponent tuple e, coefficient c) pairs;
     repeated exponents are collected."""
     p = ring.zero()
     for exp, c in pairs:
-        p = p + ring.monomial(exp, c)
+        p = p + monomial(ring, exp, c)
     return p
 
 
@@ -154,9 +171,10 @@ def spair_audit(basis):
         return True
     ring = basis[0].ring
     terms = [kernel.monic_terms(list(b.terms)) for b in basis]
+    leads = [ring.exponents(t[0][0]) for t in terms]
     for i, j in itertools.combinations(range(len(terms)), 2):
-        L = _exp_lcm(terms[i][0][1], terms[j][0][1])
-        s = _spoly(terms[i], terms[j], L, ring.key(L), ring.kc)
+        L = tuple(max(u, v) for u, v in zip(leads[i], leads[j]))
+        s = _spoly(terms[i], terms[j], ring.key(L), ring.kc)
         if kernel.reduce_terms(s, terms, ring.kc):
             return False
     return True
@@ -264,7 +282,7 @@ def is_good_on_every_row(B, Q):
     span = B._span(Q)
     if any(_eliminate(w, span) for w in B._squares):
         return False
-    offset = B._standard[-1][0] + 1
+    offset = B._standard[-1] + 1
     blocks = range(len(B._rows[0]), 0, -1)
     pivots = {}
     for j in blocks:

@@ -1,9 +1,13 @@
 """CLI surface: commands, exit codes, deterministic JSON."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triplepoint import dualgraph as dg
 from triplepoint.cli import main
@@ -244,24 +248,77 @@ def test_graph_parse_error_exit_2(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "case", ["directory", "not utf-8", "nested graph", "nested cycle"]
+    "case",
+    ["directory", "not utf-8", "nested graph", "nested cycle", "huge weight", "huge cycle pa",
+     "huge cycle stats"],
 )
 def test_graph_unreadable_input_exit_2(tmp_path, case):
     # input the graph reader cannot read is bad input: no traceback, and no
-    # engine invariant violation
+    # engine invariant violation; json reads no integer of more than 4,300
+    # digits, and says so by a plain ValueError
     path = tmp_path / "graph.json"
     args = ["graph", "z0", "--file", str(path)]
+    huge = "9" * 5_000
     if case == "directory":
         args[-1] = str(tmp_path)
     elif case == "not utf-8":
         path.write_bytes(b'\xff\xfe{"vertices": []}')
     elif case == "nested graph":
         path.write_text("[" * 200_000)
-    else:
+    elif case == "huge weight":
+        path.write_text('{"vertices": [{"id": "E0", "weight": -%s}], "edges": []}' % huge)
+    elif case == "nested cycle":
         args = ["graph", "stats", "--tag", "G10:2", "--cycle", "[" * 5_000]
+    else:
+        sub = case.split()[-1]
+        args = ["graph", sub, "--tag", "G10:2", "--cycle", '{"E0": %s}' % huge]
     res = invoke(*args)
     assert res.exit_code == 2, res.output
     assert res.stdout == "" and "Traceback" not in res.output
+
+
+_IDS = st.sampled_from(["E0", "E1", "E2", "E3", "F"])  # the ids of G10:2
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3) | _IDS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=3),
+    max_leaves=6,
+)
+_VERTEX = st.fixed_dictionaries({"id": _IDS, "weight": st.integers(-5, 1)}) | _JSON
+_GRAPH = st.fixed_dictionaries({
+    "vertices": st.lists(_VERTEX, max_size=5),
+    "edges": st.lists(st.lists(_IDS, min_size=2, max_size=2) | _JSON, max_size=5),
+}) | _JSON
+_CYCLE = st.dictionaries(_IDS, st.integers(0, 4), max_size=5) | _JSON
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    sub=st.sampled_from(["z0", "pa", "filter", "chains", "stats"]),
+    graph=st.none() | _GRAPH.map(json.dumps) | st.text(max_size=12),
+    cycle=st.none() | _CYCLE.map(json.dumps) | st.text(max_size=12),
+)
+def test_graph_input_fuzz_keeps_the_exit_code_contract(sub, graph, cycle):
+    # a graph file (or the catalog graph G10:2 when there is none) and an
+    # optional cycle, well-formed parts mixed with arbitrary JSON and text:
+    # every run exits 0-3 with no escaping exception, and bad input (exit 2)
+    # prints nothing on stdout
+    with tempfile.TemporaryDirectory() as tmp:
+        args = ["graph", sub]
+        if graph is None:
+            args += ["--tag", "G10:2"]
+        else:
+            path = Path(tmp) / "graph.json"
+            path.write_text(graph, encoding="utf-8")
+            args += ["--file", str(path)]
+        if cycle is not None:
+            args += ["--cycle", cycle]
+        res = invoke(*args)
+    assert res.exception is None or isinstance(res.exception, SystemExit), res.exception
+    assert res.exit_code in (0, 1, 2, 3), res.output
+    assert "Traceback" not in res.output
+    if res.exit_code == 2:
+        assert res.stdout == ""
 
 
 def _chain_graphs():

@@ -10,6 +10,7 @@ from reference import (
     cofactor_minors,
     contains,
     from_terms,
+    monomial,
     power,
     printed_matrix,
     product,
@@ -62,12 +63,13 @@ def _reference_groebner(gens, ring):
     while pairs:
         i, j = pairs.pop()
         f, g = G[i], G[j]
-        L = tuple(max(a, b) for a, b in zip(f[0][1], g[0][1]))
-        mf = tuple(a - b for a, b in zip(L, f[0][1]))
-        mg = tuple(a - b for a, b in zip(L, g[0][1]))
+        ef, eg = ring.exponents(f[0][0]), ring.exponents(g[0][0])
+        L = tuple(max(a, b) for a, b in zip(ef, eg))
+        mf = tuple(a - b for a, b in zip(L, ef))
+        mg = tuple(a - b for a, b in zip(L, eg))
         s = kernel.add_terms(
-            kernel.mul_terms([(ring.key(mf), mf, 1, 0, 1)], f, kc),
-            kernel.mul_terms([(ring.key(mg), mg, -1, 0, 1)], g, kc),
+            kernel.mul_terms([(ring.key(mf), 1, 0, 1)], f, kc),
+            kernel.mul_terms([(ring.key(mg), -1, 0, 1)], g, kc),
         )
         r = kernel.reduce_terms(s, G, kc)
         if r:
@@ -75,7 +77,8 @@ def _reference_groebner(gens, ring):
             pairs += [(k, len(G) - 1) for k in range(len(G) - 1)]
     minimal = []
     for g in sorted(G, key=lambda g: g[0][0]):
-        if not any(_divides(m[0][1], g[0][1]) for m in minimal):
+        lead = ring.exponents(g[0][0])
+        if not any(_divides(ring.exponents(m[0][0]), lead) for m in minimal):
             minimal.append(g)
     reduced = []
     for k, g in enumerate(minimal):
@@ -404,15 +407,15 @@ def test_quotient_dim_brute_force_oracle():
     R3 = Ring(("x", "y", "z"))
     for _ in range(25):
         pures = [rng.randint(1, 4) for _ in range(3)]
-        gens = [R3.monomial(tuple(p if k == i else 0 for k in range(3)))
+        gens = [monomial(R3, tuple(p if k == i else 0 for k in range(3)))
                 for i, p in enumerate(pures)]
         for _ in range(rng.randint(0, 3)):
             e = tuple(rng.randint(0, 3) for _ in range(3))
             if any(e):
-                gens.append(R3.monomial(e))
+                gens.append(monomial(R3, e))
         I = IdealHandle(R3, gens)
         expected = _brute_standard_count(
-            [g.terms[0][1] for g in I.groebner()], 3, [max(pures)] * 3
+            [R3.exponents(g.terms[0][0]) for g in I.groebner()], 3, [max(pures)] * 3
         )
         assert I.quotient_dim() == expected
 
@@ -427,20 +430,17 @@ def test_standard_monomials_match_box_enumeration():
             for _ in range(rng.randint(0, 5)):
                 leads.add(tuple(rng.randint(0, 3) for _ in range(n)))
             leads.discard((0,) * n)
-            leads = [(ring.key(e), e) for e in leads]
             box = itertools.product(*(range(p) for p in pures))
-            expected = [e for e in box if not any(_divides(le, e) for _, le in leads)]
-            got = ideals._standard_monomials(leads, ring)
-            assert sorted(e for _, e in got) == expected, leads
-            assert all(k == ring.key(e) for k, e in got)
-            keys = [k for k, _ in got]
-            assert keys == sorted(set(keys))  # ascending, so no repeats
+            expected = [e for e in box if not any(_divides(le, e) for le in leads)]
+            got = ideals._standard_monomials([ring.key(e) for e in leads], ring)
+            assert sorted(ring.exponents(k) for k in got) == expected, leads
+            assert got == sorted(set(got))  # ascending, so no repeats
     R3 = Ring(("x", "y", "z"))
     # a variable without a pure power: infinitely many
-    leads = [(R3.key(e), e) for e in [(2, 0, 0), (0, 3, 0), (0, 1, 1)]]
+    leads = [R3.key(e) for e in [(2, 0, 0), (0, 3, 0), (0, 1, 1)]]
     assert ideals._standard_monomials(leads, R3) is None
     # the unit ideal: none
-    assert ideals._standard_monomials([(R3.kc, (0, 0, 0))], R3) == []
+    assert ideals._standard_monomials([R3.kc], R3) == []
 
 
 def test_local_length_examples():
@@ -596,18 +596,26 @@ def test_key_indexed_memo_matches_uncached_reduction(tag, gens, polynomial_eleme
     ring, kc = A.ring, A.ring.kc
     alg = ideals.FiniteAlgebra(A, IdealHandle(ring, [read(ring, g) for g in gens]))
     assert len(alg._polynomial_leads) == polynomial_elements
-    one_key, one = alg._standard[0]
+    assert alg._standard[0] == kc
     exps = [e for e in itertools.product(range(7), repeat=ring.n) if sum(e) <= 6]
     for _ in range(2):
         for e in exps:
-            term = [(ring.key(e), e, 1, 0, 1)]
-            assert alg._shifted(term, one_key, one) == kernel.reduce_terms(term, alg._basis, kc)
+            term = [(ring.key(e), 1, 0, 1)]
+            assert alg._shifted(term, kc) == kernel.reduce_terms(term, alg._basis, kc)
     # and shifted by a monomial rather than from 1
-    x_key, x_exp = ring.var("x").terms[0][:2]
+    x_key = ring.var("x").terms[0][0]
     for e in exps:
-        f = tuple(a + b for a, b in zip(e, x_exp))
-        want = kernel.reduce_terms([(ring.key(f), f, 1, 0, 1)], alg._basis, kc)
-        assert alg._shifted([(ring.key(e), e, 1, 0, 1)], x_key, x_exp) == want
+        f = (e[0] + 1,) + e[1:]
+        want = kernel.reduce_terms([(ring.key(f), 1, 0, 1)], alg._basis, kc)
+        assert alg._shifted([(ring.key(e), 1, 0, 1)], x_key) == want
+
+
+def test_defining_ideal_must_lie_in_the_square_of_m():
+    # every term of every defining generator has degree at least 2
+    for bad in (x * y - t, x * y - 1, x * y + z**3 + y):
+        with pytest.raises(ValueError):
+            PresentedQuotient(R, IdealHandle(R, [x * z - t**2, bad]))
+    PresentedQuotient(R, IdealHandle(R, [x * z - t**2, x * y + z**3 + y * t]))
 
 
 def test_localize_past_the_key_range():

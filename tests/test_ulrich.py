@@ -767,7 +767,7 @@ def _eliminate_carrying(row, pivots, carried):
     ``carried``.  Returns the reduced row and carried rows."""
     while row and row[0][0] in pivots:
         head, rows = pivots[row[0][0]]
-        _, _, a, b, d = row[0]
+        _, a, b, d = row[0]
         c = (-a, -b, d)
         row = kernel.add_terms(row, kernel.scale_terms(head, c))
         if rows:
@@ -789,7 +789,7 @@ def _term_list_span_test(B, I):
     for i, row in enumerate(B._rows[0]):
         row, carried = _eliminate_carrying(row, pivots, w_rows[i])
         if row:
-            c = kernel._sdiv(kernel.SONE, row[0][2:])
+            c = kernel._sdiv(kernel.SONE, row[0][1:])
             pivots[row[0][0]] = (
                 kernel.monic_terms(row), [kernel.scale_terms(w, c) for w in carried]
             )
