@@ -9,8 +9,8 @@ the file is only read.
 ``command_digests.json`` beside this file guards the commands no benchmark
 digest covers: the seeded classification of every benchmark pool tag (the
 reductions the published seeds give), a few text-mode runs, the double-point
-lists, the socle grid, the two examples outside the pools and the ``graph``
-subcommands.  Record it again, only when a change of output is meant, with
+lists, the socle grid, the two examples outside the pools, the ``graph``
+subcommands and the text form of every grid report and of ``cross-check``.  Record it again, only when a change of output is meant, with
 ``PYTHONPATH=src python tests/test_reference_digests.py``.
 """
 
@@ -60,6 +60,15 @@ def guarded_commands():
     ]
     commands += [f"graph {sub} --tag {t}" for sub in ("chains", "z0")
                  for t in ("G10:2", "A:8,8,8", "RDP-A:50")]
+    commands += [
+        "residue-table --max-param 6",
+        "quotient-sweep --max-param 5",
+        "rdp-verify",
+        "socle-experiment --max-param 3",
+        "cross-check --tag H:8",
+        "cross-check --tag EX-5.3",
+        "classify --tag RDP-E7",
+    ]
     return commands
 
 
