@@ -1,12 +1,13 @@
 """Command-line surface: reports, sweeps, and cross-engine checks.
 
 Exit codes: 0 all pass, 1 expectation mismatch, 2 input error, 3 engine
-invariant violation.  All JSON output has a fixed field order, so equal
+invariant violation (any other package error).  All JSON output has a fixed field order, so equal
 inputs produce byte-identical output.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 
@@ -15,13 +16,11 @@ import click
 from . import dualgraph as dg
 from . import expectations as exp
 from .errors import (
-    ColengthBudgetError,
+    EngineInvariantError,
     ExponentRangeError,
     GraphInvariantError,
     ParameterError,
     ParseError,
-    SearchFailureError,
-    ShapeError,
     TriplepointError,
 )
 from .graphcatalog import graph_catalog, quotient_sweep_tags
@@ -33,7 +32,6 @@ from .presentations import (
     trace_ideal,
 )
 from .ulrich import (
-    EngineInvariantError,
     classify_ulrich_set,
     gorenstein_quotient_experiment,
     next_candidate_rejected_by_trace,
@@ -41,13 +39,6 @@ from .ulrich import (
 )
 
 _INPUT_ERRORS = (ParseError, ParameterError, ExponentRangeError, click.UsageError)
-_ENGINE_ERRORS = (
-    GraphInvariantError,
-    EngineInvariantError,
-    ColengthBudgetError,
-    ShapeError,
-    SearchFailureError,
-)
 
 
 def _dumps(data):
@@ -61,30 +52,56 @@ def _emit(data, as_json, text_renderer):
         text_renderer(data)
 
 
-def _rdp_list_passes(certs, nxt, expected):
-    """The pass rule for a double point's list (``verify_rdp_list``): the
-    expected count, every listed ideal Ulrich, and the next pattern ideal,
-    when there is one, not Ulrich."""
-    return (
+def _emit_rows(rows, as_json, columns):
+    """Report a grid and return its exit code.  The grid fails when a row's
+    status is neither pass nor skip.  In text, a header of column titles,
+    each row as its ``(title, key, format spec)`` cells and its status, and
+    the overall status."""
+    failed = any(r["status"] not in ("pass", "skip") for r in rows)
+    status = "fail" if failed else "pass"
+    if as_json:
+        click.echo(_dumps({"rows": rows, "status": status}))
+    else:
+        click.echo(" ".join(format(title, spec) for title, _, spec in columns) + "  status")
+        for r in rows:
+            cells = " ".join(format(str(r[key]), spec) for _, key, spec in columns)
+            click.echo(cells + "  " + r["status"])
+        click.echo(f"overall: {status}")
+    return 1 if failed else 0
+
+
+def _rdp_list(pres):
+    """A double point's list (``verify_rdp_list``) and its verdict:
+    ``(certs, next, expected, ok)``.  It passes with the expected count,
+    every listed ideal Ulrich, and the next pattern ideal, when there is
+    one, not Ulrich."""
+    certs, nxt = verify_rdp_list(pres)
+    expected = exp.ulrich_count_expected(pres.tag)
+    ok = (
         len(certs) == expected
         and all(c.verdict == "ulrich" for c in certs)
         and (nxt is None or nxt.verdict != "ulrich")
     )
+    return certs, nxt, expected, ok
 
 
-def _run(fn):
-    try:
-        code = fn()
-    except _INPUT_ERRORS as exc:
-        click.echo(f"input error: {exc}", err=True)
-        sys.exit(2)
-    except _ENGINE_ERRORS as exc:
-        click.echo(f"engine invariant violation: {exc}", err=True)
-        sys.exit(3)
-    except TriplepointError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(3)
-    sys.exit(code)
+def _exit_codes(command):
+    """Exit with the code the command returns: bad input exits 2, and any
+    other package error 3."""
+
+    @functools.wraps(command)
+    def run(*args, **kwargs):
+        try:
+            code = command(*args, **kwargs)
+        except _INPUT_ERRORS as exc:
+            click.echo(f"input error: {exc}", err=True)
+            sys.exit(2)
+        except TriplepointError as exc:
+            click.echo(f"engine invariant violation: {exc}", err=True)
+            sys.exit(3)
+        sys.exit(code)
+
+    return run
 
 
 @click.group()
@@ -113,61 +130,54 @@ def main():
     show_default=True,
     help="try the published reduction pairs before searching",
 )
+@_exit_codes
 def cmd_classify(tag, as_json, seed_reductions):
     """Certify the full Ulrich set of a catalog ring."""
-
-    def work():
-        ftag = parse_tag(tag)
-        pres = instantiate(ftag)
-        use_seeds = seed_reductions == "on"
-        if pres.cm_type == 1:
-            certs, nxt = verify_rdp_list(pres)
-            expected = exp.ulrich_count_expected(ftag)
-            ok = _rdp_list_passes(certs, nxt, expected)
-            data = {
-                "tag": str(ftag),
-                "ulrich": [c.to_json_dict() for c in certs],
-                "next": nxt.to_json_dict() if nxt else None,
-                "expectedCount": expected,
-                "status": "pass" if ok else "fail",
-            }
-            _emit(data, as_json, _render_classify_rdp)
-            return 0 if ok else 1
-        if pres.cm_type != 2:
-            raise ParameterError(
-                f"classify needs CM type 1 or 2, and {ftag} has type {pres.cm_type}"
-            )
-        tr = trace_ideal(pres)
-        res = pres.quotient.colength(tr)
-        ng = res == 1  # tr lies in m, so m <= tr exactly when ell(A/tr) = 1
-        certs = classify_ulrich_set(pres, use_seeds=use_seeds)
-        rejected_ideal, rejected = next_candidate_rejected_by_trace(pres)
-        expected_res = exp.residue_closed_form(ftag)
-        ok = (
-            res == expected_res
-            and all(c.verdict == "ulrich" for c in certs)
-            and len(certs) == res
-            and rejected
-        )
+    ftag = parse_tag(tag)
+    pres = instantiate(ftag)
+    if pres.cm_type == 1:
+        certs, nxt, expected, ok = _rdp_list(pres)
         data = {
             "tag": str(ftag),
-            "trace": [str(g) for g in tr.groebner()],
-            "residue": res,
-            "expectedResidue": expected_res,
-            "nearlyGorenstein": ng,
             "ulrich": [c.to_json_dict() for c in certs],
-            "rejectedNext": {
-                "ideal": [str(g) for g in rejected_ideal.gens],
-                "rejectedByTraceContainment": rejected,
-            },
+            "next": nxt.to_json_dict() if nxt else None,
+            "expectedCount": expected,
             "status": "pass" if ok else "fail",
         }
-        if str(ftag) == "EX-5.2":
-            data["note"] = "non-rational singularity (geometric genus 1)"
-        _emit(data, as_json, _render_classify)
+        _emit(data, as_json, _render_classify_rdp)
         return 0 if ok else 1
-
-    _run(work)
+    if pres.cm_type != 2:
+        raise ParameterError(
+            f"classify needs CM type 1 or 2, and {ftag} has type {pres.cm_type}"
+        )
+    res = residue(pres)
+    ng = res == 1  # the trace lies in m, so m <= trace exactly when ell(A/trace) = 1
+    certs = classify_ulrich_set(pres, use_seeds=seed_reductions == "on")
+    rejected_ideal, rejected = next_candidate_rejected_by_trace(pres)
+    expected_res = exp.residue_closed_form(ftag)
+    ok = (
+        res == expected_res
+        and all(c.verdict == "ulrich" for c in certs)
+        and len(certs) == res
+        and rejected
+    )
+    data = {
+        "tag": str(ftag),
+        "trace": [str(g) for g in trace_ideal(pres).groebner()],
+        "residue": res,
+        "expectedResidue": expected_res,
+        "nearlyGorenstein": ng,
+        "ulrich": [c.to_json_dict() for c in certs],
+        "rejectedNext": {
+            "ideal": [str(g) for g in rejected_ideal.gens],
+            "rejectedByTraceContainment": rejected,
+        },
+        "status": "pass" if ok else "fail",
+    }
+    if str(ftag) == "EX-5.2":
+        data["note"] = "non-rational singularity (geometric genus 1)"
+    _emit(data, as_json, _render_classify)
+    return 0 if ok else 1
 
 
 def _render_classify(d):
@@ -209,44 +219,24 @@ def _render_classify_rdp(d):
 @main.command("residue-table")
 @click.option("--max-param", default=3, show_default=True, type=click.IntRange(0, 6))
 @click.option("--json", "as_json", is_flag=True)
+@_exit_codes
 def cmd_residue_table(max_param, as_json):
     """Computed residues vs the closed forms over the parameter grid."""
-
-    def work():
-        rows = []
-        failed = False
-        for ftag in exp.grid_tags(max_param):
-            expected = exp.residue_closed_form(ftag)
-            try:
-                computed = residue(instantiate(ftag))
-                status = "pass" if computed == expected else "fail"
-            except TriplepointError as err:
-                computed = None
-                status = f"error: {err}"
-            if status != "pass":
-                failed = True
-            rows.append(
-                {
-                    "tag": str(ftag),
-                    "computed": computed,
-                    "expected": expected,
-                    "status": status,
-                }
-            )
-        data = {"rows": rows, "status": "fail" if failed else "pass"}
-        _emit(data, as_json, _render_table)
-        return 1 if failed else 0
-
-    _run(work)
-
-
-def _render_table(d):
-    click.echo(f"{'tag':<14} {'computed':>8} {'expected':>8}  status")
-    for r in d["rows"]:
-        click.echo(
-            f"{r['tag']:<14} {str(r['computed']):>8} {str(r['expected']):>8}  {r['status']}"
+    rows = []
+    for ftag in exp.grid_tags(max_param):
+        expected = exp.residue_closed_form(ftag)
+        try:
+            computed = residue(instantiate(ftag))
+            status = "pass" if computed == expected else "fail"
+        except TriplepointError as err:
+            computed = None
+            status = f"error: {err}"
+        rows.append(
+            {"tag": str(ftag), "computed": computed, "expected": expected, "status": status}
         )
-    click.echo(f"overall: {d['status']}")
+    columns = [("tag", "tag", "<14"), ("computed", "computed", ">8"),
+               ("expected", "expected", ">8")]
+    return _emit_rows(rows, as_json, columns)
 
 
 @main.command("quotient-sweep")
@@ -258,6 +248,7 @@ def _render_table(d):
     help="bound on all weights b (each weight is at least 2)",
 )
 @click.option("--json", "as_json", is_flag=True)
+@_exit_codes
 def cmd_quotient_sweep(max_param, as_json):
     """Chain counts over the quotient-singularity graph catalog.
 
@@ -265,115 +256,88 @@ def cmd_quotient_sweep(max_param, as_json):
     at most two cycles.  Multiplicity-2 graphs are reported without a
     bound: the double-point lists grow with the graph.
     """
-
-    def work():
-        rows = []
-        failed = False
-        for tag in quotient_sweep_tags(max_param):
-            try:
-                g = graph_catalog(tag)
-            except GraphInvariantError:
-                continue  # not a resolution graph at these weights
-            mult = dg.graph_multiplicity(g)
-            filt = dg.unique_ulrich_filter(g)
-            enum = dg.enumerate_ulrich_chains(g)
-            count = len(enum.chains)
-            # the walk never reads the filter: this checks that it implies Z_0 alone
-            if filt and count != 1:
-                raise EngineInvariantError(
-                    f"filter says unique but enumeration found {count} on {tag}"
-                )
-            if mult >= 4:
-                expected = "1"
-                status = "pass" if count == 1 else "fail"
-            elif mult == 3:
-                expected = "<=2"
-                status = "pass" if count <= 2 else "fail"
-            else:
-                expected = None
-                status = "skip"
-            if status == "fail":
-                failed = True
-            rows.append(
-                {
-                    "tag": tag,
-                    "multiplicity": mult,
-                    "filter": filt,
-                    "chainCount": count,
-                    "expected": expected,
-                    "status": status,
-                }
+    rows = []
+    for tag in quotient_sweep_tags(max_param):
+        try:
+            g = graph_catalog(tag)
+        except GraphInvariantError:
+            continue  # not a resolution graph at these weights
+        mult = dg.graph_multiplicity(g)
+        filt = dg.unique_ulrich_filter(g)
+        count = len(dg.enumerate_ulrich_chains(g).chains)
+        # the walk never reads the filter: this checks that it implies Z_0 alone
+        if filt and count != 1:
+            raise EngineInvariantError(
+                f"filter says unique but enumeration found {count} on {tag}"
             )
-        data = {"rows": rows, "status": "fail" if failed else "pass"}
-        _emit(data, as_json, _render_sweep)
-        return 1 if failed else 0
-
-    _run(work)
-
-
-def _render_sweep(d):
-    click.echo(f"{'tag':<22} {'mult':>4} {'filter':>6} {'chains':>6} {'expected':>8}  status")
-    for r in d["rows"]:
-        click.echo(
-            f"{r['tag']:<22} {r['multiplicity']:>4} {str(r['filter']):>6}"
-            f" {r['chainCount']:>6} {str(r['expected']):>8}  {r['status']}"
+        if mult >= 4:
+            expected, ok = "1", count == 1
+        elif mult == 3:
+            expected, ok = "<=2", count <= 2
+        else:
+            expected, ok = None, None
+        rows.append(
+            {
+                "tag": tag,
+                "multiplicity": mult,
+                "filter": filt,
+                "chainCount": count,
+                "expected": expected,
+                "status": "skip" if ok is None else "pass" if ok else "fail",
+            }
         )
-    click.echo(f"overall: {d['status']}")
+    columns = [("tag", "tag", "<22"), ("mult", "multiplicity", ">4"),
+               ("filter", "filter", ">6"), ("chains", "chainCount", ">6"),
+               ("expected", "expected", ">8")]
+    return _emit_rows(rows, as_json, columns)
 
 
 @main.command("cross-check")
 @click.option("--tag", required=True)
 @click.option("--json", "as_json", is_flag=True)
+@_exit_codes
 def cmd_cross_check(tag, as_json):
     """Compare the algebra engine against the graph engine for one tag."""
-
-    def work():
-        ftag = parse_tag(tag)
-        pres = instantiate(ftag)
-        g = graph_catalog(ftag)
-        graph_side = {
-            "e0": dg.graph_multiplicity(g),
-            "mu": dg.cycle_mu(g, dg.fundamental_cycle(g)),
-            "chainCount": len(dg.enumerate_ulrich_chains(g).chains),
-        }
-        algebra_side = {
-            "e0": ring_multiplicity(pres),
-            "mu": pres.quotient.algebra(pres.quotient.maximal_ideal()).mu,
-        }
-        checks = [
-            ("e0", algebra_side["e0"], graph_side["e0"]),
-            ("mu", algebra_side["mu"], graph_side["mu"]),
-        ]
-        if pres.cm_type == 2:
-            algebra_side["res"] = residue(pres)
-            certs = classify_ulrich_set(pres)
-            algebra_side["ulrichCount"] = sum(
-                1 for c in certs if c.verdict == "ulrich"
-            )
+    ftag = parse_tag(tag)
+    pres = instantiate(ftag)
+    g = graph_catalog(ftag)
+    graph_side = {
+        "e0": dg.graph_multiplicity(g),
+        "mu": dg.cycle_mu(g, dg.fundamental_cycle(g)),
+        "chainCount": len(dg.enumerate_ulrich_chains(g).chains),
+    }
+    algebra_side = {
+        "e0": ring_multiplicity(pres),
+        "mu": pres.quotient.algebra(pres.quotient.maximal_ideal()).mu,
+    }
+    checks = [
+        ("e0", algebra_side["e0"], graph_side["e0"]),
+        ("mu", algebra_side["mu"], graph_side["mu"]),
+    ]
+    if pres.cm_type == 2:
+        algebra_side["res"] = residue(pres)
+        certs = classify_ulrich_set(pres)
+        algebra_side["ulrichCount"] = sum(1 for c in certs if c.verdict == "ulrich")
+        checks.append(
+            ("ulrichCount/chainCount", algebra_side["ulrichCount"], graph_side["chainCount"])
+        )
+        published = exp.PUBLISHED_TRACE_CYCLES.get(str(ftag))
+        if published is not None:
+            Z = g.cycle_from_json_dict(published)
+            graph_side["traceCycleLength"] = dg.cycle_length(g, Z)
             checks.append(
-                ("ulrichCount/chainCount", algebra_side["ulrichCount"], graph_side["chainCount"])
+                ("res/traceCycleLength", algebra_side["res"], graph_side["traceCycleLength"])
             )
-            published = exp.PUBLISHED_TRACE_CYCLES.get(str(ftag))
-            if published is not None:
-                Z = g.cycle_from_json_dict(published)
-                graph_side["traceCycleLength"] = dg.cycle_length(g, Z)
-                checks.append(
-                    ("res/traceCycleLength", algebra_side["res"], graph_side["traceCycleLength"])
-                )
-        mismatches = [
-            {"field": f, "algebra": a, "graph": b} for f, a, b in checks if a != b
-        ]
-        data = {
-            "tag": str(ftag),
-            "algebra": algebra_side,
-            "graph": graph_side,
-            "mismatches": mismatches,
-            "status": "pass" if not mismatches else "fail",
-        }
-        _emit(data, as_json, _render_cross)
-        return 0 if not mismatches else 1
-
-    _run(work)
+    mismatches = [{"field": f, "algebra": a, "graph": b} for f, a, b in checks if a != b]
+    data = {
+        "tag": str(ftag),
+        "algebra": algebra_side,
+        "graph": graph_side,
+        "mismatches": mismatches,
+        "status": "pass" if not mismatches else "fail",
+    }
+    _emit(data, as_json, _render_cross)
+    return 0 if not mismatches else 1
 
 
 def _render_cross(d):
@@ -430,10 +394,10 @@ def _cycle_of(g, text):
     help="graph JSON file",
 )
 @click.option("--cycle", default=None, help="cycle as JSON, e.g. {\"E0\":2,...}")
+@_exit_codes
 def cmd_graph(subcommand, tag, file, cycle):
     """Resolution-graph computations; always emits JSON."""
-
-    def work():
+    try:
         g = _load_graph(tag, file)
         if subcommand == "z0":
             out = g.cycle_to_json_dict(dg.fundamental_cycle(g))
@@ -452,94 +416,64 @@ def cmd_graph(subcommand, tag, file, cycle):
         else:  # chains
             _echo_chains(g, dg.enumerate_ulrich_chains(g))
             return 0
-        click.echo(_dumps(out))
-        return 0
-
-    def work_guard():
-        try:
-            return work()
-        except ValueError as exc:
-            raise GraphInvariantError(str(exc)) from exc
-
-    _run(work_guard)
+    except ValueError as exc:
+        raise GraphInvariantError(str(exc)) from exc
+    try:
+        text = _dumps(out)
+    except ValueError as exc:  # an integer past the digit limit of str()
+        raise ParseError("result too large to print") from exc
+    click.echo(text)
+    return 0
 
 
 @main.command("rdp-verify")
 @click.option("--tag", default=None, help="single RDP tag, e.g. RDP-D:6")
 @click.option("--json", "as_json", is_flag=True)
+@_exit_codes
 def cmd_rdp_verify(tag, as_json):
     """Certify the double-point Ulrich lists (and next-pattern failures)."""
-
-    def work():
-        tags = [parse_tag(tag)] if tag else exp.rdp_grid()
-        rows = []
-        failed = False
-        for ftag in tags:
-            pres = instantiate(ftag)
-            certs, nxt = verify_rdp_list(pres)
-            expected = exp.ulrich_count_expected(ftag)
-            ok = _rdp_list_passes(certs, nxt, expected)
-            if not ok:
-                failed = True
-            rows.append(
-                {
-                    "tag": str(ftag),
-                    "count": len(certs),
-                    "expected": expected,
-                    "verdicts": [c.verdict for c in certs],
-                    "next": nxt.verdict if nxt else None,
-                    "status": "pass" if ok else "fail",
-                }
-            )
-        data = {"rows": rows, "status": "fail" if failed else "pass"}
-        _emit(data, as_json, _render_rdp)
-        return 1 if failed else 0
-
-    _run(work)
-
-
-def _render_rdp(d):
-    click.echo(f"{'tag':<10} {'count':>5} {'expected':>8} {'next':>20}  status")
-    for r in d["rows"]:
-        click.echo(
-            f"{r['tag']:<10} {r['count']:>5} {r['expected']:>8}"
-            f" {str(r['next']):>20}  {r['status']}"
+    rows = []
+    for ftag in [parse_tag(tag)] if tag else exp.rdp_grid():
+        certs, nxt, expected, ok = _rdp_list(instantiate(ftag))
+        rows.append(
+            {
+                "tag": str(ftag),
+                "count": len(certs),
+                "expected": expected,
+                "verdicts": [c.verdict for c in certs],
+                "next": nxt.verdict if nxt else None,
+                "status": "pass" if ok else "fail",
+            }
         )
-    click.echo(f"overall: {d['status']}")
+    columns = [("tag", "tag", "<10"), ("count", "count", ">5"),
+               ("expected", "expected", ">8"), ("next", "next", ">20")]
+    return _emit_rows(rows, as_json, columns)
 
 
 @main.command("socle-experiment")
 @click.option("--tag", default=None, help="single tag; default sweeps the grid")
 @click.option("--max-param", default=3, show_default=True, type=click.IntRange(0, 6))
 @click.option("--json", "as_json", is_flag=True)
+@_exit_codes
 def cmd_socle(tag, max_param, as_json):
     """Is the quotient by the trace ideal Gorenstein?  (Experiment: no
     expected values, output is informational.)  Only CM type 2 rings have
     the trace ideal: the grid skips the others, and a single --tag of
     another type is an input error."""
-
-    def work():
-        tags = [parse_tag(tag)] if tag else exp.grid_tags(max_param)
-        rows = []
-        for ftag in tags:
-            pres = instantiate(ftag)
-            if pres.cm_type != 2:
-                if tag:
-                    raise ParameterError(
-                        f"socle-experiment needs CM type 2, and {ftag} has type {pres.cm_type}"
-                    )
-                continue
-            rows.append(
-                {
-                    "tag": str(ftag),
-                    "gorensteinQuotient": gorenstein_quotient_experiment(pres),
-                }
-            )
-        data = {"rows": rows}
-        _emit(data, as_json, _render_socle)
-        return 0
-
-    _run(work)
+    rows = []
+    for ftag in [parse_tag(tag)] if tag else exp.grid_tags(max_param):
+        pres = instantiate(ftag)
+        if pres.cm_type != 2:
+            if tag:
+                raise ParameterError(
+                    f"socle-experiment needs CM type 2, and {ftag} has type {pres.cm_type}"
+                )
+            continue
+        rows.append(
+            {"tag": str(ftag), "gorensteinQuotient": gorenstein_quotient_experiment(pres)}
+        )
+    _emit({"rows": rows}, as_json, _render_socle)
+    return 0
 
 
 def _render_socle(d):

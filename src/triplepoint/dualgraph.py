@@ -35,7 +35,7 @@ from .errors import GraphInvariantError, ParseError
 class DualGraph:
     """Weighted dual graph of a resolution: negative-definite, no (-1)s."""
 
-    __slots__ = ("ids", "weights", "edges", "_adj", "_edge_idx", "_hash", "_z0", "_p0", "_rational")
+    __slots__ = ("ids", "weights", "edges", "_adj", "_z0", "_p0", "_rational")
 
     def __init__(self, ids, weights, edges):
         ids = tuple(ids)
@@ -47,7 +47,7 @@ class DualGraph:
         if any(w > -2 for w in weights):
             raise GraphInvariantError("vertex with self-intersection > -2")
         index = {v: k for k, v in enumerate(ids)}
-        norm_edges, edge_idx, seen = [], [], set()
+        norm_edges, seen = [], set()
         adj = [[] for _ in ids]
         for a, b in edges:
             ia, ib = index[a], index[b]
@@ -57,16 +57,13 @@ class DualGraph:
             if key in seen:
                 raise GraphInvariantError("multi-edge")
             seen.add(key)
-            edge_idx.append(key)
             norm_edges.append((a, b))
             adj[ia].append(ib)
             adj[ib].append(ia)
         self.ids = ids
         self.weights = weights
         self.edges = tuple(norm_edges)
-        self._edge_idx = tuple(edge_idx)
         self._adj = tuple(map(tuple, adj))
-        self._hash = hash((ids, weights, self._edge_idx))
         # one search finds the components and the reduced cycle, 1 on every
         # vertex, with its pairing vector w_i + deg_i: Laufer's start
         inside = [True] * len(ids)
@@ -79,17 +76,6 @@ class DualGraph:
         self._z0, self._p0 = tuple(Z), tuple(P)
         # Z_0^2 + K.Z_0 = sum Z_i*(P_i - w_i - 2)
         self._rational = _genus(sum(z * (p - w - 2) for z, p, w in zip(Z, P, weights))) == 0
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DualGraph)
-            and self.ids == other.ids
-            and self.weights == other.weights
-            and self._edge_idx == other._edge_idx
-        )
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return f"DualGraph({len(self.ids)} vertices)"
@@ -181,7 +167,9 @@ class DualGraph:
     def from_json_dict(cls, data):
         """Graph from {"vertices": [{"id": ..., "weight": ...}], "edges":
         [[a, b]]}: ids and endpoints must be strings and weights integers
-        (not bools, floats or strings), or the input is malformed."""
+        (not bools, floats or strings), or the input is malformed.  A graph
+        that breaks a condition of a resolution graph (``__init__``) is bad
+        input too."""
         try:
             ids = [v["id"] for v in data["vertices"]]
             weights = [v["weight"] for v in data["vertices"]]
@@ -198,6 +186,8 @@ class DualGraph:
             return cls(ids, weights, edges)
         except KeyError as exc:
             raise ParseError(f"edge references unknown vertex {exc}") from exc
+        except GraphInvariantError as exc:
+            raise ParseError(str(exc)) from exc
 
     @classmethod
     def from_json(cls, text):

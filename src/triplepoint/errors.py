@@ -43,3 +43,7 @@ class ShapeError(TriplepointError):
 
 class GraphInvariantError(TriplepointError):
     """A dual graph violates a structural invariant (e.g. negative definiteness)."""
+
+
+class EngineInvariantError(TriplepointError):
+    """A cross-check the engine guarantees internally has failed."""

@@ -39,7 +39,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import ParameterError, ShapeError, TriplepointError
+from .errors import EngineInvariantError, ParameterError, ShapeError
 from .ideals import IdealHandle, PresentedQuotient, _from_basis, _localize
 from .kernel import SONE, SZERO
 from .presentations import (
@@ -54,10 +54,6 @@ VERDICT_ULRICH = "ulrich"
 VERDICT_GOOD_NOT_ULRICH = "good-not-ulrich"
 VERDICT_NOT_GOOD = "not-good"
 VERDICT_NO_REDUCTION = "no-reduction-found"
-
-
-class EngineInvariantError(TriplepointError):
-    """A cross-check the engine guarantees internally has failed."""
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,9 @@
 
 No command forms an ideal product or power, divides by a list of
 polynomials, tests membership in the ambient ring, audits a Groebner basis,
-builds a polynomial from exponent pairs or writes a graph as JSON, so these
-live here, beside the tests that compare the program's results against
-them.  So do the plainer forms of five of the program's computations:
+builds a polynomial from exponent pairs, compares two graphs or writes a
+graph as JSON, so these live here, beside the tests that compare the
+program's results against them.  So do the plainer forms of five of the program's computations:
 Laufer's sequence by rescanning, the chain walk by recursion, the "good"
 rank over every row, and the two trace verdicts of ``classify`` by ambient
 membership (the program reads both off colengths).
@@ -187,6 +187,18 @@ def graph_json(g):
         "edges": [[a, b] for a, b in g.edges],
     }
     return json.dumps(data, separators=(",", ":"))
+
+
+def edge_indices(g):
+    """The edges of ``g`` as vertex-index pairs (i, j) with i < j, in order."""
+    index = {v: k for k, v in enumerate(g.ids)}
+    return tuple(tuple(sorted((index[a], index[b]))) for a, b in g.edges)
+
+
+def same_graph(g, h):
+    """Equal vertex ids and weights, in order, and equal edges: no command
+    compares two graphs."""
+    return (g.ids, g.weights, edge_indices(g)) == (h.ids, h.weights, edge_indices(h))
 
 
 def rescanning_laufer(g, verts):

@@ -250,15 +250,17 @@ def test_graph_parse_error_exit_2(tmp_path):
 @pytest.mark.parametrize(
     "case",
     ["directory", "not utf-8", "nested graph", "nested cycle", "huge weight", "huge cycle pa",
-     "huge cycle stats"],
+     "huge cycle stats", "huge result pa", "huge result stats"],
 )
 def test_graph_unreadable_input_exit_2(tmp_path, case):
     # input the graph reader cannot read is bad input: no traceback, and no
-    # engine invariant violation; json reads no integer of more than 4,300
-    # digits, and says so by a plain ValueError
+    # engine invariant violation; json reads and writes no integer of more
+    # than 4,300 digits, and says so by a plain ValueError, so a cycle of
+    # 2,500 digits whose genus or statistics have about 5,000 is bad input too
     path = tmp_path / "graph.json"
     args = ["graph", "z0", "--file", str(path)]
     huge = "9" * 5_000
+    large = int("9" * 2_500)
     if case == "directory":
         args[-1] = str(tmp_path)
     elif case == "not utf-8":
@@ -269,6 +271,12 @@ def test_graph_unreadable_input_exit_2(tmp_path, case):
         path.write_text('{"vertices": [{"id": "E0", "weight": -%s}], "edges": []}' % huge)
     elif case == "nested cycle":
         args = ["graph", "stats", "--tag", "G10:2", "--cycle", "[" * 5_000]
+    elif case == "huge result pa":
+        args = ["graph", "pa", "--tag", "G10:2", "--cycle", '{"E0": %d}' % large]
+    elif case == "huge result stats":
+        g = graph_catalog("G10:2")
+        Z = g.cycle_to_json_dict([large * c for c in dg.fundamental_cycle(g)])
+        args = ["graph", "stats", "--tag", "G10:2", "--cycle", json.dumps(Z)]
     else:
         sub = case.split()[-1]
         args = ["graph", sub, "--tag", "G10:2", "--cycle", '{"E0": %s}' % huge]
@@ -357,12 +365,27 @@ def test_graph_without_vertices_exit_2(tmp_path):
         assert "no vertices" in res.output
 
 
-def test_graph_invariant_violation_exit_3(tmp_path):
+def test_graph_file_that_is_no_resolution_graph_exit_2(tmp_path):
+    # a --file graph is the user's input: one that breaks a condition of a
+    # resolution graph is bad input, not an engine invariant violation
+    def vertices(*ids, weight=-2):
+        return [{"id": v, "weight": weight} for v in ids]
+
+    cases = {
+        "vertex with self-intersection > -2": (vertices("a", weight=-1), []),
+        "duplicate vertex ids": (vertices("a", "a"), []),
+        "graph is not connected": (vertices("a", "b"), []),
+        "multi-edge": (vertices("a", "b"), [["a", "b"], ["b", "a"]]),
+        "intersection matrix is not negative definite": (
+            vertices("c", "a", "b", "d", "e"), [["c", v] for v in "abde"]
+        ),
+    }
     path = tmp_path / "bad.json"
-    path.write_text(
-        '{"vertices":[{"id":"a","weight":-1}],"edges":[]}'
-    )
-    assert invoke("graph", "z0", "--file", str(path)).exit_code == 3
+    for message, (verts, edges) in cases.items():
+        path.write_text(json.dumps({"vertices": verts, "edges": edges}))
+        res = invoke("graph", "z0", "--file", str(path))
+        assert res.exit_code == 2, (message, res.output)
+        assert res.stdout == "" and res.stderr == f"input error: {message}\n"
 
 
 def test_graph_file_wrong_json_types_exit_2(tmp_path):

@@ -12,7 +12,14 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
-from reference import graph_json, induced_components, recursive_chains, rescanning_laufer
+from reference import (
+    edge_indices,
+    graph_json,
+    induced_components,
+    recursive_chains,
+    rescanning_laufer,
+    same_graph,
+)
 from triplepoint import dualgraph
 from triplepoint.cli import main
 from triplepoint.dualgraph import (
@@ -260,7 +267,7 @@ def test_fundamental_cycle_minimality_brute_force():
 def test_graph_json_round_trip():
     g = graph_catalog("G12:3")
     text = graph_json(g)
-    assert DualGraph.from_json(text) == g
+    assert same_graph(DualGraph.from_json(text), g)
     assert graph_json(DualGraph.from_json(text)) == text
     data = json.loads(text)
     assert data["vertices"][0] == {"id": "E1", "weight": -3}
@@ -281,7 +288,7 @@ def test_graph_invariants_rejected():
 
 
 def test_ex53_alias():
-    assert graph_catalog("EX-5.3") == graph_catalog("G10:2")
+    assert same_graph(graph_catalog("EX-5.3"), graph_catalog("G10:2"))
 
 
 def _pinned_graph_tags():
@@ -503,7 +510,8 @@ def test_induced_bound_is_the_subgraph_fundamental_cycle(monkeypatch):
         sub = DualGraph(
             [g.ids[v] for v in comp],
             [g.weights[v] for v in comp],
-            [(g.ids[i], g.ids[j]) for i, j in g._edge_idx if i in inside and j in inside],
+            [(g.ids[i], g.ids[j]) for i, j in edge_indices(g)
+             if i in inside and j in inside],
         )
         assert tuple(Z[v] for v in comp) == fundamental_cycle(sub), (g.ids, comp)
 
