@@ -271,11 +271,11 @@ def cmd_quotient_sweep(max_param, as_json):
                 f"filter says unique but enumeration found {count} on {tag}"
             )
         if mult >= 4:
-            expected, ok = "1", count == 1
+            expected, status = "1", "pass" if count == 1 else "fail"
         elif mult == 3:
-            expected, ok = "<=2", count <= 2
+            expected, status = "<=2", "pass" if count <= 2 else "fail"
         else:
-            expected, ok = None, None
+            expected, status = None, "skip"
         rows.append(
             {
                 "tag": tag,
@@ -283,7 +283,7 @@ def cmd_quotient_sweep(max_param, as_json):
                 "filter": filt,
                 "chainCount": count,
                 "expected": expected,
-                "status": "skip" if ok is None else "pass" if ok else "fail",
+                "status": status,
             }
         )
     columns = [("tag", "tag", "<22"), ("mult", "multiplicity", ">4"),
