@@ -418,6 +418,10 @@ def cmd_graph(subcommand, tag, file, cycle):
             return 0
     except ValueError as exc:
         raise GraphInvariantError(str(exc)) from exc
+    except GraphInvariantError as exc:
+        if file is None:
+            raise
+        raise ParseError(str(exc)) from exc  # a --file graph that is not rational
     try:
         text = _dumps(out)
     except ValueError as exc:  # an integer past the digit limit of str()

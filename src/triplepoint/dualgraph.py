@@ -345,10 +345,6 @@ class UlrichChain:
 
     steps: tuple
 
-    @property
-    def depth(self):
-        return len(self.steps)
-
     def result(self, Z0):
         return self.steps[-1][1] if self.steps else Z0
 
@@ -411,8 +407,13 @@ def enumerate_ulrich_chains(g: DualGraph) -> ChainEnumeration:
 
     Each step's Y is at most the previous one and differs from it (Y = Y_prev
     would give Y . Z_prev = Y . Y < 0), so a chain has at most sum(Z_0)
-    steps.  The walk is depth-first on an explicit stack, so a long chain
-    does not meet the interpreter's recursion limit.
+    steps.  Each cycle Z ends one chain: on a chain ending at Z, the later
+    Y are at most Y_k, so Z - Z_(k-1) has support supp Y_k = C_k, a
+    component of Z_(k-1)'s locus, and Y_k = F_(C_k); by induction Z fixes
+    its chain, and as Y > 0 no chain is a proper prefix of another with the
+    same end.  The walk goes level by level, each chain's next steps sorted
+    by Y, so the chains come out by (len(steps), steps), and a long chain
+    meets no recursion limit.
     """
     _require_rational(g)
     n, adj, weights = g.n, g._adj, g.weights
@@ -420,14 +421,13 @@ def enumerate_ulrich_chains(g: DualGraph) -> ChainEnumeration:
     K = canonical_numbers(g)  # read once; every K . Y below uses it
     KZ0 = sum(c * k for c, k in zip(Z0, K))
     chains = [UlrichChain(())]
-    seen_cycles = {Z0}
     pruned = False
 
     def steps_from(Pprev, upper):
         """(F_C, the pairing vector of Z_prev + F_C) for each component C of
         the locus of the cycle Z_prev with pairing vector ``Pprev`` where
-        F_C <= ``upper``, K . F_C = K . Z_0 and Z_prev + F_C is anti-nef, as
-        a list, so that the walk keeps no locus while it goes deeper."""
+        F_C <= ``upper``, K . F_C = K . Z_0 and Z_prev + F_C is anti-nef,
+        sorted by F_C."""
         nonlocal pruned
         inside = [p == 0 for p in Pprev]
         comps, F, PF = _locus(g, inside)
@@ -447,22 +447,18 @@ def enumerate_ulrich_chains(g: DualGraph) -> ChainEnumeration:
                 pruned = True
             else:
                 out.append((tuple(Y), P))
+        out.sort(key=lambda step: step[0])
         return out
 
-    # depth-first, one iterator over the step list per step of the current chain
-    stack = [(iter(steps_from(g._p0, Z0)), (), Z0)]
-    while stack:
-        candidates, prefix, Zprev = stack[-1]
-        for Y, P in candidates:
-            Znew = tuple(a + b for a, b in zip(Zprev, Y))
-            steps = prefix + ((Y, Znew),)
-            if Znew not in seen_cycles:
-                seen_cycles.add(Znew)
+    # one level of chains at a time: (steps, Z_prev, its pairing vector, Y_prev)
+    level = [((), Z0, g._p0, Z0)]
+    while level:
+        deeper = []
+        for prefix, Zprev, Pprev, upper in level:
+            for Y, P in steps_from(Pprev, upper):
+                Znew = tuple(a + b for a, b in zip(Zprev, Y))
+                steps = prefix + ((Y, Znew),)
                 chains.append(UlrichChain(steps))
-            stack.append((iter(steps_from(P, Y)), steps, Znew))
-            break
-        else:
-            stack.pop()
-
-    ordered = sorted(chains, key=lambda c: (c.depth, c.steps))
-    return ChainEnumeration(Z0, tuple(ordered), pruned)
+                deeper.append((steps, Znew, P, Y))
+        level = deeper
+    return ChainEnumeration(Z0, tuple(chains), pruned)

@@ -150,9 +150,11 @@ def graph_catalog(tag) -> DualGraph:
         chain = [(f"E{j}", -p[j], f"E{j + 1}" if j < n else None) for j in range(n, 0, -1)]
         return _tree(chain + [("E0", -p[0], "E1"), ("U1", -2, "E0"), ("U2", -2, "E0")])
     if name.startswith("G") and name[1:].isascii() and name[1:].isdigit():
-        _check(1 <= int(name[1:]) <= 15, "quotient star families are G1..G15")
+        # two digits at most past the leading zeros, so int meets no digit limit
+        index = name[1:].lstrip("0")
+        _check(0 < len(index) <= 2 and int(index) <= 15, "quotient star families are G1..G15")
         _check(len(p) == 1 and p[0] >= 2, f"{name} takes the central weight b >= 2")
-        return _tree(_gamma(int(name[1:]), p[0]))
+        return _tree(_gamma(int(index), p[0]))
     raise ParameterError(f"no graph catalog entry for tag {tag}")
 
 

@@ -60,7 +60,7 @@ import itertools
 from heapq import heappop, heappush
 
 from . import kernel
-from .errors import ColengthBudgetError, ExponentRangeError, ZeroPolynomialError
+from .errors import ColengthBudgetError, ExponentRangeError, RingMismatchError, ZeroPolynomialError
 from .polyring import _BIAS, _MAX_EXP, _SHIFT, Polynomial, Ring, check_exponent_cap
 
 
@@ -125,7 +125,6 @@ def _groebner_terms(gens, ring, assume_prefix=0):
         prefix = len(kept)
     G = [kernel.monic_terms(g) for g in gens[:prefix]]
     lm = [ring.exponents(g[0][0]) for g in G]  # the leads' exponents
-    deg = [sum(e) for e in lm]
     live = list(range(prefix))  # elements whose leads no later lead divides
     basis = list(G)  # their term lists, the reducers
     heap = []  # pending pairs as (lcm key, i, j, lcm), popped by ascending lcm
@@ -137,9 +136,7 @@ def _groebner_terms(gens, ring, assume_prefix=0):
         G.append(g)
         kh = g[0][0]
         eh = ring.exponents(kh)
-        dh = sum(eh)
         lm.append(eh)
-        deg.append(dh)
         monomial = len(g) == 1
         new = []
         for k in live:
@@ -149,18 +146,12 @@ def _groebner_terms(gens, ring, assume_prefix=0):
                 # pairs are queued than the full criteria M and F would keep
                 continue
             L = _exp_lcm(lm[k], eh)
-            dL = sum(L)
-            # coprime leads: the S-polynomial reduces to 0, so the pair is
-            # never queued, but it still prunes others
-            trivial = dL == deg[k] + dh
-            new.append((dL, not trivial, k, L))
+            new.append((sum(L), k, L))
         new.sort()
-        kept = []  # criteria M and F: keep a pair only if no kept lcm divides its lcm
-        for _, queue, k, L in new:
-            if not any(_divides(M, L) for M, _, _ in kept):
-                kept.append((L, queue, k))
-        for L, queue, k in kept:
-            if queue:
+        kept = []  # criteria M and F: queue a pair only if no kept lcm divides its lcm
+        for _, k, L in new:
+            if not any(_divides(M, L) for M in kept):
+                kept.append(L)
                 heappush(heap, (ring.key(L), k, h, L))
         live[:] = [k for k in live if (kh - G[k][0][0] + kc) & kc != kc] + [h]
         basis[:] = [G[k] for k in live]
@@ -211,7 +202,7 @@ class IdealHandle:
         kept = []
         for g in gens:
             if g.ring != ring:
-                raise ValueError("generator from a different ring")
+                raise RingMismatchError("generator from a different ring")
             if g:
                 kept.append(g)
         self.gens = tuple(kept)
@@ -232,7 +223,7 @@ class IdealHandle:
 
     def __add__(self, other: IdealHandle) -> IdealHandle:
         if self.ring != other.ring:
-            raise ValueError("ideals from different rings")
+            raise RingMismatchError("ideals from different rings")
         return IdealHandle(self.ring, self.gens + other.gens)
 
     def quotient_dim(self):
@@ -252,13 +243,10 @@ class IdealHandle:
         quotient is finite (``ColengthBudgetError`` otherwise).
 
         (self : other)/self is the kernel of s -> (NF(s*g))_{g in other} on
-        the span of the standard monomials s.  Each row carries s itself
-        below the normal forms, whose g-block is lifted above every key in
-        play; rows are taken by ascending s, so echelon on the lifted keys
-        leaves kernel rows with distinct leading monomials s.
+        the span of the standard monomials s (``_colon_kernel``).
         """
         if self.ring != other.ring:
-            raise ValueError("ideals from different rings")
+            raise RingMismatchError("ideals from different rings")
         if other.is_zero():
             raise ZeroPolynomialError("colon by the zero ideal")
         std = self._standard()
@@ -268,20 +256,10 @@ class IdealHandle:
             return self  # the unit ideal
         ring, kc = self.ring, self.ring.kc
         gb = [list(g.terms) for g in self.groebner()]
-        offset = std[-1] + 1  # normal forms have standard keys only
-        pivots = {}
-        kernel_rows = []
-        for k in std:
-            row = [(k, 1, 0, 1)]
-            for j, g in enumerate(other.gens, start=1):
-                prod = kernel.mono_mul_terms(list(g.terms), k, kernel.SONE, kc)
-                nf = kernel.reduce_terms(prod, gb, kc)
-                row = _lift(nf, j * offset) + row
-            row = _eliminate(row, pivots)
-            if row[0][0] >= offset:
-                pivots[row[0][0]] = kernel.monic_terms(row)
-            else:
-                kernel_rows.append(row)
+        prods = ((k, [kernel.mono_mul_terms(g.terms, k, kernel.SONE, kc) for g in other.gens])
+                 for k in std)
+        nfs = ((k, [kernel.reduce_terms(p, gb, kc) for p in ps]) for k, ps in prods)
+        kernel_rows = _colon_kernel(nfs, std[-1] + 1, {})  # normal forms have standard keys
         if not kernel_rows:
             return self
         # Already a Groebner basis: a colon element is a member of self plus
@@ -326,6 +304,24 @@ def _echelon(rows, pivots=None, stop=None):
 def _lift(row, shift):
     """The term list ``row`` with every key raised by ``shift``."""
     return [(t[0] + shift,) + t[1:] for t in row]
+
+
+def _colon_kernel(nfs, offset, pivots):
+    """The kernel rows of s -> (NF(s*g_j))_j, modulo the rows in ``pivots``:
+    ``nfs`` yields (s, [NF(s*g_1), ..., NF(s*g_n)]) by ascending key s, with
+    every key below ``offset``.  Each row carries s itself below the normal
+    forms, whose g_j block is lifted by j*offset above every key in play
+    (the pivots' keys too), so echelon on the lifted keys leaves kernel rows
+    with distinct leading monomials s.  Fills ``pivots``."""
+    kernel_rows = []
+    for s, blocks in nfs:
+        row = [t for j in range(len(blocks), 0, -1) for t in _lift(blocks[j - 1], j * offset)]
+        row = _eliminate(row + [(s, 1, 0, 1)], pivots)
+        if row[0][0] >= offset:
+            pivots[row[0][0]] = kernel.monic_terms(row)
+        else:
+            kernel_rows.append(row)
+    return kernel_rows
 
 
 def _from_basis(ring: Ring, basis) -> IdealHandle:
@@ -437,7 +433,7 @@ class PresentedQuotient:
     ``FiniteAlgebra`` objects it keeps the most recent one.
     """
 
-    __slots__ = ("ring", "defining", "_maximal", "_images", "_algebra")
+    __slots__ = ("ring", "defining", "_images", "_algebra")
 
     def __init__(self, ring: Ring, defining: IdealHandle):
         self.ring = ring
@@ -450,14 +446,11 @@ class PresentedQuotient:
                 )
             check_exponent_cap(g)
         self.defining = defining
-        self._maximal = None
         self._images = {}
         self._algebra = (None, None)
 
     def maximal_ideal(self) -> IdealHandle:
-        if self._maximal is None:
-            self._maximal = IdealHandle(self.ring, self.ring.gens())
-        return self._maximal
+        return IdealHandle(self.ring, self.ring.gens())
 
     def image(self, ideal: IdealHandle) -> IdealHandle:
         img = self._images.get(ideal.gens)
@@ -505,9 +498,9 @@ class FiniteAlgebra:
     there (``minimal``, their indices) generate I minimally at the origin,
     by Nakayama; there are mu of them.  The span test (see ``ulrich``) is
     linear algebra in W's coordinates, over these mu generators g_i: q has
-    the rows coord(NF(q*g_j)), j in ``minimal``, and a coefficient vector
-    c (mu scalars) stands for q = sum c_i*g_i, whose rows are
-    sum_i c_i*coord(P_ij).
+    the rows coord(NF(q*g_j)), j in ``minimal``, and a tuple c of positions
+    among them stands for q = sum_{i in c} g_i, whose rows are
+    sum_{i in c} coord(P_ij).
     """
 
     __slots__ = ("dim", "length", "mu", "minimal", "square_length", "_basis",
@@ -596,15 +589,14 @@ class FiniteAlgebra:
         return [t for t in w if t[0] in self._w_pivots]
 
     def _w_rows(self, c):
-        """The rows coord(NF(q*g_j)), j in ``minimal``, of q = sum c_i*g_i
-        over the minimal generators."""
+        """The rows coord(NF(q*g_j)), j in ``minimal``, of q = sum g_i over
+        the positions i in ``c`` among the minimal generators."""
         rows = []
         for coords in zip(*self._coords):  # coords[i] = coord(P_ij)
             row = []
-            for x, w in zip(c, coords):
-                if x != kernel.SZERO and w:
-                    if x != kernel.SONE:
-                        w = kernel.scale_terms(w, x)
+            for i in c:
+                w = coords[i]
+                if w:
                     row = kernel.add_terms(row, w) if row else w
             rows.append(row)
         return rows
@@ -634,17 +626,16 @@ class FiniteAlgebra:
         return len(_echelon(rows, stop=w_dim)) == w_dim
 
     def spans_combinations(self, c1, c2):
-        """The span test for Q = (q1, q2), q = sum c_i*g_i over the minimal
-        generators, given by the coefficient vectors c1 and c2 (tuples of mu
-        scalars).  Each vector's rows, and their echelon, are formed once;
-        q2's rows continue q1's echelon."""
+        """The span test for Q = (q1, q2), q = sum g_i over the minimal
+        generators at the positions in c1 and c2.  Each tuple's rows, and
+        their echelon, are formed once; q2's rows continue q1's echelon."""
         first, second = self._combination_rows(c1), self._combination_rows(c2)
         w_dim = len(self._w_pivots)
         return len(_echelon(second[0], dict(first[1]), w_dim)) == w_dim
 
     def _combination_rows(self, c):
-        """(rows, their echelon) of q = sum c_i*g_i (see ``_w_rows``); one
-        per c."""
+        """(rows, their echelon) of q = sum g_i, i in c (see ``_w_rows``);
+        one per c."""
         if c not in self._combinations:
             rows = self._w_rows(c)
             self._combinations[c] = (rows, _echelon(rows))
@@ -658,23 +649,17 @@ class FiniteAlgebra:
         """Q : I == I at the origin.  Q : I contains I exactly when W lies in
         (Q + L)/L (then I^2 lies in Q + m*I^2, so in Q by Nakayama, as does
         L), and then the two are equal exactly when ell(A/(Q : I)), the rank
-        of s -> (NF(s*g_j) mod Q)_j with each g_j block lifted above the
-        last, equals ell(A/I).  That map is then 0 on I/L, so its rank is
-        its rank on the standard monomials off the pivots of I/L's echelon,
-        which span a complement of I/L: ell(A/I) rows, not dim B."""
+        of s -> (NF(s*g_j) mod Q)_j, equals ell(A/I).  That map is then 0
+        on I/L, so it must be one-to-one on the ell(A/I) standard monomials
+        off the pivots of I/L's echelon, which span a complement of I/L:
+        no kernel row (``_colon_kernel``, modulo Q's span in each block)."""
         span = self._span(Q)
         if any(_eliminate(w, span) for w in self._squares):
             return False
         offset = self._standard[-1] + 1  # normal forms have standard keys only
-        blocks = range(len(self._rows[0]), 0, -1)  # highest first
         pivots = {}
-        for j in blocks:
+        for j in range(1, len(self._rows[0]) + 1):
             for head in span.values():
                 pivots[head[0][0] + j * offset] = _lift(head, j * offset)
-        filed = len(pivots)
-        rows = (
-            [t for j in blocks for t in _lift(nfs[j - 1], j * offset)]
-            for k, nfs in zip(self._standard, self._rows)
-            if k not in self._pivots
-        )
-        return len(_echelon(rows, pivots)) - filed == self.length
+        rows = ((k, row) for k, row in zip(self._standard, self._rows) if k not in self._pivots)
+        return not _colon_kernel(rows, offset, pivots)

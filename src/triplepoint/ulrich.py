@@ -27,11 +27,11 @@ normal form in B, is read at the leading monomials of an echelon basis of
 W, at most mu(mu+1)/2 of them (see ``ideals.FiniteAlgebra``).  Q is a
 reduction exactly when the 2*mu rows coord(q*g_j) have rank dim W.  A
 seed, given as polynomials, is tested by its own products, once it is
-found inside I at the origin.  The search's own candidates are linear in
-q: q = sum c_i*g_i with constants c_i has q*g_j = sum c_i*g_i*g_j, so a
-candidate is a pair of coefficient vectors c over the minimal generators,
-its rows are sums of the coord(g_i*g_j), and the polynomials of Q are
-formed only for the pair that passes.
+found inside I at the origin.  The search's own candidates are sums of
+minimal generators: q = sum_{i in c} g_i has q*g_j = sum_{i in c} g_i*g_j,
+so a candidate is a pair of tuples c of positions among the minimal
+generators, its rows are sums of the coord(g_i*g_j), and the polynomials
+of Q are formed only for the pair that passes.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from dataclasses import dataclass
 
 from .errors import EngineInvariantError, ParameterError, ShapeError
 from .ideals import IdealHandle, PresentedQuotient, _from_basis, _localize
-from .kernel import SONE, SZERO
 from .presentations import (
     RDP_RING,
     FamilyTag,
@@ -97,31 +96,26 @@ def good_check(A: PresentedQuotient, I: IdealHandle, Q: IdealHandle) -> bool:
 
 def _candidate_pairs(n, seeds=()):
     """Candidate reductions of an ideal with n generators: the seed pairs
-    first, as given, then pairs of coefficient vectors (tuples of n
-    scalars): each pair of generators, the sum of two generators with a
-    third, and, for n > 2, each generator with the sum of the others.  That
-    is n(n-1)^2/2 + n pairs for n > 2, and 1 pair for n = 2."""
+    first, as given, then pairs of tuples of generator positions, each
+    standing for the sum of the generators there: each pair of generators,
+    the sum of two generators with a third, and, for n > 2, each generator
+    with the sum of the others.  That is n(n-1)^2/2 + n pairs for n > 2,
+    and 1 pair for n = 2."""
     yield from seeds
-    unit = [tuple(SONE if k == i else SZERO for k in range(n)) for i in range(n)]
     for i, j in itertools.combinations(range(n), 2):
-        yield (unit[i], unit[j])
+        yield ((i,), (j,))
     for i, j in itertools.combinations(range(n), 2):
-        s = tuple(SONE if k in (i, j) else SZERO for k in range(n))
         for k in range(n):
             if k not in (i, j):
-                yield (s, unit[k])
+                yield ((i, j), (k,))
     if n > 2:
         for i in range(n):
-            yield (unit[i], tuple(SZERO if k == i else SONE for k in range(n)))
+            yield ((i,), tuple(k for k in range(n) if k != i))
 
 
 def _combination(gens, c):
-    """The polynomial sum c_i*g_i."""
-    p = gens[0].ring.zero()
-    for x, g in zip(c, gens):
-        if x != SZERO:
-            p = p + g * x
-    return p
+    """The polynomial sum of the generators at the positions ``c``."""
+    return sum((gens[i] for i in c), gens[0].ring.zero())
 
 
 def find_reduction(A, I, seeds=()):

@@ -284,7 +284,7 @@ def recursive_chains(g):
             extend(steps, Znew, Y)
 
     extend((), Z0, Z0)
-    ordered = sorted(chains, key=lambda c: (c.depth, c.steps))
+    ordered = sorted(chains, key=lambda c: (len(c.steps), c.steps))
     return ChainEnumeration(Z0, tuple(ordered), pruned)
 
 

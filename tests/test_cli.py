@@ -250,13 +250,14 @@ def test_graph_parse_error_exit_2(tmp_path):
 @pytest.mark.parametrize(
     "case",
     ["directory", "not utf-8", "nested graph", "nested cycle", "huge weight", "huge cycle pa",
-     "huge cycle stats", "huge result pa", "huge result stats"],
+     "huge cycle stats", "huge result pa", "huge result stats", "huge G index"],
 )
 def test_graph_unreadable_input_exit_2(tmp_path, case):
     # input the graph reader cannot read is bad input: no traceback, and no
     # engine invariant violation; json reads and writes no integer of more
     # than 4,300 digits, and says so by a plain ValueError, so a cycle of
-    # 2,500 digits whose genus or statistics have about 5,000 is bad input too
+    # 2,500 digits whose genus or statistics have about 5,000 is bad input
+    # too, and so is a G-family index that int would refuse
     path = tmp_path / "graph.json"
     args = ["graph", "z0", "--file", str(path)]
     huge = "9" * 5_000
@@ -277,12 +278,36 @@ def test_graph_unreadable_input_exit_2(tmp_path, case):
         g = graph_catalog("G10:2")
         Z = g.cycle_to_json_dict([large * c for c in dg.fundamental_cycle(g)])
         args = ["graph", "stats", "--tag", "G10:2", "--cycle", json.dumps(Z)]
+    elif case == "huge G index":
+        args = ["graph", "z0", "--tag", f"G{huge}:2"]
     else:
         sub = case.split()[-1]
         args = ["graph", sub, "--tag", "G10:2", "--cycle", '{"E0": %s}' % huge]
     res = invoke(*args)
     assert res.exit_code == 2, res.output
     assert res.stdout == "" and "Traceback" not in res.output
+
+
+# minimally elliptic: a -2 center with three arms (-2, -3), p_a(Z_0) = 1
+_ELLIPTIC_STAR = {
+    "vertices": [{"id": "E0", "weight": -2}]
+    + [{"id": f"{arm}{k}", "weight": -1 - k} for arm in "ABC" for k in (1, 2)],
+    "edges": [["E0", f"{arm}1"] for arm in "ABC"] + [[f"{arm}1", f"{arm}2"] for arm in "ABC"],
+}
+
+
+def test_non_rational_graph_file_is_bad_input(tmp_path):
+    # the rationality check runs after the graph is read, in the engine; for
+    # a --file graph its failure is bad input, and z0 and pa need no check
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(_ELLIPTIC_STAR))
+    z0 = invoke("graph", "z0", "--file", str(path))
+    assert z0.exit_code == 0 and json.loads(z0.stdout)["E0"] == 3
+    assert json.loads(invoke("graph", "pa", "--file", str(path)).stdout) == {"pa": 1}
+    for sub in ("filter", "chains", "stats"):
+        res = invoke("graph", sub, "--file", str(path), "--cycle", z0.stdout)
+        assert res.exit_code == 2, (sub, res.output)
+        assert res.stdout == "" and "not rational" in res.stderr
 
 
 _IDS = st.sampled_from(["E0", "E1", "E2", "E3", "F"])  # the ids of G10:2
@@ -309,8 +334,9 @@ _CYCLE = st.dictionaries(_IDS, st.integers(0, 4), max_size=5) | _JSON
 def test_graph_input_fuzz_keeps_the_exit_code_contract(sub, graph, cycle):
     # a graph file (or the catalog graph G10:2 when there is none) and an
     # optional cycle, well-formed parts mixed with arbitrary JSON and text:
-    # every run exits 0-3 with no escaping exception, and bad input (exit 2)
-    # prints nothing on stdout
+    # every run exits 0-3 with no escaping exception, a graph file is never
+    # an engine fault (exit 3), and bad input (exit 2) prints nothing on
+    # stdout
     with tempfile.TemporaryDirectory() as tmp:
         args = ["graph", sub]
         if graph is None:
@@ -324,6 +350,7 @@ def test_graph_input_fuzz_keeps_the_exit_code_contract(sub, graph, cycle):
         res = invoke(*args)
     assert res.exception is None or isinstance(res.exception, SystemExit), res.exception
     assert res.exit_code in (0, 1, 2, 3), res.output
+    assert graph is None or res.exit_code != 3, res.output
     assert "Traceback" not in res.output
     if res.exit_code == 2:
         assert res.stdout == ""

@@ -146,7 +146,7 @@ def test_chains_run_to_the_end_of_long_chains():
     # RDP-A:n has (n + 1) // 2 Ulrich ideals, one chain of each depth
     enum = enumerate_ulrich_chains(graph_catalog("RDP-A:60"))
     assert len(enum.chains) == 30
-    assert [c.depth for c in enum.chains] == list(range(30))
+    assert [len(c.steps) for c in enum.chains] == list(range(30))
 
 
 def test_chains_g10_unique():
@@ -577,21 +577,22 @@ def _random_rational_trees(seed, count):
 
 
 def test_chains_match_the_recursive_walk():
-    # one candidate per component, F_C, on an explicit stack, against the
-    # recursive walk over each whole box with its p_a test: the same chains
-    # in the same order, and the same anti-nef pruning flag
+    # one candidate per component, F_C, level by level with no cycle dedupe
+    # and no final sort, against the recursive walk over each whole box with
+    # its p_a test, its dedupe and its sort: the same chains in the same
+    # order, and the same anti-nef pruning flag
     large = [graph_catalog(t) for t in ("RDP-A:300", "RDP-D:150", "H:150", "A:15,15,15")]
     depths = set()
     for g in _sweep_and_catalog_graphs() + large + _random_rational_trees(21, 3000):
         enum = enumerate_ulrich_chains(g)
         assert enum == recursive_chains(g), g.ids
-        depths.update(c.depth for c in enum.chains)
+        depths.update(len(c.steps) for c in enum.chains)
     assert depths == set(range(150))
 
 
 def test_chain_walk_needs_no_recursion():
     # RDP-A:600 has a chain of 299 steps; the recursive walk needs a frame
-    # per step, the explicit stack none
+    # per step, the level-by-level walk none
     g = graph_catalog("RDP-A:600")
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 100)
@@ -602,7 +603,7 @@ def test_chain_walk_needs_no_recursion():
     finally:
         sys.setrecursionlimit(limit)
     assert len(enum.chains) == 300
-    assert [c.depth for c in enum.chains] == list(range(300))
+    assert [len(c.steps) for c in enum.chains] == list(range(300))
 
 
 @pytest.mark.parametrize(

@@ -18,7 +18,7 @@ from reference import (
     spair_audit,
 )
 from triplepoint import ideals, kernel
-from triplepoint.errors import ColengthBudgetError, ExponentRangeError
+from triplepoint.errors import ColengthBudgetError, ExponentRangeError, RingMismatchError
 from triplepoint.ideals import IdealHandle, PresentedQuotient, minors
 from triplepoint.polyring import Ring
 from triplepoint.presentations import instantiate, parse_tag
@@ -392,6 +392,18 @@ def test_quotient_dim():
     assert IdealHandle(R, [x]).quotient_dim() is None
     R2 = Ring(("x", "y"))
     assert IdealHandle(R2, [R2.var("x")]).quotient_dim() is None
+
+
+def test_ring_mismatch_raises():
+    # a package error, which the CLI maps to an exit code, not a ValueError
+    R2 = Ring(("x", "y"))
+    other = IdealHandle(R2, [R2.var("x")])
+    with pytest.raises(RingMismatchError):
+        IdealHandle(R, [x, R2.var("y")])
+    with pytest.raises(RingMismatchError):
+        IdealHandle(R, [x]) + other
+    with pytest.raises(RingMismatchError):
+        IdealHandle(R, [x, y, z, t]).colon(other)
 
 
 def _brute_standard_count(lead_exps, n, box):

@@ -56,7 +56,6 @@ def guarded_commands():
         "rdp-verify --json",
         "socle-experiment --max-param 6 --json",
         "classify --tag EX-5.2 --json",
-        "cross-check --tag EX-5.3 --json",
     ]
     commands += [f"graph {sub} --tag {t}" for sub in ("chains", "z0")
                  for t in ("G10:2", "A:8,8,8", "RDP-A:50")]
