@@ -10,20 +10,23 @@ filed as that prefix, with no reduction and no pair update.  The other
 inputs enter by ascending leading monomial, each fully reduced by the
 basis so far, so one that a monomial already there divides is dropped
 before any pair bookkeeping.  Two single-term elements never form a pair
-(their S-polynomial is 0).  The minimal basis is read off the live
-elements, those whose leads no later lead divides.  The output is the
-unique reduced Groebner basis sorted by ascending leading monomial, so
-equal ideals produce identical bases.
+(their S-polynomial is 0).  The live elements are those whose leads no
+later lead divides; as the batch is minimal and every later element
+enters reduced by them, no live lead divides another, so they are the
+minimal basis (only an assumed prefix is scanned for leads that divide
+one another).  The output is the unique reduced Groebner basis sorted by
+ascending leading monomial, so equal ideals produce identical bases.
 
 A monomial is its packed key (see ``polyring``): keys are additive, and
 one mask decides divisibility, so a lead is tested by key (the batch
-entry, the live set, criterion B, the minimal basis, the localization's
-pure powers, the finite algebra's memo).  Only the lcms of criteria M and
-F have no key: Buchberger decodes each lead once, as its element enters
-the basis, and forms and compares the lcms as exponent tuples.  Standard
-monomials are walked layer by layer in total degree on keys, with set
-lookups in place of divisibility tests, and come out as keys in
-ascending order.
+entry, the live set, criterion B, an assumed prefix's minimal basis, the
+localization's pure powers, the finite algebra's memo); a lead is a pure
+power of x_i when its key agrees with kc's in every other exponent field.
+Only the lcms of criteria M and F have no key: Buchberger decodes each
+lead once, as its element enters the basis, and forms and compares the
+lcms as exponent tuples.  Standard monomials are walked layer by layer in
+total degree on keys, with set lookups in place of divisibility tests,
+and come out as keys in ascending order.
 
 Local statements are decided in finite quotients.  A local colength at
 the origin is computed in one step: when K has finite quotient dimension
@@ -61,7 +64,7 @@ from heapq import heappop, heappush
 
 from . import kernel
 from .errors import ColengthBudgetError, ExponentRangeError, RingMismatchError, ZeroPolynomialError
-from .polyring import _BIAS, _MAX_EXP, _SHIFT, Polynomial, Ring, check_exponent_cap
+from .polyring import _BIAS, _MASK, _MAX_EXP, _SHIFT, Polynomial, Ring, check_exponent_cap
 
 
 def _exp_lcm(a, b):
@@ -107,7 +110,8 @@ def _groebner_terms(gens, ring, assume_prefix=0):
         return []
     kc = ring.kc
     prefix = min(assume_prefix, len(gens))
-    if not prefix:
+    assumed = prefix > 0
+    if not assumed:
         # the monomial inputs enter as one batch, as the prefix: a set of
         # monomials is a Groebner basis already; by ascending key a later
         # monomial never divides an earlier one, so the kept ones (no kept
@@ -171,13 +175,16 @@ def _groebner_terms(gens, ring, assume_prefix=0):
         if r:
             add(kernel.monic_terms(r))
 
-    # minimal basis from the live set alone: an element that left it has a
-    # lead that some live lead divides
-    minimal = []
-    for k in sorted(live, key=lambda k: G[k][0][0]):
-        lk = G[k][0][0]
-        if not any((m[0][0] - lk + kc) & kc == kc for m in minimal):
-            minimal.append(G[k])
+    # the live set is the minimal basis: the batch is minimal, and every other
+    # element enters reduced by the live basis, so no live lead divides
+    # another; only an assumed prefix may hold leads that divide one another
+    minimal = [G[k] for k in sorted(live, key=lambda k: G[k][0][0])]
+    if assumed:
+        kept = []
+        for g in minimal:
+            if not any((m[0][0] - g[0][0] + kc) & kc == kc for m in kept):
+                kept.append(g)
+        minimal = kept
     # interreduce tails against the rest; the leads stay, so the list stays
     # sorted by ascending lead, and a single term is reduced already
     reduced = list(minimal)
@@ -344,12 +351,16 @@ def _standard_monomials(lead_keys, ring):
     e's plus ``ring.units[i]``, and every test is a set lookup of a key;
     e_j = 0 exactly when e's key keeps the top bit of field j, that of kc.
 
-    Returns None when some variable has no pure power among the leads.
+    Returns None when some variable has no pure power among the leads.  A
+    lead is a power of x_i exactly when its key equals kc in every exponent
+    field but x_i's, since field j holds _BIAS - e_j, which is _BIAS, kc's,
+    exactly when e_j = 0: no lead is decoded.
     """
     n, units, kc = ring.n, ring.units, ring.kc
-    lead_exps = [ring.exponents(k) for k in lead_keys]
+    fields = (1 << _SHIFT * n) - 1  # every exponent field, not the degree
     for i in range(n):
-        if not any(all(e[j] == 0 for j in range(n) if j != i) for e in lead_exps):
+        others = fields ^ (_MASK << _SHIFT * i)
+        if not any((k ^ kc) & others == 0 for k in lead_keys):
             return None
     lead_keys = set(lead_keys)
     if kc in lead_keys:
@@ -498,9 +509,11 @@ class FiniteAlgebra:
     there (``minimal``, their indices) generate I minimally at the origin,
     by Nakayama; there are mu of them.  The span test (see ``ulrich``) is
     linear algebra in W's coordinates, over these mu generators g_i: q has
-    the rows coord(NF(q*g_j)), j in ``minimal``, and a tuple c of positions
-    among them stands for q = sum_{i in c} g_i, whose rows are
-    sum_{i in c} coord(P_ij).
+    the rows coord(NF(q*g_j)), j in ``minimal``, each the sum of
+    c*NF(X^u*q) over the terms c*X^u of NF(g_j), so no product is formed;
+    and a tuple c of positions among them stands for q = sum_{i in c} g_i,
+    whose rows are sum_{i in c} coord(P_ij).  A pair of tuples whose two
+    echelons have ranks summing below dim W fails with no elimination.
     """
 
     __slots__ = ("dim", "length", "mu", "minimal", "square_length", "_basis",
@@ -614,23 +627,32 @@ class FiniteAlgebra:
         """The span test: do the q*g_j (q in Q, j in ``minimal``) span W?
         None when some q lies outside I at the origin, that is, when the
         frame leaves NF(q) nonzero.  For q in I, NF(q*g_j) = NF(q*NF(g_j))
-        lies in W."""
-        kc, w_dim = self._kc, len(self._w_pivots)
+        lies in W, and NF is linear: it is the sum of c*NF(X^u*q) over the
+        terms c*X^u of NF(g_j), read from the memo with no product."""
+        w_dim = len(self._w_pivots)
         gens = [self._rows[0][j] for j in self.minimal]  # the NF(g_j)
         rows = []
         for q in Q.gens:
             q = list(q.terms)
             if _eliminate(self._nf(q), self._pivots):
                 return None
-            rows += [self._coord(self._nf(kernel.mul_terms(q, g, kc))) for g in gens]
+            for g in gens:
+                w = []
+                for u, a, b, d in g:
+                    w = kernel.add_terms(w, kernel.scale_terms(self._shifted(q, u), (a, b, d)))
+                rows.append(self._coord(w))
         return len(_echelon(rows, stop=w_dim)) == w_dim
 
     def spans_combinations(self, c1, c2):
         """The span test for Q = (q1, q2), q = sum g_i over the minimal
         generators at the positions in c1 and c2.  Each tuple's rows, and
-        their echelon, are formed once; q2's rows continue q1's echelon."""
+        their echelon, are formed once; q2's rows continue q1's echelon,
+        unless the two ranks sum below dim W, which the pair's rank cannot
+        then reach."""
         first, second = self._combination_rows(c1), self._combination_rows(c2)
         w_dim = len(self._w_pivots)
+        if len(first[1]) + len(second[1]) < w_dim:
+            return False  # rank [R1; R2] <= rank R1 + rank R2
         return len(_echelon(second[0], dict(first[1]), w_dim)) == w_dim
 
     def _combination_rows(self, c):

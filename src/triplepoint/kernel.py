@@ -36,6 +36,8 @@ SONE = (1, 0, 1)
 
 def _snorm(a, b, d):
     """Lowest-terms Gaussian rational (a + b*i)/d with d > 0."""
+    if d == 1:
+        return (a, b, 1)  # gcd(gcd(a, b), 1) = 1; and (0, 0, 1) is SZERO
     if a == 0 and b == 0:
         return SZERO
     if d < 0:

@@ -26,12 +26,15 @@ g_1, ..., g_mu.  The test is a rank in W's coordinates: an element of W, a
 normal form in B, is read at the leading monomials of an echelon basis of
 W, at most mu(mu+1)/2 of them (see ``ideals.FiniteAlgebra``).  Q is a
 reduction exactly when the 2*mu rows coord(q*g_j) have rank dim W.  A
-seed, given as polynomials, is tested by its own products, once it is
-found inside I at the origin.  The search's own candidates are sums of
-minimal generators: q = sum_{i in c} g_i has q*g_j = sum_{i in c} g_i*g_j,
-so a candidate is a pair of tuples c of positions among the minimal
-generators, its rows are sums of the coord(g_i*g_j), and the polynomials
-of Q are formed only for the pair that passes.
+seed, given as polynomials, is tested by its own rows once it is found
+inside I at the origin: each NF(q*g_j) is a sum of shifted normal forms
+of q, one per term of NF(g_j), so no product is formed.  The search's
+own candidates are sums of minimal generators: q = sum_{i in c} g_i has
+q*g_j = sum_{i in c} g_i*g_j, so a candidate is a pair of tuples c of
+positions among the minimal generators, its rows are sums of the
+coord(g_i*g_j), and a pair whose two ranks sum below dim W fails at once
+(rank [R1; R2] <= rank R1 + rank R2); the polynomials of Q are formed
+only for the pair that passes.
 """
 
 from __future__ import annotations

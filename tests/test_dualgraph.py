@@ -171,10 +171,30 @@ def test_chains_strictly_increasing_and_distinct():
 
 
 def test_chain_counts_match_residues_on_grid():
-    for ftag in grid_tags(4):
+    # the first theorem on the graph side: each triple point has exactly
+    # c = residue_closed_form chains, one cycle of each colength k = 1..c,
+    # each with mu = 4 and e0 = -Z^2 = 3k; A, B, C, D, F to 20, H:5..61
+    # and Gamma1-3 are 2,608 graphs
+    tags = grid_tags(20)
+    assert len(tags) == 2608
+    for ftag in tags:
         g = graph_catalog(ftag)
-        count = len(enumerate_ulrich_chains(g).chains)
-        assert count == residue_closed_form(ftag), str(ftag)
+        enum = enumerate_ulrich_chains(g)
+        got = sorted(
+            (cycle_length(g, Z), cycle_mu(g, Z), -intersection_pairing(g, Z, Z))
+            for Z in enum.cycles
+        )
+        expected = [(k, 4, 3 * k) for k in range(1, residue_closed_form(ftag) + 1)]
+        assert got == expected and not enum.antinef_pruned, str(ftag)
+
+
+def test_double_point_chain_counts_match_the_published_lists():
+    tags = [FamilyTag("RDP-A", (n,)) for n in range(1, 101)]
+    tags += [FamilyTag("RDP-D", (n,)) for n in range(4, 101)]
+    tags += [FamilyTag(name, ()) for name in ("RDP-E6", "RDP-E7", "RDP-E8")]
+    for tag in tags:
+        count = len(enumerate_ulrich_chains(graph_catalog(tag)).chains)
+        assert count == ulrich_count_expected(tag), str(tag)
 
 
 def test_filter_implies_unique_over_sweep():

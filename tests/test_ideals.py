@@ -126,6 +126,15 @@ def test_buchberger_matches_reference_without_criteria(ring):
         assert got == expected, (gens, k)
 
 
+def test_assumed_prefix_leads_may_divide_one_another():
+    # an assumed prefix need not be minimal (a colon files kernel rows whose
+    # leads can divide a basis lead), so the minimal basis is still read off
+    prefix = [list(g.terms) for g in (x**2, y, x)]
+    expected = [list(g.terms) for g in (y, x)]
+    assert ideals._groebner_terms(prefix, R, assume_prefix=3) == expected
+    assert ideals._groebner_terms(prefix, R) == expected
+
+
 def _monomial_heavy(rng, ring):
     """8 to 30 monomials of degree 1 to 6, with repeats and multiples of
     earlier ones on purpose, and 1 to 3 binomials or trinomials, shuffled:
@@ -447,6 +456,24 @@ def test_standard_monomials_match_box_enumeration():
             got = ideals._standard_monomials([ring.key(e) for e in leads], ring)
             assert sorted(ring.exponents(k) for k in got) == expected, leads
             assert got == sorted(set(got))  # ascending, so no repeats
+    # the pure-power test reads keys: lead e with x_j (j != i) is finite
+    # exactly when e is a pure power of x_i, for exponents up to 2^15 - 1
+    top = (1 << 15) - 1
+    for n in (4, 5):
+        ring = Ring(tuple(f"v{k}" for k in range(n)))
+        exps = [(0,) * n] + [tuple(top * (k == i) for k in range(n)) for i in range(n)]
+        exps += [tuple(rng.choice((0, 0, 1, top, rng.randint(1, top))) for _ in range(n))
+                 for _ in range(40)]
+        for e in exps:
+            lead = ring.key(e)
+            exp = ring.exponents(lead)
+            for i in range(n):
+                others = [ring.kc + ring.units[j] for j in range(n) if j != i]
+                got = ideals._standard_monomials([lead] + others, ring)
+                if any(exp[j] for j in range(n) if j != i):
+                    assert got is None, (e, i)
+                else:
+                    assert got == [ring.kc + a * ring.units[i] for a in range(exp[i])], (e, i)
     R3 = Ring(("x", "y", "z"))
     # a variable without a pure power: infinitely many
     leads = [R3.key(e) for e in [(2, 0, 0), (0, 3, 0), (0, 1, 1)]]

@@ -885,6 +885,46 @@ def test_seeds_agree_with_the_term_list_span_test():
     assert len(verdicts) == 830 and set(verdicts) == {True, False}
 
 
+def test_rank_bound_skips_eliminations(monkeypatch):
+    # rank [R1; R2] <= rank R1 + rank R2: a pair whose two echelons are too
+    # small to reach dim W is rejected with no elimination
+    candidates, eliminations = [], []
+    original_spans = ideals.FiniteAlgebra.spans_combinations
+    original_echelon = ideals._echelon
+
+    def spans(self, c1, c2):
+        ok = original_spans(self, c1, c2)
+        candidates.append(ok)
+        return ok
+
+    def echelon(rows, pivots=None, stop=None):
+        if pivots is not None:  # a pair's rows continuing the first echelon
+            eliminations.append(stop)
+        return original_echelon(rows, pivots, stop)
+
+    monkeypatch.setattr(ideals.FiniteAlgebra, "spans_combinations", spans)
+    monkeypatch.setattr(ideals, "_echelon", echelon)
+    res = CliRunner().invoke(main, ["classify", "--tag", "A:1,2,3", "--seed-reductions", "off"])
+    assert res.exit_code == 0, res.output
+    assert True in candidates and 0 < len(eliminations) < len(candidates)
+
+
+def test_seed_rows_form_no_products(monkeypatch, a123):
+    # each row NF(q*g_j) sums shifted normal forms of q over the terms of
+    # NF(g_j), so the span test multiplies no polynomials
+    A = a123.quotient
+    I = A.maximal_ideal()
+    B = A.algebra(I)
+
+    def refused(*args):
+        raise AssertionError("spans formed a product")
+
+    monkeypatch.setattr(kernel, "mul_terms", refused)
+    seed = maximal_reduction_seed(a123.tag)[0]
+    assert B.spans(IdealHandle(R, seed)) is True
+    assert B.spans(IdealHandle(R, [x, y])) is False
+
+
 def test_zero_combinations_are_skipped(monkeypatch, a123):
     # x + (-x) = 0 cannot be formed: the candidates are sums over positions
     # among the mu = 3 minimal generators x, y + z, t, so each is nonzero
