@@ -207,7 +207,8 @@ class DualGraph:
             type(c) is int and c >= 0 for c in data.values()
         ):
             raise ParseError("cycle must be an object of non-negative integers")
-        unknown = [v for v in data if v not in self.ids]
+        known = set(self.ids)
+        unknown = [v for v in data if v not in known]
         if unknown:
             raise ParseError(f"cycle names unknown vertex {unknown[0]!r}")
         Z = tuple(data.get(v, 0) for v in self.ids)

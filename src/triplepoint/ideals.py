@@ -505,20 +505,23 @@ class FiniteAlgebra:
     one-to-one on W), at most n(n+1)/2 of them.
 
     The frame, I/L's echelon, files the rows with s != 1 first (they span
-    m*I/L), then each NF(g_i).  The generators whose NF(g_i) files a pivot
-    there (``minimal``, their indices) generate I minimally at the origin,
-    by Nakayama; there are mu of them.  The span test (see ``ulrich``) is
-    linear algebra in W's coordinates, over these mu generators g_i: q has
-    the rows coord(NF(q*g_j)), j in ``minimal``, each the sum of
-    c*NF(X^u*q) over the terms c*X^u of NF(g_j), so no product is formed;
-    and a tuple c of positions among them stands for q = sum_{i in c} g_i,
-    whose rows are sum_{i in c} coord(P_ij).  A pair of tuples whose two
-    echelons have ranks summing below dim W fails with no elimination.
+    m*I/L), then each NF(g_i) with a tag term appended, keyed by the
+    position g_i takes among the generators that file; tag keys lie below
+    kc, the key of 1, so below every monomial key.  A row left with tags
+    only is not filed; the generators that file (``minimal``, their
+    indices) generate I minimally at the origin, by Nakayama; there are mu
+    of them.  The span test (see ``ulrich``) is a rank in W's coordinates
+    over vectors a on these positions: q = sum a_p*g_p has the rows
+    sum a_p*coord(P_pj), j in ``minimal``.  A vector lists p by ascending
+    position, as the term (p, a_p), or as p alone when a_p = 1: a tuple c of
+    positions is the vector of ones there, and a seed reads its vector off
+    the frame.  Each vector's rows and echelon are formed once; a pair
+    whose two ranks sum below dim W fails with no elimination.
     """
 
     __slots__ = ("dim", "length", "mu", "minimal", "square_length", "_basis",
                  "_monomial_leads", "_polynomial_leads", "_kc", "_memo", "_standard", "_rows",
-                 "_pivots", "_squares", "_w_pivots", "_coords", "_combinations", "_spans")
+                 "_pivots", "_squares", "_w_pivots", "_coords", "_vectors", "_spans")
 
     def __init__(self, A: PresentedQuotient, I: IdealHandle):
         ring, kc = A.ring, A.ring.kc
@@ -550,8 +553,8 @@ class FiniteAlgebra:
         pivots = _echelon(itertools.chain.from_iterable(self._rows[1:]))
         minimal = []
         for i, row in enumerate(self._rows[0]):
-            row = _eliminate(row, pivots)
-            if row:
+            row = _eliminate(row + [(len(minimal), 1, 0, 1)], pivots)
+            if row[0][0] >= kc:
                 pivots[row[0][0]] = kernel.monic_terms(row)
                 minimal.append(i)
         self._pivots = pivots
@@ -565,7 +568,7 @@ class FiniteAlgebra:
         self._coords = [
             [self._coord(nfs[min(i, j), max(i, j)]) for j in minimal] for i in minimal
         ]
-        self._combinations = {}
+        self._vectors = {}
         self._spans = {}
 
     def _shifted(self, p, mkey):
@@ -601,19 +604,6 @@ class FiniteAlgebra:
         """The coordinates of w in W: its terms at the pivot keys of W."""
         return [t for t in w if t[0] in self._w_pivots]
 
-    def _w_rows(self, c):
-        """The rows coord(NF(q*g_j)), j in ``minimal``, of q = sum g_i over
-        the positions i in ``c`` among the minimal generators."""
-        rows = []
-        for coords in zip(*self._coords):  # coords[i] = coord(P_ij)
-            row = []
-            for i in c:
-                w = coords[i]
-                if w:
-                    row = kernel.add_terms(row, w) if row else w
-            rows.append(row)
-        return rows
-
     def _span(self, Q: IdealHandle):
         """Echelon of (Q + L)/L, spanned by the NF(s*q); one per Q."""
         pivots = self._spans.get(Q.gens)
@@ -626,42 +616,52 @@ class FiniteAlgebra:
     def spans(self, Q: IdealHandle):
         """The span test: do the q*g_j (q in Q, j in ``minimal``) span W?
         None when some q lies outside I at the origin, that is, when the
-        frame leaves NF(q) nonzero.  For q in I, NF(q*g_j) = NF(q*NF(g_j))
-        lies in W, and NF is linear: it is the sum of c*NF(X^u*q) over the
-        terms c*X^u of NF(g_j), read from the memo with no product."""
-        w_dim = len(self._w_pivots)
-        gens = [self._rows[0][j] for j in self.minimal]  # the NF(g_j)
-        rows = []
+        frame leaves NF(q) led by a monomial.  Otherwise it leaves tags only,
+        with coefficients -a_p, and q = sum a_p*g_p modulo m*I."""
+        vectors = []
         for q in Q.gens:
-            q = list(q.terms)
-            if _eliminate(self._nf(q), self._pivots):
+            row = _eliminate(self._nf(list(q.terms)), self._pivots)
+            if row and row[0][0] >= self._kc:
                 return None
-            for g in gens:
-                w = []
-                for u, a, b, d in g:
-                    w = kernel.add_terms(w, kernel.scale_terms(self._shifted(q, u), (a, b, d)))
-                rows.append(self._coord(w))
-        return len(_echelon(rows, stop=w_dim)) == w_dim
+            vectors.append(tuple(p if (a, b, d) == (-1, 0, 1) else (p, -a, -b, d)
+                                 for p, a, b, d in reversed(row)))
+        return self._rank_test(vectors)
 
     def spans_combinations(self, c1, c2):
-        """The span test for Q = (q1, q2), q = sum g_i over the minimal
-        generators at the positions in c1 and c2.  Each tuple's rows, and
-        their echelon, are formed once; q2's rows continue q1's echelon,
-        unless the two ranks sum below dim W, which the pair's rank cannot
-        then reach."""
-        first, second = self._combination_rows(c1), self._combination_rows(c2)
-        w_dim = len(self._w_pivots)
-        if len(first[1]) + len(second[1]) < w_dim:
-            return False  # rank [R1; R2] <= rank R1 + rank R2
-        return len(_echelon(second[0], dict(first[1]), w_dim)) == w_dim
+        """The span test for q = sum g_p over the positions p in c1 and c2
+        among the minimal generators, the vectors of ones there."""
+        return self._rank_test((c1, c2))
 
-    def _combination_rows(self, c):
-        """(rows, their echelon) of q = sum g_i, i in c (see ``_w_rows``);
-        one per c."""
-        if c not in self._combinations:
-            rows = self._w_rows(c)
-            self._combinations[c] = (rows, _echelon(rows))
-        return self._combinations[c]
+    def _rank_test(self, vectors):
+        """Do the vectors' rows span W?  The rows after the first vector's
+        continue its echelon, unless the ranks sum below dim W."""
+        w_dim, entries, ranks = len(self._w_pivots), [], 0
+        for v in vectors:
+            entry = self._vectors.get(v) or self._vector_rows(v)
+            entries.append(entry)
+            ranks += len(entry[1])
+        if ranks < w_dim:
+            return False  # rank [R1; R2] <= rank R1 + rank R2
+        pivots = dict(entries[0][1])
+        for rows, _ in entries[1:]:
+            _echelon(rows, pivots, w_dim)
+        return len(pivots) == w_dim
+
+    def _vector_rows(self, v):
+        """Cache and return (rows, their echelon) of the vector v: the rows
+        sum a_p*coord(P_pj), j in ``minimal``."""
+        terms = [(t, None) if type(t) is int else (t[0], t[1:]) for t in v]
+        rows = []
+        for coords in zip(*self._coords):  # coords[p] = coord(P_pj)
+            row = []
+            for p, a in terms:
+                w = coords[p]
+                if w:
+                    w = kernel.scale_terms(w, a) if a else w
+                    row = kernel.add_terms(row, w) if row else w
+            rows.append(row)
+        entry = self._vectors[v] = (rows, _echelon(rows))
+        return entry
 
     def colength(self, Q: IdealHandle) -> int:
         """ell(A/(Q + L)): ell(A/Q) when Q contains L, as a reduction does."""

@@ -267,26 +267,12 @@ def _render_scalar(c):
 
 
 def _render_term(c, mono):
-    """Return (text, negative) for one rendered term."""
+    """Return (text, negative) for one rendered term: a real or pure
+    imaginary coefficient carries its sign out, a mixed one prints in
+    parentheses, and a coefficient 1 beside a monomial is dropped."""
     a, b, d = c
+    negative = b < 0 if a == 0 else a < 0 and b == 0
+    c = (-a, -b, d) if negative else c
     if mono == "1":
-        if b == 0 and a < 0:
-            return _render_scalar((-a, 0, d)), True
-        if a == 0 and b < 0:
-            return _render_scalar((0, -b, d)), True
-        return _render_scalar(c), False
-    if b == 0:
-        if a == 1 and d == 1:
-            return mono, False
-        if a == -1 and d == 1:
-            return mono, True
-        if a < 0:
-            return f"{_render_scalar((-a, 0, d))}*{mono}", True
-        return f"{_render_scalar(c)}*{mono}", False
-    if a == 0:
-        negative = b < 0
-        bb = -b if negative else b
-        if d == 1 and bb == 1:
-            return f"i*{mono}", negative
-        return f"{_render_scalar((0, bb, d))}*{mono}", negative
-    return f"{_render_scalar(c)}*{mono}", False
+        return _render_scalar(c), negative
+    return (mono if c == (1, 0, 1) else f"{_render_scalar(c)}*{mono}"), negative

@@ -25,16 +25,15 @@ g in I) span W = I^2/(m*I^2 + J), the degree-2 part of the fiber cone
 g_1, ..., g_mu.  The test is a rank in W's coordinates: an element of W, a
 normal form in B, is read at the leading monomials of an echelon basis of
 W, at most mu(mu+1)/2 of them (see ``ideals.FiniteAlgebra``).  Q is a
-reduction exactly when the 2*mu rows coord(q*g_j) have rank dim W.  A
-seed, given as polynomials, is tested by its own rows once it is found
-inside I at the origin: each NF(q*g_j) is a sum of shifted normal forms
-of q, one per term of NF(g_j), so no product is formed.  The search's
-own candidates are sums of minimal generators: q = sum_{i in c} g_i has
-q*g_j = sum_{i in c} g_i*g_j, so a candidate is a pair of tuples c of
-positions among the minimal generators, its rows are sums of the
-coord(g_i*g_j), and a pair whose two ranks sum below dim W fails at once
-(rank [R1; R2] <= rank R1 + rank R2); the polynomials of Q are formed
-only for the pair that passes.
+reduction exactly when the 2*mu rows coord(q*g_j) have rank dim W.  Each
+q is a vector a over the minimal generators, q = sum a_p*g_p modulo m*I,
+so its rows are sum a_p*coord(g_p*g_j) and no product is formed.  A seed,
+given as polynomials, reads its vector off I's echelon once it is found
+inside I at the origin; the search's own candidates are pairs of tuples
+c of positions among the minimal generators, each the vector of ones
+there, q = sum_{p in c} g_p.  A pair whose two ranks sum below dim W
+fails at once (rank [R1; R2] <= rank R1 + rank R2); the polynomials of
+Q are formed only for the candidate pair that passes.
 """
 
 from __future__ import annotations
@@ -183,10 +182,11 @@ def ulrich_check(
 
 
 def trace_shape(pres: RingPresentation):
-    """Detect the trace ideal shape (x_1..x_{n-1}, x_n^{c+1}).
+    """Detect the trace ideal shape (others, x_v^c): every variable but
+    x_v, and a power of x_v.
 
-    Returns (power_variable_index, c + 1).  The detection reads the
-    reduced Groebner basis; anything else raises ShapeError.
+    Returns (v, c).  The detection reads the reduced Groebner basis;
+    anything else raises ShapeError.
     """
     tr = trace_ideal(pres)
     ring = pres.ring
@@ -328,6 +328,6 @@ def gorenstein_quotient_experiment(pres: RingPresentation) -> bool:
     ideals with no zero but the origin: the localized trace and its colon.
     """
     A, ring = pres.quotient, pres.ring
-    tr = A.image(trace_ideal(pres))
+    tr = trace_ideal(pres)
     basis, std = _localize(ring, [list(g.terms) for g in tr.groebner()], tr._standard())
     return len(std) - _from_basis(ring, basis).colon(A.maximal_ideal()).quotient_dim() == 1

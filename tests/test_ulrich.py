@@ -849,7 +849,8 @@ def _seeded_ideals():
     """(quotient, ideal, seed pairs) for every seed the commands try: the
     maximal ideal's seeds of each catalog ring, the published pair of each
     chain ideal (x, y, z, t^i) up to the trace, and the listed and next
-    seeds of the double points."""
+    seeds of the double points; then ideals listed with a redundant
+    generator (``_redundant_seeded_ideals``)."""
     tags = grid_tags(6) + ["EX-5.2", "EX-5.3"] + [f"RDP-A:{n}" for n in range(1, 17)]
     tags += [f"RDP-D:{n}" for n in range(4, 17)] + ["RDP-E6", "RDP-E7", "RDP-E8"]
     for tag in tags:
@@ -868,21 +869,49 @@ def _seeded_ideals():
             t = ring.var(ring.names[v])
             for i in range(1, count + 1):
                 yield A, IdealHandle(ring, others + [t**i]), (published_reduction(pres.tag, i),)
+    yield from _redundant_seeded_ideals()
+
+
+def _redundant_seeded_ideals():
+    """(quotient, ideal, seed pairs) for ideals listed with a redundant
+    generator: a repeat, a sum of two generators, a multiple in m*I.  Each
+    files a frame row with tags only.  A generator listed before the ones it
+    is redundant over gives seeds vectors with entries other than 0 and 1, and
+    each list holds a reduction written with mixed signs (q1 + q2, q1 - q2)."""
+    A = instantiate("A:1,2,3").quotient
+    s = x + y + z
+    seeds = ((t, s), (s + t, s - t), (2 * t, 3 * s - x * y), (x, y), (x + y, z * t), (x * x, t * t))
+    for gens in ([x, y, z, t, x], [x + y, x, y, z, t], [x * t, x, y, z, t], [x, y, z, t, y * z]):
+        yield A, IdealHandle(R, gens), seeds
+    seeds = ((t**2, s), (s + t**2, s - t**2), (t, x), (x, y), (x + t**2, y - z))
+    for gens in ([x, y, z, t**2, x + t**2], [x + t**2, x, y, z, t**2], [x, y, z, t**2, x * t + y]):
+        yield A, IdealHandle(R, gens), seeds
+    A = instantiate("RDP-D:6").quotient
+    u, v, w = RDP_RING.gens()
+    plus = u + v**2 * (0, 1, 1)  # x + i*y^2
+    seeds = ((plus, v**3), (plus + v**3, plus - v**3), (plus, w), (u, v**3))
+    seeds += ((plus + w, v**3 * (0, 1, 1)),)
+    for gens in ([plus, v**3, w, plus + w], [plus + v**3, plus, v**3, w], [plus, v**3, w, u * w]):
+        yield A, IdealHandle(RDP_RING, gens), seeds
 
 
 def test_seeds_agree_with_the_term_list_span_test():
-    # a seed is tested by its own products; the earlier design decomposed
-    # it over the frame into coefficient vectors
-    verdicts = []
+    # a seed's vector is read off the tags the frame leaves on NF(q); the
+    # earlier design carried W-rows on each pivot and decomposed NF(q) over
+    # them.  Eleven ideals file frame rows with tags only: RDP-A:1's next
+    # ideal (x, y^2, z), where y^2 = -x^2 - z^2, and the ten listed with a
+    # redundant generator, which bring 54 of the 884 seeds
+    verdicts, redundant = [], 0
     for A, I, seeds in _seeded_ideals():
         B = A.algebra(I)
+        redundant += B.mu < len(I.gens)
         spans = _term_list_span_test(B, I)
         for pair in seeds:
             Q = IdealHandle(I.ring, pair)
             got = B.spans(Q)
             assert got == spans(*Q.gens), (I, pair)
             verdicts.append(got)
-    assert len(verdicts) == 830 and set(verdicts) == {True, False}
+    assert len(verdicts) == 884 and set(verdicts) == {True, False, None} and redundant == 11
 
 
 def test_rank_bound_skips_eliminations(monkeypatch):
@@ -907,11 +936,18 @@ def test_rank_bound_skips_eliminations(monkeypatch):
     res = CliRunner().invoke(main, ["classify", "--tag", "A:1,2,3", "--seed-reductions", "off"])
     assert res.exit_code == 0, res.output
     assert True in candidates and 0 < len(eliminations) < len(candidates)
+    # seeds take the same test: in m of A:1,2,3, dim W = 7, x's four rows
+    # have rank at most 4 and x*y, in m*I, is the vector 0
+    B = instantiate("A:1,2,3").quotient.algebra(IdealHandle(R, [x, y, z, t]))
+    del eliminations[:]
+    assert len(B._w_pivots) == 7 and B.spans(IdealHandle(R, [x, x * y])) is False
+    assert not eliminations
+    assert B.spans(IdealHandle(R, [t, x + y + z])) is True and eliminations
 
 
 def test_seed_rows_form_no_products(monkeypatch, a123):
-    # each row NF(q*g_j) sums shifted normal forms of q over the terms of
-    # NF(g_j), so the span test multiplies no polynomials
+    # a seed's rows sum the cached coord(P_pj) over its vector, which the
+    # frame's tags give, so the span test multiplies no polynomials
     A = a123.quotient
     I = A.maximal_ideal()
     B = A.algebra(I)
@@ -923,6 +959,17 @@ def test_seed_rows_form_no_products(monkeypatch, a123):
     seed = maximal_reduction_seed(a123.tag)[0]
     assert B.spans(IdealHandle(R, seed)) is True
     assert B.spans(IdealHandle(R, [x, y])) is False
+
+
+def test_seeds_share_the_candidates_vectors():
+    # a seed whose vector is a sum of minimal generators is keyed as the
+    # candidate tuple of those positions, so it finds that tuple's rows
+    B = instantiate("A:1,2,3").quotient.algebra(IdealHandle(R, [x, y, z, t]))
+    assert B.spans_combinations((3,), (0, 1, 2)) is True
+    cached = dict(B._vectors)
+    assert set(cached) == {(3,), (0, 1, 2)}
+    assert B.spans(IdealHandle(R, [t, x + y + z])) is True and B._vectors == cached
+    assert B.spans(IdealHandle(R, [t, x - y])) is False and (0, (1, -1, 0, 1)) in B._vectors
 
 
 def test_zero_combinations_are_skipped(monkeypatch, a123):
