@@ -166,16 +166,18 @@ class DualGraph:
     @classmethod
     def from_json_dict(cls, data):
         """Graph from {"vertices": [{"id": ..., "weight": ...}], "edges":
-        [[a, b]]}: ids and endpoints must be strings and weights integers
-        (not bools, floats or strings), or the input is malformed.  A graph
-        that breaks a condition of a resolution graph (``__init__``) is bad
-        input too."""
+        [[a, b]]}: ids and endpoints must be strings, weights integers (not
+        bools, floats or strings) and each edge a list of two endpoints, or
+        the input is malformed.  A graph that breaks a condition of a
+        resolution graph (``__init__``) is bad input too."""
         try:
             ids = [v["id"] for v in data["vertices"]]
             weights = [v["weight"] for v in data["vertices"]]
-            edges = [(a, b) for a, b in data["edges"]]
-        except (KeyError, TypeError, ValueError) as exc:
+            edges = data["edges"]
+        except (KeyError, TypeError) as exc:
             raise ParseError(f"malformed graph object: {exc}") from exc
+        if type(edges) is not list or not all(type(e) is list and len(e) == 2 for e in edges):
+            raise ParseError("edges must be a list of two-element lists")
         if not all(type(v) is str for v in itertools.chain(ids, *edges)):
             raise ParseError("vertex ids and edge endpoints must be strings")
         if not all(type(w) is int for w in weights):

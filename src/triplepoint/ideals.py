@@ -4,29 +4,28 @@ Buchberger with the Gebauer-Moeller pair criteria (B applied when a pair
 is popped, not by rebuilding the queue), taking pairs by ascending lcm
 (the normal strategy), tuned for the inputs the program makes, which are
 mostly monomials (the products in m*I^2, say).  Unless a prefix is
-assumed to be a basis, the monomial inputs enter first as one batch: a
-set of monomials is a Groebner basis already, so the minimal ones are
+given as a reduced basis, the monomial inputs enter first as one batch:
+a set of monomials is a Groebner basis already, so the minimal ones are
 filed as that prefix, with no reduction and no pair update.  The other
 inputs enter by ascending leading monomial, each fully reduced by the
 basis so far, so one that a monomial already there divides is dropped
 before any pair bookkeeping.  Two single-term elements never form a pair
 (their S-polynomial is 0).  The live elements are those whose leads no
-later lead divides; as the batch is minimal and every later element
+later lead divides; as the prefix is minimal and every later element
 enters reduced by them, no live lead divides another, so they are the
-minimal basis (only an assumed prefix is scanned for leads that divide
-one another).  The output is the unique reduced Groebner basis sorted by
+minimal basis.  The output is the unique reduced Groebner basis sorted by
 ascending leading monomial, so equal ideals produce identical bases.
 
 A monomial is its packed key (see ``polyring``): keys are additive, and
 one mask decides divisibility, so a lead is tested by key (the batch
-entry, the live set, criterion B, an assumed prefix's minimal basis, the
-localization's pure powers, the finite algebra's memo); a lead is a pure
-power of x_i when its key agrees with kc's in every other exponent field.
-Only the lcms of criteria M and F have no key: Buchberger decodes each
-lead once, as its element enters the basis, and forms and compares the
-lcms as exponent tuples.  Standard monomials are walked layer by layer in
-total degree on keys, with set lookups in place of divisibility tests,
-and come out as keys in ascending order.
+entry, the live set, criterion B, the localization's pure powers, the
+finite algebra's memo); a lead is a pure power of x_i when its key agrees
+with kc's in every other exponent field.  Only the lcms of criteria M and
+F have no key: Buchberger decodes each lead once, as its element enters
+the basis, and forms and compares the lcms as exponent tuples.  Standard
+monomials are walked layer by layer in total degree on keys, with set
+lookups in place of divisibility tests, and come out as keys in ascending
+order.
 
 Local statements are decided in finite quotients.  A local colength at
 the origin is computed in one step: when K has finite quotient dimension
@@ -34,8 +33,9 @@ D, the local algebra of k[x]/K at the origin has length at most D, so
 m^D lies in K there, and K + (x_1^D, ..., x_n^D) has the same local ring
 at the origin and no other zero; its quotient dimension is the local
 length.  A colon K : L with k[x]/K finite is linear algebra on the
-standard monomials of K (the multiplication-matrix idea of FGLM).  An
-infinite global quotient raises ``ColengthBudgetError``.
+standard monomials of K (the multiplication-matrix idea of FGLM), and it
+commutes with localization.  An infinite global quotient raises
+``ColengthBudgetError``.
 
 Each verdict on a candidate ideal I is linear algebra in one finite
 algebra, A/(m*I^2 + J) at the origin (``FiniteAlgebra``), on the
@@ -78,11 +78,12 @@ def _divides(a, b):
     return True
 
 
-def _spoly(f, g, lkey, kc):
+def _spoly(f, g, lkey):
     """S-polynomial of monic term lists f, g whose leads have the lcm of key
-    ``lkey``; keys are additive, so X^(L - lm f) has key lkey - key(lm f) + kc."""
-    a = kernel.mono_mul_terms(f, lkey - f[0][0] + kc, kernel.SONE, kc)
-    b = kernel.mono_mul_terms(g, lkey - g[0][0] + kc, (-1, 0, 1), kc)
+    ``lkey``; keys are additive, so X^(L - lm f) times f shifts f's keys by
+    lkey - key(lm f)."""
+    a = kernel.mono_mul_terms(f, lkey - f[0][0], kernel.SONE)
+    b = kernel.mono_mul_terms(g, lkey - g[0][0], (-1, 0, 1))
     return kernel.add_terms(a, b)
 
 
@@ -104,14 +105,13 @@ def _criterion_b(G, lm, i, j, L, lkey, kc):
 
 def _groebner_terms(gens, ring, assume_prefix=0):
     """Reduced Groebner basis of ``gens`` (term lists); deterministic.  The
-    first ``assume_prefix`` generators must be a Groebner basis already."""
+    first ``assume_prefix`` generators must be a reduced basis already."""
     gens = [g for g in gens if g]
     if not gens:
         return []
     kc = ring.kc
     prefix = min(assume_prefix, len(gens))
-    assumed = prefix > 0
-    if not assumed:
+    if not prefix:
         # the monomial inputs enter as one batch, as the prefix: a set of
         # monomials is a Groebner basis already; by ascending key a later
         # monomial never divides an earlier one, so the kept ones (no kept
@@ -170,21 +170,14 @@ def _groebner_terms(gens, ring, assume_prefix=0):
         lkey, i, j, L = heappop(heap)
         if _criterion_b(G, lm, i, j, L, lkey, kc):
             continue
-        spol = _spoly(G[i], G[j], lkey, kc)
+        spol = _spoly(G[i], G[j], lkey)
         r = spol and kernel.reduce_terms(spol, basis, kc)
         if r:
             add(kernel.monic_terms(r))
 
-    # the live set is the minimal basis: the batch is minimal, and every other
-    # element enters reduced by the live basis, so no live lead divides
-    # another; only an assumed prefix may hold leads that divide one another
+    # the live set is the minimal basis: the prefix is minimal, and every other
+    # element enters reduced by the live basis, so no live lead divides another
     minimal = [G[k] for k in sorted(live, key=lambda k: G[k][0][0])]
-    if assumed:
-        kept = []
-        for g in minimal:
-            if not any((m[0][0] - g[0][0] + kc) & kc == kc for m in kept):
-                kept.append(g)
-        minimal = kept
     # interreduce tails against the rest; the leads stay, so the list stays
     # sorted by ascending lead, and a single term is reduced already
     reduced = list(minimal)
@@ -233,11 +226,6 @@ class IdealHandle:
             raise RingMismatchError("ideals from different rings")
         return IdealHandle(self.ring, self.gens + other.gens)
 
-    def quotient_dim(self):
-        """Vector-space dimension of ring/ideal, or None when infinite."""
-        std = self._standard()
-        return None if std is None else len(std)
-
     def _standard(self):
         """The keys of the standard monomials in ascending order, or None
         when infinitely many."""
@@ -250,7 +238,8 @@ class IdealHandle:
         quotient is finite (``ColengthBudgetError`` otherwise).
 
         (self : other)/self is the kernel of s -> (NF(s*g))_{g in other} on
-        the span of the standard monomials s (``_colon_kernel``).
+        the span of the standard monomials s (``_colon_kernel``): self's
+        basis and the kernel rows generate the colon.
         """
         if self.ring != other.ring:
             raise RingMismatchError("ideals from different rings")
@@ -263,17 +252,11 @@ class IdealHandle:
             return self  # the unit ideal
         ring, kc = self.ring, self.ring.kc
         gb = [list(g.terms) for g in self.groebner()]
-        prods = ((k, [kernel.mono_mul_terms(g.terms, k, kernel.SONE, kc) for g in other.gens])
+        prods = ((k, [kernel.mono_mul_terms(g.terms, k - kc, kernel.SONE) for g in other.gens])
                  for k in std)
         nfs = ((k, [kernel.reduce_terms(p, gb, kc) for p in ps]) for k, ps in prods)
         kernel_rows = _colon_kernel(nfs, std[-1] + 1, {})  # normal forms have standard keys
-        if not kernel_rows:
-            return self
-        # Already a Groebner basis: a colon element is a member of self plus
-        # its normal form, which lies in the kernel, so its leading monomial
-        # leads a basis element or a kernel row.  Only interreduction is left.
-        basis = gb + kernel_rows
-        return _from_basis(ring, _groebner_terms(basis, ring, assume_prefix=len(basis)))
+        return IdealHandle(ring, self.groebner() + tuple(Polynomial(ring, r) for r in kernel_rows))
 
 
 # -- echelon on term lists ---------------------------------------------
@@ -289,7 +272,7 @@ def _eliminate(row, pivots):
     reduced row."""
     while row and row[0][0] in pivots:
         _, a, b, d = row[0]
-        row = kernel.add_terms(row, kernel.scale_terms(pivots[row[0][0]], (-a, -b, d)))
+        row = kernel.add_terms(row, kernel.mono_mul_terms(pivots[row[0][0]], 0, (-a, -b, d)))
     return row
 
 
@@ -329,13 +312,6 @@ def _colon_kernel(nfs, offset, pivots):
         else:
             kernel_rows.append(row)
     return kernel_rows
-
-
-def _from_basis(ring: Ring, basis) -> IdealHandle:
-    """Handle generated by a reduced Groebner basis given as term lists."""
-    handle = IdealHandle(ring, [Polynomial(ring, t) for t in basis])
-    handle._gb = handle.gens
-    return handle
 
 
 def _standard_monomials(lead_keys, ring):
@@ -533,7 +509,7 @@ class FiniteAlgebra:
         # m*(I^2): the generators of I^2, then of m times them, repeats dropped
         squares = dict.fromkeys(tuple(p) for p in products.values())
         m_squares = dict.fromkeys(
-            tuple(kernel.mono_mul_terms(list(p), kc + u, kernel.SONE, kc))
+            tuple(kernel.mono_mul_terms(list(p), u, kernel.SONE))
             for u in ring.units
             for p in squares
         )
@@ -593,7 +569,7 @@ class FiniteAlgebra:
                 )
             if nf:
                 if a != 1 or b or d != 1:
-                    nf = kernel.scale_terms(nf, (a, b, d))
+                    nf = kernel.mono_mul_terms(nf, 0, (a, b, d))
                 out = kernel.add_terms(out, nf) if out else nf
         return out
 
@@ -657,7 +633,7 @@ class FiniteAlgebra:
             for p, a in terms:
                 w = coords[p]
                 if w:
-                    w = kernel.scale_terms(w, a) if a else w
+                    w = kernel.mono_mul_terms(w, 0, a) if a else w
                     row = kernel.add_terms(row, w) if row else w
             rows.append(row)
         entry = self._vectors[v] = (rows, _echelon(rows))

@@ -17,7 +17,8 @@ keys alone: products add keys, and the reduction decides which divisor's
 lead divides a term by this test.
 
 The public callables are exactly the term-list entry points the other
-modules call, and no function here calls a public name of this module.
+modules call, one per operation (a scalar times a monomial is one, with a
+key shift of 0 to scale), and no function calls a public name of this module.
 Scalar helpers and stdlib imports are private.  perfbench's tracer
 (``perfbench/tracer.py``) wraps every public callable of this module and
 rebinds every attribute holding the same function object, so a public
@@ -92,24 +93,10 @@ def add_terms(p, q):
     return out
 
 
-def neg_terms(p):
-    return [(k, -a, -b, d) for (k, a, b, d) in p]
-
-
-def scale_terms(p, c):
-    """Multiply by a nonzero scalar."""
+def mono_mul_terms(p, shift, c):
+    """Multiply by c times the monomial X^m whose key is kc + ``shift``
+    (c nonzero): every key rises by ``shift``, so a shift of 0 scales."""
     ca, cb, cd = c
-    out = []
-    for (k, a, b, d) in p:
-        na, nb, nd = _snorm(a * ca - b * cb, a * cb + b * ca, d * cd)
-        out.append((k, na, nb, nd))
-    return out
-
-
-def mono_mul_terms(p, mkey, c, kc):
-    """Multiply by c times the monomial of key ``mkey`` (c nonzero)."""
-    ca, cb, cd = c
-    shift = mkey - kc
     out = []
     for (k, a, b, d) in p:
         na, nb, nd = _snorm(a * ca - b * cb, a * cb + b * ca, d * cd)

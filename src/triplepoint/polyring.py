@@ -177,7 +177,7 @@ class Polynomial:
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.ring, kernel.neg_terms(list(self.terms)))
+        return Polynomial(self.ring, kernel.mono_mul_terms(list(self.terms), 0, (-1, 0, 1)))
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -192,7 +192,7 @@ class Polynomial:
             c = _to_triple(other)
             if c == kernel.SZERO:
                 return self.ring.zero()
-            return Polynomial(self.ring, kernel.scale_terms(list(self.terms), c))
+            return Polynomial(self.ring, kernel.mono_mul_terms(list(self.terms), 0, c))
         self._check(other)
         return Polynomial(
             self.ring, kernel.mul_terms(list(self.terms), list(other.terms), self.ring.kc)

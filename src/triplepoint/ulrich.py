@@ -42,7 +42,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import EngineInvariantError, ParameterError, ShapeError
-from .ideals import IdealHandle, PresentedQuotient, _from_basis, _localize
+from .ideals import IdealHandle, PresentedQuotient
 from .presentations import (
     RDP_RING,
     FamilyTag,
@@ -324,10 +324,10 @@ def gorenstein_quotient_experiment(pres: RingPresentation) -> bool:
     """Is A / trace Gorenstein?  True iff the socle is one-dimensional.
 
     The socle of the local algebra A/tr is (tr : m)/tr, so its dimension is
-    length(A/tr) - length(A/(tr : m)).  Both are quotient dimensions of
-    ideals with no zero but the origin: the localized trace and its colon.
+    length(A/tr) - length(A/(tr : m)), two local colengths: a colon commutes
+    with localization, so the colon tr : m in the polynomial ring is the
+    local one at the origin.
     """
-    A, ring = pres.quotient, pres.ring
+    A = pres.quotient
     tr = trace_ideal(pres)
-    basis, std = _localize(ring, [list(g.terms) for g in tr.groebner()], tr._standard())
-    return len(std) - _from_basis(ring, basis).colon(A.maximal_ideal()).quotient_dim() == 1
+    return A.colength(tr) - A.colength(tr.colon(A.maximal_ideal())) == 1

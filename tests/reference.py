@@ -4,10 +4,12 @@ No command forms an ideal product or power, divides by a list of
 polynomials, tests membership in the ambient ring, audits a Groebner basis,
 builds a polynomial from exponent pairs, compares two graphs or writes a
 graph as JSON, so these live here, beside the tests that compare the
-program's results against them.  So do the plainer forms of five of the program's computations:
+program's results against them.  So do the plainer forms of six of the program's computations:
 Laufer's sequence by rescanning, the chain walk by recursion, the "good"
-rank over every row, and the two trace verdicts of ``classify`` by ambient
-membership (the program reads both off colengths).
+rank over every row, the two trace verdicts of ``classify`` by ambient
+membership, and the socle of A/tr by the colon of the localized trace
+(the program reads all three off colengths).  No command reads a global
+quotient dimension either (``quotient_dim``).
 The expected values here are the source's, for checks no command makes.
 
 The catalog is kept here in its printed text forms too (matrices,
@@ -29,7 +31,7 @@ from triplepoint.dualgraph import (
     is_antinef,
 )
 from triplepoint.errors import ExponentRangeError, ParameterError, ZeroPolynomialError
-from triplepoint.ideals import IdealHandle, _echelon, _eliminate, _lift, _spoly
+from triplepoint.ideals import IdealHandle, _echelon, _eliminate, _lift, _localize, _spoly
 from triplepoint.polyring import _MAX_EXP, Polynomial, _to_triple
 from triplepoint.presentations import trace_ideal
 from triplepoint.ulrich import next_candidate_rejected_by_trace
@@ -120,6 +122,24 @@ def rejected_by_membership(pres):
     return not all(contains(img, g) for g in trace_ideal(pres).gens)
 
 
+def quotient_dim(I):
+    """Vector-space dimension of ring/I in the ambient ring, or None when
+    infinite."""
+    std = I._standard()
+    return None if std is None else len(std)
+
+
+def socle_by_localized_colon(pres):
+    """dim (tr : m)/tr of the local algebra A/tr: the trace's basis
+    localized, set as the basis of a handle, and the quotient dimensions of
+    that handle and of its colon by m."""
+    tr = trace_ideal(pres)
+    basis, std = _localize(pres.ring, [list(g.terms) for g in tr.groebner()], tr._standard())
+    local = IdealHandle(pres.ring, [Polynomial(pres.ring, b) for b in basis])
+    local._gb = local.gens
+    return len(std) - quotient_dim(local.colon(pres.quotient.maximal_ideal()))
+
+
 def monomial(ring, exp, coeff=1):
     """The polynomial coeff*X^exp, its exponents checked against the cap."""
     exp = tuple(exp)
@@ -174,7 +194,7 @@ def spair_audit(basis):
     leads = [ring.exponents(t[0][0]) for t in terms]
     for i, j in itertools.combinations(range(len(terms)), 2):
         L = tuple(max(u, v) for u, v in zip(leads[i], leads[j]))
-        s = _spoly(terms[i], terms[j], ring.key(L), ring.kc)
+        s = _spoly(terms[i], terms[j], ring.key(L))
         if kernel.reduce_terms(s, terms, ring.kc):
             return False
     return True

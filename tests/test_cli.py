@@ -418,21 +418,30 @@ def test_graph_file_that_is_no_resolution_graph_exit_2(tmp_path):
 def test_graph_file_wrong_json_types_exit_2(tmp_path):
     # ids and endpoints must be strings, weights JSON integers: a list id or
     # endpoint is no traceback, and a float, string or bool weight is not
-    # truncated or cast
+    # truncated or cast; an edge is a list of two endpoints, so neither the
+    # string "ab", the object {"a": 1, "b": 2} nor an edges object keyed "ab"
+    # is read as the edge a-b
     good = {"id": "E", "weight": -2}
+    ab = [{"id": "a", "weight": -2}, {"id": "b", "weight": -2}]
     cases = [
         {"vertices": [{"id": [1], "weight": -2}], "edges": []},
         {"vertices": [good], "edges": [[["E"], "E"]]},
         {"vertices": [{"id": "E", "weight": -2.5}], "edges": []},
         {"vertices": [{"id": "E", "weight": "-3"}], "edges": []},
         {"vertices": [{"id": "E", "weight": True}], "edges": []},
+        {"vertices": ab, "edges": ["ab"]},
+        {"vertices": ab, "edges": [{"a": 1, "b": 2}]},
+        {"vertices": ab, "edges": {"ab": 0}},
     ]
     path = tmp_path / "graph.json"
     for data in cases:
         path.write_text(json.dumps(data))
-        res = invoke("graph", "z0", "--file", str(path))
-        assert res.exit_code == 2, (data, res.output)
-        assert "input error" in res.output, data
+        for sub in ("z0", "chains"):
+            res = invoke("graph", sub, "--file", str(path))
+            assert res.exit_code == 2, (sub, data, res.output)
+            assert res.stdout == "" and "input error" in res.stderr, (sub, data)
+    path.write_text(json.dumps({"vertices": ab, "edges": [["a", "b"]]}))
+    assert invoke("graph", "z0", "--file", str(path)).exit_code == 0
 
 
 def test_rdp_verify_single():

@@ -71,8 +71,6 @@ def test_traced_name_resolves(name):
 # The term-list entry points the other layers call: the kernel spans.
 KERNEL_ENTRY_POINTS = {
     "add_terms",
-    "neg_terms",
-    "scale_terms",
     "mono_mul_terms",
     "mul_terms",
     "reduce_terms",
