@@ -35,7 +35,7 @@ from .errors import GraphInvariantError, ParseError
 class DualGraph:
     """Weighted dual graph of a resolution: negative-definite, no (-1)s."""
 
-    __slots__ = ("ids", "weights", "edges", "_adj", "_z0", "_p0", "_rational")
+    __slots__ = ("ids", "weights", "_adj", "_z0", "_p0", "_rational")
 
     def __init__(self, ids, weights, edges):
         ids = tuple(ids)
@@ -47,7 +47,7 @@ class DualGraph:
         if any(w > -2 for w in weights):
             raise GraphInvariantError("vertex with self-intersection > -2")
         index = {v: k for k, v in enumerate(ids)}
-        norm_edges, seen = [], set()
+        seen = set()
         adj = [[] for _ in ids]
         for a, b in edges:
             ia, ib = index[a], index[b]
@@ -57,12 +57,10 @@ class DualGraph:
             if key in seen:
                 raise GraphInvariantError("multi-edge")
             seen.add(key)
-            norm_edges.append((a, b))
             adj[ia].append(ib)
             adj[ib].append(ia)
         self.ids = ids
         self.weights = weights
-        self.edges = tuple(norm_edges)
         self._adj = tuple(map(tuple, adj))
         # one search finds the components and the reduced cycle, 1 on every
         # vertex, with its pairing vector w_i + deg_i: Laufer's start

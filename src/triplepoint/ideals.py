@@ -47,14 +47,14 @@ such monomial divides is reduced.  The memo of normal forms is keyed by
 key, so each monomial's normal form is found once.
 
 Work is cached on the objects that own it, never in module globals: an
-``IdealHandle`` keeps its reduced basis and standard monomials for its
-lifetime, and a ``PresentedQuotient`` keeps one image handle per
-generator tuple for its lifetime, and the finite algebra of the ideal it
-last worked on; an algebra keeps its memo of monomial normal forms, so
-each distinct monomial's normal form is found once per ideal.  A
-localized ideal is not kept: a command almost never asks for the same
-one twice.  The CLI builds one presentation per command, so nothing
-accumulates across commands.
+``IdealHandle`` keeps its reduced basis for its lifetime, and a
+``PresentedQuotient`` keeps one image handle per generator tuple for its
+lifetime, and the finite algebra of the ideal it last worked on; an
+algebra keeps its memo of monomial normal forms, so each distinct
+monomial's normal form is found once per ideal.  A localized ideal is not
+kept: a command almost never asks for the same one twice, nor do its
+standard monomials.  The CLI builds one presentation per command, so
+nothing accumulates across commands.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ def _spoly(f, g, lkey):
     """S-polynomial of monic term lists f, g whose leads have the lcm of key
     ``lkey``; keys are additive, so X^(L - lm f) times f shifts f's keys by
     lkey - key(lm f)."""
-    a = kernel.mono_mul_terms(f, lkey - f[0][0], kernel.SONE)
+    a = _lift(f, lkey - f[0][0])
     b = kernel.mono_mul_terms(g, lkey - g[0][0], (-1, 0, 1))
     return kernel.add_terms(a, b)
 
@@ -190,12 +190,11 @@ def _groebner_terms(gens, ring, assume_prefix=0):
 class IdealHandle:
     """Generator list with a cached reduced Groebner basis.
 
-    The basis and, for a finite quotient, the standard monomials are
-    computed on first use and kept for the handle's lifetime; the handle is
-    otherwise immutable, and the cache fills are idempotent.
+    The basis is computed on first use and kept for the handle's lifetime;
+    the handle is otherwise immutable, and the cache fill is idempotent.
     """
 
-    __slots__ = ("ring", "gens", "_gb", "_std")
+    __slots__ = ("ring", "gens", "_gb")
 
     def __init__(self, ring: Ring, gens):
         self.ring = ring
@@ -207,7 +206,6 @@ class IdealHandle:
                 kept.append(g)
         self.gens = tuple(kept)
         self._gb = None
-        self._std = None
 
     def __repr__(self):
         return f"Ideal({', '.join(str(g) for g in self.gens)})"
@@ -226,13 +224,6 @@ class IdealHandle:
             raise RingMismatchError("ideals from different rings")
         return IdealHandle(self.ring, self.gens + other.gens)
 
-    def _standard(self):
-        """The keys of the standard monomials in ascending order, or None
-        when infinitely many."""
-        if self._std is None:
-            self._std = _standard_monomials([g.terms[0][0] for g in self.groebner()], self.ring)
-        return self._std
-
     def colon(self, other: IdealHandle) -> IdealHandle:
         """Ideal quotient {p : p * other <= self}, for an ideal whose
         quotient is finite (``ColengthBudgetError`` otherwise).
@@ -245,14 +236,14 @@ class IdealHandle:
             raise RingMismatchError("ideals from different rings")
         if other.is_zero():
             raise ZeroPolynomialError("colon by the zero ideal")
-        std = self._standard()
+        ring, kc = self.ring, self.ring.kc
+        gb = [list(g.terms) for g in self.groebner()]
+        std = _standard_monomials([g[0][0] for g in gb], ring)
         if std is None:
             raise ColengthBudgetError("the global quotient is infinite")
         if not std:
             return self  # the unit ideal
-        ring, kc = self.ring, self.ring.kc
-        gb = [list(g.terms) for g in self.groebner()]
-        prods = ((k, [kernel.mono_mul_terms(g.terms, k - kc, kernel.SONE) for g in other.gens])
+        prods = ((k, [_lift(g.terms, k - kc) for g in other.gens])
                  for k in std)
         nfs = ((k, [kernel.reduce_terms(p, gb, kc) for p in ps]) for k, ps in prods)
         kernel_rows = _colon_kernel(nfs, std[-1] + 1, {})  # normal forms have standard keys
@@ -361,17 +352,18 @@ def _standard_monomials(lead_keys, ring):
     return out
 
 
-def _localize(ring: Ring, basis, std):
+def _localize(ring: Ring, basis):
     """Localize the ideal whose reduced Groebner basis is ``basis`` (term
-    lists), with standard monomials ``std``: the reduced basis and standard
-    monomials of an ideal with the same local ring at the origin and no
-    other zero, so that its quotient dimension is the local length.
+    lists): the reduced basis and standard monomials of an ideal with the
+    same local ring at the origin and no other zero, so that its quotient
+    dimension is the local length.
 
-    With D = dim k[x]/ideal finite, adding the pure powers x_i^D changes
-    nothing at the origin (m^D lies in the ideal there); when each x_i^D
-    reduces to 0 already, ``basis`` and ``std`` are the answer and no basis
-    is computed.
+    With D = dim k[x]/ideal, the number of standard monomials, finite,
+    adding the pure powers x_i^D changes nothing at the origin (m^D lies in
+    the ideal there); when each x_i^D reduces to 0 already, ``basis`` and
+    its standard monomials are the answer and no basis is computed.
     """
+    std = _standard_monomials([g[0][0] for g in basis], ring)
     if std is None:
         raise ColengthBudgetError("the global quotient is infinite")
     D, kc = len(std), ring.kc
@@ -450,7 +442,7 @@ class PresentedQuotient:
         """Length of (local ring)/(ideal) at the origin."""
         img = self.image(ideal)
         basis = [list(g.terms) for g in img.groebner()]
-        return len(_localize(self.ring, basis, img._standard())[1])
+        return len(_localize(self.ring, basis)[1])
 
     def algebra(self, ideal: IdealHandle) -> FiniteAlgebra:
         """The finite algebra of ``ideal`` (see ``FiniteAlgebra``).  Only the
@@ -509,7 +501,7 @@ class FiniteAlgebra:
         # m*(I^2): the generators of I^2, then of m times them, repeats dropped
         squares = dict.fromkeys(tuple(p) for p in products.values())
         m_squares = dict.fromkeys(
-            tuple(kernel.mono_mul_terms(list(p), u, kernel.SONE))
+            tuple(_lift(p, u))
             for u in ring.units
             for p in squares
         )
@@ -517,9 +509,7 @@ class FiniteAlgebra:
             [list(t) for t in m_squares] + [list(g.terms) for g in A.defining.gens], ring
         )
         # the standard monomials come by ascending key, 1 first
-        self._basis, self._standard = _localize(
-            ring, basis, _standard_monomials([g[0][0] for g in basis], ring)
-        )
+        self._basis, self._standard = _localize(ring, basis)
         self._monomial_leads = [g[0][0] for g in self._basis if len(g) == 1]
         self._polynomial_leads = [g[0][0] for g in self._basis if len(g) > 1]
         self._kc = kc

@@ -7,6 +7,11 @@ length(A/I^2) - length(A/I) = mu(I) * length(A/I) is computed
 independently and must agree whenever a stable reduction is known; a
 disagreement is an engine invariant violation, not a verdict.
 
+The ideals certified are mostly one family, (x_1, ..., x_v^k, ..., x_n)
+(``_family``): the chain (x, y, z, t^k) of a triple point up to its trace
+(x, y, z, t^c), and (x, y^j, z) of a double point.  The trace is recognised
+by comparing its reduced basis with the family's, not by parsing it.
+
 Absence of a reduction is never read as "not Ulrich": the search tries a
 fixed finite list of candidates, which need not hold a reduction, so such
 ideals get the verdict ``no-reduction-found``.
@@ -181,52 +186,33 @@ def ulrich_check(
     )
 
 
-def trace_shape(pres: RingPresentation):
-    """Detect the trace ideal shape (others, x_v^c): every variable but
-    x_v, and a power of x_v.
+def _family(ring, v, k):
+    """The generators (x_1, ..., x_v^k, ..., x_n): every variable, with x_v
+    raised to k."""
+    return [g**k if i == v else g for i, g in enumerate(ring.gens())]
 
-    Returns (v, c).  The detection reads the reduced Groebner basis;
-    anything else raises ShapeError.
-    """
-    tr = trace_ideal(pres)
+
+def trace_shape(pres: RingPresentation):
+    """(v, c) for the trace ideal (x_1, ..., x_v^c, ..., x_n): c is the degree
+    of the last element of its reduced basis, and v the first variable, from
+    the last one down, whose ``_family`` sorted by lead is that basis (the
+    last one for m, where c = 1).  Any other basis raises ShapeError."""
     ring = pres.ring
-    gb = tr.groebner()
-    unit_vars = set()
-    power = None
-    for g in gb:
-        if len(g.terms) != 1:
-            raise ShapeError(f"trace basis element {g} is not a monomial")
-        exp = ring.exponents(g.terms[0][0])
-        support = [k for k, e in enumerate(exp) if e]
-        if len(support) != 1:
-            raise ShapeError(f"trace basis element {g} is not a pure power")
-        v = support[0]
-        if exp[v] == 1:
-            unit_vars.add(v)
-        elif power is None:
-            power = (v, exp[v])
-        else:
-            raise ShapeError("trace basis has two higher pure powers")
-    if power is None:
-        if len(unit_vars) != ring.n:
-            raise ShapeError("trace basis does not involve every variable")
-        return ring.n - 1, 1
-    v, c1 = power
-    if unit_vars != set(range(ring.n)) - {v}:
-        raise ShapeError("trace basis variables do not cover the complement")
-    return v, c1
+    gb = trace_ideal(pres).groebner()
+    c = sum(ring.exponents(gb[-1].terms[0][0]))
+    for v in reversed(range(ring.n)):
+        if tuple(sorted(_family(ring, v, c), key=lambda g: g.terms[0][0])) == gb:
+            return v, c
+    raise ShapeError(f"trace basis is not (x_1, ..., x_v^{c}, ..., x_n) for any v")
 
 
 def classify_ulrich_set(pres: RingPresentation, use_seeds: bool = True):
     """Certificates for every candidate above the trace ideal."""
     v, count = trace_shape(pres)
-    ring = pres.ring
     A = pres.quotient
-    others = [ring.var(name) for k, name in enumerate(ring.names) if k != v]
     out = []
     for i in range(1, count + 1):
-        gens = others + [ring.var(ring.names[v]) ** i]
-        I = IdealHandle(ring, gens)
+        I = IdealHandle(pres.ring, _family(pres.ring, v, i))
         seed = published_reduction(pres.tag, i) if use_seeds else None
         out.append(ulrich_check(A, I, (seed,) if seed else (), tag=f"{pres.tag}#{i}"))
     return out
@@ -236,15 +222,13 @@ def next_candidate_rejected_by_trace(pres: RingPresentation):
     """The first candidate past the trace, plus its containment refutation.
 
     Returns (ideal, rejected) where rejected is True when the ideal fails
-    to contain the trace ideal (so it cannot be Ulrich).  The trace is
-    (others, x_v^count) and the ideal (others, x_v^(count+1)) lies inside
+    to contain the trace ideal (so it cannot be Ulrich).  The trace is the
+    family with x_v^count and the ideal, with x_v^(count+1), lies inside
     it, so at the origin the ideal contains the trace exactly when their
     colengths agree: ell(A/I) = ell(A/tr) = count.
     """
     v, count = trace_shape(pres)
-    ring = pres.ring
-    others = [ring.var(name) for k, name in enumerate(ring.names) if k != v]
-    I = IdealHandle(ring, others + [ring.var(ring.names[v]) ** (count + 1)])
+    I = IdealHandle(pres.ring, _family(pres.ring, v, count + 1))
     return I, pres.quotient.colength(I) != count
 
 
@@ -260,28 +244,23 @@ def _rdp_pattern_top(tag: FamilyTag):
 
 
 def _rdp_listed(tag: FamilyTag):
-    """(ideal generators, seed reduction) for each listed Ulrich ideal."""
+    """(ideal generators, seed reduction) for each listed Ulrich ideal: the
+    family (x, y^j, z) (``_family``), and for D also (x +- i*y^(m-1), y^m, z)
+    when n = 2m, and (x^2, y, z)."""
     R = RDP_RING
-    x, y, z = R.var("x"), R.var("y"), R.var("z")
-    name = tag.name
-    items = []
+    x, y, z = R.gens()
     top = _rdp_pattern_top(tag)
     if top is not None:
-        return [([x, y**j, z], (x, y**j)) for j in range(1, top + 1)]
-    if name == "RDP-D":
+        return [(_family(R, 1, j), (x, y**j)) for j in range(1, top + 1)]
+    if tag.name == "RDP-D":
         n = tag.params[0]
+        items = [(_family(R, 1, j), (x, y**j)) for j in range(1, (n + 1) // 2)]
         if n % 2 == 0:
             m = n // 2
-            for j in range(1, m):
-                items.append(([x, y**j, z], (x, y**j)))
             iy = y ** (m - 1) * (0, 1, 1)  # i*y^(m-1)
             plus, minus = x + iy, x - iy
             items.append(([plus, y**m, z], (plus, y**m)))
             items.append(([minus, y**m, z], (minus, y**m)))
-        else:
-            m = (n - 1) // 2
-            for j in range(1, m + 1):
-                items.append(([x, y**j, z], (x, y**j)))
         items.append(([x**2, y, z], (y, x**2)))
         return items
     raise ValueError(f"not an RDP tag: {tag}")
@@ -293,12 +272,9 @@ def _rdp_next(tag: FamilyTag):
     top = _rdp_pattern_top(tag)
     if top is None:
         return None
-    R = RDP_RING
-    x, y, z = R.var("x"), R.var("y"), R.var("z")
+    x, y, z = RDP_RING.gens()
     j = top + 1
-    ideal = [x, y**j, z]
-    seeds = ((x, z), (x + y**j, z), (x, y**j))
-    return ideal, seeds
+    return _family(RDP_RING, 1, j), ((x, z), (x + y**j, z), (x, y**j))
 
 
 def verify_rdp_list(pres: RingPresentation):

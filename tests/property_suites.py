@@ -9,7 +9,7 @@ import itertools
 import math
 import random
 
-from reference import from_terms, reduce, spair_audit
+from reference import edge_ids, from_terms, reduce, spair_audit
 from triplepoint.dualgraph import DualGraph, fundamental_cycle, is_antinef
 from triplepoint.ideals import IdealHandle, PresentedQuotient
 from triplepoint.polyring import Ring
@@ -99,7 +99,7 @@ def run_laufer_order_independence(seed=303, cases=200):
         perm = list(range(n))
         rng.shuffle(perm)
         g2 = DualGraph(
-            [g.ids[p] for p in perm], [g.weights[p] for p in perm], g.edges
+            [g.ids[p] for p in perm], [g.weights[p] for p in perm], edge_ids(g)
         )
         Z2 = fundamental_cycle(g2)
         assert all(Z[p] == Z2[k] for k, p in enumerate(perm))

@@ -2,13 +2,15 @@
 
 No command forms an ideal product or power, divides by a list of
 polynomials, tests membership in the ambient ring, audits a Groebner basis,
-builds a polynomial from exponent pairs, compares two graphs or writes a
-graph as JSON, so these live here, beside the tests that compare the
-program's results against them.  So do the plainer forms of six of the program's computations:
-Laufer's sequence by rescanning, the chain walk by recursion, the "good"
-rank over every row, the two trace verdicts of ``classify`` by ambient
-membership, and the socle of A/tr by the colon of the localized trace
-(the program reads all three off colengths).  No command reads a global
+builds a polynomial from exponent pairs, lists a graph's edges, compares
+two graphs or writes a graph as JSON, so these live here, beside the tests
+that compare the program's results against them.  So do the plainer forms
+of seven of the program's computations: Laufer's sequence by rescanning,
+the chain walk by recursion, the "good" rank over every row, the two trace
+verdicts of ``classify`` by ambient membership, the socle of A/tr by the
+colon of the localized trace (the program reads all three off colengths),
+and the trace's shape by parsing its basis element by element (the program
+compares the basis with the family it names).  No command reads a global
 quotient dimension either (``quotient_dim``).
 The expected values here are the source's, for checks no command makes.
 
@@ -30,8 +32,16 @@ from triplepoint.dualgraph import (
     intersection_pairing,
     is_antinef,
 )
-from triplepoint.errors import ExponentRangeError, ParameterError, ZeroPolynomialError
-from triplepoint.ideals import IdealHandle, _echelon, _eliminate, _lift, _localize, _spoly
+from triplepoint.errors import ExponentRangeError, ParameterError, ShapeError, ZeroPolynomialError
+from triplepoint.ideals import (
+    IdealHandle,
+    _echelon,
+    _eliminate,
+    _lift,
+    _localize,
+    _spoly,
+    _standard_monomials,
+)
 from triplepoint.polyring import _MAX_EXP, Polynomial, _to_triple
 from triplepoint.presentations import trace_ideal
 from triplepoint.ulrich import next_candidate_rejected_by_trace
@@ -122,10 +132,42 @@ def rejected_by_membership(pres):
     return not all(contains(img, g) for g in trace_ideal(pres).gens)
 
 
+def trace_shape_by_parsing(pres):
+    """(v, c) of a trace ideal (x_1, ..., x_v^c, ..., x_n), read element by
+    element off its reduced basis: each element must be a pure power, all
+    but at most one of exponent 1, and every variable must occur; otherwise
+    ShapeError, with one message per way the basis fails."""
+    ring = pres.ring
+    unit_vars = set()
+    power = None
+    for g in trace_ideal(pres).groebner():
+        if len(g.terms) != 1:
+            raise ShapeError(f"trace basis element {g} is not a monomial")
+        exp = ring.exponents(g.terms[0][0])
+        support = [k for k, e in enumerate(exp) if e]
+        if len(support) != 1:
+            raise ShapeError(f"trace basis element {g} is not a pure power")
+        v = support[0]
+        if exp[v] == 1:
+            unit_vars.add(v)
+        elif power is None:
+            power = (v, exp[v])
+        else:
+            raise ShapeError("trace basis has two higher pure powers")
+    if power is None:
+        if len(unit_vars) != ring.n:
+            raise ShapeError("trace basis does not involve every variable")
+        return ring.n - 1, 1
+    v, c = power
+    if unit_vars != set(range(ring.n)) - {v}:
+        raise ShapeError("trace basis variables do not cover the complement")
+    return v, c
+
+
 def quotient_dim(I):
     """Vector-space dimension of ring/I in the ambient ring, or None when
     infinite."""
-    std = I._standard()
+    std = _standard_monomials([g.terms[0][0] for g in I.groebner()], I.ring)
     return None if std is None else len(std)
 
 
@@ -134,7 +176,7 @@ def socle_by_localized_colon(pres):
     localized, set as the basis of a handle, and the quotient dimensions of
     that handle and of its colon by m."""
     tr = trace_ideal(pres)
-    basis, std = _localize(pres.ring, [list(g.terms) for g in tr.groebner()], tr._standard())
+    basis, std = _localize(pres.ring, [list(g.terms) for g in tr.groebner()])
     local = IdealHandle(pres.ring, [Polynomial(pres.ring, b) for b in basis])
     local._gb = local.gens
     return len(std) - quotient_dim(local.colon(pres.quotient.maximal_ideal()))
@@ -204,15 +246,21 @@ def graph_json(g):
     """The graph as the JSON text ``DualGraph.from_json`` reads."""
     data = {
         "vertices": [{"id": v, "weight": w} for v, w in zip(g.ids, g.weights)],
-        "edges": [[a, b] for a, b in g.edges],
+        "edges": [list(e) for e in edge_ids(g)],
     }
     return json.dumps(data, separators=(",", ":"))
 
 
 def edge_indices(g):
-    """The edges of ``g`` as vertex-index pairs (i, j) with i < j, in order."""
-    index = {v: k for k, v in enumerate(g.ids)}
-    return tuple(tuple(sorted((index[a], index[b]))) for a, b in g.edges)
+    """The edges of ``g`` as vertex-index pairs (i, j) with i < j, in index
+    order, read off its adjacency lists: no command lists the edges."""
+    return tuple((i, j) for i, nbrs in enumerate(g._adj) for j in sorted(nbrs) if i < j)
+
+
+def edge_ids(g):
+    """The edges of ``g`` as vertex-id pairs, in the order of
+    ``edge_indices``."""
+    return tuple((g.ids[i], g.ids[j]) for i, j in edge_indices(g))
 
 
 def same_graph(g, h):

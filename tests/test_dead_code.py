@@ -20,6 +20,9 @@ only the tests use lives in ``tests/reference.py``.
 
 A module-level import is used when code of its module loads the name it
 binds, resolved by scope as above (``from __future__`` binds nothing).
+
+State is checked too: every attribute that the package stores on ``self``
+is read somewhere in the package, as an attribute of any object.
 """
 
 import ast
@@ -274,6 +277,25 @@ def _unused_imports(sources):
     return unused
 
 
+def _unread_attributes(sources):
+    """The attributes that code in ``sources`` ({module name: source text})
+    stores on ``self`` and no code there reads, as "module: name".  A read
+    is a load of an attribute of that name on any object; an augmented
+    assignment reads its target."""
+    stored, loaded = {}, set()
+    for module, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Attribute):
+                loaded.add(node.target.attr)
+            if not isinstance(node, ast.Attribute):
+                continue
+            if isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+            elif isinstance(node.value, ast.Name) and node.value.id == "self":
+                stored.setdefault(f"{module}: {node.attr}", node.attr)
+    return [key for key, attr in stored.items() if attr not in loaded]
+
+
 def _package_sources():
     sources = {}
     for fname in sorted(os.listdir(PACKAGE)):
@@ -289,6 +311,30 @@ def test_every_definition_is_used_by_the_package():
 
 def test_every_import_is_loaded_by_its_module():
     assert _unused_imports(_package_sources()) == []
+
+
+def test_every_stored_attribute_is_read_by_the_package():
+    assert _unread_attributes(_package_sources()) == []
+
+
+def test_unread_attributes_are_found():
+    # edges is stored and never read; size is read on another object, total
+    # by an augmented assignment, and _cache by its own method
+    sources = {
+        "dualgraph": (
+            "class Graph:\n"
+            "    def __init__(self, ids, edges):\n"
+            "        self.ids, self.edges = ids, edges\n"
+            "        self.size = len(ids)\n"
+            "        self.total = 0\n"
+            "        self.total += 1\n"
+            "        self._cache = None\n"
+            "    def cached(self):\n"
+            "        return self._cache\n"
+        ),
+        "cli": "def show(graph):\n    return graph.size, graph.ids\n",
+    }
+    assert _unread_attributes(sources) == ["dualgraph: edges"]
 
 
 def test_unused_imports_are_found():

@@ -13,6 +13,7 @@ from reference import (
     quotient_dim,
     read,
     socle_by_localized_colon,
+    trace_shape_by_parsing,
 )
 from triplepoint import expectations, ideals, kernel, ulrich
 from triplepoint.cli import main
@@ -269,19 +270,58 @@ def test_trace_shape(a123):
     assert trace_shape(instantiate("A:0,1,2")) == (3, 1)
 
 
-def test_trace_shape_error():
-    # hand-built presentation whose trace is not of pure-power shape:
-    # reuse EX-5.2 but query the shape of a doctored ideal
+def _shape_or_none(shape, pres):
+    try:
+        return shape(pres)
+    except ShapeError:
+        return None
+
+
+def test_trace_shape_agrees_with_the_parser():
+    # the comparison with the family reads the same (v, c) as parsing the
+    # trace's basis element by element, on the grid, A:8,8,8 and EX-5.2
+    tags = [str(t) for t in grid_tags(6)] + ["A:8,8,8", "EX-5.2"]
+    shapes = {}
+    for tag in tags:
+        pres = instantiate(tag)
+        shapes[tag] = _shape_or_none(trace_shape, pres)
+        assert shapes[tag] == _shape_or_none(trace_shape_by_parsing, pres), tag
+    assert len(shapes) == 167 and None not in shapes.values()
+    assert shapes["EX-5.2"] == (3, 3)  # (x, y, z, t^3)
+    assert shapes["A:0,0,0"] == (3, 1)  # the maximal ideal gives the last variable
+    assert shapes["A:8,8,8"] == (3, 9)
+    assert {c for _, c in shapes.values()} == set(range(1, 8)) | {9}
+
+
+@pytest.mark.parametrize(
+    "entries,kind",
+    [
+        # the trace (x + y) + J is not m-primary
+        ((x + y,), "not a monomial"),
+        ((x * y, x**2, y**2, z, t), "x\\*y is not a pure power"),
+        ((x**2, y, z, t**2), "two higher pure powers"),
+        ((x, y, z), "does not involve every variable"),
+        ((x, y, t**2), "do not cover the complement"),
+        ((R.one(),), "1 is not a pure power"),
+    ],
+    ids=["non-monomial", "mixed-monomial", "two-powers", "missing-variable",
+         "missing-complement", "unit-ideal"],
+)
+def test_trace_shape_error(entries, kind):
+    # Gamma1's defining ideal lies in each ideal of ``entries`` but x + y,
+    # so the trace's basis is ``entries`` reduced; the parser names the way
+    # it fails, and the comparison refuses it
     pres = instantiate("Gamma1")
-    bad = IdealHandle(R, [x + y, y, z, t**2])
 
     class Doctored:
         ring = pres.ring
         quotient = pres.quotient
-        matrix = ((bad.gens[0],),)
+        matrix = (entries,)
         cm_type = 2
         tag = pres.tag
 
+    with pytest.raises(ShapeError, match=kind):
+        trace_shape_by_parsing(Doctored())
     with pytest.raises(ShapeError):
         trace_shape(Doctored())
 
@@ -741,7 +781,7 @@ def _reference_values(A, cert):
         return length, mu, None, None, None
     free_test = A.colength(power(I, 2)) - length == mu * length
     img = A.image(Q)
-    basis, _ = ideals._localize(A.ring, [list(g.terms) for g in img.groebner()], img._standard())
+    basis, _ = ideals._localize(A.ring, [list(g.terms) for g in img.groebner()])
     local = IdealHandle(A.ring, [Polynomial(A.ring, b) for b in basis])
     good = all(contains(local, g) for g in power(I, 2).gens)
     good = good and quotient_dim(local.colon(I)) == length
