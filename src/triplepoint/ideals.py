@@ -482,9 +482,10 @@ class FiniteAlgebra:
     over vectors a on these positions: q = sum a_p*g_p has the rows
     sum a_p*coord(P_pj), j in ``minimal``.  A vector lists p by ascending
     position, as the term (p, a_p), or as p alone when a_p = 1: a tuple c of
-    positions is the vector of ones there, and a seed reads its vector off
-    the frame.  Each vector's rows and echelon are formed once; a pair
-    whose two ranks sum below dim W fails with no elimination.
+    positions is the vector of ones there, and ``_vector`` reads q's off the
+    frame: the one membership test in I, for seeds and ``contains``.  Each
+    vector's rows and echelon are formed once; a pair whose two ranks sum
+    below dim W fails with no elimination.
     """
 
     __slots__ = ("dim", "length", "mu", "minimal", "square_length", "_basis",
@@ -579,19 +580,24 @@ class FiniteAlgebra:
             pivots = self._spans[Q.gens] = _echelon(rows)
         return pivots
 
+    def _vector(self, q):
+        """q's vector, as the tags (coefficients -a_p) the frame leaves of
+        NF(q); None when it leaves a monomial lead: q is outside I there."""
+        row = _eliminate(self._nf(list(q.terms)), self._pivots)
+        if row and row[0][0] >= self._kc:
+            return None
+        return tuple(p if (a, b, d) == (-1, 0, 1) else (p, -a, -b, d)
+                     for p, a, b, d in reversed(row))
+
+    def contains(self, K: IdealHandle) -> bool:
+        """Does K lie in I at the origin?"""
+        return all(self._vector(k) is not None for k in K.gens)
+
     def spans(self, Q: IdealHandle):
         """The span test: do the q*g_j (q in Q, j in ``minimal``) span W?
-        None when some q lies outside I at the origin, that is, when the
-        frame leaves NF(q) led by a monomial.  Otherwise it leaves tags only,
-        with coefficients -a_p, and q = sum a_p*g_p modulo m*I."""
-        vectors = []
-        for q in Q.gens:
-            row = _eliminate(self._nf(list(q.terms)), self._pivots)
-            if row and row[0][0] >= self._kc:
-                return None
-            vectors.append(tuple(p if (a, b, d) == (-1, 0, 1) else (p, -a, -b, d)
-                                 for p, a, b, d in reversed(row)))
-        return self._rank_test(vectors)
+        None when some q lies outside I at the origin."""
+        vectors = [self._vector(q) for q in Q.gens]
+        return None if None in vectors else self._rank_test(vectors)
 
     def spans_combinations(self, c1, c2):
         """The span test for q = sum g_p over the positions p in c1 and c2

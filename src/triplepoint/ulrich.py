@@ -10,7 +10,7 @@ disagreement is an engine invariant violation, not a verdict.
 The ideals certified are mostly one family, (x_1, ..., x_v^k, ..., x_n)
 (``_family``): the chain (x, y, z, t^k) of a triple point up to its trace
 (x, y, z, t^c), and (x, y^j, z) of a double point.  The trace is recognised
-by comparing its reduced basis with the family's, not by parsing it.
+at the origin: c is its colength, and it lies in (x, y, z, t^c), of colength c.
 
 Absence of a reduction is never read as "not Ulrich": the search tries a
 fixed finite list of candidates, which need not hold a reduction, so such
@@ -53,6 +53,7 @@ from .presentations import (
     FamilyTag,
     RingPresentation,
     published_reduction,
+    residue,
     trace_ideal,
 )
 
@@ -192,44 +193,33 @@ def _family(ring, v, k):
     return [g**k if i == v else g for i, g in enumerate(ring.gens())]
 
 
-def trace_shape(pres: RingPresentation):
-    """(v, c) for the trace ideal (x_1, ..., x_v^c, ..., x_n): c is the degree
-    of the last element of its reduced basis, and v the first variable, from
-    the last one down, whose ``_family`` sorted by lead is that basis (the
-    last one for m, where c = 1).  Any other basis raises ShapeError."""
-    ring = pres.ring
-    gb = trace_ideal(pres).groebner()
-    c = sum(ring.exponents(gb[-1].terms[0][0]))
-    for v in reversed(range(ring.n)):
-        if tuple(sorted(_family(ring, v, c), key=lambda g: g.terms[0][0])) == gb:
-            return v, c
-    raise ShapeError(f"trace basis is not (x_1, ..., x_v^{c}, ..., x_n) for any v")
-
-
 def classify_ulrich_set(pres: RingPresentation, use_seeds: bool = True):
-    """Certificates for every candidate above the trace ideal."""
-    v, count = trace_shape(pres)
-    A = pres.quotient
+    """Certificates for the chain I_k = (x_1, ..., x_n^k) (``_family``, the
+    power on the last variable as in the seeds), k = 1..c = ell(A/tr).
+    ShapeError unless tr = I_c at the origin: c >= 1, ell(A/I_c) = c, and tr
+    lies in I_c, read in the finite algebra I_c's certificate just built."""
+    A, ring = pres.quotient, pres.ring
+    tr = trace_ideal(pres)
+    count = A.colength(tr)
     out = []
     for i in range(1, count + 1):
-        I = IdealHandle(pres.ring, _family(pres.ring, v, i))
+        I = IdealHandle(ring, _family(ring, ring.n - 1, i))
         seed = published_reduction(pres.tag, i) if use_seeds else None
         out.append(ulrich_check(A, I, (seed,) if seed else (), tag=f"{pres.tag}#{i}"))
+    if not out or out[-1].length != count or not A.algebra(out[-1].ideal).contains(tr):
+        raise ShapeError(f"trace is not (x_1, ..., x_n^{count}) at the origin")
     return out
 
 
 def next_candidate_rejected_by_trace(pres: RingPresentation):
-    """The first candidate past the trace, plus its containment refutation.
-
-    Returns (ideal, rejected) where rejected is True when the ideal fails
-    to contain the trace ideal (so it cannot be Ulrich).  The trace is the
-    family with x_v^count and the ideal, with x_v^(count+1), lies inside
-    it, so at the origin the ideal contains the trace exactly when their
-    colengths agree: ell(A/I) = ell(A/tr) = count.
-    """
-    v, count = trace_shape(pres)
-    I = IdealHandle(pres.ring, _family(pres.ring, v, count + 1))
-    return I, pres.quotient.colength(I) != count
+    """(I, rejected) for the first candidate past the chain,
+    I = (x_1, ..., x_n^(c+1)) with c = ell(A/tr): rejected is True when
+    ell(A/I) > c, which proves at the origin, with no assumption on the
+    trace's shape, that I does not contain tr (so it cannot be Ulrich)."""
+    ring = pres.ring
+    count = residue(pres)
+    I = IdealHandle(ring, _family(ring, ring.n - 1, count + 1))
+    return I, pres.quotient.colength(I) > count
 
 
 # -- rational double point lists ----------------------------------------

@@ -9,8 +9,9 @@ of seven of the program's computations: Laufer's sequence by rescanning,
 the chain walk by recursion, the "good" rank over every row, the two trace
 verdicts of ``classify`` by ambient membership, the socle of A/tr by the
 colon of the localized trace (the program reads all three off colengths),
-and the trace's shape by parsing its basis element by element (the program
-compares the basis with the family it names).  No command reads a global
+and the trace's shape by parsing its global basis element by element (the
+program reads the trace's colength c and tests, at the origin, that it
+lies in (x_1, ..., x_n^c), of colength c).  No command reads a global
 quotient dimension either (``quotient_dim``).
 The expected values here are the source's, for checks no command makes.
 

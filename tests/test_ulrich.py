@@ -1,5 +1,7 @@
 """Ulrich certification: stability, verdicts, lists, the socle experiment."""
 
+import ast
+import inspect
 import itertools
 
 import pytest
@@ -12,12 +14,13 @@ from reference import (
     product,
     quotient_dim,
     read,
+    rejected_by_membership,
     socle_by_localized_colon,
     trace_shape_by_parsing,
 )
-from triplepoint import expectations, ideals, kernel, ulrich
+from triplepoint import expectations, ideals, kernel, presentations, ulrich
 from triplepoint.cli import main
-from triplepoint.errors import ShapeError
+from triplepoint.errors import ColengthBudgetError, ShapeError
 from triplepoint.ideals import IdealHandle
 from triplepoint.expectations import grid_tags
 from triplepoint.polyring import Polynomial
@@ -27,6 +30,7 @@ from triplepoint.presentations import (
     instantiate,
     maximal_reduction_seed,
     published_reduction,
+    residue,
     trace_ideal,
 )
 from triplepoint.ulrich import (
@@ -35,7 +39,6 @@ from triplepoint.ulrich import (
     good_check,
     gorenstein_quotient_experiment,
     next_candidate_rejected_by_trace,
-    trace_shape,
     ulrich_check,
     verify_rdp_list,
 )
@@ -176,12 +179,7 @@ def test_good_rank_off_the_pivots_matches_the_rank_on_every_row(monkeypatch):
 
     monkeypatch.setattr(ideals.FiniteAlgebra, "is_good", compared)
     for tag in grid_tags(4):
-        pres = instantiate(tag)
-        try:
-            trace_shape(pres)
-        except ShapeError:
-            continue
-        classify_ulrich_set(pres)
+        classify_ulrich_set(instantiate(tag))
     for tag in expectations.rdp_grid():
         verify_rdp_list(instantiate(tag))
     ranked = len(verdicts)
@@ -266,52 +264,34 @@ def test_maximal_ideal_is_ulrich_everywhere():
 
 
 def test_trace_shape(a123):
-    assert trace_shape(a123) == (3, 2)  # power variable t, count 2
-    assert trace_shape(instantiate("A:0,1,2")) == (3, 1)
-
-
-def _shape_or_none(shape, pres):
-    try:
-        return shape(pres)
-    except ShapeError:
-        return None
+    # the local test puts the power on the last variable, t, and counts the
+    # chain (x, y, z, t^k), k = 1..c, that it certifies
+    for pres, shape in ((a123, (3, 2)), (instantiate("A:0,1,2"), (3, 1))):
+        assert (pres.ring.n - 1, len(classify_ulrich_set(pres))) == shape
+        assert trace_shape_by_parsing(pres) == shape
 
 
 def test_trace_shape_agrees_with_the_parser():
-    # the comparison with the family reads the same (v, c) as parsing the
-    # trace's basis element by element, on the grid, A:8,8,8 and EX-5.2
+    # the local test (the trace's colength c, then its containment in I_c's
+    # finite algebra) reads the same (v, c) as parsing the trace's basis
+    # element by element, on the grid, A:8,8,8 and EX-5.2, with v the last
+    # variable
     tags = [str(t) for t in grid_tags(6)] + ["A:8,8,8", "EX-5.2"]
     shapes = {}
     for tag in tags:
         pres = instantiate(tag)
-        shapes[tag] = _shape_or_none(trace_shape, pres)
-        assert shapes[tag] == _shape_or_none(trace_shape_by_parsing, pres), tag
-    assert len(shapes) == 167 and None not in shapes.values()
+        shapes[tag] = (pres.ring.n - 1, len(classify_ulrich_set(pres)))
+        assert shapes[tag] == trace_shape_by_parsing(pres), tag
+    assert len(shapes) == 167
     assert shapes["EX-5.2"] == (3, 3)  # (x, y, z, t^3)
     assert shapes["A:0,0,0"] == (3, 1)  # the maximal ideal gives the last variable
     assert shapes["A:8,8,8"] == (3, 9)
     assert {c for _, c in shapes.values()} == set(range(1, 8)) | {9}
 
 
-@pytest.mark.parametrize(
-    "entries,kind",
-    [
-        # the trace (x + y) + J is not m-primary
-        ((x + y,), "not a monomial"),
-        ((x * y, x**2, y**2, z, t), "x\\*y is not a pure power"),
-        ((x**2, y, z, t**2), "two higher pure powers"),
-        ((x, y, z), "does not involve every variable"),
-        ((x, y, t**2), "do not cover the complement"),
-        ((R.one(),), "1 is not a pure power"),
-    ],
-    ids=["non-monomial", "mixed-monomial", "two-powers", "missing-variable",
-         "missing-complement", "unit-ideal"],
-)
-def test_trace_shape_error(entries, kind):
-    # Gamma1's defining ideal lies in each ideal of ``entries`` but x + y,
-    # so the trace's basis is ``entries`` reduced; the parser names the way
-    # it fails, and the comparison refuses it
-    pres = instantiate("Gamma1")
+def _doctored(tag, entries):
+    """The presentation of ``tag`` with the trace (entries) + J."""
+    pres = instantiate(tag)
 
     class Doctored:
         ring = pres.ring
@@ -320,10 +300,77 @@ def test_trace_shape_error(entries, kind):
         cm_type = 2
         tag = pres.tag
 
+    return Doctored()
+
+
+@pytest.mark.parametrize(
+    "tag,entries,error,kind",
+    [
+        # not m-primary: these traces have infinite quotients
+        ("Gamma1", (x + y,), ColengthBudgetError, "not a monomial"),
+        ("Gamma1", (x, y, z), ColengthBudgetError, "does not involve every variable"),
+        ("Gamma1", (x, y, t**2), ColengthBudgetError, "do not cover the complement"),
+        # only the membership clause refuses these two: ell(A/I_c) = c
+        ("Gamma1", (x * y, x**2, y**2, z, t), ShapeError, "x\\*y is not a pure power"),
+        ("Gamma1", (x**2, y, z, t**2), ShapeError, "two higher pure powers"),
+        # c = 0: no chain at all
+        ("Gamma1", (R.one(),), ShapeError, "1 is not a pure power"),
+        # only the length clause refuses it: c = 3 and tr lies in I_3, but
+        # ell(A/I_3) = 2
+        ("A:0,0,0", (x, y, z**2, t**2), ShapeError, "z\\*t is not a pure power"),
+    ],
+    ids=["non-monomial", "missing-variable", "missing-complement", "mixed-monomial",
+         "two-powers", "unit-ideal", "short-chain"],
+)
+def test_trace_shape_error(tag, entries, error, kind):
+    # the trace is (entries) + J: the parser names the way its basis fails,
+    # and the local test refuses it with the named error
+    pres = _doctored(tag, entries)
     with pytest.raises(ShapeError, match=kind):
-        trace_shape_by_parsing(Doctored())
-    with pytest.raises(ShapeError):
-        trace_shape(Doctored())
+        trace_shape_by_parsing(pres)
+    with pytest.raises(error):
+        classify_ulrich_set(pres)
+
+
+def test_refutation_proves_no_containment():
+    # on the short chain of A:0,0,0, c = 3 and ell(A/I_4) = 2: I_4 contains
+    # the trace, so the rule must not refute it, as ell(A/I_4) != c would
+    pres = _doctored("A:0,0,0", (x, y, z**2, t**2))
+    I, rejected = next_candidate_rejected_by_trace(pres)
+    assert [str(g) for g in I.gens] == ["x", "y", "z", "t^4"]
+    assert rejected is False
+    assert rejected_by_membership(pres) is False
+
+
+def test_contains_is_membership_in_the_localized_ideal():
+    # K <= I at the origin, read off I's frame, against membership in the
+    # localized I + J, for the trace and each variable, over the chain of
+    # grid(4) up to one past the trace
+    seen = set()
+    for tag in grid_tags(4):
+        pres = instantiate(tag)
+        A, ring, tr = pres.quotient, pres.ring, trace_ideal(pres)
+        probes = [tr] + [IdealHandle(ring, [v]) for v in ring.gens()]
+        for i in range(1, residue(pres) + 2):
+            I = IdealHandle(ring, ulrich._family(ring, ring.n - 1, i))
+            basis, _ = ideals._localize(ring, [list(g.terms) for g in A.image(I).groebner()])
+            local = IdealHandle(ring, [Polynomial(ring, b) for b in basis])
+            B = A.algebra(I)
+            for K in probes:
+                got = B.contains(K)
+                assert got == all(contains(local, g) for g in K.gens), (tag, I, K)
+                seen.add(got)
+    assert seen == {True, False}
+
+
+def test_the_verdict_layers_read_no_global_basis():
+    # every verdict is decided at the origin, so the layers that reach one
+    # read no reduced basis of the ambient ring (cli may print the trace's)
+    for module in (ulrich, presentations):
+        tree = ast.parse(inspect.getsource(module))
+        reads = [n.lineno for n in ast.walk(tree)
+                 if isinstance(n, ast.Attribute) and n.attr == "groebner"]
+        assert reads == [], (module.__name__, reads)
 
 
 def test_classify_a123(a123):
@@ -457,12 +504,7 @@ def test_socle_experiment_holds_on_the_grid():
     # k[t]/(t^{c+1}), whose socle is one-dimensional
     checked = 0
     for tag in grid_tags(4):
-        pres = instantiate(tag)
-        try:
-            trace_shape(pres)
-        except ShapeError:
-            continue
-        assert gorenstein_quotient_experiment(pres) is True, str(tag)
+        assert gorenstein_quotient_experiment(instantiate(tag)) is True, str(tag)
         checked += 1
     assert checked == 72
 
@@ -501,10 +543,8 @@ def _span_audit_ideals(tag):
         if nxt is not None:
             ideals_.append(nxt[0])
     else:
-        v, count = trace_shape(pres)
-        others = [pres.ring.var(n) for k, n in enumerate(pres.ring.names) if k != v]
-        t = pres.ring.var(pres.ring.names[v])
-        ideals_ = [others + [t**i] for i in range(1, count + 2)]
+        ring = pres.ring
+        ideals_ = [ulrich._family(ring, ring.n - 1, i) for i in range(1, residue(pres) + 2)]
     return pres, [IdealHandle(pres.ring, gens) for gens in ideals_]
 
 
@@ -791,10 +831,6 @@ def _reference_values(A, cert):
 def _reference_cases():
     for tag in grid_tags(3):
         pres = instantiate(tag)
-        try:
-            trace_shape(pres)
-        except ShapeError:
-            continue
         yield from ((pres.quotient, c) for c in classify_ulrich_set(pres))
     for tag in expectations.rdp_grid():
         pres = instantiate(tag)
@@ -877,11 +913,9 @@ def _chain_and_listed_ideals():
     and next ideals of the double points."""
     for tag in grid_tags(3):
         pres = instantiate(tag)
-        v, count = trace_shape(pres)
-        others = [pres.ring.var(x) for k, x in enumerate(pres.ring.names) if k != v]
-        t = pres.ring.var(pres.ring.names[v])
-        yield from ((pres.quotient, IdealHandle(pres.ring, others + [t**i]))
-                    for i in range(1, count + 1))
+        ring = pres.ring
+        yield from ((pres.quotient, IdealHandle(ring, ulrich._family(ring, ring.n - 1, i)))
+                    for i in range(1, residue(pres) + 1))
     for tag in expectations.rdp_grid():
         pres, ideals_ = _span_audit_ideals(str(tag))
         yield from ((pres.quotient, I) for I in ideals_)
@@ -928,11 +962,9 @@ def _seeded_ideals():
             if nxt is not None:
                 yield A, IdealHandle(ring, nxt[0]), nxt[1]
         elif pres.cm_type == 2:
-            v, count = trace_shape(pres)
-            others = [ring.var(n) for k, n in enumerate(ring.names) if k != v]
-            t = ring.var(ring.names[v])
-            for i in range(1, count + 1):
-                yield A, IdealHandle(ring, others + [t**i]), (published_reduction(pres.tag, i),)
+            for i in range(1, residue(pres) + 1):
+                I = IdealHandle(ring, ulrich._family(ring, ring.n - 1, i))
+                yield A, I, (published_reduction(pres.tag, i),)
     yield from _redundant_seeded_ideals()
 
 
